@@ -6,60 +6,25 @@ basic reproduction number of its periodic linearization, and desk-scale
 verification of the comparison, limit, and threshold theory.
 """
 
-from .analysis import (
-    LimitReport,
-    StabilityVerdict,
-    SweepTable,
-    classify_stability,
-    limit_target,
-    sweep_diffusivity,
-    sweep_length,
-    verify_limit,
-)
-from .dfe import DfeResult, principal_periodic_eigenvalue_general, solve_dfe
-from .engine import (
-    CoupledStepper,
-    LinearEquationSpec,
-    PeriodMapOperator,
-    SimulationSummary,
-    TimeDirection,
-    advance_one_period,
-    push_forward,
-    simulate,
-    step_coupled_sis,
-    step_linear,
-)
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    EvosisError,
-    NotApplicableError,
-    StepError,
-)
+from .analysis import classify_stability, sweep_diffusivity, sweep_length, verify_limit
+from .dfe import solve_dfe
+from .engine import LinearEquationSpec
 from .model import (
     CoefficientProfile,
     EvolutionRate,
-    Grid1D,
     InitialSpec,
     ModelConfig,
-    PeriodicOrbit,
     config_from_dict,
     config_to_dict,
     evaluate_coefficient,
-    rho_and_derivative,
     validate_config,
 )
-from .presets import load_preset, preset_names, preset_text
-from .quadrature import PeriodicSamples, mean_inverse_rho_squared, periodic_integral
+from .presets import load_preset, preset_names
+from .quadrature import mean_inverse_rho_squared
 from .spectral import (
-    BoundsResult,
-    R0Result,
     closed_form_r0,
     compute_r0,
-    eigenfunction_monotonicity_certificate,
     invasion_eigenvalue,
-    lambda_star_from_config,
-    neumann_elliptic_principal_eigenvalue,
     period_map_spectral_radius,
     r0_bounds,
     r0_closed_form,
@@ -68,56 +33,25 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsResult",
     "CoefficientProfile",
-    "ConfigurationError",
-    "ConvergenceError",
-    "CoupledStepper",
-    "DfeResult",
     "EvolutionRate",
-    "EvosisError",
-    "Grid1D",
     "InitialSpec",
-    "LimitReport",
     "LinearEquationSpec",
     "ModelConfig",
-    "NotApplicableError",
-    "PeriodMapOperator",
-    "PeriodicOrbit",
-    "PeriodicSamples",
-    "R0Result",
-    "SimulationSummary",
-    "StabilityVerdict",
-    "StepError",
-    "SweepTable",
-    "TimeDirection",
-    "advance_one_period",
     "classify_stability",
     "closed_form_r0",
     "compute_r0",
     "config_from_dict",
     "config_to_dict",
-    "eigenfunction_monotonicity_certificate",
     "evaluate_coefficient",
     "invasion_eigenvalue",
-    "lambda_star_from_config",
-    "limit_target",
     "load_preset",
     "mean_inverse_rho_squared",
-    "neumann_elliptic_principal_eigenvalue",
     "period_map_spectral_radius",
-    "periodic_integral",
     "preset_names",
-    "preset_text",
-    "principal_periodic_eigenvalue_general",
-    "push_forward",
     "r0_bounds",
     "r0_closed_form",
-    "rho_and_derivative",
-    "simulate",
     "solve_dfe",
-    "step_coupled_sis",
-    "step_linear",
     "sweep_diffusivity",
     "sweep_length",
     "validate_config",

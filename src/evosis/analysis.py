@@ -18,7 +18,7 @@ import numpy.typing as npt
 
 from .engine import simulate, trapezoid_weights
 from .errors import NotApplicableError
-from .model import ModelConfig, evaluate_coefficient
+from .model import ModelConfig, coefficient_table, validate_config
 from .spectral import compute_r0
 
 FloatArray = npt.NDArray[np.floating[Any]]
@@ -67,31 +67,37 @@ def _sweep_verdict(r0_values: FloatArray, slack: float) -> tuple[str, tuple[int,
     return "violated-at-indices", bad
 
 
-def _sweep(config: ModelConfig, param: str, values: tuple[float, ...], method: str) -> SweepTable:
+def _sweep(config: ModelConfig, param: str, values: tuple[float, ...]) -> SweepTable:
     array = np.asarray(values, dtype=float)
     if array.size < 2 or np.any(np.diff(array) <= 0.0):
         raise ValueError(_ERR_NOT_INCREASING.format(what=f"sweep over {param}", values=list(values)))
-    r0s = []
-    for value in array:
-        r0s.append(compute_r0(replace(config, **{param: float(value)}), method=method).value)
+    swept = [validate_config(replace(config, **{param: float(value)})) for value in array]
+    r0s = [compute_r0(swept_config).value for swept_config in swept]
     verdict, bad = _sweep_verdict(np.asarray(r0s), STRICT_SLACK)
     return SweepTable(param=param, values=tuple(float(v) for v in array),
                       r0_values=tuple(r0s), verdict=verdict, violation_indices=bad)
 
 
-def sweep_diffusivity(config: ModelConfig, values: tuple[float, ...], method: str = "auto") -> SweepTable:
-    """R0 across increasing infected diffusivities (theory: decreasing)."""
-    return _sweep(config, "d_I", values, method)
+def sweep_diffusivity(config: ModelConfig, values: tuple[float, ...]) -> SweepTable:
+    """R0 across increasing infected diffusivities (theory: decreasing).
+
+    Raises:
+        ConfigurationError: a swept config fails validation.
+    """
+    return _sweep(config, "d_I", values)
 
 
-def sweep_length(config: ModelConfig, values: tuple[float, ...], method: str = "auto") -> SweepTable:
+def sweep_length(config: ModelConfig, values: tuple[float, ...]) -> SweepTable:
     """R0 across increasing domain lengths.
 
     The expected direction depends on the coefficient slopes: increasing
     when transmission grows and recovery falls with the material
     coordinate, decreasing in the mirrored case.
+
+    Raises:
+        ConfigurationError: a swept config fails validation.
     """
-    return _sweep(config, "L", values, method)
+    return _sweep(config, "L", values)
 
 
 # ---- extreme-parameter limits ----
@@ -111,18 +117,6 @@ class LimitReport:
     @property
     def final_gap(self) -> float:
         return self.gaps[-1]
-
-
-def _coefficient_tables(config: ModelConfig, panels: int) -> tuple[FloatArray, FloatArray, FloatArray]:
-    nodes = config.grid.nodes
-    times = np.linspace(0.0, config.T, panels + 1)
-    col = times[:, None]
-    shape = (times.size, nodes.size)
-    beta = np.broadcast_to(np.asarray(
-        evaluate_coefficient(config.beta, config.rho, nodes, col), dtype=float), shape)
-    gamma = np.broadcast_to(np.asarray(
-        evaluate_coefficient(config.gamma, config.rho, nodes, col), dtype=float), shape)
-    return times, beta, gamma
 
 
 def limit_target(config: ModelConfig, kind: str, panels: int = 512) -> float:
@@ -148,7 +142,10 @@ def limit_target(config: ModelConfig, kind: str, panels: int = 512) -> float:
                 raise NotApplicableError(_ERR_NO_TAIL_LIMIT.format(name=name, form=profile.form))
             tails[name] = tail
         return tails["beta"] / tails["gamma"]
-    times, beta, gamma = _coefficient_tables(config, panels)
+    nodes = config.grid.nodes
+    times = np.linspace(0.0, config.T, panels + 1)
+    beta = coefficient_table(config.beta, config.rho, nodes, times)
+    gamma = coefficient_table(config.gamma, config.rho, nodes, times)
     dt = times[1] - times[0]
     if kind == "small-diffusivity":
         ratios = np.trapezoid(beta, dx=dt, axis=0) / np.trapezoid(gamma, dx=dt, axis=0)
@@ -159,13 +156,15 @@ def limit_target(config: ModelConfig, kind: str, panels: int = 512) -> float:
     return float(np.trapezoid(beta[:, 0], dx=dt) / np.trapezoid(gamma[:, 0], dx=dt))
 
 
-def verify_limit(config: ModelConfig, kind: str, values: tuple[float, ...],
-                 method: str = "auto") -> LimitReport:
+def verify_limit(config: ModelConfig, kind: str, values: tuple[float, ...]) -> LimitReport:
     """Computes R0 along the sequence and measures the gap to the target.
 
     values must run from moderate to extreme (decreasing for the small-*
     kinds, increasing for the large-* kinds). The report is flagged when
     the most extreme gap exceeds five percent.
+
+    Raises:
+        ConfigurationError: a swept config fails validation.
     """
     if kind not in LIMIT_KINDS:
         raise ValueError(_ERR_KIND.format(kind=kind, known=LIMIT_KINDS))
@@ -176,10 +175,9 @@ def verify_limit(config: ModelConfig, kind: str, values: tuple[float, ...],
     if array.size < 2 or not ordered:
         raise ValueError(_ERR_ORDERING.format(kind=kind, values=list(values)))
     param = "d_I" if kind.endswith("diffusivity") else "L"
+    swept = [validate_config(replace(config, **{param: float(value)})) for value in array]
     target = limit_target(config, kind)
-    r0s = []
-    for value in array:
-        r0s.append(compute_r0(replace(config, **{param: float(value)}), method=method).value)
+    r0s = [compute_r0(swept_config).value for swept_config in swept]
     gaps = tuple(abs(r0 - target) / abs(target) for r0 in r0s)
     monotone = bool(np.all(np.diff(np.asarray(gaps)) <= STRICT_SLACK))
     return LimitReport(kind=kind, values=tuple(float(v) for v in array), r0_values=tuple(r0s),
@@ -209,16 +207,20 @@ class StabilityVerdict:
 
 
 def classify_stability(config: ModelConfig, horizon_periods: int = DEFAULT_HORIZON,
-                       r0: float | None = None, method: str = "auto") -> StabilityVerdict:
+                       r0: float | None = None) -> StabilityVerdict:
     """Simulates to the horizon and classifies extinction or persistence.
 
     Extinction: infected sup norm below 1e-4 at the end of the run (the
     run may stop early once the field is far below that level, since the
     decay only continues). Persistence: the smallest of the last five
     period-end sup norms stays above 1e-3. Anything else is inconclusive.
+
+    Raises:
+        ConfigurationError: horizon_periods is below one and R0 is outside
+            the near-threshold band.
     """
     if r0 is None:
-        r0 = compute_r0(config, method=method).value
+        r0 = compute_r0(config).value
     if abs(r0 - 1.0) < NEAR_THRESHOLD_BAND:
         return StabilityVerdict(r0=r0, classification="near-threshold",
                                 sup_I_final=float("nan"), persistence_floor=float("nan"),

@@ -127,6 +127,14 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return values
 
 
+def _space_time_rows(times: Any, nodes: Any, *tables: Any) -> list[tuple[float, ...]]:
+    """Rows (t, y, values...) on about 64 evenly strided time slices."""
+    stride = max(1, (times.size - 1) // 64)
+    return [(float(times[k]), float(y), *(float(table[k, j]) for table in tables))
+            for k in range(0, times.size, stride)
+            for j, y in enumerate(nodes)]
+
+
 def _emit_plot_script(out: Path, name: str, body: str) -> None:
     (out / name).write_text(body, encoding="utf-8", newline="\n")
 
@@ -252,13 +260,9 @@ def cmd_r0(args: argparse.Namespace) -> int:
             "defect": result.defect,
         })
         phi = result.eigenfunction
-        stride = max(1, (phi.shape[0] - 1) // 64)
         times = np.linspace(0.0, config.T, phi.shape[0])
-        nodes = config.grid.nodes
-        rows = [(float(times[k]), float(y), float(phi[k, j]))
-                for k in range(0, phi.shape[0], stride)
-                for j, y in enumerate(nodes)]
-        _write_csv(out / "eigenfunction.csv", ("t", "y", "phi"), rows)
+        _write_csv(out / "eigenfunction.csv", ("t", "y", "phi"),
+                   _space_time_rows(times, config.grid.nodes, phi))
     if args.strict:
         slack = 1e-6 * max(1.0, result.value)
         inside = result.bracket[0] - slack <= result.value <= result.bracket[1] + slack
@@ -308,13 +312,8 @@ def cmd_dfe(args: argparse.Namespace) -> int:
             "bracket_gap": result.bracket_gap,
             "closure_defect": orbit.closure_defect,
         })
-        stride = max(1, (orbit.values.shape[0] - 1) // 64)
-        times = orbit.times
-        nodes = config.grid.nodes
-        rows = [(float(times[k]), float(y), float(orbit.values[k, j]))
-                for k in range(0, orbit.values.shape[0], stride)
-                for j, y in enumerate(nodes)]
-        _write_csv(out / "dfe_orbit.csv", ("t", "y", "S"), rows)
+        _write_csv(out / "dfe_orbit.csv", ("t", "y", "S"),
+                   _space_time_rows(orbit.times, config.grid.nodes, orbit.values))
         _emit_plot_script(out, "plot_dfe_orbit.py", _PLOT_ORBIT)
     if args.strict and orbit.closure_defect > 1e-8:
         print("strict: orbit closure check failed", file=sys.stderr)
@@ -337,12 +336,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    [(r.index, r.sup_I, r.l1_I, r.s_closure_defect) for r in summary.records])
         if summary.last_period is not None:
             times, s_path, i_path = summary.last_period
-            stride = max(1, (times.size - 1) // 64)
-            nodes = config.grid.nodes
-            rows = [(float(times[k]), float(y), float(s_path[k, j]), float(i_path[k, j]))
-                    for k in range(0, times.size, stride)
-                    for j, y in enumerate(nodes)]
-            _write_csv(out / "timeseries.csv", ("t", "y", "S", "I"), rows)
+            _write_csv(out / "timeseries.csv", ("t", "y", "S", "I"),
+                       _space_time_rows(times, config.grid.nodes, s_path, i_path))
             _emit_plot_script(out, "plot_timeseries.py", _PLOT_TIMESERIES)
         _emit_plot_script(out, "plot_periods.py", _PLOT_PERIODS)
     if args.strict and summary.clamp_count > 0:
@@ -512,10 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG
-    except NotApplicableError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (NotApplicableError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, StepError) as exc:

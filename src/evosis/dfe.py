@@ -22,8 +22,7 @@ import numpy.typing as npt
 
 from .engine import CoupledStepper
 from .errors import ConvergenceError
-from .model import ModelConfig, PeriodicOrbit, evaluate_coefficient
-from .spectral import principal_periodic_eigenvalue
+from .model import ModelConfig, PeriodicOrbit, coefficient_table
 
 FloatArray = npt.NDArray[np.floating[Any]]
 
@@ -37,10 +36,6 @@ _ERR_SIDES_DISAGREE = (
     "upper and lower iterations settled {gap:.3e} apart, beyond {budget:.3e}; "
     "the orbit bracket did not close"
 )
-
-principal_periodic_eigenvalue_general = principal_periodic_eigenvalue
-"""Principal periodic eigenvalue -ln(r)/T of a general linear flow."""
-
 
 @dataclass(frozen=True, slots=True)
 class DfeResult:
@@ -64,9 +59,8 @@ def _coefficient_extremes(config: ModelConfig) -> tuple[float, float, float]:
     """(sup a, inf b, sup |n rho'/rho|) over a sampling lattice."""
     nodes = config.grid.nodes
     times = np.linspace(0.0, config.T, 129)
-    col = times[:, None]
-    a = np.asarray(evaluate_coefficient(config.a, config.rho, nodes, col), dtype=float)
-    b = np.asarray(evaluate_coefficient(config.b, config.rho, nodes, col), dtype=float)
+    a = coefficient_table(config.a, config.rho, nodes, times)
+    b = coefficient_table(config.b, config.rho, nodes, times)
     rho_t = np.asarray(config.rho.value(times), dtype=float)
     rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
     dilution = config.n * rho_dot / rho_t
@@ -145,7 +139,7 @@ def solve_dfe(config: ModelConfig, tol: float = DEFAULT_TOL) -> DfeResult:
                      monotone_defect=monotone_defect)
 
 
-def monotone_sweep_levels(config: ModelConfig, sweeps: int, tol: float = DEFAULT_TOL) -> FloatArray:
+def monotone_sweep_levels(config: ModelConfig, sweeps: int) -> FloatArray:
     """Sup-norm of the iterates from the supersolution start, per sweep.
 
     The sequence never increases (up to rounding); exposing it lets callers

@@ -18,7 +18,6 @@ a trapezoidal corrector, giving second order in time.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -26,8 +25,8 @@ import numpy as np
 import numpy.typing as npt
 from scipy.linalg import get_lapack_funcs
 
-from .errors import StepError
-from .model import EvolutionRate, Grid1D, ModelConfig, evaluate_coefficient
+from .errors import ConfigurationError, StepError
+from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table
 
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
@@ -36,13 +35,9 @@ DENOMINATOR_GUARD = 1e-12
 
 _ERR_NONFINITE_STEP = "non-finite state after step {index} (t = {t:.6g})"
 _ERR_FACTOR = "tridiagonal factorization failed at step {index} (info = {info})"
+_ERR_PERIODS = "periods: must be at least 1, got {periods}"
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0, dtype=np.float64),))
-
-
-class TimeDirection(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,9 +45,7 @@ class LinearEquationSpec:
     """One scalar linear equation u_t = (d/rho^2) u_yy + q(y, t) u.
 
     ``potential`` is the growth coefficient q, vectorized over the node
-    array. The backward direction runs the same equation with coefficients
-    sampled at reversed time T - t, which shares its period-map spectrum
-    with the forward flow.
+    array.
     """
 
     d: float
@@ -60,18 +53,10 @@ class LinearEquationSpec:
     potential: PotentialFn
     grid: Grid1D
     steps_per_period: int
-    direction: TimeDirection = TimeDirection.FORWARD
 
     @property
     def dt(self) -> float:
         return self.rho.period / self.steps_per_period
-
-    def times(self) -> FloatArray:
-        """Coefficient sample times t_0..t_M in traversal order."""
-        forward = np.linspace(0.0, self.rho.period, self.steps_per_period + 1)
-        if self.direction is TimeDirection.BACKWARD:
-            return self.rho.period - forward
-        return forward
 
 
 # ---- banded helpers ----
@@ -91,25 +76,9 @@ def laplacian_bands(grid: Grid1D) -> tuple[FloatArray, FloatArray, FloatArray]:
     return sub, diag, sup
 
 
-def apply_laplacian(grid: Grid1D, u: FloatArray) -> FloatArray:
-    sub, diag, sup = laplacian_bands(grid)
-    out = diag * u
-    out[:-1] += sup * u[1:]
-    out[1:] += sub * u[:-1]
-    return out
-
-
-def _banded_apply(sub: FloatArray, diag: FloatArray, sup: FloatArray, u: FloatArray) -> FloatArray:
-    """Tridiagonal matvec; u may carry trailing right-hand-side columns."""
-    if u.ndim == 1:
-        out = diag * u
-        out[:-1] += sup * u[1:]
-        out[1:] += sub * u[:-1]
-    else:
-        out = diag[:, None] * u
-        out[:-1] += sup[:, None] * u[1:]
-        out[1:] += sub[:, None] * u[:-1]
-    return out
+def endpoint_mean(table: FloatArray) -> FloatArray:
+    """Per-step values from samples at the step endpoints: rows k and k+1 averaged."""
+    return 0.5 * (table[:-1] + table[1:])
 
 
 class _FactorSet:
@@ -154,14 +123,12 @@ class _FactorSet:
 class PeriodMapOperator:
     """Action of the linear flow over one full period, with cached factors.
 
-    Construct either from a LinearEquationSpec or directly from per-step
-    coefficient tables (endpoint-averaged potential q_bar of shape (M, N+1)
-    and averaged diffusion scale nu_bar of shape (M,)).
+    Built from per-step coefficient tables: the endpoint-averaged potential
+    q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,).
     """
 
     def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> None:
         self.grid = grid
-        self.dt = dt
         self.n_steps = nu_bar.shape[0]
         sub, diag, sup = laplacian_bands(grid)
         half = 0.5 * dt
@@ -171,21 +138,14 @@ class PeriodMapOperator:
         self._factors = _FactorSet(grid, nu_bar, q_bar, half)
 
     @classmethod
-    def from_tables(cls, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> "PeriodMapOperator":
-        return cls(grid, dt, np.asarray(nu_bar, dtype=float), np.asarray(q_bar, dtype=float))
-
-    @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
-        times = spec.times()
+        times = np.linspace(0.0, spec.rho.period, spec.steps_per_period + 1)
         nodes = spec.grid.nodes
-        inv_rho2 = np.asarray(spec.rho.value(times), dtype=float) ** -2.0
-        nu = spec.d * inv_rho2
-        nu_bar = 0.5 * (nu[:-1] + nu[1:])
+        nu = spec.d * np.asarray(spec.rho.value(times), dtype=float) ** -2.0
         q_nodes = np.empty((times.size, nodes.size))
         for k, t in enumerate(times):
-            q_nodes[k] = np.broadcast_to(np.asarray(spec.potential(nodes, float(t)), dtype=float), nodes.shape)
-        q_bar = 0.5 * (q_nodes[:-1] + q_nodes[1:])
-        return cls(spec.grid, spec.dt, nu_bar, q_bar)
+            q_nodes[k] = spec.potential(nodes, float(t))
+        return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
     def step(self, k: int, u: FloatArray) -> FloatArray:
         if u.ndim == 1:
@@ -216,62 +176,6 @@ class PeriodMapOperator:
     def dense_matrix(self) -> FloatArray:
         """Full period-map matrix, columns obtained by propagating a basis."""
         return self.apply(np.eye(self.grid.N + 1))
-
-
-def step_linear(spec: LinearEquationSpec, u: FloatArray, step_index: int) -> FloatArray:
-    """Advances one Crank-Nicolson step from t_k to t_{k+1}.
-
-    Diffusion scale and potential are averaged over the two step endpoints,
-    which keeps the scheme exact for potentials constant in time and second
-    order otherwise.
-    """
-    from scipy.linalg import solve_banded
-
-    times = spec.times()
-    t0, t1 = float(times[step_index]), float(times[step_index + 1])
-    nodes = spec.grid.nodes
-    nu0 = spec.d / float(spec.rho.value(t0)) ** 2
-    nu1 = spec.d / float(spec.rho.value(t1)) ** 2
-    nu_bar = 0.5 * (nu0 + nu1)
-    q0 = np.broadcast_to(np.asarray(spec.potential(nodes, t0), dtype=float), nodes.shape)
-    q1 = np.broadcast_to(np.asarray(spec.potential(nodes, t1), dtype=float), nodes.shape)
-    q_bar = 0.5 * (q0 + q1)
-    sub, diag, sup = laplacian_bands(spec.grid)
-    half = 0.5 * spec.dt
-    rhs = (1.0 + half * (nu_bar * diag + q_bar)) * u
-    rhs[:-1] += half * nu_bar * sup * u[1:]
-    rhs[1:] += half * nu_bar * sub * u[:-1]
-    n = spec.grid.N + 1
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -half * nu_bar * sup
-    ab[1] = 1.0 - half * (nu_bar * diag + q_bar)
-    ab[2, :-1] = -half * nu_bar * sub
-    out = solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(out)):
-        raise StepError(_ERR_NONFINITE_STEP.format(index=step_index, t=t1))
-    return out
-
-
-def advance_one_period(spec: LinearEquationSpec, u: FloatArray, record: bool = False) -> Any:
-    """Applies the full period map to u.
-
-    With record=True also returns the (M+1, N+1) trajectory. Repeated
-    applications should construct a PeriodMapOperator once instead.
-    """
-    op = PeriodMapOperator.from_spec(spec)
-    if record:
-        path = op.apply_recording(np.asarray(u, dtype=float))
-        return path[-1], path
-    return op.apply(np.asarray(u, dtype=float))
-
-
-def push_forward(grid: Grid1D, rho: EvolutionRate, t: float, u: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Maps nodal values to the physical evolving domain at time t.
-
-    The change of variables x = rho(t) * y relocates the nodes and leaves
-    values untouched.
-    """
-    return float(rho.value(t)) * grid.nodes, np.asarray(u, dtype=float)
 
 
 # ---- coupled susceptible/infected stepper ----
@@ -311,32 +215,23 @@ class CoupledStepper:
     """
 
     def __init__(self, config: ModelConfig) -> None:
-        self.config = config
         grid = config.grid
-        self.grid = grid
         m = config.steps_per_period
         self.n_steps = m
         self.dt = config.T / m
         times = np.linspace(0.0, config.T, m + 1)
         self.times = times
         nodes = grid.nodes
-        col = times[:, None]
-        self.a = np.asarray(evaluate_coefficient(config.a, config.rho, nodes, col), dtype=float)
-        self.b = np.asarray(evaluate_coefficient(config.b, config.rho, nodes, col), dtype=float)
-        self.beta = np.asarray(evaluate_coefficient(config.beta, config.rho, nodes, col), dtype=float)
-        self.gamma = np.asarray(evaluate_coefficient(config.gamma, config.rho, nodes, col), dtype=float)
-        for name in ("a", "b", "beta", "gamma"):
-            table = getattr(self, name)
-            if table.shape != (m + 1, nodes.size):
-                setattr(self, name, np.broadcast_to(table, (m + 1, nodes.size)).copy())
+        self.a = coefficient_table(config.a, config.rho, nodes, times)
+        self.b = coefficient_table(config.b, config.rho, nodes, times)
+        self.beta = coefficient_table(config.beta, config.rho, nodes, times)
+        self.gamma = coefficient_table(config.gamma, config.rho, nodes, times)
         rho_t = np.asarray(config.rho.value(times), dtype=float)
         rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
         self.dil = config.n * rho_dot / rho_t
         inv_rho2 = rho_t**-2.0
-        nu_S = config.d_S * inv_rho2
-        nu_I = config.d_I * inv_rho2
-        nu_S_bar = 0.5 * (nu_S[:-1] + nu_S[1:])
-        nu_I_bar = 0.5 * (nu_I[:-1] + nu_I[1:])
+        nu_S_bar = endpoint_mean(config.d_S * inv_rho2)
+        nu_I_bar = endpoint_mean(config.d_I * inv_rho2)
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred_S = _FactorSet(grid, nu_S_bar, None, self.dt)
         self._pred_I = _FactorSet(grid, nu_I_bar, None, self.dt)
@@ -387,20 +282,6 @@ class CoupledStepper:
         return s_next, i_next
 
 
-def step_coupled_sis(config: ModelConfig, S: FloatArray, I: FloatArray, step_index: int,
-                     stepper: CoupledStepper | None = None) -> tuple[FloatArray, FloatArray, int]:
-    """Single coupled step; returns the new fields and the clamp count.
-
-    Building the stepper is the expensive part, so loops should construct
-    one CoupledStepper and pass it in.
-    """
-    if stepper is None:
-        stepper = CoupledStepper(config)
-    before = stepper.clamp_count
-    s_next, i_next = stepper.step(np.asarray(S, dtype=float), np.asarray(I, dtype=float), step_index)
-    return s_next, i_next, stepper.clamp_count - before
-
-
 def trapezoid_weights(grid: Grid1D) -> FloatArray:
     w = np.full(grid.N + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
@@ -416,7 +297,12 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
     field across the period, which measures approach to a periodic orbit.
     stop_below ends the run early once the infected sup norm falls under
     the given level (the field only keeps shrinking from there).
+
+    Raises:
+        ConfigurationError: periods is below one.
     """
+    if periods < 1:
+        raise ConfigurationError([_ERR_PERIODS.format(periods=periods)])
     stepper = CoupledStepper(config)
     grid = config.grid
     weights = trapezoid_weights(grid)

@@ -158,16 +158,6 @@ class EvolutionRate:
         return errors
 
 
-def rho_and_derivative(rho: EvolutionRate, t: FloatArray | float) -> tuple[Any, Any]:
-    """Returns (rho(t), d(rho)/dt) for scalar or array t.
-
-    The derivative is analytic for constant-one and exp-cosine kinds and
-    spectral (or finite-difference, per ``derivative_mode``) for tabulated
-    samples.
-    """
-    return rho.value(t), rho.derivative(t)
-
-
 # ---- coefficient profiles ----
 
 @dataclass(frozen=True, slots=True)
@@ -285,6 +275,24 @@ def evaluate_coefficient(
     return profile.evaluate_z(np.asarray(rho_t) * np.asarray(y)) if np.ndim(y) or np.ndim(t) else profile.evaluate_z(rho_t * y)
 
 
+def coefficient_table(
+    profile: CoefficientProfile,
+    rho: EvolutionRate,
+    nodes: FloatArray,
+    times: FloatArray,
+) -> FloatArray:
+    """Full (times.size, nodes.size) table of a coefficient on a time/node lattice.
+
+    The table is copied only when the evaluation did not already produce
+    the full shape, so no table is allocated twice.
+    """
+    shape = (times.size, nodes.size)
+    table = np.asarray(evaluate_coefficient(profile, rho, nodes, times[:, None]), dtype=float)
+    if table.shape != shape:
+        table = np.broadcast_to(table, shape).copy()
+    return table
+
+
 # ---- grid and fields ----
 
 @dataclass(frozen=True, slots=True)
@@ -301,10 +309,6 @@ class Grid1D:
     @property
     def nodes(self) -> FloatArray:
         return np.linspace(0.0, self.L, self.N + 1)
-
-
-Field = FloatArray
-"""Nodal values of a scalar field at one time instant, shape (N+1,)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -442,9 +446,9 @@ def validate_config(config: ModelConfig) -> ModelConfig:
 
     # Positivity of rates sampled across the admissible (y, t) range.
     y_probe = np.linspace(0.0, config.L, 65)
-    t_probe = np.linspace(0.0, config.T, 65)[:, None]
+    t_probe = np.linspace(0.0, config.T, 65)
     for name in ("a", "b", "beta", "gamma"):
-        table = np.asarray(evaluate_coefficient(getattr(config, name), config.rho, y_probe, t_probe))
+        table = coefficient_table(getattr(config, name), config.rho, y_probe, t_probe)
         if not np.all(np.isfinite(table)):
             errors.append(f"{name}: evaluation produced non-finite values")
         elif np.min(table) <= 0.0:

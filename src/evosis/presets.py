@@ -25,6 +25,10 @@ PRESET_NAMES = (
     "example4-b",
 )
 
+# example3-a is the same document as example1-evolving; the name stays
+# because the reproduction table reports it.
+_PRESET_FILES = {"example3-a": "example1-evolving"}
+
 _ERR_UNKNOWN = "preset: unknown name {name!r}; available: {names}"
 
 
@@ -36,7 +40,8 @@ def preset_text(name: str) -> str:
     """Raw JSON text of a bundled preset."""
     if name not in PRESET_NAMES:
         raise ConfigurationError([_ERR_UNKNOWN.format(name=name, names=list(PRESET_NAMES))])
-    return (resources.files("evosis") / "presets" / f"{name}.json").read_text(encoding="utf-8")
+    stem = _PRESET_FILES.get(name, name)
+    return (resources.files("evosis") / "presets" / f"{stem}.json").read_text(encoding="utf-8")
 
 
 def load_preset(name: str) -> ModelConfig:

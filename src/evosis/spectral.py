@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import numpy.typing as npt
 
-from .engine import LinearEquationSpec, PeriodMapOperator, TimeDirection
+from .engine import LinearEquationSpec, PeriodMapOperator, endpoint_mean
 from .errors import ConvergenceError, NotApplicableError
-from .model import EvolutionRate, Grid1D, ModelConfig, evaluate_coefficient
+from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table
 from .quadrature import PeriodicSamples, mean_inverse_rho_squared, periodic_integral
 from .tridiag import dirichlet_operator, neumann_operator, smallest_eigenvalue
 
@@ -39,10 +39,7 @@ BRACKET_EXPANSIONS = 6
 
 LAMBDA_STAR_CONVENTIONS = ("neumann", "paper-example")
 
-_ERR_RADIUS_STALL = (
-    "power iteration did not settle within {cap} applications "
-    "(last change {change:.3e}); retry with method='dense'"
-)
+_ERR_RADIUS_STALL = "power iteration did not settle within {cap} applications (last change {change:.3e})"
 _ERR_BRACKET = "could not bracket the unit spectral radius within {expansions} expansions of [{lo:.3g}, {hi:.3g}]"
 _ERR_CONVENTION = "unknown lambda-star convention {value!r}, expected one of {known}"
 _ERR_NOT_SEPARABLE = (
@@ -79,11 +76,13 @@ class BoundsResult:
 
 # ---- spectral radius of the period map ----
 
-def _power_radius(op: PeriodMapOperator, start: FloatArray, tol: float, cap: int) -> tuple[float, FloatArray, int]:
-    u = np.array(start, dtype=float)
+def _power_radius(op: PeriodMapOperator, start: FloatArray | None) -> tuple[float, FloatArray]:
+    """Power iteration from start (constant-one when None), capped at RADIUS_MAX_ITERATIONS."""
+    cap = RADIUS_MAX_ITERATIONS
+    u = np.ones(op.grid.N + 1) if start is None else np.array(start, dtype=float)
     u /= max(float(np.max(np.abs(u))), 1e-300)
     estimate = math.inf
-    for iteration in range(1, cap + 1):
+    for _ in range(cap):
         v = op.apply(u)
         radius = float(np.max(np.abs(v)))
         if radius <= 0.0 or not math.isfinite(radius):
@@ -96,8 +95,8 @@ def _power_radius(op: PeriodMapOperator, start: FloatArray, tol: float, cap: int
         drift = float(np.max(np.abs(v - u)))
         estimate = radius
         u = v
-        if change < tol * max(1.0, radius) and drift < 1e-7:
-            return radius, u, iteration
+        if change < RADIUS_TOL * max(1.0, radius) and drift < 1e-7:
+            return radius, u
     raise ConvergenceError(_ERR_RADIUS_STALL.format(cap=cap, change=change))
 
 
@@ -113,110 +112,54 @@ def _dense_radius(op: PeriodMapOperator) -> tuple[float, FloatArray]:
     return radius, mode
 
 
-def _operator_radius(
-    op: PeriodMapOperator,
-    method: str,
-    start: FloatArray | None,
-    tol: float = RADIUS_TOL,
-    cap: int = RADIUS_MAX_ITERATIONS,
-) -> tuple[float, FloatArray]:
-    if start is None:
-        start = np.ones(op.grid.N + 1)
-    if method == "dense":
-        return _dense_radius(op)
+def _operator_radius(op: PeriodMapOperator) -> float:
+    """Radius by power iteration, or by the dense route when it stalls."""
     try:
-        radius, mode, _ = _power_radius(op, start, tol, cap)
-        return radius, mode
+        radius, _ = _power_radius(op, None)
     except ConvergenceError:
-        if method == "power":
-            raise
-        return _dense_radius(op)
-
-
-def period_map_spectral_radius(
-    spec: LinearEquationSpec,
-    method: str = "auto",
-    tol: float = RADIUS_TOL,
-    max_iterations: int = RADIUS_MAX_ITERATIONS,
-) -> float:
-    """Spectral radius of the one-period flow of a linear equation.
-
-    Power iteration starts from the constant-one field and stops when two
-    successive sup-norm growth estimates agree within tol. method='dense'
-    propagates a full basis and takes the largest eigenvalue modulus;
-    'auto' falls back to dense when the power iteration stalls (clustered
-    spectra at very small diffusivity).
-
-    Raises:
-        ConvergenceError: method='power' and no convergence within the cap.
-    """
-    op = PeriodMapOperator.from_spec(spec)
-    radius, _ = _operator_radius(op, method, None, tol, max_iterations)
+        radius, _ = _dense_radius(op)
     return radius
 
 
-def principal_periodic_eigenvalue(spec: LinearEquationSpec, method: str = "auto") -> float:
-    """Principal periodic eigenvalue -ln(r)/T of u_t = (d/rho^2)u_yy + q u."""
-    radius = period_map_spectral_radius(spec, method=method)
-    return -math.log(radius) / spec.rho.period
+def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
+    """Spectral radius of the one-period flow of a linear equation.
 
-
-# ---- linearized-infection coefficient tables ----
-
-class _PhiTables:
-    """Endpoint-averaged coefficient tables of the Phi-equation.
-
-    Holding beta and the mu-independent rest separately lets the bisection
-    rebuild the potential for each trial mu as beta_bar/mu - rest_bar
-    without re-evaluating any profile.
+    Power iteration starts from the constant-one field and stops when two
+    successive sup-norm growth estimates agree within RADIUS_TOL; when it
+    stalls (clustered spectra at very small diffusivity) a full basis is
+    propagated and the largest eigenvalue modulus taken instead.
     """
-
-    __slots__ = ("grid", "dt", "nu_bar", "beta_bar", "rest_bar", "period")
-
-    def __init__(self, config: ModelConfig, direction: TimeDirection = TimeDirection.FORWARD) -> None:
-        grid = config.grid
-        m = config.steps_per_period
-        times = np.linspace(0.0, config.T, m + 1)
-        if direction is TimeDirection.BACKWARD:
-            times = config.T - times
-        nodes = grid.nodes
-        col = times[:, None]
-        beta = np.broadcast_to(
-            np.asarray(evaluate_coefficient(config.beta, config.rho, nodes, col), dtype=float),
-            (m + 1, nodes.size)).copy()
-        gamma = np.broadcast_to(
-            np.asarray(evaluate_coefficient(config.gamma, config.rho, nodes, col), dtype=float),
-            (m + 1, nodes.size)).copy()
-        rho_t = np.asarray(config.rho.value(times), dtype=float)
-        rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
-        rest = gamma + (config.n * rho_dot / rho_t)[:, None]
-        nu = config.d_I * rho_t**-2.0
-        self.grid = grid
-        self.period = config.T
-        self.dt = config.T / m
-        self.nu_bar = 0.5 * (nu[:-1] + nu[1:])
-        self.beta_bar = 0.5 * (beta[:-1] + beta[1:])
-        self.rest_bar = 0.5 * (rest[:-1] + rest[1:])
-
-    def operator(self, mu: float) -> PeriodMapOperator:
-        return PeriodMapOperator.from_tables(self.grid, self.dt, self.nu_bar, self.beta_bar / mu - self.rest_bar)
+    return _operator_radius(PeriodMapOperator.from_spec(spec))
 
 
-def infection_period_map(config: ModelConfig, mu: float,
-                         direction: TimeDirection = TimeDirection.FORWARD) -> PeriodMapOperator:
-    """Period map of the Phi-equation at transmission scaling 1/mu."""
-    return _PhiTables(config, direction).operator(mu)
+# ---- linearized-infection period maps ----
+
+def _phi_operators(config: ModelConfig) -> Callable[[float], PeriodMapOperator]:
+    """Period map of the Phi-equation as a function of mu, from tables built once.
+
+    beta and the mu-independent rest are averaged separately, so each trial
+    mu forms its potential as beta_bar/mu - rest_bar with no profile evaluated.
+    """
+    grid = config.grid
+    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
+    beta = coefficient_table(config.beta, config.rho, grid.nodes, times)
+    gamma = coefficient_table(config.gamma, config.rho, grid.nodes, times)
+    rho_t = np.asarray(config.rho.value(times), dtype=float)
+    rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
+    rest_bar = endpoint_mean(gamma + (config.n * rho_dot / rho_t)[:, None])
+    beta_bar = endpoint_mean(beta)
+    nu_bar = endpoint_mean(config.d_I * rho_t**-2.0)
+    dt = config.T / config.steps_per_period
+    return lambda mu: PeriodMapOperator(grid, dt, nu_bar, beta_bar / mu - rest_bar)
 
 
-def invasion_eigenvalue(config: ModelConfig, method: str = "auto") -> float:
+def invasion_eigenvalue(config: ModelConfig) -> float:
     """Principal periodic eigenvalue of the unscaled infection equation.
 
     This is -ln r(1)/T for the potential beta - gamma - n*rho'/rho; its sign
     is opposite to the sign of R0 - 1.
     """
-    op = infection_period_map(config, 1.0)
-    radius, _ = _operator_radius(op, method, None)
-    return -math.log(radius) / config.T
+    return -math.log(_operator_radius(_phi_operators(config)(1.0))) / config.T
 
 
 # ---- sandwich bounds ----
@@ -230,13 +173,8 @@ def r0_bounds(config: ModelConfig, panels: int = 256) -> BoundsResult:
     """
     nodes = config.grid.nodes
     times = np.linspace(0.0, config.T, panels + 1)
-    col = times[:, None]
-    beta = np.broadcast_to(
-        np.asarray(evaluate_coefficient(config.beta, config.rho, nodes, col), dtype=float),
-        (times.size, nodes.size))
-    gamma = np.broadcast_to(
-        np.asarray(evaluate_coefficient(config.gamma, config.rho, nodes, col), dtype=float),
-        (times.size, nodes.size))
+    beta = coefficient_table(config.beta, config.rho, nodes, times)
+    gamma = coefficient_table(config.gamma, config.rho, nodes, times)
 
     def integral(values: FloatArray) -> float:
         return periodic_integral(PeriodicSamples.from_values(values, config.T))
@@ -257,46 +195,44 @@ def r0_bounds(config: ModelConfig, panels: int = 256) -> BoundsResult:
 
 # ---- R0 as the unit-radius crossing ----
 
-def compute_r0(
-    config: ModelConfig,
-    defect_tol: float = DEFECT_TOL,
-    method: str = "auto",
-    direction: TimeDirection = TimeDirection.FORWARD,
-) -> R0Result:
+def compute_r0(config: ModelConfig) -> R0Result:
     """Finds R0 by driving the period-map spectral radius to one.
 
     The initial bracket comes from the sandwich bounds, widened by a factor
     of two on each side to absorb discretization drift, then expanded (at
     most a few doublings) until the radius actually crosses one. Root
     finding combines bisection with secant proposals in the variables
-    (1/mu, ln r), where the dependence is close to affine.
+    (1/mu, ln r), where the dependence is close to affine. The search stops
+    once |r - 1| <= DEFECT_TOL. Each radius comes from power iteration
+    warm-started at the previous mode, or from the dense route once power
+    iteration has stalled.
 
     Raises:
         ConvergenceError: no bracket after the capped expansions, or the
-            radius iteration fails in 'power' mode.
+            root search stalls.
     """
-    tables = _PhiTables(config, direction)
+    operator_at = _phi_operators(config)
     bounds = r0_bounds(config)
     lo = 0.5 * bounds.lower
     hi = 2.0 * bounds.upper
     start: FloatArray | None = None
-    mode_in_use = method
+    dense = False
 
-    def radius_at(mu: float) -> float:
-        nonlocal start, mode_in_use
-        op = tables.operator(mu)
-        if mode_in_use == "auto":
+    def radius_of(op: PeriodMapOperator) -> float:
+        nonlocal start, dense
+        if not dense:
             try:
-                r, mode = _operator_radius(op, "power", start)
+                r, start = _power_radius(op, start)
+                return r
             except ConvergenceError:
                 # once the power iteration stalls it will stall for every
                 # nearby mu, so stay on the dense route for this search
-                mode_in_use = "dense"
-                r, mode = _dense_radius(op)
-        else:
-            r, mode = _operator_radius(op, mode_in_use, start)
-        start = mode
+                dense = True
+        r, start = _dense_radius(op)
         return r
+
+    def radius_at(mu: float) -> float:
+        return radius_of(operator_at(mu))
 
     r_lo = radius_at(lo)
     for _ in range(BRACKET_EXPANSIONS):
@@ -322,7 +258,7 @@ def compute_r0(
     for iterations in range(1, 80 + 1):
         r = radius_at(mu)
         defect = abs(r - 1.0)
-        if defect <= defect_tol:
+        if defect <= DEFECT_TOL:
             break
         f = math.log(r)
         # regula falsi in (1/mu, ln r) with Illinois damping: when the same
@@ -349,10 +285,9 @@ def compute_r0(
     else:
         raise ConvergenceError(f"unit-radius search stalled with defect {defect:.3e}")
 
-    final_op = tables.operator(mu)
-    _, mode = _operator_radius(final_op, mode_in_use, start)
-    mode = np.abs(mode)
-    path = final_op.apply_recording(mode)
+    final_op = operator_at(mu)
+    radius_of(final_op)
+    path = final_op.apply_recording(np.abs(start))
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
     return R0Result(
         value=mu,
@@ -370,38 +305,36 @@ def r0_closed_form(beta_hat: float, lambda_star: float, rho: EvolutionRate, pane
     return beta_hat / (lambda_star * mean_inverse_rho_squared(rho, panels))
 
 
-def neumann_elliptic_principal_eigenvalue(d: float, c_nodes: FloatArray, h: float, tol: float = 1e-10) -> float:
+def neumann_elliptic_principal_eigenvalue(d: float, c_nodes: FloatArray, h: float) -> float:
     """Principal eigenvalue of -d w'' + c(y) w with no-flux endpoints."""
     diag, off = neumann_operator(d, np.asarray(c_nodes, dtype=float), h)
-    return smallest_eigenvalue(diag, off, tol)
+    return smallest_eigenvalue(diag, off)
 
 
-def dirichlet_elliptic_principal_eigenvalue(d: float, c_nodes: FloatArray, h: float, tol: float = 1e-10) -> float:
+def dirichlet_elliptic_principal_eigenvalue(d: float, c_nodes: FloatArray, h: float) -> float:
     """Principal eigenvalue of -d w'' + c(y) w with absorbing endpoints.
 
     For constant c on (0, L) this equals c + d*(pi/L)^2, the value used by
     the worked fixed-domain comparisons.
     """
     diag, off = dirichlet_operator(d, np.asarray(c_nodes, dtype=float), h)
-    return smallest_eigenvalue(diag, off, tol)
+    return smallest_eigenvalue(diag, off)
 
 
-def lambda_star_from_config(config: ModelConfig, convention: str = "paper-example",
-                            grid_points: int | None = None) -> float:
+def lambda_star_from_config(config: ModelConfig, convention: str = "paper-example") -> float:
     """Principal elliptic eigenvalue of the separable recovery profile.
 
     convention selects the endpoint condition of the comparison problem:
     'neumann' matches the no-flux model; 'paper-example' uses absorbing
-    endpoints, the convention behind the worked examples.
+    endpoints, the convention behind the worked examples. The grid has the
+    config's intervals, but at least 200.
     """
     if convention not in LAMBDA_STAR_CONVENTIONS:
         raise ValueError(_ERR_CONVENTION.format(value=convention, known=LAMBDA_STAR_CONVENTIONS))
     _require_closed_form(config)
-    n = grid_points if grid_points is not None else max(config.grid_points, 200)
-    grid = Grid1D(L=config.L, N=n)
+    grid = Grid1D(L=config.L, N=max(config.grid_points, 200))
     assert config.gamma.space is not None
-    c_nodes = np.broadcast_to(np.asarray(config.gamma.space.evaluate_z(grid.nodes), dtype=float),
-                              grid.nodes.shape)
+    c_nodes = np.asarray(config.gamma.space.evaluate_z(grid.nodes), dtype=float)
     if convention == "neumann":
         return neumann_elliptic_principal_eigenvalue(config.d_I, c_nodes, grid.h)
     return dirichlet_elliptic_principal_eigenvalue(config.d_I, c_nodes, grid.h)
@@ -419,15 +352,13 @@ def _require_closed_form(config: ModelConfig) -> None:
         raise NotApplicableError(_ERR_NOT_SEPARABLE.format(beta=config.beta.form, gamma=gamma.form))
 
 
-def closed_form_r0(config: ModelConfig, convention: str = "paper-example",
-                   grid_points: int | None = None, panels: int = 256) -> float:
+def closed_form_r0(config: ModelConfig, convention: str = "paper-example", panels: int = 256) -> float:
     """Closed-form R0 for spatially constant beta and separable gamma.
 
     Raises:
         NotApplicableError: the coefficient shapes do not admit the form.
     """
-    _require_closed_form(config)
-    lam = lambda_star_from_config(config, convention, grid_points)
+    lam = lambda_star_from_config(config, convention)
     return r0_closed_form(config.beta.c0, lam, config.rho, panels)
 
 

@@ -6,15 +6,15 @@ import math
 
 import pytest
 
-from evosis import (
-    NotApplicableError,
+from evosis.analysis import (
     classify_stability,
     limit_target,
-    load_preset,
     sweep_diffusivity,
     sweep_length,
     verify_limit,
 )
+from evosis.errors import ConfigurationError, NotApplicableError
+from evosis.presets import load_preset
 
 # ---- frozen limit targets for the designed standard configuration ----
 # beta(z) = 0.4 - 0.15 exp(-z/2), gamma(z) = 0.2 + 0.2 exp(-z/2),
@@ -137,3 +137,9 @@ def test_classifier_computes_r0_when_missing():
     verdict = classify_stability(config, horizon_periods=20)
     assert verdict.r0 == pytest.approx(1.4, abs=1e-4)
     assert verdict.classification == "persistence"
+
+
+def test_classifier_rejects_a_horizon_below_one_period():
+    config = load_preset("example4-a").with_resolution(16, 32)
+    with pytest.raises(ConfigurationError, match="periods"):
+        classify_stability(config, horizon_periods=0, r0=0.5)

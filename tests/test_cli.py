@@ -7,9 +7,11 @@ import json
 
 import pytest
 
-from evosis import ConfigurationError, ConvergenceError, config_to_dict, load_preset
 from evosis import cli
 from evosis.cli import _parse_values, main
+from evosis.errors import ConfigurationError, ConvergenceError
+from evosis.model import config_to_dict
+from evosis.presets import load_preset
 
 
 def _read(path):
@@ -118,6 +120,12 @@ def test_simulate_command_writes_period_table_and_snapshot(tmp_path, capsys):
     compile(_read(out_dir / "plot_timeseries.py"), "plot_timeseries.py", "exec")
 
 
+def test_simulate_rejects_zero_periods(capsys):
+    assert main(["simulate", "--preset", "example4-a", "--grid", "16",
+                 "--steps", "32", "--periods", "0"]) == 1
+    assert "config error: periods" in capsys.readouterr().err
+
+
 # ---- sweep ----
 
 def test_sweep_command_reports_monotone_verdict(tmp_path, capsys):
@@ -129,6 +137,18 @@ def test_sweep_command_reports_monotone_verdict(tmp_path, capsys):
     doc = json.loads(_read(out_dir / "sweep.json"))
     assert doc["r0_values"] == sorted(doc["r0_values"], reverse=True)
     compile(_read(out_dir / "plot_sweep.py"), "plot_sweep.py", "exec")
+
+
+def test_sweep_rejects_zero_length(capsys):
+    assert main(["sweep", "--preset", "example4-b", "--param", "L", "--values", "0,1",
+                 "--grid", "16", "--steps", "32"]) == 1
+    assert "config error: L" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nan_diffusivity(capsys):
+    assert main(["sweep", "--preset", "example4-b", "--param", "d_I", "--values", "0.1,nan",
+                 "--grid", "16", "--steps", "32"]) == 1
+    assert "config error: d_I" in capsys.readouterr().err
 
 
 # ---- limits ----
@@ -144,6 +164,12 @@ def test_limits_strict_flags_a_truncated_sequence(tmp_path, capsys, designed_con
     assert main(args + ["--strict"]) == 3
     captured = capsys.readouterr()
     assert "limit gap checks failed" in captured.err
+
+
+def test_limits_rejects_negative_diffusivity(capsys):
+    assert main(["limits", "--preset", "example4-b", "--kind", "small-diffusivity",
+                 "--values", "0.1,-1", "--grid", "16", "--steps", "32"]) == 1
+    assert "config error: d_I" in capsys.readouterr().err
 
 
 # ---- reproduce ----

@@ -7,17 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from evosis import (
-    CoefficientProfile,
-    EvolutionRate,
-    InitialSpec,
-    ModelConfig,
-    load_preset,
-    solve_dfe,
-)
-from evosis.dfe import monotone_sweep_levels, upper_start_level
-from evosis.spectral import principal_periodic_eigenvalue
-from evosis import principal_periodic_eigenvalue_general
+from evosis.dfe import monotone_sweep_levels, solve_dfe, upper_start_level
+from evosis.model import CoefficientProfile, EvolutionRate, InitialSpec, ModelConfig
+from evosis.presets import load_preset
 
 QUARTER_TURN = math.pi / 2
 
@@ -113,6 +105,3 @@ def test_heterogeneous_preset_orbit_converges():
     assert result.bracket_gap <= 1e-8
     assert np.min(result.orbit.values) > 0.0
 
-
-def test_principal_eigenvalue_alias_is_reexported():
-    assert principal_periodic_eigenvalue_general is principal_periodic_eigenvalue

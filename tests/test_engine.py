@@ -7,25 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from evosis import (
-    CoefficientProfile,
+from scipy.linalg import solve_banded
+
+from evosis.engine import (
     CoupledStepper,
-    EvolutionRate,
-    Grid1D,
-    InitialSpec,
     LinearEquationSpec,
-    ModelConfig,
     PeriodMapOperator,
-    StepError,
-    TimeDirection,
-    advance_one_period,
-    load_preset,
-    push_forward,
+    laplacian_bands,
     simulate,
-    step_coupled_sis,
-    step_linear,
+    trapezoid_weights,
 )
-from evosis.engine import apply_laplacian, laplacian_bands, trapezoid_weights
+from evosis.errors import StepError
+from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig
+from evosis.presets import load_preset
 
 UNIT_PERIOD = EvolutionRate(kind="constant-one", period=1.0)
 
@@ -55,8 +49,38 @@ def _homogeneous_config(beta: float = 3.0, gamma: float = 1.0, **overrides) -> M
 
 
 def _dense_laplacian(grid: Grid1D) -> np.ndarray:
-    columns = [apply_laplacian(grid, basis) for basis in np.eye(grid.N + 1)]
-    return np.column_stack(columns)
+    sub, diag, sup = laplacian_bands(grid)
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+
+
+def step_linear(spec: LinearEquationSpec, u: np.ndarray, step_index: int) -> np.ndarray:
+    """Independent Crank-Nicolson step from t_k to t_{k+1} via solve_banded.
+
+    Diffusion scale and potential are averaged over the two step endpoints,
+    which keeps the scheme exact for potentials constant in time and second
+    order otherwise.
+    """
+    times = np.linspace(0.0, spec.rho.period, spec.steps_per_period + 1)
+    t0, t1 = float(times[step_index]), float(times[step_index + 1])
+    nodes = spec.grid.nodes
+    nu0 = spec.d / float(spec.rho.value(t0)) ** 2
+    nu1 = spec.d / float(spec.rho.value(t1)) ** 2
+    nu_bar = 0.5 * (nu0 + nu1)
+    q0 = np.full(nodes.shape, spec.potential(nodes, t0), dtype=float)
+    q1 = np.full(nodes.shape, spec.potential(nodes, t1), dtype=float)
+    q_bar = 0.5 * (q0 + q1)
+    sub, diag, sup = laplacian_bands(spec.grid)
+    half = 0.5 * spec.dt
+    rhs = (1.0 + half * (nu_bar * diag + q_bar)) * u
+    rhs[:-1] += half * nu_bar * sup * u[1:]
+    rhs[1:] += half * nu_bar * sub * u[:-1]
+    ab = np.zeros((3, spec.grid.N + 1))
+    ab[0, 1:] = -half * nu_bar * sup
+    ab[1] = 1.0 - half * (nu_bar * diag + q_bar)
+    ab[2, :-1] = -half * nu_bar * sub
+    out = solve_banded((1, 1), ab, rhs)
+    assert np.all(np.isfinite(out))
+    return out
 
 
 # ---- discrete Laplacian ----
@@ -83,7 +107,7 @@ def test_laplacian_has_exact_cosine_eigenvector():
     grid = Grid1D(L=1.0, N=32)
     mode = np.cos(math.pi * grid.nodes / grid.L)
     eigenvalue = -(2.0 / grid.h**2) * (1.0 - math.cos(math.pi * grid.h / grid.L))
-    assert np.max(np.abs(apply_laplacian(grid, mode) - eigenvalue * mode)) < 1e-9
+    assert np.max(np.abs(_dense_laplacian(grid) @ mode - eigenvalue * mode)) < 1e-9
 
 
 def test_trapezoid_weights_sum_to_length():
@@ -94,11 +118,9 @@ def test_trapezoid_weights_sum_to_length():
 # ---- linear stepping ----
 
 def _linear_spec(potential, d: float = 0.1, n_points: int = 16, steps: int = 64,
-                 rho: EvolutionRate = UNIT_PERIOD,
-                 direction: TimeDirection = TimeDirection.FORWARD) -> LinearEquationSpec:
+                 rho: EvolutionRate = UNIT_PERIOD) -> LinearEquationSpec:
     return LinearEquationSpec(d=d, rho=rho, potential=potential,
-                              grid=Grid1D(L=1.0, N=n_points), steps_per_period=steps,
-                              direction=direction)
+                              grid=Grid1D(L=1.0, N=n_points), steps_per_period=steps)
 
 
 def test_step_linear_constant_potential_is_exact_on_constants():
@@ -114,7 +136,7 @@ def test_period_map_constant_potential_growth_factor():
     q = 0.7
     steps = 64
     spec = _linear_spec(lambda y, t: q, steps=steps)
-    out = advance_one_period(spec, np.ones(17))
+    out = PeriodMapOperator.from_spec(spec).apply(np.ones(17))
     factor = ((1.0 + 0.5 * q * spec.dt) / (1.0 - 0.5 * q * spec.dt)) ** steps
     assert np.max(np.abs(out - factor)) < 1e-11
     assert factor == pytest.approx(math.exp(q), rel=1e-4)
@@ -128,7 +150,7 @@ def test_period_map_decays_cosine_mode_at_discrete_rate():
     eigenvalue = (2.0 / grid.h**2) * (1.0 - math.cos(math.pi * grid.h / grid.L))
     factor = ((1.0 - 0.5 * d * spec.dt * eigenvalue)
               / (1.0 + 0.5 * d * spec.dt * eigenvalue)) ** steps
-    out = advance_one_period(spec, mode)
+    out = PeriodMapOperator.from_spec(spec).apply(mode)
     assert np.max(np.abs(out - factor * mode)) < 1e-10
     assert factor == pytest.approx(math.exp(-d * math.pi**2), rel=1e-3)
 
@@ -139,15 +161,8 @@ def test_pure_diffusion_conserves_mass_on_evolving_domain():
     spec = _linear_spec(lambda y, t: 0.0, d=0.4, n_points=24, steps=200, rho=rho)
     weights = trapezoid_weights(spec.grid)
     u = 1.0 + 0.5 * np.cos(math.pi * spec.grid.nodes)
-    out = advance_one_period(spec, u)
+    out = PeriodMapOperator.from_spec(spec).apply(u)
     assert weights @ out == pytest.approx(weights @ u, rel=1e-12)
-
-
-def test_backward_direction_reverses_sample_times():
-    spec = _linear_spec(lambda y, t: 0.0, direction=TimeDirection.BACKWARD)
-    times = spec.times()
-    assert times[0] == pytest.approx(1.0)
-    assert times[-1] == pytest.approx(0.0)
 
 
 def test_period_map_operator_matches_step_linear_loop():
@@ -173,15 +188,6 @@ def test_period_map_recording_and_dense_matrix_agree_with_apply():
     assert np.max(np.abs(path[-1] - op.apply(u))) < 1e-13
     dense = op.dense_matrix()
     assert np.max(np.abs(dense @ u - op.apply(u))) < 1e-11
-
-
-def test_push_forward_scales_nodes_only():
-    rho = EvolutionRate(kind="exp-cosine", period=math.pi / 2, amplitude=0.3, frequency=4.0)
-    grid = Grid1D(L=1.0, N=4)
-    u = np.arange(5.0)
-    x, values = push_forward(grid, rho, math.pi / 8, u)
-    assert np.allclose(x, float(rho.value(math.pi / 8)) * grid.nodes)
-    assert np.array_equal(values, u)
 
 
 # ---- coupled stepper ----
@@ -221,18 +227,6 @@ def test_coupled_step_raises_on_nonfinite_state():
         stepper.step(np.full(17, np.inf), np.zeros(17), 0)
 
 
-def test_step_coupled_sis_builds_stepper_when_missing():
-    config = _homogeneous_config()
-    S = np.full(17, 0.4)
-    I = np.full(17, 0.2)
-    s_once, i_once, clamps = step_coupled_sis(config, S, I, 0)
-    assert clamps == 0
-    stepper = CoupledStepper(config)
-    s_again, i_again, _ = step_coupled_sis(config, S, I, 0, stepper=stepper)
-    assert np.max(np.abs(s_once - s_again)) < 1e-14
-    assert np.max(np.abs(i_once - i_again)) < 1e-14
-
-
 def test_homogeneous_system_settles_at_endemic_equilibrium():
     # spatially flat constants: S* = a/b and I* = S*(beta/gamma - 1)
     summary = simulate(_homogeneous_config(), periods=80)
@@ -267,3 +261,4 @@ def test_simulate_stops_early_below_extinction_level():
     assert len(summary.records) < 30
     assert summary.records[-1].sup_I < 1e-8
     assert summary.clamp_count == 0
+

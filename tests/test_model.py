@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from evosis import (
+from evosis.errors import ConfigurationError
+from evosis.model import (
     CoefficientProfile,
-    ConfigurationError,
     EvolutionRate,
     Grid1D,
     InitialSpec,
@@ -18,7 +18,6 @@ from evosis import (
     config_from_dict,
     config_to_dict,
     evaluate_coefficient,
-    rho_and_derivative,
     validate_config,
 )
 
@@ -136,12 +135,6 @@ def test_tabulated_rate_must_start_at_one():
     samples = tuple(1.5 + 0.1 * math.sin(2 * math.pi * k / 16) for k in range(16))
     rate = EvolutionRate(kind="tabulated", period=1.0, samples=samples)
     assert any("rho(0)" in message for message in rate.validate())
-
-
-def test_rho_and_derivative_returns_pair():
-    value, slope = rho_and_derivative(_exp_cosine(), math.pi / 8)
-    assert value == pytest.approx(RHO_AT_PI_8, abs=1e-12)
-    assert slope == pytest.approx(RHO_DOT_AT_PI_8, abs=1e-12)
 
 
 # ---- coefficient profiles ----

@@ -6,13 +6,9 @@ import json
 
 import pytest
 
-from evosis import (
-    ConfigurationError,
-    config_to_dict,
-    load_preset,
-    preset_names,
-    preset_text,
-)
+from evosis.errors import ConfigurationError
+from evosis.model import config_to_dict
+from evosis.presets import load_preset, preset_names, preset_text
 
 EXPECTED_NAMES = (
     "example1-fixed",

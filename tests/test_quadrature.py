@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from evosis import EvolutionRate, PeriodicSamples, mean_inverse_rho_squared, periodic_integral
-from evosis.quadrature import sample_periodic
+from evosis.model import EvolutionRate
+from evosis.quadrature import PeriodicSamples, mean_inverse_rho_squared, periodic_integral, sample_periodic
 
 QUARTER_TURN = math.pi / 2
 
