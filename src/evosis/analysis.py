@@ -17,7 +17,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .engine import simulate, trapezoid_weights
-from .errors import NotApplicableError
+from .errors import ConfigurationError, NotApplicableError
 from .model import ModelConfig, coefficient_table, validate_config
 from .spectral import compute_r0
 
@@ -70,7 +70,7 @@ def _sweep_verdict(r0_values: FloatArray, slack: float) -> tuple[str, tuple[int,
 def _sweep(config: ModelConfig, param: str, values: tuple[float, ...]) -> SweepTable:
     array = np.asarray(values, dtype=float)
     if array.size < 2 or np.any(np.diff(array) <= 0.0):
-        raise ValueError(_ERR_NOT_INCREASING.format(what=f"sweep over {param}", values=list(values)))
+        raise ConfigurationError([_ERR_NOT_INCREASING.format(what=f"sweep over {param}", values=list(values))])
     swept = [validate_config(replace(config, **{param: float(value)})) for value in array]
     r0s = [compute_r0(swept_config).value for swept_config in swept]
     verdict, bad = _sweep_verdict(np.asarray(r0s), STRICT_SLACK)
@@ -82,7 +82,8 @@ def sweep_diffusivity(config: ModelConfig, values: tuple[float, ...]) -> SweepTa
     """R0 across increasing infected diffusivities (theory: decreasing).
 
     Raises:
-        ConfigurationError: a swept config fails validation.
+        ConfigurationError: fewer than two values, values not strictly
+            increasing, or a swept config fails validation.
     """
     return _sweep(config, "d_I", values)
 
@@ -95,7 +96,8 @@ def sweep_length(config: ModelConfig, values: tuple[float, ...]) -> SweepTable:
     coordinate, decreasing in the mirrored case.
 
     Raises:
-        ConfigurationError: a swept config fails validation.
+        ConfigurationError: fewer than two values, values not strictly
+            increasing, or a swept config fails validation.
     """
     return _sweep(config, "L", values)
 
@@ -164,7 +166,8 @@ def verify_limit(config: ModelConfig, kind: str, values: tuple[float, ...]) -> L
     the most extreme gap exceeds five percent.
 
     Raises:
-        ConfigurationError: a swept config fails validation.
+        ConfigurationError: fewer than two values, values not running
+            toward the limit, or a swept config fails validation.
     """
     if kind not in LIMIT_KINDS:
         raise ValueError(_ERR_KIND.format(kind=kind, known=LIMIT_KINDS))
@@ -173,7 +176,7 @@ def verify_limit(config: ModelConfig, kind: str, values: tuple[float, ...]) -> L
     diffs = np.diff(array)
     ordered = np.all(diffs < 0.0) if toward_zero else np.all(diffs > 0.0)
     if array.size < 2 or not ordered:
-        raise ValueError(_ERR_ORDERING.format(kind=kind, values=list(values)))
+        raise ConfigurationError([_ERR_ORDERING.format(kind=kind, values=list(values))])
     param = "d_I" if kind.endswith("diffusivity") else "L"
     swept = [validate_config(replace(config, **{param: float(value)})) for value in array]
     target = limit_target(config, kind)

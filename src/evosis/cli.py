@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotApplicableError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (NotApplicableError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, StepError) as exc:

@@ -8,14 +8,17 @@ which has exactly one positive periodic orbit. The period map is monotone,
 so iterating it from a constant above the orbit produces a nonincreasing
 sequence of fields converging to the orbit from above; a small positive
 constant converges from below. Both runs use the same discretization as
-the full coupled system (the infected field is held identically zero, which
-the coupled stepper preserves exactly).
+the full coupled system: one sweep is one `CoupledStepper.period` with the
+infected field held identically zero, which the coupled stepper preserves
+exactly. One iterator of sweeps drives both the fixed-point iteration and
+`monotone_sweep_levels`, and the orbit is recorded by one more period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from itertools import islice, pairwise
+from typing import Any, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -55,48 +58,47 @@ class DfeResult:
     monotone_defect: float
 
 
-def _coefficient_extremes(config: ModelConfig) -> tuple[float, float, float]:
-    """(sup a, inf b, sup |n rho'/rho|) over a sampling lattice."""
+def _start_levels(config: ModelConfig) -> tuple[float, float]:
+    """(upper, lower) constant starts from one pass over sup a, inf b and sup |n rho'/rho|."""
     nodes = config.grid.nodes
     times = np.linspace(0.0, config.T, 129)
-    a = coefficient_table(config.a, config.rho, nodes, times)
-    b = coefficient_table(config.b, config.rho, nodes, times)
+    sup_a = float(np.max(coefficient_table(config.a, config.rho, nodes, times)))
+    inf_b = float(np.min(coefficient_table(config.b, config.rho, nodes, times)))
     rho_t = np.asarray(config.rho.value(times), dtype=float)
     rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
-    dilution = config.n * rho_dot / rho_t
-    return float(np.max(a)), float(np.min(b)), float(np.max(np.abs(dilution)))
+    sup_dil = float(np.max(np.abs(config.n * rho_dot / rho_t)))
+    return 2.0 * sup_a / inf_b + sup_dil / inf_b, LOWER_START_FRACTION * sup_a / inf_b
 
 
 def upper_start_level(config: ModelConfig) -> float:
     """Constant level guaranteed to sit above the disease-free orbit."""
-    sup_a, inf_b, sup_dil = _coefficient_extremes(config)
-    return 2.0 * sup_a / inf_b + sup_dil / inf_b
+    return _start_levels(config)[0]
 
 
-def _iterate_period_map(
-    stepper: CoupledStepper, u0: FloatArray, tol: float, monotone: str | None
-) -> tuple[FloatArray, int, float, float]:
+def _sweeps(stepper: CoupledStepper, level: float) -> Iterator[FloatArray]:
+    """The constant start field, then its successive period maps with I held at zero."""
+    u = np.full_like(stepper.a[0], level)  # one value per node, like a time slice of a
+    zero = np.zeros_like(u)
+    while True:
+        yield u
+        u, _ = stepper.period(u, zero)
+
+
+def _iterate_period_map(stepper: CoupledStepper, level: float, tol: float) -> tuple[FloatArray, int, float, float]:
     """Repeats the scalar period map until successive maps stop moving.
 
-    Returns (fixed point at t=0, sweeps, final residual, worst monotonicity
-    defect). The monotonicity defect is how far any sweep moved the field
-    against the expected one-sided direction.
+    Returns (fixed point at t=0, sweeps, final residual, largest rise). The
+    largest rise is the biggest pointwise increase any sweep produced,
+    which from a start above the orbit is a monotonicity defect.
     """
-    zero = np.zeros_like(u0)
-    u = u0.copy()
-    worst_defect = 0.0
-    for sweep in range(1, MAX_SWEEPS + 1):
-        v = u.copy()
-        for k in range(stepper.n_steps):
-            v, _ = stepper.step(v, zero, k)
-        residual = float(np.max(np.abs(v - u)))
-        if monotone == "nonincreasing":
-            worst_defect = max(worst_defect, float(np.max(v - u)))
-        elif monotone == "nondecreasing":
-            worst_defect = max(worst_defect, float(np.max(u - v)))
-        u = v
+    worst_rise = 0.0
+    pairs = pairwise(islice(_sweeps(stepper, level), MAX_SWEEPS + 1))
+    for sweep, (u, v) in enumerate(pairs, 1):
+        change = v - u
+        residual = float(np.max(np.abs(change)))
+        worst_rise = max(worst_rise, float(np.max(change)))
         if residual < tol:
-            return u, sweep, residual, worst_defect
+            return v, sweep, residual, worst_rise
     raise ConvergenceError(_ERR_NO_CONVERGENCE.format(residual=residual, sweeps=MAX_SWEEPS))
 
 
@@ -113,26 +115,15 @@ def solve_dfe(config: ModelConfig, tol: float = DEFAULT_TOL) -> DfeResult:
             the two one-sided limits disagree.
     """
     stepper = CoupledStepper(config)
-    nodes = config.grid.nodes
-    sup_a, inf_b, _ = _coefficient_extremes(config)
-    top = upper_start_level(config)
-    bottom = LOWER_START_FRACTION * sup_a / inf_b
-
-    upper, sweeps, residual, monotone_defect = _iterate_period_map(
-        stepper, np.full(nodes.size, top), tol, monotone="nonincreasing")
-    lower, _, _, _ = _iterate_period_map(
-        stepper, np.full(nodes.size, bottom), tol, monotone="nondecreasing")
+    top, bottom = _start_levels(config)
+    upper, sweeps, residual, monotone_defect = _iterate_period_map(stepper, top, tol)
+    lower, _, _, _ = _iterate_period_map(stepper, bottom, tol)
     gap = float(np.max(np.abs(upper - lower)))
     if gap > TWO_SIDED_FACTOR * tol:
         raise ConvergenceError(_ERR_SIDES_DISAGREE.format(gap=gap, budget=TWO_SIDED_FACTOR * tol))
 
-    zero = np.zeros_like(upper)
-    path = np.empty((stepper.n_steps + 1, nodes.size))
-    path[0] = upper
-    state = upper.copy()
-    for k in range(stepper.n_steps):
-        state, _ = stepper.step(state, zero, k)
-        path[k + 1] = state
+    path = np.empty((stepper.n_steps + 1, upper.size))
+    stepper.period(upper, np.zeros_like(upper), (path,))
     scale = max(float(np.max(np.abs(path))), 1e-300)
     orbit = PeriodicOrbit.from_samples(path, config.T, tolerance=max(10.0 * tol / scale, 1e-12))
     return DfeResult(orbit=orbit, iterations=sweeps, residual=residual, bracket_gap=gap,
@@ -145,12 +136,5 @@ def monotone_sweep_levels(config: ModelConfig, sweeps: int) -> FloatArray:
     The sequence never increases (up to rounding); exposing it lets callers
     check that property directly.
     """
-    stepper = CoupledStepper(config)
-    zero = np.zeros(config.grid.N + 1)
-    u = np.full(config.grid.N + 1, upper_start_level(config))
-    levels = [float(np.max(np.abs(u)))]
-    for _ in range(sweeps):
-        for k in range(stepper.n_steps):
-            u, _ = stepper.step(u, zero, k)
-        levels.append(float(np.max(np.abs(u))))
-    return np.asarray(levels)
+    iterates = _sweeps(CoupledStepper(config), upper_start_level(config))
+    return np.asarray([float(np.max(np.abs(u))) for u in islice(iterates, sweeps + 1)])

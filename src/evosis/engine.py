@@ -14,6 +14,11 @@ The coupled susceptible/infected step treats diffusion implicitly and the
 reaction explicitly in a predictor (backward Euler diffusion, which stays
 stable for stiff modes where fully explicit diffusion would not) and then
 a trapezoidal corrector, giving second order in time.
+
+Both share one core: `scaled_bands` builds every per-step band table,
+`_tridiag_apply` is the one explicit stencil, `_FactorSet` factors each
+step in place, and `CoupledStepper.period` is the one coupled period loop
+(`simulate` and the disease-free orbit).
 """
 
 from __future__ import annotations
@@ -76,6 +81,21 @@ def laplacian_bands(grid: Grid1D) -> tuple[FloatArray, FloatArray, FloatArray]:
     return sub, diag, sup
 
 
+def scaled_bands(grid: Grid1D, scale: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """Per-step Laplacian bands: row k of each of (sub, diag, sup) is scale[k] times it."""
+    return tuple(scale[:, None] * band for band in laplacian_bands(grid))  # type: ignore[return-value]
+
+
+def _tridiag_apply(bands: tuple[FloatArray, FloatArray, FloatArray], k: int, u: FloatArray) -> FloatArray:
+    """Product of step k's tridiagonal matrix with a vector or with stacked columns."""
+    sub, diag, sup = bands
+    row = k if u.ndim == 1 else (k, slice(None), None)
+    out = diag[row] * u
+    out[:-1] += sup[row] * u[1:]
+    out[1:] += sub[row] * u[:-1]
+    return out
+
+
 def endpoint_mean(table: FloatArray) -> FloatArray:
     """Per-step values from samples at the step endpoints: rows k and k+1 averaged."""
     return 0.5 * (table[:-1] + table[1:])
@@ -85,30 +105,24 @@ class _FactorSet:
     """LU factors of per-step tridiagonal systems (I - theta*(nu*A + diag q)).
 
     Bands are assembled for all steps at once; factorization is one LAPACK
-    call per step, reused for every subsequent solve at that step.
+    call per step, done in place on the band rows and reused for every
+    subsequent solve at that step.
     """
 
     __slots__ = ("dl", "d", "du", "du2", "ipiv")
 
     def __init__(self, grid: Grid1D, nu: FloatArray, q: FloatArray | None, theta_dt: float) -> None:
-        sub, diag, sup = laplacian_bands(grid)
-        m = nu.shape[0]
-        n = grid.N + 1
-        dl = -theta_dt * nu[:, None] * sub[None, :]
-        du = -theta_dt * nu[:, None] * sup[None, :]
-        d = 1.0 - theta_dt * nu[:, None] * diag[None, :]
+        self.dl, self.d, self.du = scaled_bands(grid, -theta_dt * nu)
+        self.d += 1.0
         if q is not None:
-            d = d - theta_dt * q
-        self.dl = np.empty_like(dl)
-        self.d = np.empty_like(d)
-        self.du = np.empty_like(du)
-        self.du2 = np.empty((m, n - 2))
-        self.ipiv = np.empty((m, n), dtype=np.int32)
-        for k in range(m):
-            dl_f, d_f, du_f, du2, ipiv, info = _gttrf(dl[k], d[k], du[k])
+            self.d -= theta_dt * q
+        self.du2 = np.empty((nu.size, grid.N - 1))
+        self.ipiv = np.empty((nu.size, grid.N + 1), dtype=np.int32)
+        for k in range(nu.size):
+            _, _, _, du2, ipiv, info = _gttrf(self.dl[k], self.d[k], self.du[k],
+                                              overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info != 0:
                 raise StepError(_ERR_FACTOR.format(index=k, info=info))
-            self.dl[k], self.d[k], self.du[k] = dl_f, d_f, du_f
             self.du2[k], self.ipiv[k] = du2, ipiv
 
     def solve(self, k: int, rhs: FloatArray) -> FloatArray:
@@ -130,11 +144,10 @@ class PeriodMapOperator:
     def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> None:
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
-        sub, diag, sup = laplacian_bands(grid)
         half = 0.5 * dt
-        self._rhs_sub = half * nu_bar[:, None] * sub[None, :]
-        self._rhs_sup = half * nu_bar[:, None] * sup[None, :]
-        self._rhs_diag = 1.0 + half * (nu_bar[:, None] * diag[None, :] + q_bar)
+        rhs_sub, rhs_sup = scaled_bands(grid, half * nu_bar)[::2]
+        diag = laplacian_bands(grid)[1]
+        self._rhs = (rhs_sub, 1.0 + half * (nu_bar[:, None] * diag[None, :] + q_bar), rhs_sup)
         self._factors = _FactorSet(grid, nu_bar, q_bar, half)
 
     @classmethod
@@ -148,15 +161,7 @@ class PeriodMapOperator:
         return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
     def step(self, k: int, u: FloatArray) -> FloatArray:
-        if u.ndim == 1:
-            rhs = self._rhs_diag[k] * u
-            rhs[:-1] += self._rhs_sup[k] * u[1:]
-            rhs[1:] += self._rhs_sub[k] * u[:-1]
-        else:
-            rhs = self._rhs_diag[k][:, None] * u
-            rhs[:-1] += self._rhs_sup[k][:, None] * u[1:]
-            rhs[1:] += self._rhs_sub[k][:, None] * u[:-1]
-        return self._factors.solve(k, rhs)
+        return self._factors.solve(k, _tridiag_apply(self._rhs, k, u))
 
     def apply(self, u: FloatArray) -> FloatArray:
         """Maps u(., 0) to u(., T); accepts a matrix of stacked columns."""
@@ -233,16 +238,13 @@ class CoupledStepper:
         nu_S_bar = endpoint_mean(config.d_S * inv_rho2)
         nu_I_bar = endpoint_mean(config.d_I * inv_rho2)
         # predictor: backward Euler in diffusion; corrector: trapezoidal
+        half = 0.5 * self.dt
         self._pred_S = _FactorSet(grid, nu_S_bar, None, self.dt)
         self._pred_I = _FactorSet(grid, nu_I_bar, None, self.dt)
-        self._corr_S = _FactorSet(grid, nu_S_bar, None, 0.5 * self.dt)
-        self._corr_I = _FactorSet(grid, nu_I_bar, None, 0.5 * self.dt)
-        sub, diag, sup = laplacian_bands(grid)
-        half = 0.5 * self.dt
-        self._rhs_S = (half * nu_S_bar[:, None] * sub[None, :], half * nu_S_bar[:, None] * diag[None, :],
-                       half * nu_S_bar[:, None] * sup[None, :])
-        self._rhs_I = (half * nu_I_bar[:, None] * sub[None, :], half * nu_I_bar[:, None] * diag[None, :],
-                       half * nu_I_bar[:, None] * sup[None, :])
+        self._corr_S = _FactorSet(grid, nu_S_bar, None, half)
+        self._corr_I = _FactorSet(grid, nu_I_bar, None, half)
+        self._rhs_S = scaled_bands(grid, half * nu_S_bar)
+        self._rhs_I = scaled_bands(grid, half * nu_I_bar)
         self.clamp_count = 0
 
     def reaction(self, S: FloatArray, I: FloatArray, k: int) -> tuple[FloatArray, FloatArray]:
@@ -254,13 +256,6 @@ class CoupledStepper:
         r_i = incidence - recovery - self.dil[k] * I
         return r_s, r_i
 
-    def _half_diffusion(self, bands: tuple[FloatArray, FloatArray, FloatArray], k: int, u: FloatArray) -> FloatArray:
-        sub, diag, sup = bands
-        out = diag[k] * u
-        out[:-1] += sup[k] * u[1:]
-        out[1:] += sub[k] * u[:-1]
-        return out
-
     def step(self, S: FloatArray, I: FloatArray, k: int) -> tuple[FloatArray, FloatArray]:
         """One IMEX step from t_k to t_{k+1}, clamping tiny negatives."""
         rs0, ri0 = self.reaction(S, I, k)
@@ -268,10 +263,8 @@ class CoupledStepper:
         i_star = self._pred_I.solve(k, I + self.dt * ri0)
         rs1, ri1 = self.reaction(s_star, i_star, k + 1)
         half = 0.5 * self.dt
-        rhs_s = S + self._half_diffusion(self._rhs_S, k, S) + half * (rs0 + rs1)
-        rhs_i = I + self._half_diffusion(self._rhs_I, k, I) + half * (ri0 + ri1)
-        s_next = self._corr_S.solve(k, rhs_s)
-        i_next = self._corr_I.solve(k, rhs_i)
+        s_next = self._corr_S.solve(k, S + _tridiag_apply(self._rhs_S, k, S) + half * (rs0 + rs1))
+        i_next = self._corr_I.solve(k, I + _tridiag_apply(self._rhs_I, k, I) + half * (ri0 + ri1))
         if not (np.all(np.isfinite(s_next)) and np.all(np.isfinite(i_next))):
             raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
         negatives = int(np.count_nonzero(s_next < 0.0)) + int(np.count_nonzero(i_next < 0.0))
@@ -280,6 +273,21 @@ class CoupledStepper:
             np.maximum(s_next, 0.0, out=s_next)
             np.maximum(i_next, 0.0, out=i_next)
         return s_next, i_next
+
+    def period(self, S: FloatArray, I: FloatArray,
+               path: tuple[FloatArray, ...] = ()) -> tuple[FloatArray, FloatArray]:
+        """Steps (S, I) across one whole period; never writes its inputs.
+
+        path holds (M+1)-row tables that receive every time slice, S in the
+        first and I in the second; a single table records S alone.
+        """
+        for table, u in zip(path, (S, I)):
+            table[0] = u
+        for k in range(self.n_steps):
+            S, I = self.step(S, I, k)
+            for table, u in zip(path, (S, I)):
+                table[k + 1] = u
+        return S, I
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:
@@ -308,19 +316,14 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
     weights = trapezoid_weights(grid)
     S = config.initial_S.evaluate(grid.nodes, config.L)
     I = config.initial_I.evaluate(grid.nodes, config.L)
+    shape = (stepper.n_steps + 1, grid.N + 1)
     records: list[PeriodRecord] = []
     last: tuple[FloatArray, FloatArray, FloatArray] | None = None
     for m in range(periods):
         recording = record_last_period and m == periods - 1
-        if recording:
-            s_path = np.empty((stepper.n_steps + 1, grid.N + 1))
-            i_path = np.empty_like(s_path)
-            s_path[0], i_path[0] = S, I
-        s_start = S.copy()
-        for k in range(stepper.n_steps):
-            S, I = stepper.step(S, I, k)
-            if recording:
-                s_path[k + 1], i_path[k + 1] = S, I
+        path = (np.empty(shape), np.empty(shape)) if recording else ()
+        s_start = S
+        S, I = stepper.period(S, I, path)
         scale = max(float(np.max(np.abs(S))), 1e-300)
         records.append(PeriodRecord(
             index=m + 1,
@@ -328,8 +331,8 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
             l1_I=float(weights @ np.abs(I)),
             s_closure_defect=float(np.max(np.abs(S - s_start))) / scale,
         ))
-        if recording:
-            last = (stepper.times, s_path, i_path)
+        if path:
+            last = (stepper.times, *path)
         if stop_below is not None and records[-1].sup_I < stop_below:
             break
     return SimulationSummary(records=records, final_S=S, final_I=I,

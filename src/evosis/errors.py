@@ -7,8 +7,8 @@ class EvosisError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigurationError(EvosisError):
-    """A model configuration violates one or more invariants.
+class ConfigurationError(EvosisError, ValueError):
+    """A model configuration or a run's inputs violate one or more invariants.
 
     Attributes:
         errors: one message per violated invariant, each prefixed with the

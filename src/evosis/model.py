@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -479,50 +479,65 @@ def validate_config(config: ModelConfig) -> ModelConfig:
 
 # ---- structured-document (de)serialization ----
 
-def _rate_from_dict(doc: dict[str, Any], period: float) -> EvolutionRate:
-    known = {"kind", "amplitude", "frequency", "samples", "derivative_mode"}
+def _read(path: str, convert: Callable[[Any], Any], value: Any) -> Any:
+    """convert(value), with a failed conversion reported as a configuration error at path."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError([f"{path}: malformed value {value!r}"]) from None
+
+
+def _document(doc: Any, known: set[str], path: str) -> dict[str, Any]:
+    """doc itself, once it is checked to be an object with only known keys."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError([f"{path}: expected an object, got {doc!r}"])
     unknown = set(doc) - known
     if unknown:
-        raise ConfigurationError([f"rho: unknown keys {sorted(unknown)}"])
-    samples = doc.get("samples")
+        raise ConfigurationError([f"{path}: unknown keys {sorted(unknown)}"])
+    return doc
+
+
+def _floats(values: Any) -> tuple[float, ...] | None:
+    """An optional list of numbers as a tuple; None stays None."""
+    return None if values is None else tuple(float(v) for v in values)
+
+
+def _rate_from_dict(doc: Any, period: float) -> EvolutionRate:
+    doc = _document(doc, {"kind", "amplitude", "frequency", "samples", "derivative_mode"}, "rho")
     return EvolutionRate(
         kind=doc.get("kind", "constant-one"),
         period=period,
-        amplitude=float(doc.get("amplitude", 0.0)),
-        frequency=float(doc.get("frequency", 0.0)),
-        samples=tuple(float(v) for v in samples) if samples is not None else None,
+        amplitude=_read("rho.amplitude", float, doc.get("amplitude", 0.0)),
+        frequency=_read("rho.frequency", float, doc.get("frequency", 0.0)),
+        samples=_read("rho.samples", _floats, doc.get("samples")),
         derivative_mode=doc.get("derivative_mode", "analytic"),
     )
 
 
-def _profile_from_dict(doc: dict[str, Any], path: str) -> CoefficientProfile:
-    known = {"form", "c0", "c1", "c2", "space", "g"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError([f"{path}: unknown keys {sorted(unknown)}"])
-    g_doc = doc.get("g", {})
+def _profile_from_dict(doc: Any, path: str) -> CoefficientProfile:
+    doc = _document(doc, {"form", "c0", "c1", "c2", "space", "g"}, path)
+    g_doc = _document(doc.get("g", {}), {"mean", "harmonics"}, f"{path}.g")
     space_doc = doc.get("space")
     return CoefficientProfile(
         form=doc.get("form", "constant"),
-        c0=float(doc.get("c0", 0.0)),
-        c1=float(doc.get("c1", 0.0)),
-        c2=float(doc.get("c2", 0.0)),
+        c0=_read(f"{path}.c0", float, doc.get("c0", 0.0)),
+        c1=_read(f"{path}.c1", float, doc.get("c1", 0.0)),
+        c2=_read(f"{path}.c2", float, doc.get("c2", 0.0)),
         space=_profile_from_dict(space_doc, f"{path}.space") if space_doc is not None else None,
-        g_mean=float(g_doc.get("mean", 0.0)),
-        g_harmonics=tuple((int(k), float(c), float(s)) for k, c, s in g_doc.get("harmonics", ())),
+        g_mean=_read(f"{path}.g.mean", float, g_doc.get("mean", 0.0)),
+        g_harmonics=_read(f"{path}.g.harmonics",
+                          lambda rows: tuple((int(k), float(c), float(s)) for k, c, s in rows),
+                          g_doc.get("harmonics", ())),
     )
 
 
-def _initial_from_dict(doc: dict[str, Any], path: str) -> InitialSpec:
-    known = {"mean", "modes", "samples"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError([f"{path}: unknown keys {sorted(unknown)}"])
-    samples = doc.get("samples")
+def _initial_from_dict(doc: Any, path: str) -> InitialSpec:
+    doc = _document(doc, {"mean", "modes", "samples"}, path)
     return InitialSpec(
-        mean=float(doc.get("mean", 0.0)),
-        modes=tuple((int(m), float(a)) for m, a in doc.get("modes", ())),
-        samples=tuple(float(v) for v in samples) if samples is not None else None,
+        mean=_read(f"{path}.mean", float, doc.get("mean", 0.0)),
+        modes=_read(f"{path}.modes", lambda rows: tuple((int(m), float(a)) for m, a in rows),
+                    doc.get("modes", ())),
+        samples=_read(f"{path}.samples", _floats, doc.get("samples")),
     )
 
 
@@ -530,23 +545,21 @@ def config_from_dict(doc: dict[str, Any]) -> ModelConfig:
     """Builds a ModelConfig from one structured configuration document.
 
     The document layout is described in docs/config_schema.md. Unknown keys
-    are rejected so typos surface as configuration errors.
+    are rejected so typos surface as configuration errors, and a value of
+    the wrong shape or type is reported with its field path.
     """
-    known = {
+    doc = _document(doc, {
         "d_S", "d_I", "n", "L", "T", "rho", "a", "b", "beta", "gamma",
         "grid_points", "steps_per_period", "nm_budget", "initial_S", "initial_I",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError([f"config: unknown keys {sorted(unknown)}"])
+    }, "config")
     missing = [key for key in ("d_S", "d_I", "L", "T", "rho", "a", "b", "beta", "gamma") if key not in doc]
     if missing:
         raise ConfigurationError([f"config: missing required keys {missing}"])
-    period = float(doc["T"])
+    period = _read("T", float, doc["T"])
     return ModelConfig(
-        d_S=float(doc["d_S"]),
-        d_I=float(doc["d_I"]),
-        L=float(doc["L"]),
+        d_S=_read("d_S", float, doc["d_S"]),
+        d_I=_read("d_I", float, doc["d_I"]),
+        L=_read("L", float, doc["L"]),
         T=period,
         rho=_rate_from_dict(doc["rho"], period),
         a=_profile_from_dict(doc["a"], "a"),
@@ -555,10 +568,11 @@ def config_from_dict(doc: dict[str, Any]) -> ModelConfig:
         gamma=_profile_from_dict(doc["gamma"], "gamma"),
         initial_S=_initial_from_dict(doc.get("initial_S", {"mean": 1.0}), "initial_S"),
         initial_I=_initial_from_dict(doc.get("initial_I", {"mean": 1.0}), "initial_I"),
-        n=int(doc.get("n", 1)),
-        grid_points=int(doc.get("grid_points", DEFAULT_GRID_POINTS)),
-        steps_per_period=int(doc.get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)),
-        nm_budget=int(doc.get("nm_budget", DEFAULT_NM_BUDGET)),
+        n=_read("n", int, doc.get("n", 1)),
+        grid_points=_read("grid_points", int, doc.get("grid_points", DEFAULT_GRID_POINTS)),
+        steps_per_period=_read("steps_per_period", int,
+                               doc.get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)),
+        nm_budget=_read("nm_budget", int, doc.get("nm_budget", DEFAULT_NM_BUDGET)),
     )
 
 

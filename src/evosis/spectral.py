@@ -112,13 +112,15 @@ def _dense_radius(op: PeriodMapOperator) -> tuple[float, FloatArray]:
     return radius, mode
 
 
-def _operator_radius(op: PeriodMapOperator) -> float:
-    """Radius by power iteration, or by the dense route when it stalls."""
-    try:
-        radius, _ = _power_radius(op, None)
-    except ConvergenceError:
-        radius, _ = _dense_radius(op)
-    return radius
+def _operator_radius(op: PeriodMapOperator, start: FloatArray | None = None,
+                    dense: bool = False) -> tuple[float, FloatArray, bool]:
+    """(radius, mode, dense route ran): power iteration from start; dense if set or stalled."""
+    if not dense:
+        try:
+            return (*_power_radius(op, start), False)
+        except ConvergenceError:
+            pass
+    return (*_dense_radius(op), True)
 
 
 def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
@@ -129,7 +131,7 @@ def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
     stalls (clustered spectra at very small diffusivity) a full basis is
     propagated and the largest eigenvalue modulus taken instead.
     """
-    return _operator_radius(PeriodMapOperator.from_spec(spec))
+    return _operator_radius(PeriodMapOperator.from_spec(spec))[0]
 
 
 # ---- linearized-infection period maps ----
@@ -159,7 +161,7 @@ def invasion_eigenvalue(config: ModelConfig) -> float:
     This is -ln r(1)/T for the potential beta - gamma - n*rho'/rho; its sign
     is opposite to the sign of R0 - 1.
     """
-    return -math.log(_operator_radius(_phi_operators(config)(1.0))) / config.T
+    return -math.log(_operator_radius(_phi_operators(config)(1.0))[0]) / config.T
 
 
 # ---- sandwich bounds ----
@@ -216,23 +218,17 @@ def compute_r0(config: ModelConfig) -> R0Result:
     lo = 0.5 * bounds.lower
     hi = 2.0 * bounds.upper
     start: FloatArray | None = None
+    # once power iteration stalls it will stall for every nearby mu, so the
+    # dense route stays on for the rest of this search
     dense = False
-
-    def radius_of(op: PeriodMapOperator) -> float:
-        nonlocal start, dense
-        if not dense:
-            try:
-                r, start = _power_radius(op, start)
-                return r
-            except ConvergenceError:
-                # once the power iteration stalls it will stall for every
-                # nearby mu, so stay on the dense route for this search
-                dense = True
-        r, start = _dense_radius(op)
-        return r
+    op: PeriodMapOperator | None = None
 
     def radius_at(mu: float) -> float:
-        return radius_of(operator_at(mu))
+        nonlocal start, dense, op
+        op = None  # release the previous factors before building the next
+        op = operator_at(mu)
+        r, start, dense = _operator_radius(op, start, dense)
+        return r
 
     r_lo = radius_at(lo)
     for _ in range(BRACKET_EXPANSIONS):
@@ -285,9 +281,8 @@ def compute_r0(config: ModelConfig) -> R0Result:
     else:
         raise ConvergenceError(f"unit-radius search stalled with defect {defect:.3e}")
 
-    final_op = operator_at(mu)
-    radius_of(final_op)
-    path = final_op.apply_recording(np.abs(start))
+    _, start, _ = _operator_radius(op, start, dense)
+    path = op.apply_recording(np.abs(start))
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
     return R0Result(
         value=mu,

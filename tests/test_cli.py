@@ -146,9 +146,13 @@ def test_sweep_rejects_zero_length(capsys):
 
 
 def test_sweep_rejects_nan_diffusivity(capsys):
-    assert main(["sweep", "--preset", "example4-b", "--param", "d_I", "--values", "0.1,nan",
-                 "--grid", "16", "--steps", "32"]) == 1
-    assert "config error: d_I" in capsys.readouterr().err
+    """Also misordered and too-short value lists, which are config errors too."""
+    for values, message in (("0.1,nan", "config error: d_I"),
+                            ("0.2,0.1", "config error: sweep over d_I"),
+                            ("0.2", "config error: sweep over d_I")):
+        assert main(["sweep", "--preset", "example4-b", "--param", "d_I", "--values", values,
+                     "--grid", "16", "--steps", "32"]) == 1
+        assert message in capsys.readouterr().err
 
 
 # ---- limits ----
@@ -167,9 +171,12 @@ def test_limits_strict_flags_a_truncated_sequence(tmp_path, capsys, designed_con
 
 
 def test_limits_rejects_negative_diffusivity(capsys):
-    assert main(["limits", "--preset", "example4-b", "--kind", "small-diffusivity",
-                 "--values", "0.1,-1", "--grid", "16", "--steps", "32"]) == 1
-    assert "config error: d_I" in capsys.readouterr().err
+    """Also values running away from the limit, which are config errors too."""
+    for values, message in (("0.1,-1", "config error: d_I"),
+                            ("0.1,0.2", "config error: small-diffusivity")):
+        assert main(["limits", "--preset", "example4-b", "--kind", "small-diffusivity",
+                     "--values", values, "--grid", "16", "--steps", "32"]) == 1
+        assert message in capsys.readouterr().err
 
 
 # ---- reproduce ----
@@ -189,24 +196,47 @@ def test_reproduce_matches_every_published_row(tmp_path, capsys):
 # ---- error exits ----
 
 def test_missing_config_file_exits_with_config_error(tmp_path, capsys):
-    assert main(["r0", "--config", str(tmp_path / "no-such.json")]) == 1
-    assert "config error" in capsys.readouterr().err
+    """Also a --config naming a directory and an --out naming an existing file."""
+    existing = tmp_path / "existing.txt"
+    existing.write_text("", encoding="utf-8")
+    for argv in (["r0", "--config", str(tmp_path / "no-such.json")],
+                 ["r0", "--config", str(tmp_path)],
+                 ["bounds", "--preset", "example4-a", "--out", str(existing)]):
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_invalid_json_exits_with_config_error(tmp_path, capsys):
+    """Also a file that is not UTF-8 text."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["r0", "--config", str(bad)]) == 1
-    assert "config error" in capsys.readouterr().err
+    for content in (b"{not json", b"\xff\xfe{}"):
+        bad.write_bytes(content)
+        assert main(["r0", "--config", str(bad)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_invalid_field_reports_its_path(tmp_path, capsys):
-    doc = config_to_dict(load_preset("example1-fixed"))
-    doc["d_I"] = -1.0
-    bad = tmp_path / "negative.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["r0", "--config", str(bad)]) == 1
-    assert "config error: d_I" in capsys.readouterr().err
+    """Out-of-range values, and values of the wrong type or shape."""
+    tabulated = {"kind": "tabulated", "samples": [1, "x"]}
+    cases = (
+        ("d_I", -1.0, "d_I"),
+        ("d_S", "abc", "d_S"),
+        ("n", "two", "n"),
+        ("grid_points", "many", "grid_points"),
+        ("a", {"c0": None}, "a.c0"),
+        ("rho", 5, "rho"),
+        ("rho", tabulated, "rho.samples"),
+        ("initial_I", {"modes": [[1]]}, "initial_I.modes"),
+        ("gamma", {"form": "separable", "space": {"c0": 1.0}, "g": {"harmonics": [[1, 2]]}},
+         "gamma.g.harmonics"),
+    )
+    bad = tmp_path / "bad.json"
+    for key, value, path in cases:
+        doc = config_to_dict(load_preset("example1-fixed"))
+        doc[key] = value
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["r0", "--config", str(bad)]) == 1
+        assert f"config error: {path}:" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_with_solver_code(monkeypatch, capsys):

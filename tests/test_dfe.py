@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from evosis import model
 from evosis.dfe import monotone_sweep_levels, solve_dfe, upper_start_level
 from evosis.model import CoefficientProfile, EvolutionRate, InitialSpec, ModelConfig
 from evosis.presets import load_preset
@@ -90,6 +91,21 @@ def test_upper_start_dominates_orbit():
     level = upper_start_level(config)
     result = solve_dfe(config)
     assert level > float(np.max(result.orbit.values))
+
+
+def test_solve_dfe_evaluates_each_coefficient_table_once(monkeypatch):
+    """Four stepper tables plus one a/b pass for both start levels."""
+    config = load_preset("example4-b").with_resolution(16, 64)
+    calls = []
+    original = model.evaluate_coefficient
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "evaluate_coefficient", counting)
+    solve_dfe(config)
+    assert len(calls) == 6
 
 
 def test_monotone_sweep_levels_never_increase():

@@ -142,17 +142,28 @@ def test_period_map_constant_potential_growth_factor():
     assert factor == pytest.approx(math.exp(q), rel=1e-4)
 
 
-def test_period_map_decays_cosine_mode_at_discrete_rate():
+EVOLVING_RATE = EvolutionRate(kind="exp-cosine", period=1.0, amplitude=0.3, frequency=2.0 * math.pi)
+
+
+@pytest.mark.parametrize("mode_index", [1, 3])
+@pytest.mark.parametrize("rho", [UNIT_PERIOD, EVOLVING_RATE], ids=["constant-one", "exp-cosine"])
+def test_period_map_decays_cosine_mode_at_discrete_rate(rho, mode_index):
+    """cos(j pi y/L) is an exact eigenvector of the discrete Laplacian, so each
+    Crank-Nicolson step scales it by (1 - dt nu_k lam/2)/(1 + dt nu_k lam/2)."""
     d, steps = 0.1, 128
-    spec = _linear_spec(lambda y, t: 0.0, d=d, n_points=32, steps=steps)
+    spec = _linear_spec(lambda y, t: 0.0, d=d, n_points=32, steps=steps, rho=rho)
     grid = spec.grid
-    mode = np.cos(math.pi * grid.nodes / grid.L)
-    eigenvalue = (2.0 / grid.h**2) * (1.0 - math.cos(math.pi * grid.h / grid.L))
-    factor = ((1.0 - 0.5 * d * spec.dt * eigenvalue)
-              / (1.0 + 0.5 * d * spec.dt * eigenvalue)) ** steps
+    mode = np.cos(mode_index * math.pi * grid.nodes / grid.L)
+    eigenvalue = (2.0 / grid.h**2) * (1.0 - math.cos(mode_index * math.pi * grid.h / grid.L))
+    nu = d / np.asarray(rho.value(np.linspace(0.0, rho.period, steps + 1))) ** 2
+    nu_bar = 0.5 * (nu[:-1] + nu[1:])
+    half = 0.5 * spec.dt * nu_bar * eigenvalue
+    factor = float(np.prod((1.0 - half) / (1.0 + half)))
     out = PeriodMapOperator.from_spec(spec).apply(mode)
-    assert np.max(np.abs(out - factor * mode)) < 1e-10
-    assert factor == pytest.approx(math.exp(-d * math.pi**2), rel=1e-3)
+    assert np.max(np.abs(out - factor * mode)) < 1e-12
+    # the continuum decay exp(-(j pi/L)^2 int nu) is met to O((j h)^2) in the exponent
+    continuum = math.exp(-(mode_index * math.pi / grid.L) ** 2 * spec.dt * float(np.sum(nu_bar)))
+    assert factor == pytest.approx(continuum, rel=1e-3 * mode_index**4)
 
 
 def test_pure_diffusion_conserves_mass_on_evolving_domain():
