@@ -121,13 +121,14 @@ class LimitReport:
         return self.gaps[-1]
 
 
-def limit_target(config: ModelConfig, kind: str, panels: int = 512) -> float:
+def limit_target(config: ModelConfig, kind: str) -> float:
     """Limiting R0 for one of the extreme-parameter regimes.
 
     small-diffusivity: largest nodal ratio of the period integrals of beta
     and gamma. large-diffusivity: ratio of the space-time averages.
     small-length: ratio of the period integrals at the fixed origin.
-    large-length: ratio of the far-field coefficient limits.
+    large-length: ratio of the far-field coefficient limits. Period
+    integrals use the trapezoid rule on 512 panels.
 
     Raises:
         NotApplicableError: large-length with coefficients that have no
@@ -145,7 +146,7 @@ def limit_target(config: ModelConfig, kind: str, panels: int = 512) -> float:
             tails[name] = tail
         return tails["beta"] / tails["gamma"]
     nodes = config.grid.nodes
-    times = np.linspace(0.0, config.T, panels + 1)
+    times = np.linspace(0.0, config.T, 513)
     beta = coefficient_table(config.beta, config.rho, nodes, times)
     gamma = coefficient_table(config.gamma, config.rho, nodes, times)
     dt = times[1] - times[0]

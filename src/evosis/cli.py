@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -66,43 +67,45 @@ class _Parser(argparse.ArgumentParser):
 
 # ---- shared helpers ----
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+@dataclass(frozen=True, slots=True)
+class Report:
+    """One subcommand's stdout lines, its artifacts by file name (a dict for `.json`,
+    a (header, rows) pair for `.csv`, text for a plot script) and the message of a
+    failed soft check, or None."""
+
+    lines: list[str]
+    artifacts: dict[str, Any]
+    strict_failure: str | None = None
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_artifact(path: Path, content: Any) -> None:
+    """Writes one artifact, choosing the format by the file suffix."""
+    if path.suffix == ".json":
+        text = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    elif path.suffix == ".csv":
+        header, rows = content
+        lines = [",".join(header)]
+        lines.extend(",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row)
+                     for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        text = content
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_json(path: Path, doc: dict[str, Any]) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
-
-
-def _out_dir(args: argparse.Namespace) -> Path | None:
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, args: argparse.Namespace, config: ModelConfig | None) -> None:
+def _manifest(args: argparse.Namespace, config: ModelConfig | None) -> dict[str, Any]:
     options = {}
     for key in ("preset", "config", "grid", "steps", "periods", "strict",
                 "lambda_star_convention", "param", "kind", "values"):
         if hasattr(args, key):
             value = getattr(args, key)
             options[key] = str(value) if isinstance(value, Path) else value
-    _write_json(out / "manifest.json", {
+    return {
         "version": __version__,
         "command": args.command,
         "options": options,
         "config": config_to_dict(config) if config is not None else None,
-    })
+    }
 
 
 def _load_config(args: argparse.Namespace) -> ModelConfig:
@@ -127,16 +130,12 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return values
 
 
-def _space_time_rows(times: Any, nodes: Any, *tables: Any) -> list[tuple[float, ...]]:
-    """Rows (t, y, values...) on about 64 evenly strided time slices."""
+def _space_time_rows(times: Any, nodes: Any, *tables: Any) -> Iterator[tuple[float, ...]]:
+    """Rows (t, y, values...) on about 64 evenly strided time slices, built while written."""
     stride = max(1, (times.size - 1) // 64)
-    return [(float(times[k]), float(y), *(float(table[k, j]) for table in tables))
+    return ((float(times[k]), float(y), *(float(table[k, j]) for table in tables))
             for k in range(0, times.size, stride)
-            for j, y in enumerate(nodes)]
-
-
-def _emit_plot_script(out: Path, name: str, body: str) -> None:
-    (out / name).write_text(body, encoding="utf-8", newline="\n")
+            for j, y in enumerate(nodes))
 
 
 _PLOT_TIMESERIES = '''"""Plot the infected density from timeseries.csv (run manually)."""
@@ -244,170 +243,119 @@ fig.savefig("dfe_orbit.png", dpi=150)
 
 # ---- subcommands ----
 
-def cmd_r0(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_r0(args: argparse.Namespace, config: ModelConfig) -> Report:
     result = compute_r0(config)
-    print(f"R0 = {result.value:.6f}")
-    print(f"sandwich bracket = [{result.bracket[0]:.6f}, {result.bracket[1]:.6f}]")
-    print(f"unit-radius defect = {result.defect:.3e} after {result.iterations} iterations")
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, config)
-        _write_json(out / "r0.json", {
-            "r0": result.value,
-            "bracket": list(result.bracket),
-            "iterations": result.iterations,
-            "defect": result.defect,
-        })
-        phi = result.eigenfunction
-        times = np.linspace(0.0, config.T, phi.shape[0])
-        _write_csv(out / "eigenfunction.csv", ("t", "y", "phi"),
-                   _space_time_rows(times, config.grid.nodes, phi))
-    if args.strict:
-        slack = 1e-6 * max(1.0, result.value)
-        inside = result.bracket[0] - slack <= result.value <= result.bracket[1] + slack
-        if result.defect > 1e-8 or not inside:
-            print("strict: defect or bracket containment check failed", file=sys.stderr)
-            return EXIT_STRICT
-    return EXIT_OK
+    phi = result.eigenfunction
+    slack = 1e-6 * max(1.0, result.value)
+    inside = result.bracket[0] - slack <= result.value <= result.bracket[1] + slack
+    return Report(
+        lines=[f"R0 = {result.value:.6f}",
+               f"sandwich bracket = [{result.bracket[0]:.6f}, {result.bracket[1]:.6f}]",
+               f"unit-radius defect = {result.defect:.3e} after {result.iterations} iterations"],
+        artifacts={
+            "r0.json": {"r0": result.value, "bracket": list(result.bracket),
+                        "iterations": result.iterations, "defect": result.defect},
+            "eigenfunction.csv": (("t", "y", "phi"), _space_time_rows(
+                np.linspace(0.0, config.T, phi.shape[0]), config.grid.nodes, phi)),
+        },
+        strict_failure=("defect or bracket containment check failed"
+                        if result.defect > 1e-8 or not inside else None),
+    )
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_bounds(args: argparse.Namespace, config: ModelConfig) -> Report:
     bounds = r0_bounds(config)
-    print(f"lower bound = {bounds.lower:.6f} "
-          f"(min-beta integral {bounds.min_beta_integral:.6f} / max-gamma integral {bounds.max_gamma_integral:.6f})")
-    print(f"upper bound = {bounds.upper:.6f} "
-          f"(max-beta integral {bounds.max_beta_integral:.6f} / min-gamma integral {bounds.min_gamma_integral:.6f})")
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, config)
-        _write_json(out / "bounds.json", {
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "min_beta_integral": bounds.min_beta_integral,
-            "max_beta_integral": bounds.max_beta_integral,
-            "min_gamma_integral": bounds.min_gamma_integral,
-            "max_gamma_integral": bounds.max_gamma_integral,
-        })
-    if args.strict and not (0.0 < bounds.lower <= bounds.upper):
-        print("strict: bound ordering check failed", file=sys.stderr)
-        return EXIT_STRICT
-    return EXIT_OK
+    return Report(
+        lines=[f"lower bound = {bounds.lower:.6f} (min-beta integral {bounds.min_beta_integral:.6f} "
+               f"/ max-gamma integral {bounds.max_gamma_integral:.6f})",
+               f"upper bound = {bounds.upper:.6f} (max-beta integral {bounds.max_beta_integral:.6f} "
+               f"/ min-gamma integral {bounds.min_gamma_integral:.6f})"],
+        artifacts={"bounds.json": asdict(bounds)},
+        strict_failure=None if 0.0 < bounds.lower <= bounds.upper else "bound ordering check failed",
+    )
 
 
-def cmd_dfe(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_dfe(args: argparse.Namespace, config: ModelConfig) -> Report:
     result = solve_dfe(config)
     orbit = result.orbit
-    print(f"disease-free orbit converged in {result.iterations} sweeps")
-    print(f"residual = {result.residual:.3e}, two-sided gap = {result.bracket_gap:.3e}, "
-          f"closure defect = {orbit.closure_defect:.3e}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, config)
-        _write_json(out / "dfe.json", {
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "bracket_gap": result.bracket_gap,
-            "closure_defect": orbit.closure_defect,
-        })
-        _write_csv(out / "dfe_orbit.csv", ("t", "y", "S"),
-                   _space_time_rows(orbit.times, config.grid.nodes, orbit.values))
-        _emit_plot_script(out, "plot_dfe_orbit.py", _PLOT_ORBIT)
-    if args.strict and orbit.closure_defect > 1e-8:
-        print("strict: orbit closure check failed", file=sys.stderr)
-        return EXIT_STRICT
-    return EXIT_OK
+    return Report(
+        lines=[f"disease-free orbit converged in {result.iterations} sweeps",
+               f"residual = {result.residual:.3e}, two-sided gap = {result.bracket_gap:.3e}, "
+               f"closure defect = {orbit.closure_defect:.3e}"],
+        artifacts={
+            "dfe.json": {"iterations": result.iterations, "residual": result.residual,
+                         "bracket_gap": result.bracket_gap, "closure_defect": orbit.closure_defect},
+            "dfe_orbit.csv": (("t", "y", "S"),
+                              _space_time_rows(orbit.times, config.grid.nodes, orbit.values)),
+            "plot_dfe_orbit.py": _PLOT_ORBIT,
+        },
+        strict_failure="orbit closure check failed" if orbit.closure_defect > 1e-8 else None,
+    )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_simulate(args: argparse.Namespace, config: ModelConfig) -> Report:
     periods = args.periods if args.periods is not None else 10
     summary = simulate(config, periods, record_last_period=args.out is not None)
     final = summary.records[-1]
-    print(f"ran {len(summary.records)} periods; sup I = {final.sup_I:.6e}, "
-          f"L1 I = {final.l1_I:.6e}, S closure defect = {final.s_closure_defect:.3e}")
-    print(f"negativity clamps = {summary.clamp_count}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, config)
-        _write_csv(out / "periods.csv", ("period", "sup_I", "l1_I", "s_closure_defect"),
-                   [(r.index, r.sup_I, r.l1_I, r.s_closure_defect) for r in summary.records])
-        if summary.last_period is not None:
-            times, s_path, i_path = summary.last_period
-            _write_csv(out / "timeseries.csv", ("t", "y", "S", "I"),
-                       _space_time_rows(times, config.grid.nodes, s_path, i_path))
-            _emit_plot_script(out, "plot_timeseries.py", _PLOT_TIMESERIES)
-        _emit_plot_script(out, "plot_periods.py", _PLOT_PERIODS)
-    if args.strict and summary.clamp_count > 0:
-        print("strict: positivity clamps occurred", file=sys.stderr)
-        return EXIT_STRICT
-    return EXIT_OK
+    artifacts: dict[str, Any] = {
+        "periods.csv": (("period", "sup_I", "l1_I", "s_closure_defect"),
+                        ((r.index, r.sup_I, r.l1_I, r.s_closure_defect) for r in summary.records)),
+        "plot_periods.py": _PLOT_PERIODS,
+    }
+    if summary.last_period is not None:
+        times, s_path, i_path = summary.last_period
+        artifacts["timeseries.csv"] = (("t", "y", "S", "I"),
+                                       _space_time_rows(times, config.grid.nodes, s_path, i_path))
+        artifacts["plot_timeseries.py"] = _PLOT_TIMESERIES
+    return Report(
+        lines=[f"ran {len(summary.records)} periods; sup I = {final.sup_I:.6e}, "
+               f"L1 I = {final.l1_I:.6e}, S closure defect = {final.s_closure_defect:.3e}",
+               f"negativity clamps = {summary.clamp_count}"],
+        artifacts=artifacts,
+        strict_failure="positivity clamps occurred" if summary.clamp_count > 0 else None,
+    )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_sweep(args: argparse.Namespace, config: ModelConfig) -> Report:
     values = _parse_values(args.values)
     if args.param == "d_I":
         table = sweep_diffusivity(config, values)
     else:
         table = sweep_length(config, values)
-    for value, r0 in zip(table.values, table.r0_values):
-        print(f"{table.param} = {value:<12g} R0 = {r0:.8f}")
-    print(f"verdict: {table.verdict}"
-          + (f" at indices {list(table.violation_indices)}" if table.violation_indices else ""))
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, config)
-        _write_csv(out / "sweep.csv", ("param", "value", "r0"),
-                   [(table.param, v, r) for v, r in zip(table.values, table.r0_values)])
-        _write_json(out / "sweep.json", {
-            "param": table.param,
-            "values": list(table.values),
-            "r0_values": list(table.r0_values),
-            "verdict": table.verdict,
-            "violation_indices": list(table.violation_indices),
-        })
-        _emit_plot_script(out, "plot_sweep.py", _PLOT_SWEEP)
-    if args.strict and not table.verdict.startswith("strictly"):
-        print("strict: sweep is not strictly monotone", file=sys.stderr)
-        return EXIT_STRICT
-    return EXIT_OK
+    pairs = list(zip(table.values, table.r0_values))
+    return Report(
+        lines=[*(f"{table.param} = {value:<12g} R0 = {r0:.8f}" for value, r0 in pairs),
+               f"verdict: {table.verdict}"
+               + (f" at indices {list(table.violation_indices)}" if table.violation_indices else "")],
+        artifacts={
+            "sweep.csv": (("param", "value", "r0"), [(table.param, v, r) for v, r in pairs]),
+            "sweep.json": asdict(table),
+            "plot_sweep.py": _PLOT_SWEEP,
+        },
+        strict_failure=None if table.verdict.startswith("strictly") else "sweep is not strictly monotone",
+    )
 
 
-def cmd_limits(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    values = _parse_values(args.values)
-    report = verify_limit(config, args.kind, values)
-    print(f"target ({report.kind}) = {report.target:.8f}")
-    for value, r0, gap in zip(report.values, report.r0_values, report.gaps):
-        print(f"value = {value:<12g} R0 = {r0:.8f}  gap = {gap:.3e}")
-    print(f"final gap = {report.final_gap:.3e}"
-          + (" [FLAGGED > 5%]" if report.flagged else "")
-          + ("" if report.gaps_monotone else " [gaps not monotone]"))
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, config)
-        _write_csv(out / "limits.csv", ("value", "r0", "gap"),
-                   list(zip(report.values, report.r0_values, report.gaps)))
-        _write_json(out / "limits.json", {
-            "kind": report.kind,
-            "target": report.target,
-            "values": list(report.values),
-            "r0_values": list(report.r0_values),
-            "gaps": list(report.gaps),
-            "flagged": report.flagged,
-            "gaps_monotone": report.gaps_monotone,
-        })
-        _emit_plot_script(out, "plot_limits.py", _PLOT_LIMITS)
-    if args.strict and (report.flagged or not report.gaps_monotone):
-        print("strict: limit gap checks failed", file=sys.stderr)
-        return EXIT_STRICT
-    return EXIT_OK
+def cmd_limits(args: argparse.Namespace, config: ModelConfig) -> Report:
+    report = verify_limit(config, args.kind, _parse_values(args.values))
+    rows = list(zip(report.values, report.r0_values, report.gaps))
+    return Report(
+        lines=[f"target ({report.kind}) = {report.target:.8f}",
+               *(f"value = {value:<12g} R0 = {r0:.8f}  gap = {gap:.3e}" for value, r0, gap in rows),
+               f"final gap = {report.final_gap:.3e}"
+               + (" [FLAGGED > 5%]" if report.flagged else "")
+               + ("" if report.gaps_monotone else " [gaps not monotone]")],
+        artifacts={
+            "limits.csv": (("value", "r0", "gap"), rows),
+            "limits.json": asdict(report),
+            "plot_limits.py": _PLOT_LIMITS,
+        },
+        strict_failure=("limit gap checks failed" if report.flagged or not report.gaps_monotone
+                        else None),
+    )
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace, config: None) -> Report:
     rows: list[tuple[str, float, float]] = []
     for name, reference in R0_REFERENCE:
         value = closed_form_r0(load_preset(name), convention=args.lambda_star_convention)
@@ -427,21 +375,35 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         rows.append((f"{side}-bound denominator [{name}]", ref_den, den))
         rows.append((f"{side} bound [{name}]", ref_num / ref_den, ratio))
 
-    failures = 0
-    print(f"{'quantity':<44} {'reference':>12} {'computed':>14} {'|diff|':>10}  status")
-    for label, reference, computed in rows:
-        diff = abs(computed - reference)
-        ok = diff <= REPRODUCE_TOL
-        failures += 0 if ok else 1
-        print(f"{label:<44} {reference:>12.4f} {computed:>14.6f} {diff:>10.2e}  "
-              + ("pass" if ok else "FAIL"))
-    print(f"{len(rows) - failures}/{len(rows)} rows within {REPRODUCE_TOL:g}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_manifest(out, args, None)
-        _write_csv(out / "reproduction.csv", ("quantity", "reference", "computed", "abs_diff"),
-                   [(label, ref, comp, abs(comp - ref)) for label, ref, comp in rows])
-    if failures and args.strict:
+    diffs = [abs(computed - reference) for _, reference, computed in rows]
+    passed = sum(diff <= REPRODUCE_TOL for diff in diffs)
+    lines = [f"{'quantity':<44} {'reference':>12} {'computed':>14} {'|diff|':>10}  status"]
+    lines.extend(f"{label:<44} {reference:>12.4f} {computed:>14.6f} {diff:>10.2e}  "
+                 + ("pass" if diff <= REPRODUCE_TOL else "FAIL")
+                 for (label, reference, computed), diff in zip(rows, diffs))
+    summary = f"{passed}/{len(rows)} rows within {REPRODUCE_TOL:g}"
+    lines.append(summary)
+    return Report(
+        lines=lines,
+        artifacts={"reproduction.csv": (("quantity", "reference", "computed", "abs_diff"),
+                                        [(label, ref, comp, abs(comp - ref)) for label, ref, comp in rows])},
+        strict_failure=None if passed == len(rows) else summary,
+    )
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Loads the config, prepares --out, runs the handler, writes its artifacts, maps --strict."""
+    config = _load_config(args) if args.needs_config else None
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+    report = args.handler(args, config)
+    for line in report.lines:
+        print(line)
+    if args.out is not None:
+        for name, content in {"manifest.json": _manifest(args, config), **report.artifacts}.items():
+            _write_artifact(args.out / name, content)
+    if args.strict and report.strict_failure is not None:
+        print(f"strict: {report.strict_failure}", file=sys.stderr)
         return EXIT_STRICT
     return EXIT_OK
 
@@ -480,7 +442,7 @@ def build_parser() -> _Parser:
     for name, handler, needs_config, help_text in specs:
         sub = commands.add_parser(name, help=help_text)
         _add_common(sub, needs_config)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, needs_config=needs_config)
 
     sweep_parser = commands.choices["sweep"]
     sweep_parser.add_argument("--param", choices=SWEEP_PARAMS, required=True,
@@ -502,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        return _run(args)
     except ConfigurationError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -10,6 +10,7 @@ the fixed coordinate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -35,7 +36,6 @@ _ERR_NOT_FINITE = "{path}: value must be finite, got {value!r}"
 _ERR_NOT_POSITIVE = "{path}: must be positive, got {value!r}"
 
 RATE_KINDS = ("constant-one", "exp-cosine", "tabulated")
-DERIVATIVE_MODES = ("analytic", "spectral-from-samples", "finite-difference")
 PROFILE_FORMS = ("constant", "affine", "exponential", "separable")
 
 
@@ -57,7 +57,6 @@ class EvolutionRate:
     amplitude: float = 0.0
     frequency: float = 0.0
     samples: tuple[float, ...] | None = None
-    derivative_mode: str = "analytic"
 
     def _open_samples(self) -> FloatArray:
         values = np.asarray(self.samples, dtype=float)
@@ -65,39 +64,25 @@ class EvolutionRate:
             values = values[:-1]
         return values
 
-    def _spectral_coefficients(self) -> tuple[FloatArray, FloatArray]:
+    def _interpolant(self, t: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """(phases, scaled rfft coefficients, wavenumbers) of the trigonometric interpolant at t."""
         values = self._open_samples()
         coeffs = np.fft.rfft(values) / values.size
         wavenumbers = np.arange(coeffs.size) * (2.0 * math.pi / self.period)
-        return coeffs, wavenumbers
-
-    def _tabulated_value(self, t: FloatArray) -> FloatArray:
-        coeffs, wavenumbers = self._spectral_coefficients()
-        values = self._open_samples()
         phases = np.exp(1j * np.multiply.outer(t, wavenumbers))
         scale = np.ones(coeffs.size)
         scale[1:] = 2.0
         if values.size % 2 == 0:
             scale[-1] = 1.0  # Nyquist mode appears once in the rfft expansion
-        return np.real(phases @ (scale * coeffs))
+        return phases, scale * coeffs, wavenumbers
+
+    def _tabulated_value(self, t: FloatArray) -> FloatArray:
+        phases, coeffs, _ = self._interpolant(t)
+        return np.real(phases @ coeffs)
 
     def _tabulated_derivative(self, t: FloatArray) -> FloatArray:
-        values = self._open_samples()
-        if self.derivative_mode == "finite-difference":
-            step = self.period / values.size
-            slopes = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * step)
-            grid = np.arange(values.size) * step
-            wrapped = np.mod(t, self.period)
-            closed_grid = np.append(grid, self.period)
-            closed_slopes = np.append(slopes, slopes[0])
-            return np.interp(wrapped, closed_grid, closed_slopes)
-        coeffs, wavenumbers = self._spectral_coefficients()
-        phases = np.exp(1j * np.multiply.outer(t, wavenumbers))
-        scale = np.ones(coeffs.size)
-        scale[1:] = 2.0
-        if values.size % 2 == 0:
-            scale[-1] = 1.0
-        return np.real(phases @ (scale * coeffs * 1j * wavenumbers))
+        phases, coeffs, wavenumbers = self._interpolant(t)
+        return np.real(phases @ (coeffs * 1j * wavenumbers))
 
     def value(self, t: FloatArray | float) -> Any:
         """Evaluates rho at time t (scalar or array)."""
@@ -127,8 +112,6 @@ class EvolutionRate:
         errors: list[str] = []
         if self.kind not in RATE_KINDS:
             return [f"{path}.kind: unknown kind {self.kind!r}, expected one of {RATE_KINDS}"]
-        if self.derivative_mode not in DERIVATIVE_MODES:
-            errors.append(f"{path}.derivative_mode: unknown mode {self.derivative_mode!r}")
         if not (math.isfinite(self.period) and self.period > 0.0):
             errors.append(_ERR_NOT_POSITIVE.format(path=f"{path}.period", value=self.period))
             return errors
@@ -321,7 +304,6 @@ class PeriodicOrbit:
     values: FloatArray
     period: float
     closure_defect: float
-    tolerance: float = DEFAULT_CLOSURE_TOL
 
     @classmethod
     def from_samples(
@@ -340,7 +322,7 @@ class PeriodicOrbit:
             raise ValueError(
                 f"periodic closure defect {defect:.3e} exceeds tolerance {tolerance:.3e}"
             )
-        return cls(values=values, period=period, closure_defect=defect, tolerance=tolerance)
+        return cls(values=values, period=period, closure_defect=defect)
 
     @property
     def times(self) -> FloatArray:
@@ -391,7 +373,6 @@ class ModelConfig:
     n: int = 1
     grid_points: int = DEFAULT_GRID_POINTS
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-    nm_budget: int = DEFAULT_NM_BUDGET
 
     @property
     def grid(self) -> Grid1D:
@@ -436,10 +417,10 @@ def validate_config(config: ModelConfig) -> ModelConfig:
         errors.append(f"grid_points: need at least 8, got {config.grid_points}")
     if config.steps_per_period < 16:
         errors.append(f"steps_per_period: need at least 16, got {config.steps_per_period}")
-    if config.grid_points * config.steps_per_period > config.nm_budget:
+    if config.grid_points * config.steps_per_period > DEFAULT_NM_BUDGET:
         errors.append(
             "grid_points*steps_per_period: "
-            f"{config.grid_points * config.steps_per_period} exceeds the desk-scale budget {config.nm_budget}"
+            f"{config.grid_points * config.steps_per_period} exceeds the desk-scale budget {DEFAULT_NM_BUDGET}"
         )
     if errors:
         raise ConfigurationError(errors)
@@ -487,6 +468,13 @@ def _read(path: str, convert: Callable[[Any], Any], value: Any) -> Any:
         raise ConfigurationError([f"{path}: malformed value {value!r}"]) from None
 
 
+def _integer(value: Any) -> int:
+    """value as an int; bools, strings and non-integral numbers are rejected, 48.0 is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
+        raise ValueError(value)
+    return int(value)
+
+
 def _document(doc: Any, known: set[str], path: str) -> dict[str, Any]:
     """doc itself, once it is checked to be an object with only known keys."""
     if not isinstance(doc, dict):
@@ -503,14 +491,13 @@ def _floats(values: Any) -> tuple[float, ...] | None:
 
 
 def _rate_from_dict(doc: Any, period: float) -> EvolutionRate:
-    doc = _document(doc, {"kind", "amplitude", "frequency", "samples", "derivative_mode"}, "rho")
+    doc = _document(doc, {"kind", "amplitude", "frequency", "samples"}, "rho")
     return EvolutionRate(
         kind=doc.get("kind", "constant-one"),
         period=period,
         amplitude=_read("rho.amplitude", float, doc.get("amplitude", 0.0)),
         frequency=_read("rho.frequency", float, doc.get("frequency", 0.0)),
         samples=_read("rho.samples", _floats, doc.get("samples")),
-        derivative_mode=doc.get("derivative_mode", "analytic"),
     )
 
 
@@ -526,7 +513,7 @@ def _profile_from_dict(doc: Any, path: str) -> CoefficientProfile:
         space=_profile_from_dict(space_doc, f"{path}.space") if space_doc is not None else None,
         g_mean=_read(f"{path}.g.mean", float, g_doc.get("mean", 0.0)),
         g_harmonics=_read(f"{path}.g.harmonics",
-                          lambda rows: tuple((int(k), float(c), float(s)) for k, c, s in rows),
+                          lambda rows: tuple((_integer(k), float(c), float(s)) for k, c, s in rows),
                           g_doc.get("harmonics", ())),
     )
 
@@ -535,7 +522,7 @@ def _initial_from_dict(doc: Any, path: str) -> InitialSpec:
     doc = _document(doc, {"mean", "modes", "samples"}, path)
     return InitialSpec(
         mean=_read(f"{path}.mean", float, doc.get("mean", 0.0)),
-        modes=_read(f"{path}.modes", lambda rows: tuple((int(m), float(a)) for m, a in rows),
+        modes=_read(f"{path}.modes", lambda rows: tuple((_integer(m), float(a)) for m, a in rows),
                     doc.get("modes", ())),
         samples=_read(f"{path}.samples", _floats, doc.get("samples")),
     )
@@ -550,7 +537,7 @@ def config_from_dict(doc: dict[str, Any]) -> ModelConfig:
     """
     doc = _document(doc, {
         "d_S", "d_I", "n", "L", "T", "rho", "a", "b", "beta", "gamma",
-        "grid_points", "steps_per_period", "nm_budget", "initial_S", "initial_I",
+        "grid_points", "steps_per_period", "initial_S", "initial_I",
     }, "config")
     missing = [key for key in ("d_S", "d_I", "L", "T", "rho", "a", "b", "beta", "gamma") if key not in doc]
     if missing:
@@ -568,11 +555,10 @@ def config_from_dict(doc: dict[str, Any]) -> ModelConfig:
         gamma=_profile_from_dict(doc["gamma"], "gamma"),
         initial_S=_initial_from_dict(doc.get("initial_S", {"mean": 1.0}), "initial_S"),
         initial_I=_initial_from_dict(doc.get("initial_I", {"mean": 1.0}), "initial_I"),
-        n=_read("n", int, doc.get("n", 1)),
-        grid_points=_read("grid_points", int, doc.get("grid_points", DEFAULT_GRID_POINTS)),
-        steps_per_period=_read("steps_per_period", int,
+        n=_read("n", _integer, doc.get("n", 1)),
+        grid_points=_read("grid_points", _integer, doc.get("grid_points", DEFAULT_GRID_POINTS)),
+        steps_per_period=_read("steps_per_period", _integer,
                                doc.get("steps_per_period", DEFAULT_STEPS_PER_PERIOD)),
-        nm_budget=_read("nm_budget", int, doc.get("nm_budget", DEFAULT_NM_BUDGET)),
     )
 
 
@@ -599,7 +585,6 @@ def config_to_dict(config: ModelConfig) -> dict[str, Any]:
         rho_doc["frequency"] = config.rho.frequency
     if config.rho.kind == "tabulated":
         rho_doc["samples"] = list(config.rho.samples or ())
-        rho_doc["derivative_mode"] = config.rho.derivative_mode
     def initial_doc(spec: InitialSpec) -> dict[str, Any]:
         if spec.samples is not None:
             return {"samples": list(spec.samples)}

@@ -166,15 +166,15 @@ def invasion_eigenvalue(config: ModelConfig) -> float:
 
 # ---- sandwich bounds ----
 
-def r0_bounds(config: ModelConfig, panels: int = 256) -> BoundsResult:
+def r0_bounds(config: ModelConfig) -> BoundsResult:
     """No-flux comparison bounds from spatial extremes of beta and gamma.
 
     Extremes are taken over the grid nodes (the profiles in use are
-    monotone in space, so nodal extremes are exact) at each of panels+1
-    uniform time samples, then integrated over one period.
+    monotone in space, so nodal extremes are exact) at each of 257
+    uniform time samples (256 panels), then integrated over one period.
     """
     nodes = config.grid.nodes
-    times = np.linspace(0.0, config.T, panels + 1)
+    times = np.linspace(0.0, config.T, 257)
     beta = coefficient_table(config.beta, config.rho, nodes, times)
     gamma = coefficient_table(config.gamma, config.rho, nodes, times)
 
@@ -347,14 +347,14 @@ def _require_closed_form(config: ModelConfig) -> None:
         raise NotApplicableError(_ERR_NOT_SEPARABLE.format(beta=config.beta.form, gamma=gamma.form))
 
 
-def closed_form_r0(config: ModelConfig, convention: str = "paper-example", panels: int = 256) -> float:
+def closed_form_r0(config: ModelConfig, convention: str = "paper-example") -> float:
     """Closed-form R0 for spatially constant beta and separable gamma.
 
     Raises:
         NotApplicableError: the coefficient shapes do not admit the form.
     """
     lam = lambda_star_from_config(config, convention)
-    return r0_closed_form(config.beta.c0, lam, config.rho, panels)
+    return r0_closed_form(config.beta.c0, lam, config.rho)
 
 
 # ---- eigenfunction monotonicity certificate ----

@@ -193,17 +193,31 @@ def test_reproduce_matches_every_published_row(tmp_path, capsys):
     assert all(float(row["abs_diff"]) <= 1e-3 for row in rows)
 
 
+def test_reproduce_strict_names_the_failed_rows(capsys):
+    assert main(["reproduce", "--strict", "--lambda-star-convention", "neumann"]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert captured.err == "strict: 8/14 rows within 0.001\n"
+
+
 # ---- error exits ----
 
-def test_missing_config_file_exits_with_config_error(tmp_path, capsys):
-    """Also a --config naming a directory and an --out naming an existing file."""
+def test_missing_config_file_exits_with_config_error(tmp_path, monkeypatch, capsys):
+    """Also a --config naming a directory, and an --out naming an existing file,
+    which fails before any solve and prints nothing."""
     existing = tmp_path / "existing.txt"
     existing.write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "compute_r0", lambda config: calls.append(config))
     for argv in (["r0", "--config", str(tmp_path / "no-such.json")],
                  ["r0", "--config", str(tmp_path)],
-                 ["bounds", "--preset", "example4-a", "--out", str(existing)]):
+                 ["bounds", "--preset", "example4-a", "--out", str(existing)],
+                 ["r0", "--preset", "example1-fixed", "--out", str(existing)]):
         assert main(argv) == 1
-        assert "config error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+    assert calls == []
 
 
 def test_invalid_json_exits_with_config_error(tmp_path, capsys):
@@ -223,6 +237,9 @@ def test_invalid_field_reports_its_path(tmp_path, capsys):
         ("d_S", "abc", "d_S"),
         ("n", "two", "n"),
         ("grid_points", "many", "grid_points"),
+        ("grid_points", 48.7, "grid_points"),
+        ("n", 1.9, "n"),
+        ("n", True, "n"),
         ("a", {"c0": None}, "a.c0"),
         ("rho", 5, "rho"),
         ("rho", tabulated, "rho.samples"),

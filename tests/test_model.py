@@ -87,34 +87,19 @@ def test_exp_cosine_rejects_incommensurate_frequency():
 
 def test_unknown_kind_and_mode_are_reported():
     assert "kind" in EvolutionRate(kind="sawtooth", period=1.0).validate()[0]
-    rate = EvolutionRate(kind="constant-one", period=1.0, derivative_mode="adjoint")
-    assert any("derivative_mode" in message for message in rate.validate())
 
 
 def test_tabulated_rate_reproduces_exp_cosine():
     reference = _exp_cosine()
     grid = np.linspace(0.0, QUARTER_TURN, 128, endpoint=False)
     samples = tuple(float(v) for v in np.asarray(reference.value(grid)))
-    rate = EvolutionRate(kind="tabulated", period=QUARTER_TURN, samples=samples,
-                         derivative_mode="spectral-from-samples")
+    rate = EvolutionRate(kind="tabulated", period=QUARTER_TURN, samples=samples)
     assert rate.validate() == []
     probe = np.linspace(0.0, QUARTER_TURN, 37)
     assert np.max(np.abs(np.asarray(rate.value(probe))
                          - np.asarray(reference.value(probe)))) < 1e-12
     assert np.max(np.abs(np.asarray(rate.derivative(probe))
                          - np.asarray(reference.derivative(probe)))) < 1e-10
-
-
-def test_tabulated_finite_difference_derivative_is_second_order():
-    reference = _exp_cosine()
-    grid = np.linspace(0.0, QUARTER_TURN, 128, endpoint=False)
-    samples = tuple(float(v) for v in np.asarray(reference.value(grid)))
-    rate = EvolutionRate(kind="tabulated", period=QUARTER_TURN, samples=samples,
-                         derivative_mode="finite-difference")
-    probe = np.linspace(0.0, QUARTER_TURN, 37)
-    error = np.max(np.abs(np.asarray(rate.derivative(probe))
-                          - np.asarray(reference.derivative(probe))))
-    assert error < 1e-2
 
 
 def test_tabulated_rate_accepts_duplicated_closing_sample():
@@ -348,6 +333,24 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
     doc = _document()
     del doc["d_I"]
     with pytest.raises(ConfigurationError, match="missing required"):
+        config_from_dict(doc)
+
+
+def test_integer_fields_take_integral_numbers_only():
+    doc = _document()
+    doc["grid_points"] = 48.0
+    doc["initial_S"]["modes"] = [[2.0, 0.01]]
+    config = config_from_dict(doc)
+    assert config.grid_points == 48 and isinstance(config.grid_points, int)
+    assert config.initial_S.modes == ((2, 0.01),)
+    for key, value in (("grid_points", "48"), ("steps_per_period", 64.5), ("n", False)):
+        doc = _document()
+        doc[key] = value
+        with pytest.raises(ConfigurationError, match=f"{key}: malformed"):
+            config_from_dict(doc)
+    doc = _document()
+    doc["gamma"]["g"]["harmonics"] = [[1.5, 0.05, 0.0]]
+    with pytest.raises(ConfigurationError, match="gamma.g.harmonics: malformed"):
         config_from_dict(doc)
 
 

@@ -14,7 +14,9 @@ The list covers `r0`, `dfe`, `bounds` and a 3-period `simulate` on every
 preset at a coarse resolution, `reproduce`, the README sweep and limits
 examples, a coarse sweep whose smallest `d_I` stalls power iteration (so
 the dense radius route runs), a 100-period `simulate` and a fine-in-time
-`dfe`.
+`dfe`, plus runs that end on the other exit paths: `--strict` failures
+(exit 3), and `r0`, `limits` and an `L` sweep under `--strict` or on a
+second preset.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ def commands(presets: list[str]) -> list[list[str]]:
          "--values", "10,100,1000"],
         ["simulate", "--preset", "example4-b", "--steps", "200", "--periods", "100"],
         ["dfe", "--preset", "example4-b", "--steps", "500"],
+        ["reproduce", "--strict", "--lambda-star-convention", "neumann"],
+        ["r0", "--strict", "--preset", "example4-b", *COARSE],
+        ["limits", "--strict", "--preset", "example4-b", "--kind", "small-diffusivity",
+         "--values", "0.1,0.01", *COARSE],
+        ["sweep", "--preset", "example4-b", "--param", "L", "--values", "1,2,4", *COARSE],
     ]
     return argvs
 
