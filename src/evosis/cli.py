@@ -94,12 +94,8 @@ def _write_artifact(path: Path, content: Any) -> None:
 
 
 def _manifest(args: argparse.Namespace, config: ModelConfig | None) -> dict[str, Any]:
-    options = {}
-    for key in ("preset", "config", "grid", "steps", "periods", "strict",
-                "lambda_star_convention", "param", "kind", "values"):
-        if hasattr(args, key):
-            value = getattr(args, key)
-            options[key] = str(value) if isinstance(value, Path) else value
+    options = {key: str(value) if isinstance(value, Path) else value
+               for key, value in vars(args).items() if key not in ("command", "handler", "out")}
     return {
         "version": __version__,
         "command": args.command,
@@ -393,7 +389,7 @@ def cmd_reproduce(args: argparse.Namespace, config: None) -> Report:
 
 def _run(args: argparse.Namespace) -> int:
     """Loads the config, prepares --out, runs the handler, writes its artifacts, maps --strict."""
-    config = _load_config(args) if args.needs_config else None
+    config = _load_config(args) if "preset" in vars(args) else None
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
     report = args.handler(args, config)
@@ -410,18 +406,25 @@ def _run(args: argparse.Namespace) -> int:
 
 # ---- parser ----
 
-def _add_common(sub: _Parser, needs_config: bool) -> None:
-    source = sub.add_mutually_exclusive_group(required=needs_config)
-    source.add_argument("--preset", choices=preset_names(), help="bundled configuration name")
-    source.add_argument("--config", type=Path, help="path to a JSON configuration file")
-    sub.add_argument("--out", type=Path, help="directory for manifest/CSV/plot-script artifacts")
-    sub.add_argument("--strict", action="store_true", help="turn soft checks into exit code 3")
-    sub.add_argument("--lambda-star-convention", dest="lambda_star_convention",
-                     choices=LAMBDA_STAR_CONVENTIONS, default="paper-example",
-                     help="endpoint convention of the closed-form eigenvalue")
-    sub.add_argument("--grid", type=int, metavar="N", help="override spatial intervals")
-    sub.add_argument("--steps", type=int, metavar="M", help="override steps per period")
-    sub.add_argument("--periods", type=int, metavar="P", help="periods to simulate")
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--preset": dict(choices=preset_names(), help="bundled configuration name"),
+    "--config": dict(type=Path, help="path to a JSON configuration file"),
+    "--grid": dict(type=int, metavar="N", help="override spatial intervals"),
+    "--steps": dict(type=int, metavar="M", help="override steps per period"),
+    "--periods": dict(type=int, metavar="P", help="periods to simulate"),
+    "--param": dict(choices=SWEEP_PARAMS, required=True, help="which parameter to sweep"),
+    "--kind": dict(choices=LIMIT_KINDS, required=True, help="which extreme-parameter regime"),
+    "--values": dict(required=True, help="comma-separated values, strictly increasing for "
+                                         "sweep and running toward the limit for limits"),
+    "--lambda-star-convention": dict(choices=LAMBDA_STAR_CONVENTIONS, default="paper-example",
+                                     help="endpoint convention of the closed-form eigenvalue"),
+    "--out": dict(type=Path, help="directory for manifest/CSV/plot-script artifacts"),
+    "--strict": dict(action="store_true", help="turn soft checks into exit code 3"),
+}
+# Exactly one source is required; --grid and --steps override the document it names.
+_SOURCE = ("--preset", "--config")
+_CONFIG = (*_SOURCE, "--grid", "--steps")
+_RUN = ("--out", "--strict")
 
 
 def build_parser() -> _Parser:
@@ -431,29 +434,22 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     specs = (
-        ("r0", cmd_r0, True, "reproduction number of the periodic linearization"),
-        ("simulate", cmd_simulate, True, "run the coupled system for whole periods"),
-        ("dfe", cmd_dfe, True, "disease-free periodic orbit"),
-        ("sweep", cmd_sweep, True, "R0 across a parameter sequence"),
-        ("limits", cmd_limits, True, "R0 approach to an extreme-parameter target"),
-        ("bounds", cmd_bounds, True, "sandwich bounds from coefficient extremes"),
-        ("reproduce", cmd_reproduce, False, "recompute the published headline numbers"),
+        ("r0", cmd_r0, _CONFIG, "reproduction number of the periodic linearization"),
+        ("simulate", cmd_simulate, (*_CONFIG, "--periods"), "run the coupled system for whole periods"),
+        ("dfe", cmd_dfe, _CONFIG, "disease-free periodic orbit"),
+        ("sweep", cmd_sweep, (*_CONFIG, "--param", "--values"), "R0 across a parameter sequence"),
+        ("limits", cmd_limits, (*_CONFIG, "--kind", "--values"),
+         "R0 approach to an extreme-parameter target"),
+        ("bounds", cmd_bounds, _CONFIG, "sandwich bounds from coefficient extremes"),
+        ("reproduce", cmd_reproduce, ("--lambda-star-convention",),
+         "recompute the published headline numbers"),
     )
-    for name, handler, needs_config, help_text in specs:
+    for name, handler, options, help_text in specs:
         sub = commands.add_parser(name, help=help_text)
-        _add_common(sub, needs_config)
-        sub.set_defaults(handler=handler, needs_config=needs_config)
-
-    sweep_parser = commands.choices["sweep"]
-    sweep_parser.add_argument("--param", choices=SWEEP_PARAMS, required=True,
-                              help="which parameter to sweep")
-    sweep_parser.add_argument("--values", required=True,
-                              help="comma-separated strictly increasing values")
-    limits_parser = commands.choices["limits"]
-    limits_parser.add_argument("--kind", choices=LIMIT_KINDS, required=True,
-                               help="which extreme-parameter regime")
-    limits_parser.add_argument("--values", required=True,
-                               help="comma-separated values running toward the limit")
+        source = sub.add_mutually_exclusive_group(required=True) if "--preset" in options else sub
+        for flag in (*options, *_RUN):
+            (source if flag in _SOURCE else sub).add_argument(flag, **_OPTIONS[flag])
+        sub.set_defaults(handler=handler)
     return parser
 
 

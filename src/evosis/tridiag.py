@@ -1,4 +1,4 @@
-"""Smallest-eigenvalue solver for symmetric tridiagonal operators.
+"""Symmetric tridiagonal operators and their smallest eigenvalue.
 
 Used for the principal eigenvalue of -d w'' + c(y) w on (0, L), discretized
 on the uniform grid. The Neumann (no-flux) discretization uses ghost nodes;
@@ -14,63 +14,18 @@ from typing import Any
 
 import numpy as np
 import numpy.typing as npt
+from scipy.linalg import eigh_tridiagonal
 
 FloatArray = npt.NDArray[np.floating[Any]]
 
-_ERR_SHAPE = "off-diagonal must have one entry fewer than the diagonal"
-_ERR_EMPTY = "matrix must have at least one row"
 
+def smallest_eigenvalue(diag: FloatArray, off: FloatArray) -> float:
+    """Smallest eigenvalue of a symmetric tridiagonal matrix (LAPACK stebz).
 
-def sturm_count(diag: FloatArray, off: FloatArray, x: float) -> int:
-    """Counts eigenvalues of the symmetric tridiagonal matrix below x.
-
-    Runs the standard Sturm sequence (LDL^T pivots of A - x*I) and counts
-    negative pivots. Zero pivots are nudged to preserve the count.
+    Raises ValueError when off does not have one entry fewer than a
+    non-empty diag.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if diag.size == 0:
-        raise ValueError(_ERR_EMPTY)
-    if off.size != diag.size - 1:
-        raise ValueError(_ERR_SHAPE)
-    count = 0
-    pivot = diag[0] - x
-    if pivot < 0.0:
-        count += 1
-    for i in range(1, diag.size):
-        if pivot == 0.0:
-            pivot = abs(off[i - 1]) * 1e-30 + 1e-300
-        pivot = (diag[i] - x) - off[i - 1] ** 2 / pivot
-        if pivot < 0.0:
-            count += 1
-    return count
-
-
-def smallest_eigenvalue(diag: FloatArray, off: FloatArray, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a symmetric tridiagonal matrix by bisection.
-
-    Brackets with Gershgorin disks and bisects on the Sturm count until the
-    bracket width falls below tol (absolute, with a relative guard for
-    large-magnitude spectra).
-    """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if off.size != diag.size - 1:
-        raise ValueError(_ERR_SHAPE)
-    reach = np.zeros_like(diag)
-    if off.size:
-        reach[:-1] += np.abs(off)
-        reach[1:] += np.abs(off)
-    lo = float(np.min(diag - reach))
-    hi = float(np.max(diag + reach))
-    scale = max(1.0, abs(lo), abs(hi))
-    while hi - lo > tol * max(1.0, scale * 1e-6) and hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sturm_count(diag, off, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0])
 
 
 def neumann_operator(d: float, c_nodes: FloatArray, h: float) -> tuple[FloatArray, FloatArray]:

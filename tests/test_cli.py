@@ -30,6 +30,23 @@ def test_unknown_preset_is_a_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--preset", "example4-a", "--periods", "5"],
+    ["bounds", "--preset", "example4-a", "--lambda-star-convention", "neumann"],
+    ["r0", "--preset", "example4-a", "--periods", "3"],
+    ["dfe", "--preset", "example4-a", "--lambda-star-convention", "neumann"],
+    ["sweep", "--preset", "example4-b", "--param", "d_I", "--values", "0.1,0.2", "--periods", "2"],
+    ["reproduce", "--grid", "16"],
+    ["reproduce", "--steps", "32"],
+    ["reproduce", "--preset", "example4-b"],
+], ids=" ".join)
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_parse_values_accepts_commas_and_whitespace():
     assert _parse_values("0.1, 0.2,0.3") == (0.1, 0.2, 0.3)
     assert _parse_values("4") == (4.0,)

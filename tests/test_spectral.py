@@ -6,12 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from evosis import spectral
 from evosis.engine import LinearEquationSpec, PeriodMapOperator
 from evosis.errors import NotApplicableError
-from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig
-from evosis.presets import load_preset
+from evosis.model import (
+    CoefficientProfile,
+    EvolutionRate,
+    Grid1D,
+    InitialSpec,
+    ModelConfig,
+    coefficient_table,
+)
+from evosis.presets import load_preset, preset_names
 from evosis.spectral import (
     _dense_radius,
     _power_radius,
@@ -207,6 +216,64 @@ def test_compute_r0_dense_method_matches_auto(monkeypatch):
     # search runs on the dense route
     monkeypatch.setattr(spectral, "RADIUS_MAX_ITERATIONS", 1)
     assert compute_r0(config).value == pytest.approx(by_power, abs=1e-6)
+
+
+def _next_generation_radius(config: ModelConfig) -> float:
+    """Spectral radius of the discrete next-generation operator G, with no root search.
+
+    The Crank-Nicolson step of the Phi-equation reads
+    (I - h/2 C_k) u_{k+1} - (I + h/2 C_k) u_k = (h/2 mu) B_k (u_k + u_{k+1}),
+    with C_k = nu_k A - diag(rest_k) and B_k = diag(beta_k), all endpoint
+    averaged. G U is the periodic solution of the no-infection flow forced by
+    (h/2) B_k (u_k + u_{k+1}), so G U = mu U exactly when the period map at
+    mu has radius one, and R0 = r(G). Every matrix here is dense and built
+    from the coefficient tables alone.
+    """
+    grid, steps = config.grid, config.steps_per_period
+    size = grid.N + 1
+    times = np.linspace(0.0, config.T, steps + 1)
+    rho, rho_dot = config.rho.value(times), config.rho.derivative(times)
+    beta = coefficient_table(config.beta, config.rho, grid.nodes, times)
+    rest = (coefficient_table(config.gamma, config.rho, grid.nodes, times)
+            + (config.n * rho_dot / rho)[:, None])
+
+    def mean(table):
+        return 0.5 * (table[:-1] + table[1:])
+
+    lap = (np.eye(size, k=1) + np.eye(size, k=-1) - 2.0 * np.eye(size)) / grid.h**2
+    lap[0, 1] = lap[-1, -2] = 2.0 / grid.h**2
+    half = 0.5 * config.T / steps
+    flow = mean(config.d_I * rho**-2.0)[:, None, None] * lap - mean(rest)[:, :, None] * np.eye(size)
+    implicit_inv = np.linalg.inv(np.eye(size) - half * flow)
+    step = implicit_inv @ (np.eye(size) + half * flow)
+    force = implicit_inv * (half * mean(beta))[:, None, :]
+    period = np.eye(size)
+    for k in range(steps):
+        period = step[k] @ period
+    periodic = lu_factor(np.eye(size) - period)
+
+    def apply(flat):
+        u = flat.reshape(steps, size)
+        forcing = np.einsum("kij,kj->ki", force, u + np.roll(u, -1, axis=0))
+        v = np.zeros(size)
+        for k in range(steps):
+            v = step[k] @ v + forcing[k]
+        v = lu_solve(periodic, v)  # the start that closes the orbit
+        out = np.empty_like(u)
+        for k in range(steps):
+            out[k] = v
+            v = step[k] @ v + forcing[k]
+        return out.ravel()
+
+    operator = LinearOperator((steps * size, steps * size), matvec=apply, dtype=float)
+    return float(abs(eigs(operator, k=1, v0=np.ones(steps * size))[0][0]))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_compute_r0_matches_next_generation_operator(name):
+    config = load_preset(name).with_resolution(32, 64)
+    r0 = compute_r0(config).value
+    assert abs(_next_generation_radius(config) - r0) <= 1e-8 * r0
 
 
 # ---- closed form ----

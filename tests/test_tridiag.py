@@ -1,4 +1,4 @@
-"""Sturm-sequence eigenvalue solver for symmetric tridiagonal operators."""
+"""Symmetric tridiagonal operators and their smallest eigenvalue."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from evosis.tridiag import (
-    dirichlet_operator,
-    neumann_operator,
-    smallest_eigenvalue,
-    sturm_count,
-)
+from evosis.tridiag import dirichlet_operator, neumann_operator, smallest_eigenvalue
 
 # Fixed symmetric tridiagonal instance used for the dense cross-checks.
 SAMPLE_DIAG = np.array([2.0, 1.5, 3.0, 0.7, 2.2])
@@ -25,29 +20,7 @@ def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return matrix
 
 
-# ---- Sturm counts ----
-
-def test_sturm_count_matches_dense_spectrum():
-    spectrum = np.sort(np.linalg.eigvalsh(_dense(SAMPLE_DIAG, SAMPLE_OFF)))
-    for x in (-1.0, 0.5, 1.2, 2.0, 2.9, 5.0):
-        assert sturm_count(SAMPLE_DIAG, SAMPLE_OFF, x) == int(np.sum(spectrum < x))
-
-
-def test_sturm_count_handles_diagonal_matrix():
-    diag = np.array([3.0, 1.0, 2.0])
-    off = np.zeros(2)
-    assert sturm_count(diag, off, 1.5) == 1
-    assert sturm_count(diag, off, 2.5) == 2
-
-
-def test_sturm_count_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        sturm_count(np.ones(3), np.ones(3), 0.0)
-    with pytest.raises(ValueError):
-        sturm_count(np.empty(0), np.empty(0), 0.0)
-
-
-# ---- bisection ----
+# ---- smallest eigenvalue ----
 
 def test_smallest_eigenvalue_matches_dense_solver():
     expected = float(np.min(np.linalg.eigvalsh(_dense(SAMPLE_DIAG, SAMPLE_OFF))))
@@ -60,8 +33,9 @@ def test_smallest_eigenvalue_of_diagonal_matrix():
 
 
 def test_smallest_eigenvalue_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        smallest_eigenvalue(np.ones(3), np.ones(3))
+    for diag, off in ((np.ones(3), np.ones(3)), (np.empty(0), np.empty(0))):
+        with pytest.raises(ValueError):
+            smallest_eigenvalue(diag, off)
 
 
 # ---- discretized elliptic operators ----
@@ -80,7 +54,7 @@ def test_neumann_constant_potential_gives_exact_eigenvalue():
     # principal eigenvalue equals the potential exactly at discrete level
     c = 3.7
     diag, off = neumann_operator(0.8, np.full(33, c), 1.0 / 32)
-    assert smallest_eigenvalue(diag, off) == pytest.approx(c, abs=1e-8)
+    assert smallest_eigenvalue(diag, off) == pytest.approx(c, abs=1e-12)
 
 
 def test_neumann_matches_unsymmetrized_ghost_operator():

@@ -10,6 +10,22 @@ imported from PYTHONPATH, so two checkouts compare with
     PYTHONPATH=src python tools/artifact_digest.py > new.txt
     diff old.txt new.txt
 
+For changes that move rounding, the values mode compares numbers instead
+of bytes. `--save DIR` prints the same digest and keeps every artifact in
+DIR/NN/ with the run's argv, exit code, stdout and stderr in DIR/NN.json;
+`--compare OLD NEW` then reads two saved trees and prints, per run, any
+change in exit code, stdout/stderr lines, artifact set, CSV header or row
+count, JSON keys or non-numeric cell, and per file and column (a JSON
+column is a key path with list indices dropped) the largest abs and rel
+difference of the numeric cells. Columns with a bound in TOLERANCES are
+checked against it; the others are reported only. reproduction.csv rows
+must keep their pass/fail verdict at REPRODUCE_TOL. It exits 1 on any
+structural change or exceeded bound:
+
+    PYTHONPATH=/path/to/old/src python tools/artifact_digest.py --save old
+    PYTHONPATH=src python tools/artifact_digest.py --save new
+    python tools/artifact_digest.py --compare old new
+
 The list covers `r0`, `dfe`, `bounds` and a 3-period `simulate` on every
 preset at a coarse resolution, `reproduce`, the README sweep and limits
 examples, a coarse sweep whose smallest `d_I` stalls power iteration (so
@@ -26,14 +42,30 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 COARSE = ["--grid", "48", "--steps", "256"]
+
+# Bounds on values that a change of rounding alone may move: R0 (the perfbench
+# anchors), the infected density of simulate, and the disease-free orbit.
+R0, FINAL_I, DFE_ORBIT = ("rel", 1e-8), ("abs", 1e-12), ("abs", 1e-8)
+TOLERANCES = {
+    "r0.json:r0": R0, "sweep.csv:r0": R0, "sweep.json:r0_values": R0, "limits.csv:r0": R0,
+    "limits.json:r0_values": R0, "reproduction.csv:computed": R0,
+    "periods.csv:sup_I": FINAL_I, "periods.csv:l1_I": FINAL_I, "timeseries.csv:I": FINAL_I,
+    "dfe_orbit.csv:S": DFE_ORBIT,
+}
+REPRODUCE_TOL = 1e-3
 
 
 def commands(presets: list[str]) -> list[list[str]]:
@@ -57,15 +89,15 @@ def commands(presets: list[str]) -> list[list[str]]:
     return argvs
 
 
-def main() -> int:
+def digest(save: Path | None) -> None:
     from evosis import cli
     from evosis.presets import preset_names
 
-    for argv in commands(list(preset_names())):
+    for index, argv in enumerate(commands(list(preset_names()))):
         label = " ".join(argv)
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out"
+            out = save / f"{index:02d}" if save else Path(tmp) / "out"
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main([*argv, "--out", str(out)])
             files = sorted(out.iterdir()) if out.is_dir() else []
@@ -75,7 +107,114 @@ def main() -> int:
         for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
             for line in text.splitlines():
                 print(f"{stream}: {line}")
+        if save:
+            (save / f"{index:02d}.json").write_text(json.dumps(
+                {"argv": argv, "exit": code, "stdout": stdout.getvalue().splitlines(),
+                 "stderr": stderr.getvalue().splitlines()}, indent=1), encoding="utf-8")
         sys.stdout.flush()
+
+
+def _cells(path: Path) -> tuple[object, dict[str, list[object]]]:
+    """The shape (a CSV header and row count, or the JSON key paths) and the cells by column."""
+    columns: dict[str, list[object]] = {}
+    if path.suffix == ".csv":
+        header, *rows = list(csv.reader(path.open(newline="")))
+        for row in rows:
+            for name, cell in zip(header, row):
+                columns.setdefault(name, []).append(cell)
+        return (header, len(rows)), columns
+
+    def walk(node: object, key: str) -> None:
+        if isinstance(node, dict):
+            for name, child in node.items():
+                walk(child, f"{key}.{name}" if key else name)
+        elif isinstance(node, list):
+            for child in node:
+                walk(child, key)
+        else:
+            columns.setdefault(key, []).append(node)
+    walk(json.loads(path.read_text(encoding="utf-8")), "")
+    return sorted(columns), columns
+
+
+def _number(cell: object) -> float | None:
+    try:
+        return None if isinstance(cell, bool) else float(cell)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+
+
+def _compare_file(name: str, old: Path, new: Path) -> list[str]:
+    if old.suffix not in (".csv", ".json"):
+        return [] if old.read_bytes() == new.read_bytes() else [f"{name}: text changed"]
+    (old_shape, old_cols), (new_shape, new_cols) = _cells(old), _cells(new)
+    problems = []
+    if old_shape != new_shape and old.suffix == ".csv":
+        return [f"{name}: header and row count {old_shape} -> {new_shape}"]
+    if old_shape != new_shape:
+        problems.append(f"{name}: keys removed {sorted(set(old_shape) - set(new_shape))}, "
+                        f"added {sorted(set(new_shape) - set(old_shape))}")
+    for column, old_cells in old_cols.items():
+        new_cells = new_cols.get(column, old_cells)
+        if len(new_cells) != len(old_cells):
+            problems.append(f"{name}:{column}: {len(old_cells)} -> {len(new_cells)} values")
+            continue
+        worst_abs = worst_rel = 0.0
+        for a, b in zip(old_cells, new_cells):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                if a != b:
+                    problems.append(f"{name}:{column}: {a!r} -> {b!r}")
+            elif x != y and not (math.isnan(x) and math.isnan(y)):
+                worst_abs = max(worst_abs, abs(y - x))
+                worst_rel = max(worst_rel, abs(y - x) / max(abs(x), 1e-300))
+        if worst_abs:
+            kind, bound = TOLERANCES.get(f"{name}:{column}", (None, math.inf))
+            over = (worst_rel if kind == "rel" else worst_abs) > bound
+            print(f"  {name}:{column}  max abs {worst_abs:.3e}  max rel {worst_rel:.3e}"
+                  + (f"  [{kind} bound {bound:g}: {'EXCEEDED' if over else 'ok'}]" if kind else ""))
+            if over:
+                problems.append(f"{name}:{column}: {kind} bound {bound:g} exceeded")
+    if name == "reproduction.csv":
+        verdicts = [[float(d) <= REPRODUCE_TOL for d in cols["abs_diff"]] for cols in (old_cols, new_cols)]
+        if verdicts[0] != verdicts[1]:
+            problems.append(f"{name}: pass/fail at {REPRODUCE_TOL:g} changed")
+    return problems
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    problems = 0
+    for old_run in sorted(old_dir.glob("*.json")):
+        old, new = (json.loads((d / old_run.name).read_text(encoding="utf-8"))
+                    for d in (old_dir, new_dir))
+        print(f"== {' '.join(old['argv'])}")
+        found = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in ("argv", "exit") if old[key] != new[key]]
+        found += [f"{key}: {a!r} -> {b!r}" for key in ("stdout", "stderr")
+                  for a, b in itertools.zip_longest(old[key], new[key]) if a != b]
+        old_files, new_files = ({p.name for p in (d / old_run.stem).glob("*")}
+                                for d in (old_dir, new_dir))
+        if old_files != new_files:
+            found.append(f"artifacts {sorted(old_files)} -> {sorted(new_files)}")
+        for name in sorted(old_files & new_files):
+            found += _compare_file(name, old_dir / old_run.stem / name, new_dir / old_run.stem / name)
+        for line in found:
+            print(f"  CHANGED {line}")
+        problems += len(found)
+    print(f"{problems} structural changes or exceeded bounds")
+    return 1 if problems else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, help="keep the artifacts and run records in this directory")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="compare the values of two saved directories")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.save:
+        args.save.mkdir(parents=True)
+    digest(args.save)
     return 0
 
 
