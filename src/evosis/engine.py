@@ -13,12 +13,17 @@ endpoints; one tridiagonal solve per step.
 The coupled susceptible/infected step treats diffusion implicitly and the
 reaction explicitly in a predictor (backward Euler diffusion, which stays
 stable for stiff modes where fully explicit diffusion would not) and then
-a trapezoidal corrector, giving second order in time.
+a trapezoidal corrector, giving second order in time. It advances the
+stacked state u = [S; I] of length 2(N+1) as one tridiagonal system: the
+S and I blocks sit side by side and their sub- and super-diagonals are
+zero at the seam between them, so LAPACK never pivots or eliminates
+across it and one solve gives the two per-species solves bit for bit. (An
+infinity does cross the seam, as NaN from 0 * inf; the step rejects both.)
 
-Both share one core: `scaled_bands` builds every per-step band table,
-`_tridiag_apply` is the one explicit stencil, `_FactorSet` factors each
-step in place, and `CoupledStepper.period` is the one coupled period loop
-(`simulate` and the disease-free orbit).
+Both share one core: `scaled_bands` builds every per-step band table (one
+block per scale vector), `_tridiag_apply` is the one explicit stencil,
+`_FactorSet` factors each step in place, and `CoupledStepper.period` is
+the one coupled period loop (`simulate` and the disease-free orbit).
 """
 
 from __future__ import annotations
@@ -81,9 +86,22 @@ def laplacian_bands(grid: Grid1D) -> tuple[FloatArray, FloatArray, FloatArray]:
     return sub, diag, sup
 
 
-def scaled_bands(grid: Grid1D, scale: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """Per-step Laplacian bands: row k of each of (sub, diag, sup) is scale[k] times it."""
-    return tuple(scale[:, None] * band for band in laplacian_bands(grid))  # type: ignore[return-value]
+def scaled_bands(grid: Grid1D, *scales: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """Per-step Laplacian bands with one diagonal block per scale vector.
+
+    Block j of row k of each of (sub, diag, sup) is scales[j][k] times the
+    Laplacian band; between blocks the sub- and super-diagonals hold a zero,
+    so the blocks never couple. Each block is written in place, with no
+    full-size temporaries.
+    """
+    n = grid.N + 1
+    tables = []
+    for band in laplacian_bands(grid):
+        table = np.zeros((scales[0].size, len(scales) * n - (n - band.size)))
+        for j, scale in enumerate(scales):
+            np.multiply(scale[:, None], band, out=table[:, j * n:j * n + band.size])
+        tables.append(table)
+    return tuple(tables)  # type: ignore[return-value]
 
 
 def _tridiag_apply(bands: tuple[FloatArray, FloatArray, FloatArray], k: int, u: FloatArray) -> FloatArray:
@@ -102,31 +120,34 @@ def endpoint_mean(table: FloatArray) -> FloatArray:
 
 
 class _FactorSet:
-    """LU factors of per-step tridiagonal systems (I - theta*(nu*A + diag q)).
+    """LU factors of per-step tridiagonal systems I - theta*(B + diag q).
 
-    Bands are assembled for all steps at once; factorization is one LAPACK
-    call per step, done in place on the band rows and reused for every
-    subsequent solve at that step.
+    B is the block band table that `scaled_bands` builds from the scale
+    vectors nus. Factorization is one LAPACK call per step, done in place on
+    the band rows, with the pivot tables preallocated; each step keeps one
+    tuple of row views for the solves that reuse it.
     """
 
-    __slots__ = ("dl", "d", "du", "du2", "ipiv")
+    __slots__ = ("_rows",)
 
-    def __init__(self, grid: Grid1D, nu: FloatArray, q: FloatArray | None, theta_dt: float) -> None:
-        self.dl, self.d, self.du = scaled_bands(grid, -theta_dt * nu)
-        self.d += 1.0
+    def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
+                 theta_dt: float) -> None:
+        dl, d, du = scaled_bands(grid, *(-theta_dt * nu for nu in nus))
+        d += 1.0
         if q is not None:
-            self.d -= theta_dt * q
-        self.du2 = np.empty((nu.size, grid.N - 1))
-        self.ipiv = np.empty((nu.size, grid.N + 1), dtype=np.int32)
-        for k in range(nu.size):
-            _, _, _, du2, ipiv, info = _gttrf(self.dl[k], self.d[k], self.du[k],
-                                              overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            d -= theta_dt * q
+        du2 = np.empty((d.shape[0], d.shape[1] - 2))
+        ipiv = np.empty(d.shape, dtype=np.int32)
+        for k in range(d.shape[0]):
+            _, _, _, du2[k], ipiv[k], info = _gttrf(dl[k], d[k], du[k],
+                                                    overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info != 0:
                 raise StepError(_ERR_FACTOR.format(index=k, info=info))
-            self.du2[k], self.ipiv[k] = du2, ipiv
+        self._rows = [(dl[k], d[k], du[k], du2[k], ipiv[k]) for k in range(d.shape[0])]
 
     def solve(self, k: int, rhs: FloatArray) -> FloatArray:
-        x, info = _gttrs(self.dl[k], self.d[k], self.du[k], self.du2[k], self.ipiv[k], rhs)
+        """Solution at step k; a contiguous 1-D rhs is overwritten with it."""
+        x, info = _gttrs(*self._rows[k], rhs, overwrite_b=1)
         if info != 0:
             raise StepError(_ERR_FACTOR.format(index=k, info=info))
         return x
@@ -148,7 +169,7 @@ class PeriodMapOperator:
         rhs_sub, rhs_sup = scaled_bands(grid, half * nu_bar)[::2]
         diag = laplacian_bands(grid)[1]
         self._rhs = (rhs_sub, 1.0 + half * (nu_bar[:, None] * diag[None, :] + q_bar), rhs_sup)
-        self._factors = _FactorSet(grid, nu_bar, q_bar, half)
+        self._factors = _FactorSet(grid, (nu_bar,), q_bar, half)
 
     @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
@@ -208,6 +229,11 @@ class SimulationSummary:
 class CoupledStepper:
     """Precomputed one-period stepper for the full nonlinear system.
 
+    The state is one stacked vector u = [S; I] of length 2(N+1), S in
+    u[:N+1] and I in u[N+1:]. The diffusion of both species is one
+    tridiagonal system of two blocks joined by a zero seam, so a step makes
+    one predictor solve, one corrector solve and one stencil apply.
+
     Reaction terms at the nodes:
 
         R_S = a S - b S^2 - beta S I / (S + I) + gamma I - dil * S
@@ -224,6 +250,8 @@ class CoupledStepper:
         m = config.steps_per_period
         self.n_steps = m
         self.dt = config.T / m
+        self._half = 0.5 * self.dt
+        self._n = grid.N + 1
         times = np.linspace(0.0, config.T, m + 1)
         self.times = times
         nodes = grid.nodes
@@ -235,44 +263,40 @@ class CoupledStepper:
         rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
         self.dil = config.n * rho_dot / rho_t
         inv_rho2 = rho_t**-2.0
-        nu_S_bar = endpoint_mean(config.d_S * inv_rho2)
-        nu_I_bar = endpoint_mean(config.d_I * inv_rho2)
+        nus = (endpoint_mean(config.d_S * inv_rho2), endpoint_mean(config.d_I * inv_rho2))
         # predictor: backward Euler in diffusion; corrector: trapezoidal
-        half = 0.5 * self.dt
-        self._pred_S = _FactorSet(grid, nu_S_bar, None, self.dt)
-        self._pred_I = _FactorSet(grid, nu_I_bar, None, self.dt)
-        self._corr_S = _FactorSet(grid, nu_S_bar, None, half)
-        self._corr_I = _FactorSet(grid, nu_I_bar, None, half)
-        self._rhs_S = scaled_bands(grid, half * nu_S_bar)
-        self._rhs_I = scaled_bands(grid, half * nu_I_bar)
+        self._pred = _FactorSet(grid, nus, None, self.dt)
+        self._corr = _FactorSet(grid, nus, None, self._half)
+        self._rhs = scaled_bands(grid, *(self._half * nu for nu in nus))
         self.clamp_count = 0
 
-    def reaction(self, S: FloatArray, I: FloatArray, k: int) -> tuple[FloatArray, FloatArray]:
+    def reaction(self, u: FloatArray, k: int) -> FloatArray:
+        """Stacked reaction terms [R_S; R_I] of the stacked state u at t_k."""
+        S, I = u[:self._n], u[self._n:]
         total = S + I
-        incidence = np.zeros_like(S)
-        np.divide(self.beta[k] * S * I, total, out=incidence, where=total >= DENOMINATOR_GUARD)
+        if total.min() >= DENOMINATOR_GUARD:
+            incidence = self.beta[k] * S * I / total
+        else:
+            incidence = np.divide(self.beta[k] * S * I, total, out=np.zeros_like(S),
+                                  where=total >= DENOMINATOR_GUARD)
         recovery = self.gamma[k] * I
-        r_s = self.a[k] * S - self.b[k] * S * S - incidence + recovery - self.dil[k] * S
-        r_i = incidence - recovery - self.dil[k] * I
-        return r_s, r_i
+        r = np.concatenate((self.a[k] * S - self.b[k] * S * S - incidence + recovery,
+                            incidence - recovery))
+        r -= self.dil[k] * u
+        return r
 
-    def step(self, S: FloatArray, I: FloatArray, k: int) -> tuple[FloatArray, FloatArray]:
-        """One IMEX step from t_k to t_{k+1}, clamping tiny negatives."""
-        rs0, ri0 = self.reaction(S, I, k)
-        s_star = self._pred_S.solve(k, S + self.dt * rs0)
-        i_star = self._pred_I.solve(k, I + self.dt * ri0)
-        rs1, ri1 = self.reaction(s_star, i_star, k + 1)
-        half = 0.5 * self.dt
-        s_next = self._corr_S.solve(k, S + _tridiag_apply(self._rhs_S, k, S) + half * (rs0 + rs1))
-        i_next = self._corr_I.solve(k, I + _tridiag_apply(self._rhs_I, k, I) + half * (ri0 + ri1))
-        if not (np.all(np.isfinite(s_next)) and np.all(np.isfinite(i_next))):
-            raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
-        negatives = int(np.count_nonzero(s_next < 0.0)) + int(np.count_nonzero(i_next < 0.0))
-        if negatives:
-            self.clamp_count += negatives
-            np.maximum(s_next, 0.0, out=s_next)
-            np.maximum(i_next, 0.0, out=i_next)
-        return s_next, i_next
+    def step(self, u: FloatArray, k: int) -> FloatArray:
+        """One IMEX step of the stacked state from t_k to t_{k+1}, clamping tiny negatives."""
+        r = self.reaction(u, k)
+        star = self._pred.solve(k, u + self.dt * r)
+        r += self.reaction(star, k + 1)
+        nxt = self._corr.solve(k, u + _tridiag_apply(self._rhs, k, u) + self._half * r)
+        if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
+            if not np.all(np.isfinite(nxt)):
+                raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
+            self.clamp_count += int(np.count_nonzero(nxt < 0.0))
+            np.maximum(nxt, 0.0, out=nxt)
+        return nxt
 
     def period(self, S: FloatArray, I: FloatArray,
                path: tuple[FloatArray, ...] = ()) -> tuple[FloatArray, FloatArray]:
@@ -281,13 +305,15 @@ class CoupledStepper:
         path holds (M+1)-row tables that receive every time slice, S in the
         first and I in the second; a single table records S alone.
         """
-        for table, u in zip(path, (S, I)):
-            table[0] = u
+        species = (slice(None, self._n), slice(self._n, None))
+        u = np.concatenate((S, I))
+        for table, part in zip(path, species):
+            table[0] = u[part]
         for k in range(self.n_steps):
-            S, I = self.step(S, I, k)
-            for table, u in zip(path, (S, I)):
-                table[k + 1] = u
-        return S, I
+            u = self.step(u, k)
+            for table, part in zip(path, species):
+                table[k + 1] = u[part]
+        return u[species[0]], u[species[1]]
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:

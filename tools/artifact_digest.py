@@ -32,7 +32,9 @@ examples, a coarse sweep whose smallest `d_I` stalls power iteration (so
 the dense radius route runs), a 100-period `simulate` and a fine-in-time
 `dfe`, plus runs that end on the other exit paths: `--strict` failures
 (exit 3), and `r0`, `limits` and an `L` sweep under `--strict` or on a
-second preset.
+second preset. A 40-period `simulate` of example4-a with 20 steps per
+period clamps negative densities about 1700 times, so the clamp branch of
+the coupled step is covered too.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ def commands(presets: list[str]) -> list[list[str]]:
         ["limits", "--strict", "--preset", "example4-b", "--kind", "small-diffusivity",
          "--values", "0.1,0.01", *COARSE],
         ["sweep", "--preset", "example4-b", "--param", "L", "--values", "1,2,4", *COARSE],
+        ["simulate", "--preset", "example4-a", "--grid", "48", "--steps", "20", "--periods", "40"],
     ]
     return argvs
 
