@@ -413,11 +413,15 @@ def validate_config(config: ModelConfig) -> ModelConfig:
         errors.append(f"T: must match rho.period, got {config.T} vs {config.rho.period}")
     for name in ("a", "b", "beta", "gamma"):
         errors.extend(getattr(config, name).validate(name))
-    if config.grid_points < 8:
-        errors.append(f"grid_points: need at least 8, got {config.grid_points}")
-    if config.steps_per_period < 16:
-        errors.append(f"steps_per_period: need at least 16, got {config.steps_per_period}")
-    if config.grid_points * config.steps_per_period > DEFAULT_NM_BUDGET:
+    integral = True
+    for name, least in (("grid_points", 8), ("steps_per_period", 16)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            errors.append(f"{name}: must be an integer, got {value!r}")
+            integral = False
+        elif value < least:
+            errors.append(f"{name}: need at least {least}, got {value}")
+    if integral and config.grid_points * config.steps_per_period > DEFAULT_NM_BUDGET:
         errors.append(
             "grid_points*steps_per_period: "
             f"{config.grid_points * config.steps_per_period} exceeds the desk-scale budget {DEFAULT_NM_BUDGET}"
@@ -600,8 +604,8 @@ def config_to_dict(config: ModelConfig) -> dict[str, Any]:
         "b": _profile_to_dict(config.b),
         "beta": _profile_to_dict(config.beta),
         "gamma": _profile_to_dict(config.gamma),
-        "grid_points": config.grid_points,
-        "steps_per_period": config.steps_per_period,
+        "grid_points": int(config.grid_points),
+        "steps_per_period": int(config.steps_per_period),
         "initial_S": initial_doc(config.initial_S),
         "initial_I": initial_doc(config.initial_I),
     }

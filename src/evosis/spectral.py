@@ -35,12 +35,14 @@ FloatArray = npt.NDArray[np.floating[Any]]
 RADIUS_TOL = 1e-10
 RADIUS_MAX_ITERATIONS = 200
 DEFECT_TOL = 1e-8
-BRACKET_EXPANSIONS = 6
 
 LAMBDA_STAR_CONVENTIONS = ("neumann", "paper-example")
 
 _ERR_RADIUS_STALL = "power iteration did not settle within {cap} applications (last change {change:.3e})"
-_ERR_BRACKET = "could not bracket the unit spectral radius within {expansions} expansions of [{lo:.3g}, {hi:.3g}]"
+_ERR_BRACKET = (
+    "the unit spectral radius is not bracketed by [0.5*lower, 2*upper] = [{lo:.3g}, {hi:.3g}]"
+    " (radii {r_lo:.6g} and {r_hi:.6g})"
+)
 _ERR_CONVENTION = "unknown lambda-star convention {value!r}, expected one of {known}"
 _ERR_NOT_SEPARABLE = (
     "closed form needs spatially constant beta and gamma of the form c(y)/rho^2; got beta={beta!r}, gamma={gamma!r}"
@@ -200,23 +202,23 @@ def r0_bounds(config: ModelConfig) -> BoundsResult:
 def compute_r0(config: ModelConfig) -> R0Result:
     """Finds R0 by driving the period-map spectral radius to one.
 
-    The initial bracket comes from the sandwich bounds, widened by a factor
-    of two on each side to absorb discretization drift, then expanded (at
-    most a few doublings) until the radius actually crosses one. Root
-    finding combines bisection with secant proposals in the variables
-    (1/mu, ln r), where the dependence is close to affine. The search stops
-    once |r - 1| <= DEFECT_TOL. Each radius comes from power iteration
-    warm-started at the previous mode, or from the dense route once power
-    iteration has stalled.
+    The bracket is the sandwich bounds widened by a factor of two on each
+    side to absorb discretization drift; since r(mu) is monotone with a
+    unique unit crossing, it needs no further handling once it straddles
+    one. Root finding combines bisection with secant proposals in the
+    variables (1/mu, ln r), where the dependence is close to affine. The
+    search stops once |r - 1| <= DEFECT_TOL, and the mode of that last
+    radius evaluation seeds the eigenfunction. Each radius comes from power
+    iteration warm-started at the previous mode, or from the dense route
+    once power iteration has stalled.
 
     Raises:
-        ConvergenceError: no bracket after the capped expansions, or the
-            root search stalls.
+        ConvergenceError: the widened bracket does not straddle r = 1, or
+            the root search stalls.
     """
     operator_at = _phi_operators(config)
     bounds = r0_bounds(config)
-    lo = 0.5 * bounds.lower
-    hi = 2.0 * bounds.upper
+    mu_lo, mu_hi = 0.5 * bounds.lower, 2.0 * bounds.upper
     start: FloatArray | None = None
     # once power iteration stalls it will stall for every nearby mu, so the
     # dense route stays on for the rest of this search
@@ -230,22 +232,10 @@ def compute_r0(config: ModelConfig) -> R0Result:
         r, start, dense = _operator_radius(op, start, dense)
         return r
 
-    r_lo = radius_at(lo)
-    for _ in range(BRACKET_EXPANSIONS):
-        if r_lo >= 1.0:
-            break
-        lo *= 0.5
-        r_lo = radius_at(lo)
-    r_hi = radius_at(hi)
-    for _ in range(BRACKET_EXPANSIONS):
-        if r_hi <= 1.0:
-            break
-        hi *= 2.0
-        r_hi = radius_at(hi)
+    r_lo, r_hi = radius_at(mu_lo), radius_at(mu_hi)
     if r_lo < 1.0 or r_hi > 1.0:
-        raise ConvergenceError(_ERR_BRACKET.format(expansions=BRACKET_EXPANSIONS, lo=lo, hi=hi))
+        raise ConvergenceError(_ERR_BRACKET.format(lo=mu_lo, hi=mu_hi, r_lo=r_lo, r_hi=r_hi))
 
-    mu_lo, mu_hi = lo, hi
     f_lo, f_hi = math.log(r_lo), math.log(r_hi)
     mu = math.sqrt(mu_lo * mu_hi)
     iterations = 0
@@ -281,7 +271,6 @@ def compute_r0(config: ModelConfig) -> R0Result:
     else:
         raise ConvergenceError(f"unit-radius search stalled with defect {defect:.3e}")
 
-    _, start, _ = _operator_radius(op, start, dense)
     path = op.apply_recording(np.abs(start))
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
     return R0Result(

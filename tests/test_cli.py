@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
-from evosis import cli
+from evosis import cli, spectral
 from evosis.cli import _parse_values, main
 from evosis.errors import ConfigurationError, ConvergenceError
 from evosis.model import config_to_dict
@@ -281,3 +282,15 @@ def test_solver_failure_exits_with_solver_code(monkeypatch, capsys):
     assert main(["r0", "--preset", "example1-fixed", "--grid", "16",
                  "--steps", "32"]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_r0_exits_with_solver_code_when_bracket_misses_root(monkeypatch, capsys):
+    true_bounds = spectral.r0_bounds
+
+    def shifted(config):
+        bounds = true_bounds(config)
+        return replace(bounds, lower=10.0 * bounds.lower, upper=10.0 * bounds.upper)
+
+    monkeypatch.setattr(spectral, "r0_bounds", shifted)
+    assert main(["r0", "--preset", "example4-b", "--grid", "16", "--steps", "32"]) == 2
+    assert "solver failure: the unit spectral radius is not bracketed" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -288,6 +289,21 @@ def test_validate_config_rejects_tiny_grid_and_budget_violation():
     with pytest.raises(ConfigurationError) as excinfo:
         validate_config(_valid_config(grid_points=5000, steps_per_period=5000))
     assert any("budget" in message for message in excinfo.value.errors)
+
+
+@pytest.mark.parametrize("field", ["grid_points", "steps_per_period"])
+@pytest.mark.parametrize("value", [48.5, 48.0, True, "48"])
+def test_validate_config_rejects_non_integer_resolution(field, value):
+    with pytest.raises(ConfigurationError) as excinfo:
+        validate_config(_valid_config(**{field: value}))
+    assert [message.split(":")[0] for message in excinfo.value.errors] == [field]
+
+
+def test_validate_config_accepts_numpy_integer_resolution():
+    config = _valid_config(grid_points=np.int64(16), steps_per_period=np.int32(32))
+    assert validate_config(config) is config
+    doc = json.loads(json.dumps(config_to_dict(config)))
+    assert (doc["grid_points"], doc["steps_per_period"]) == (16, 32)
 
 
 # ---- document round trips ----

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.sparse.linalg import LinearOperator, eigs
 
 from evosis import spectral
 from evosis.engine import LinearEquationSpec, PeriodMapOperator
-from evosis.errors import NotApplicableError
+from evosis.errors import ConvergenceError, NotApplicableError
 from evosis.model import (
     CoefficientProfile,
     EvolutionRate,
@@ -216,6 +217,33 @@ def test_compute_r0_dense_method_matches_auto(monkeypatch):
     # search runs on the dense route
     monkeypatch.setattr(spectral, "RADIUS_MAX_ITERATIONS", 1)
     assert compute_r0(config).value == pytest.approx(by_power, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [10.0, 0.1], ids=["bracket-above-root", "bracket-below-root"])
+def test_compute_r0_raises_when_widened_bracket_misses_root(monkeypatch, scale):
+    true_bounds = spectral.r0_bounds
+
+    def shifted(config):
+        bounds = true_bounds(config)
+        return replace(bounds, lower=scale * bounds.lower, upper=scale * bounds.upper)
+
+    monkeypatch.setattr(spectral, "r0_bounds", shifted)
+    with pytest.raises(ConvergenceError, match="not bracketed"):
+        compute_r0(load_preset("example4-b").with_resolution(16, 32))
+
+
+@pytest.mark.parametrize("name", ["example4-a", "example4-b"])
+def test_compute_r0_is_second_order_in_space(name):
+    """Observed order of R0 over N = 16, 32, 64, 128 at M = 128.
+
+    Both presets read orders 2.009 and 2.002. A ladder in M is left out: its
+    successive differences (1e-9 down to 4e-12) sit below DEFECT_TOL.
+    """
+    config = load_preset(name)
+    values = [compute_r0(config.with_resolution(grid, 128)).value for grid in (16, 32, 64, 128)]
+    differences = np.abs(np.diff(values))
+    orders = np.log2(differences[:-1] / differences[1:])
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
 
 
 def _next_generation_radius(config: ModelConfig) -> float:

@@ -17,10 +17,11 @@ DIR/NN/ with the run's argv, exit code, stdout and stderr in DIR/NN.json;
 change in exit code, stdout/stderr lines, artifact set, CSV header or row
 count, JSON keys or non-numeric cell, and per file and column (a JSON
 column is a key path with list indices dropped) the largest abs and rel
-difference of the numeric cells. Columns with a bound in TOLERANCES are
-checked against it; the others are reported only. reproduction.csv rows
-must keep their pass/fail verdict at REPRODUCE_TOL. It exits 1 on any
-structural change or exceeded bound:
+difference of the numeric cells. Columns with a bound in TOLERANCES (R0,
+the `r0` eigenfunction, simulate's infected density and the disease-free
+orbit) are checked against it; the others are reported only.
+reproduction.csv rows must keep their pass/fail verdict at REPRODUCE_TOL.
+It exits 1 on any structural change or exceeded bound:
 
     PYTHONPATH=/path/to/old/src python tools/artifact_digest.py --save old
     PYTHONPATH=src python tools/artifact_digest.py --save new
@@ -59,11 +60,13 @@ from pathlib import Path  # noqa: E402
 COARSE = ["--grid", "48", "--steps", "256"]
 
 # Bounds on values that a change of rounding alone may move: R0 (the perfbench
-# anchors), the infected density of simulate, and the disease-free orbit.
-R0, FINAL_I, DFE_ORBIT = ("rel", 1e-8), ("abs", 1e-12), ("abs", 1e-8)
+# anchors), its eigenfunction, the infected density of simulate, and the
+# disease-free orbit.
+R0, PHI, FINAL_I, DFE_ORBIT = ("rel", 1e-8), ("abs", 1e-8), ("abs", 1e-12), ("abs", 1e-8)
 TOLERANCES = {
     "r0.json:r0": R0, "sweep.csv:r0": R0, "sweep.json:r0_values": R0, "limits.csv:r0": R0,
     "limits.json:r0_values": R0, "reproduction.csv:computed": R0,
+    "eigenfunction.csv:phi": PHI,
     "periods.csv:sup_I": FINAL_I, "periods.csv:l1_I": FINAL_I, "timeseries.csv:I": FINAL_I,
     "dfe_orbit.csv:S": DFE_ORBIT,
 }
