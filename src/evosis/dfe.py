@@ -84,7 +84,7 @@ def _sweeps(stepper: CoupledStepper, level: float) -> Iterator[FloatArray]:
         u, _ = stepper.period(u, zero)
 
 
-def _iterate_period_map(stepper: CoupledStepper, level: float, tol: float) -> tuple[FloatArray, int, float, float]:
+def _iterate_period_map(stepper: CoupledStepper, level: float) -> tuple[FloatArray, int, float, float]:
     """Repeats the scalar period map until successive maps stop moving.
 
     Returns (fixed point at t=0, sweeps, final residual, largest rise). The
@@ -97,18 +97,18 @@ def _iterate_period_map(stepper: CoupledStepper, level: float, tol: float) -> tu
         change = v - u
         residual = float(np.max(np.abs(change)))
         worst_rise = max(worst_rise, float(np.max(change)))
-        if residual < tol:
+        if residual < DEFAULT_TOL:
             return v, sweep, residual, worst_rise
     raise ConvergenceError(_ERR_NO_CONVERGENCE.format(residual=residual, sweeps=MAX_SWEEPS))
 
 
-def solve_dfe(config: ModelConfig, tol: float = DEFAULT_TOL) -> DfeResult:
+def solve_dfe(config: ModelConfig) -> DfeResult:
     """Finds the positive disease-free periodic orbit.
 
     Iterates the one-period solution map from the supersolution constant
-    until the sup change between sweeps drops below tol, then repeats from
-    a small positive constant and checks both fixed points agree within ten
-    times tol.
+    until the sup change between sweeps drops below DEFAULT_TOL, then
+    repeats from a small positive constant and checks both fixed points
+    agree within ten times DEFAULT_TOL.
 
     Raises:
         ConvergenceError: either iteration exhausts its sweep budget, or
@@ -116,16 +116,16 @@ def solve_dfe(config: ModelConfig, tol: float = DEFAULT_TOL) -> DfeResult:
     """
     stepper = CoupledStepper(config)
     top, bottom = _start_levels(config)
-    upper, sweeps, residual, monotone_defect = _iterate_period_map(stepper, top, tol)
-    lower, _, _, _ = _iterate_period_map(stepper, bottom, tol)
+    upper, sweeps, residual, monotone_defect = _iterate_period_map(stepper, top)
+    lower, _, _, _ = _iterate_period_map(stepper, bottom)
     gap = float(np.max(np.abs(upper - lower)))
-    if gap > TWO_SIDED_FACTOR * tol:
-        raise ConvergenceError(_ERR_SIDES_DISAGREE.format(gap=gap, budget=TWO_SIDED_FACTOR * tol))
+    if gap > TWO_SIDED_FACTOR * DEFAULT_TOL:
+        raise ConvergenceError(_ERR_SIDES_DISAGREE.format(gap=gap, budget=TWO_SIDED_FACTOR * DEFAULT_TOL))
 
     path = np.empty((stepper.n_steps + 1, upper.size))
     stepper.period(upper, np.zeros_like(upper), (path,))
     scale = max(float(np.max(np.abs(path))), 1e-300)
-    orbit = PeriodicOrbit.from_samples(path, config.T, tolerance=max(10.0 * tol / scale, 1e-12))
+    orbit = PeriodicOrbit.from_samples(path, config.T, tolerance=max(10.0 * DEFAULT_TOL / scale, 1e-12))
     return DfeResult(orbit=orbit, iterations=sweeps, residual=residual, bracket_gap=gap,
                      monotone_defect=monotone_defect)
 

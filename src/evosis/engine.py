@@ -20,10 +20,12 @@ zero at the seam between them, so LAPACK never pivots or eliminates
 across it and one solve gives the two per-species solves bit for bit. (An
 infinity does cross the seam, as NaN from 0 * inf; the step rejects both.)
 
-Both share one core: `scaled_bands` builds every per-step band table (one
-block per scale vector), `_tridiag_apply` is the one explicit stencil,
-`_FactorSet` factors each step in place, and `CoupledStepper.period` is
-the one coupled period loop (`simulate` and the disease-free orbit).
+Both share one core: `scaled_bands` builds the per-step band tables (one
+block per scale vector) that `_FactorSet` factors in place, and
+`CoupledStepper.period` is the one coupled period loop (`simulate` and the
+disease-free orbit). Since I + theta B = 2I - (I - theta B), each
+Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f is
+taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit stencil.
 """
 
 from __future__ import annotations
@@ -104,16 +106,6 @@ def scaled_bands(grid: Grid1D, *scales: FloatArray) -> tuple[FloatArray, FloatAr
     return tuple(tables)  # type: ignore[return-value]
 
 
-def _tridiag_apply(bands: tuple[FloatArray, FloatArray, FloatArray], k: int, u: FloatArray) -> FloatArray:
-    """Product of step k's tridiagonal matrix with a vector or with stacked columns."""
-    sub, diag, sup = bands
-    row = k if u.ndim == 1 else (k, slice(None), None)
-    out = diag[row] * u
-    out[:-1] += sup[row] * u[1:]
-    out[1:] += sub[row] * u[:-1]
-    return out
-
-
 def endpoint_mean(table: FloatArray) -> FloatArray:
     """Per-step values from samples at the step endpoints: rows k and k+1 averaged."""
     return 0.5 * (table[:-1] + table[1:])
@@ -165,11 +157,7 @@ class PeriodMapOperator:
     def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> None:
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
-        half = 0.5 * dt
-        rhs_sub, rhs_sup = scaled_bands(grid, half * nu_bar)[::2]
-        diag = laplacian_bands(grid)[1]
-        self._rhs = (rhs_sub, 1.0 + half * (nu_bar[:, None] * diag[None, :] + q_bar), rhs_sup)
-        self._factors = _FactorSet(grid, (nu_bar,), q_bar, half)
+        self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
 
     @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
@@ -182,7 +170,9 @@ class PeriodMapOperator:
         return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
     def step(self, k: int, u: FloatArray) -> FloatArray:
-        return self._factors.solve(k, _tridiag_apply(self._rhs, k, u))
+        x = self._factors.solve(k, 2.0 * u)
+        x -= u
+        return x
 
     def apply(self, u: FloatArray) -> FloatArray:
         """Maps u(., 0) to u(., T); accepts a matrix of stacked columns."""
@@ -232,7 +222,7 @@ class CoupledStepper:
     The state is one stacked vector u = [S; I] of length 2(N+1), S in
     u[:N+1] and I in u[N+1:]. The diffusion of both species is one
     tridiagonal system of two blocks joined by a zero seam, so a step makes
-    one predictor solve, one corrector solve and one stencil apply.
+    one predictor solve and one corrector solve.
 
     Reaction terms at the nodes:
 
@@ -267,7 +257,6 @@ class CoupledStepper:
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
-        self._rhs = scaled_bands(grid, *(self._half * nu for nu in nus))
         self.clamp_count = 0
 
     def reaction(self, u: FloatArray, k: int) -> FloatArray:
@@ -290,7 +279,10 @@ class CoupledStepper:
         r = self.reaction(u, k)
         star = self._pred.solve(k, u + self.dt * r)
         r += self.reaction(star, k + 1)
-        nxt = self._corr.solve(k, u + _tridiag_apply(self._rhs, k, u) + self._half * r)
+        r *= self._half
+        r += 2.0 * u
+        nxt = self._corr.solve(k, r)
+        nxt -= u
         if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
             if not np.all(np.isfinite(nxt)):
                 raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))

@@ -116,6 +116,11 @@ class EvolutionRate:
             errors.append(_ERR_NOT_POSITIVE.format(path=f"{path}.period", value=self.period))
             return errors
         if self.kind == "exp-cosine":
+            for name, value in (("amplitude", self.amplitude), ("frequency", self.frequency)):
+                if not math.isfinite(value):
+                    errors.append(_ERR_NOT_FINITE.format(path=f"{path}.{name}", value=value))
+            if errors:
+                return errors
             turns = self.frequency * self.period / (2.0 * math.pi)
             if abs(turns - round(turns)) > FREQUENCY_PERIOD_TOL or round(turns) < 1:
                 errors.append(
@@ -130,13 +135,14 @@ class EvolutionRate:
         if errors:
             return errors
         probe = np.linspace(0.0, self.period, 65)
-        values = np.asarray(self.value(probe))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or NaN below
+            values = np.asarray(self.value(probe))
+            gap = np.max(np.abs(np.asarray(self.value(probe + self.period)) - values))
         if abs(values[0] - 1.0) > RHO_AT_ZERO_TOL:
             errors.append(f"{path}: rho(0) must equal 1, got {values[0]!r}")
         if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
             errors.append(f"{path}: rho must stay finite and positive over one period")
-        shifted = np.asarray(self.value(probe + self.period))
-        if np.max(np.abs(shifted - values)) > PERIODICITY_TOL * max(1.0, float(np.max(np.abs(values)))):
+        if not gap <= PERIODICITY_TOL * max(1.0, float(np.max(np.abs(values)))):  # NaN fails too
             errors.append(f"{path}: rho(t+T) must equal rho(t) within {PERIODICITY_TOL}")
         return errors
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -248,8 +249,11 @@ def test_invalid_json_exits_with_config_error(tmp_path, capsys):
 
 
 def test_invalid_field_reports_its_path(tmp_path, capsys):
-    """Out-of-range values, and values of the wrong type or shape."""
+    """Out-of-range values, and values of the wrong type or shape. JSON's NaN
+    and Infinity load as floats, and a frequency of 1e308 makes rho(t+T)
+    overflow to NaN."""
     tabulated = {"kind": "tabulated", "samples": [1, "x"]}
+    exp_cosine = {"kind": "exp-cosine", "amplitude": 0.35}
     cases = (
         ("d_I", -1.0, "d_I"),
         ("d_S", "abc", "d_S"),
@@ -261,6 +265,10 @@ def test_invalid_field_reports_its_path(tmp_path, capsys):
         ("a", {"c0": None}, "a.c0"),
         ("rho", 5, "rho"),
         ("rho", tabulated, "rho.samples"),
+        ("rho", {**exp_cosine, "frequency": math.nan}, "rho.frequency"),
+        ("rho", {**exp_cosine, "frequency": math.inf}, "rho.frequency"),
+        ("rho", {**exp_cosine, "frequency": 4.0, "amplitude": -math.inf}, "rho.amplitude"),
+        ("rho", {**exp_cosine, "frequency": 1e308}, "rho"),
         ("initial_I", {"modes": [[1]]}, "initial_I.modes"),
         ("gamma", {"form": "separable", "space": {"c0": 1.0}, "g": {"harmonics": [[1, 2]]}},
          "gamma.g.harmonics"),
@@ -271,7 +279,9 @@ def test_invalid_field_reports_its_path(tmp_path, capsys):
         doc[key] = value
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["r0", "--config", str(bad)]) == 1
-        assert f"config error: {path}:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"config error: {path}:" in captured.err
+        assert captured.out == ""
 
 
 def test_solver_failure_exits_with_solver_code(monkeypatch, capsys):

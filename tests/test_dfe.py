@@ -66,7 +66,7 @@ def test_evolving_orbit_matches_scalar_closed_form():
     rho = EvolutionRate(kind="exp-cosine", period=QUARTER_TURN,
                         amplitude=0.3, frequency=4.0)
     config = _scalar_config(rho, a=1.0, b=10.0, steps_per_period=2000)
-    result = solve_dfe(config, tol=1e-10)
+    result = solve_dfe(config)
     values = result.orbit.values
     steps = config.steps_per_period
     for fraction, expected in SCALAR_ORBIT.items():

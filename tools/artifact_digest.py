@@ -35,7 +35,11 @@ the dense radius route runs), a 100-period `simulate` and a fine-in-time
 (exit 3), and `r0`, `limits` and an `L` sweep under `--strict` or on a
 second preset. A 40-period `simulate` of example4-a with 20 steps per
 period clamps negative densities about 1700 times, so the clamp branch of
-the coupled step is covered too.
+the coupled step is covered too. Last, `r0` and a 3-period `simulate` of
+example3-b at 16 steps per period put dt * nu_k * lambda_N of the infected
+diffusion between about 180 and 710, where a Crank-Nicolson step maps the
+top modes by about -1: the period map and the trapezoidal corrector in
+their stiffest regime.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ def commands(presets: list[str]) -> list[list[str]]:
          "--values", "0.1,0.01", *COARSE],
         ["sweep", "--preset", "example4-b", "--param", "L", "--values", "1,2,4", *COARSE],
         ["simulate", "--preset", "example4-a", "--grid", "48", "--steps", "20", "--periods", "40"],
+        ["r0", "--preset", "example3-b", "--grid", "48", "--steps", "16"],
+        ["simulate", "--preset", "example3-b", "--grid", "48", "--steps", "16", "--periods", "3"],
     ]
     return argvs
 
