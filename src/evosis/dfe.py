@@ -8,22 +8,23 @@ which has exactly one positive periodic orbit. The period map is monotone,
 so iterating it from a constant above the orbit produces a nonincreasing
 sequence of fields converging to the orbit from above; a small positive
 constant converges from below. Both runs use the same discretization as
-the full coupled system: one sweep is one `CoupledStepper.period` with the
-infected field held identically zero, which the coupled stepper preserves
-exactly. One iterator of sweeps drives both the fixed-point iteration and
-`monotone_sweep_levels`, and the orbit is recorded by one more period.
+the full coupled system: one sweep is one `SusceptibleStepper.period`,
+the coupled step with the infected field identically zero, which equals
+the susceptible half of `CoupledStepper.period` bit for bit. The two starts
+advance together as two rows of one factorization; the row that settles
+first retires and the other goes on alone. The orbit is recorded by one
+more period, and `monotone_sweep_levels` runs the upper start alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, pairwise
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
-from .engine import CoupledStepper
+from .engine import SusceptibleStepper
 from .errors import ConvergenceError
 from .model import ModelConfig, PeriodicOrbit, coefficient_table
 
@@ -48,7 +49,9 @@ class DfeResult:
     above; bracket_gap is the sup distance between the upper-start and
     lower-start fixed points at t = 0; monotone_defect is the largest
     pointwise increase any upper sweep produced (the monotone theory says
-    none, so this should sit at rounding level).
+    none, so this should sit at rounding level). lower_iterations counts
+    the sweeps of the lower start, and clamp_count the negative nodes the
+    steps clamped to zero over all sweeps and the recorded period.
     """
 
     orbit: PeriodicOrbit
@@ -56,6 +59,8 @@ class DfeResult:
     residual: float
     bracket_gap: float
     monotone_defect: float
+    lower_iterations: int
+    clamp_count: int
 
 
 def _start_levels(config: ModelConfig) -> tuple[float, float]:
@@ -75,59 +80,61 @@ def upper_start_level(config: ModelConfig) -> float:
     return _start_levels(config)[0]
 
 
-def _sweeps(stepper: CoupledStepper, level: float) -> Iterator[FloatArray]:
-    """The constant start field, then its successive period maps with I held at zero."""
-    u = np.full_like(stepper.a[0], level)  # one value per node, like a time slice of a
-    zero = np.zeros_like(u)
-    while True:
-        yield u
-        u, _ = stepper.period(u, zero)
+def _fixed_points(stepper: SusceptibleStepper,
+                  levels: tuple[float, ...]) -> list[tuple[FloatArray, int, float, float]]:
+    """Repeats the period map from constant starts until successive maps stop moving.
 
-
-def _iterate_period_map(stepper: CoupledStepper, level: float) -> tuple[FloatArray, int, float, float]:
-    """Repeats the scalar period map until successive maps stop moving.
-
-    Returns (fixed point at t=0, sweeps, final residual, largest rise). The
-    largest rise is the biggest pointwise increase any sweep produced,
-    which from a start above the orbit is a monotonicity defect.
+    All starts advance together, one row each; a row whose sup change
+    falls below DEFAULT_TOL retires and the others go on. Returns, per
+    level in order, (fixed point at t=0, sweeps, final residual, largest
+    rise). The largest rise is the biggest pointwise increase any sweep
+    produced, which from a start above the orbit is a monotonicity defect.
     """
-    worst_rise = 0.0
-    pairs = pairwise(islice(_sweeps(stepper, level), MAX_SWEEPS + 1))
-    for sweep, (u, v) in enumerate(pairs, 1):
+    starts = np.arange(len(levels))
+    u = np.repeat(np.asarray(levels, dtype=float)[:, None], stepper.a.shape[1], axis=1)
+    worst_rise = np.zeros(len(levels))
+    found: dict[int, tuple[FloatArray, int, float, float]] = {}
+    for sweep in range(1, MAX_SWEEPS + 1):
+        v = stepper.period(u)
         change = v - u
-        residual = float(np.max(np.abs(change)))
-        worst_rise = max(worst_rise, float(np.max(change)))
-        if residual < DEFAULT_TOL:
-            return v, sweep, residual, worst_rise
-    raise ConvergenceError(_ERR_NO_CONVERGENCE.format(residual=residual, sweeps=MAX_SWEEPS))
+        residual = np.max(np.abs(change), axis=1)
+        worst_rise = np.maximum(worst_rise, np.max(change, axis=1))
+        done = residual < DEFAULT_TOL
+        for row in np.flatnonzero(done):
+            found[int(starts[row])] = (v[row], sweep, float(residual[row]), float(worst_rise[row]))
+        if done.all():
+            return [found[start] for start in range(len(levels))]
+        going = ~done
+        starts, u, worst_rise = starts[going], v[going], worst_rise[going]
+    raise ConvergenceError(_ERR_NO_CONVERGENCE.format(residual=float(residual[going][0]), sweeps=MAX_SWEEPS))
 
 
 def solve_dfe(config: ModelConfig) -> DfeResult:
     """Finds the positive disease-free periodic orbit.
 
     Iterates the one-period solution map from the supersolution constant
-    until the sup change between sweeps drops below DEFAULT_TOL, then
-    repeats from a small positive constant and checks both fixed points
-    agree within ten times DEFAULT_TOL.
+    and from a small positive constant, both at once, until the sup change
+    between sweeps drops below DEFAULT_TOL for each, then checks both fixed
+    points agree within ten times DEFAULT_TOL.
 
     Raises:
         ConvergenceError: either iteration exhausts its sweep budget, or
             the two one-sided limits disagree.
     """
-    stepper = CoupledStepper(config)
-    top, bottom = _start_levels(config)
-    upper, sweeps, residual, monotone_defect = _iterate_period_map(stepper, top)
-    lower, _, _, _ = _iterate_period_map(stepper, bottom)
+    stepper = SusceptibleStepper(config)
+    (upper, sweeps, residual, monotone_defect), (lower, lower_sweeps, _, _) = _fixed_points(
+        stepper, _start_levels(config))
     gap = float(np.max(np.abs(upper - lower)))
     if gap > TWO_SIDED_FACTOR * DEFAULT_TOL:
         raise ConvergenceError(_ERR_SIDES_DISAGREE.format(gap=gap, budget=TWO_SIDED_FACTOR * DEFAULT_TOL))
 
     path = np.empty((stepper.n_steps + 1, upper.size))
-    stepper.period(upper, np.zeros_like(upper), (path,))
+    stepper.period(upper[None, :], path)
     scale = max(float(np.max(np.abs(path))), 1e-300)
     orbit = PeriodicOrbit.from_samples(path, config.T, tolerance=max(10.0 * DEFAULT_TOL / scale, 1e-12))
     return DfeResult(orbit=orbit, iterations=sweeps, residual=residual, bracket_gap=gap,
-                     monotone_defect=monotone_defect)
+                     monotone_defect=monotone_defect, lower_iterations=lower_sweeps,
+                     clamp_count=stepper.clamp_count)
 
 
 def monotone_sweep_levels(config: ModelConfig, sweeps: int) -> FloatArray:
@@ -136,5 +143,10 @@ def monotone_sweep_levels(config: ModelConfig, sweeps: int) -> FloatArray:
     The sequence never increases (up to rounding); exposing it lets callers
     check that property directly.
     """
-    iterates = _sweeps(CoupledStepper(config), upper_start_level(config))
-    return np.asarray([float(np.max(np.abs(u))) for u in islice(iterates, sweeps + 1)])
+    stepper = SusceptibleStepper(config)
+    u = np.full((1, config.grid.N + 1), upper_start_level(config))
+    levels = [float(np.max(np.abs(u)))]
+    for _ in range(sweeps):
+        u = stepper.period(u)
+        levels.append(float(np.max(np.abs(u))))
+    return np.asarray(levels)

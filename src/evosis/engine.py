@@ -20,12 +20,17 @@ zero at the seam between them, so LAPACK never pivots or eliminates
 across it and one solve gives the two per-species solves bit for bit. (An
 infinity does cross the seam, as NaN from 0 * inf; the step rejects both.)
 
-Both share one core: `scaled_bands` builds the per-step band tables (one
-block per scale vector) that `_FactorSet` factors in place, and
-`CoupledStepper.period` is the one coupled period loop (`simulate` and the
-disease-free orbit). Since I + theta B = 2I - (I - theta B), each
-Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f is
-taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit stencil.
+With I identically zero the coupled step leaves I at zero, so the
+disease-free orbit steps S alone: `SusceptibleStepper` is the same step on
+the S block only, advancing several independent S fields as rows of one
+multi-column solve, each equal bit for bit to the S half of
+`CoupledStepper.period` (which `simulate` runs).
+
+All share one core: `scaled_bands` builds the per-step band tables (one
+block per scale vector) that `_FactorSet` factors in place. Since
+I + theta B = 2I - (I - theta B), each Crank-Nicolson or trapezoidal step
+(I - theta B) x = (I + theta B) u + f is taken as
+x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit stencil.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class _FactorSet:
         self._rows = [(dl[k], d[k], du[k], du2[k], ipiv[k]) for k in range(d.shape[0])]
 
     def solve(self, k: int, rhs: FloatArray) -> FloatArray:
-        """Solution at step k; a contiguous 1-D rhs is overwritten with it."""
+        """Solution at step k; an F-contiguous rhs (1-D, or one column per field) is overwritten with it."""
         x, info = _gttrs(*self._rows[k], rhs, overwrite_b=1)
         if info != 0:
             raise StepError(_ERR_FACTOR.format(index=k, info=info))
@@ -306,6 +311,78 @@ class CoupledStepper:
             for table, part in zip(path, species):
                 table[k + 1] = u[part]
         return u[species[0]], u[species[1]]
+
+
+class SusceptibleStepper:
+    """The coupled step with the infected field identically zero, on rows of S.
+
+    With I = 0 the incidence and recovery terms vanish and the coupled step
+    leaves I at zero, so only the susceptible half is computed: reaction
+
+        R_S = a S - b S^2 - dil * S
+
+    in the coupled step's operation order, and one predictor and one
+    corrector factorization of the S block alone. The state is a C-order
+    array of shape (starts, N+1), one independent field per row; each solve
+    passes its transpose to LAPACK as one F-contiguous right-hand side of
+    `starts` columns. Every row equals, bit for bit, the S half of
+    `CoupledStepper.period` on (row, 0).
+    """
+
+    def __init__(self, config: ModelConfig) -> None:
+        grid = config.grid
+        m = config.steps_per_period
+        self.n_steps = m
+        self.dt = config.T / m
+        self._half = 0.5 * self.dt
+        times = np.linspace(0.0, config.T, m + 1)
+        self.times = times
+        nodes = grid.nodes
+        self.a = coefficient_table(config.a, config.rho, nodes, times)
+        self.b = coefficient_table(config.b, config.rho, nodes, times)
+        rho_t = np.asarray(config.rho.value(times), dtype=float)
+        rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
+        self.dil = config.n * rho_dot / rho_t
+        nus = (endpoint_mean(config.d_S * rho_t**-2.0),)
+        self._pred = _FactorSet(grid, nus, None, self.dt)
+        self._corr = _FactorSet(grid, nus, None, self._half)
+        self.clamp_count = 0
+
+    def reaction(self, S: FloatArray, k: int) -> FloatArray:
+        """R_S of every row of S at t_k."""
+        r = self.a[k] * S - self.b[k] * S * S
+        r -= self.dil[k] * S
+        return r
+
+    def step(self, S: FloatArray, k: int) -> FloatArray:
+        """One IMEX step of every row from t_k to t_{k+1}, clamping tiny negatives."""
+        r = self.reaction(S, k)
+        star = self._pred.solve(k, (S + self.dt * r).T).T
+        r += self.reaction(star, k + 1)
+        r *= self._half
+        r += 2.0 * S
+        nxt = self._corr.solve(k, r.T).T
+        nxt -= S
+        if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
+            if not np.all(np.isfinite(nxt)):
+                raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
+            self.clamp_count += int(np.count_nonzero(nxt < 0.0))
+            np.maximum(nxt, 0.0, out=nxt)
+        return nxt
+
+    def period(self, S: FloatArray, path: FloatArray | None = None) -> FloatArray:
+        """Steps the rows of S across one whole period; never writes S.
+
+        path, an (M+1)-row table, receives every time slice of a one-row S.
+        """
+        u = np.ascontiguousarray(S, dtype=float)
+        if path is not None:
+            path[0] = u[0]
+        for k in range(self.n_steps):
+            u = self.step(u, k)
+            if path is not None:
+                path[k + 1] = u[0]
+        return u
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from evosis import model
+from evosis import dfe, model
 from evosis.dfe import monotone_sweep_levels, solve_dfe, upper_start_level
+from evosis.engine import CoupledStepper, SusceptibleStepper
+from evosis.errors import ConvergenceError
 from evosis.model import CoefficientProfile, EvolutionRate, InitialSpec, ModelConfig
-from evosis.presets import load_preset
+from evosis.presets import load_preset, preset_names
 
 QUARTER_TURN = math.pi / 2
 
@@ -94,7 +97,7 @@ def test_upper_start_dominates_orbit():
 
 
 def test_solve_dfe_evaluates_each_coefficient_table_once(monkeypatch):
-    """Four stepper tables plus one a/b pass for both start levels."""
+    """The stepper's a and b tables plus one a/b pass for both start levels."""
     config = load_preset("example4-b").with_resolution(16, 64)
     calls = []
     original = model.evaluate_coefficient
@@ -105,7 +108,7 @@ def test_solve_dfe_evaluates_each_coefficient_table_once(monkeypatch):
 
     monkeypatch.setattr(model, "evaluate_coefficient", counting)
     solve_dfe(config)
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_monotone_sweep_levels_never_increase():
@@ -121,3 +124,131 @@ def test_heterogeneous_preset_orbit_converges():
     assert result.bracket_gap <= 1e-8
     assert np.min(result.orbit.values) > 0.0
 
+
+# ---- the I-free stepper against the coupled stepper on I = 0 ----
+
+def _coupled_fixed_point(stepper: CoupledStepper, level: float) -> tuple[np.ndarray, int, float, float]:
+    """One start iterated alone by the coupled stepper on I = 0: (fixed point, sweeps, residual, rise)."""
+    u = np.full(stepper.a.shape[1], level)
+    zero = np.zeros_like(u)
+    worst_rise = 0.0
+    for sweep in range(1, dfe.MAX_SWEEPS + 1):
+        v, infected = stepper.period(u, zero)
+        assert not infected.any()
+        change = v - u
+        residual = float(np.max(np.abs(change)))
+        worst_rise = max(worst_rise, float(np.max(change)))
+        if residual < dfe.DEFAULT_TOL:
+            return v, sweep, residual, worst_rise
+        u = v
+    raise AssertionError(f"no fixed point from {level} in {dfe.MAX_SWEEPS} sweeps")
+
+
+def _sequential_reference(config: ModelConfig):
+    """The orbit as the full coupled stepper on I = 0 finds it, upper start first, then lower.
+
+    Returns the (fixed point, sweeps, residual, rise) of each start, the
+    recorded orbit path and the stepper's clamp count.
+    """
+    stepper = CoupledStepper(config)
+    top, bottom = dfe._start_levels(config)
+    upper = _coupled_fixed_point(stepper, top)
+    lower = _coupled_fixed_point(stepper, bottom)
+    path = np.empty((stepper.n_steps + 1, upper[0].size))
+    stepper.period(upper[0], np.zeros_like(upper[0]), (path,))
+    return upper, lower, path, stepper.clamp_count
+
+
+@pytest.mark.parametrize("name", ["example1-evolving", "example4-b"])
+@pytest.mark.parametrize("rows", [2, 1])
+def test_susceptible_stepper_matches_coupled_s_half_bit_for_bit(name, rows):
+    config = load_preset(name).with_resolution(48, 256)
+    levels = dfe._start_levels(config)[:rows]
+    coupled, lone = CoupledStepper(config), SusceptibleStepper(config)
+    fields = [np.full(config.grid.N + 1, level) for level in levels]
+    zero = np.zeros(config.grid.N + 1)
+    u = np.array(fields)
+    for _ in range(4):
+        u = lone.period(u)
+        fields = [coupled.period(S, zero)[0] for S in fields]
+        assert u.shape == (rows, config.grid.N + 1)
+        for row, S in zip(u, fields):
+            assert np.array_equal(row, S)
+    assert lone.clamp_count == coupled.clamp_count
+
+
+def _scalar_clamping_config() -> ModelConfig:
+    """a dt = 3.75: the explicit reaction overshoots below zero and every sweep clamps."""
+    return _scalar_config(EvolutionRate(kind="constant-one", period=1.0), a=60.0, b=120.0,
+                          steps_per_period=16)
+
+
+@pytest.mark.parametrize("config", [
+    *(load_preset(name).with_resolution(48, 256) for name in preset_names()),
+    _scalar_clamping_config(),
+], ids=[*preset_names(), "scalar-clamping"])
+def test_solve_dfe_matches_sequential_coupled_reference(config):
+    upper, lower, path, clamps = _sequential_reference(config)
+    result = solve_dfe(config)
+    assert result.iterations == upper[1]
+    assert result.residual == upper[2]
+    assert result.monotone_defect == upper[3]
+    assert result.lower_iterations == lower[1]
+    assert result.bracket_gap == float(np.max(np.abs(upper[0] - lower[0])))
+    assert np.array_equal(result.orbit.values, path)
+    assert result.clamp_count == clamps
+
+
+def test_scalar_clamping_config_reports_its_clamps():
+    assert solve_dfe(_scalar_clamping_config()).clamp_count > 0
+
+
+@pytest.mark.parametrize("name", ["example1-evolving", "example4-b"])
+def test_fixed_points_retire_rows_in_either_order(name):
+    """The upper start retires first; swapped, the retiring row is the last one instead of the first."""
+    config = load_preset(name).with_resolution(48, 256)
+    top, bottom = dfe._start_levels(config)
+    stepper = SusceptibleStepper(config)
+    coupled = CoupledStepper(config)
+    expected = [_coupled_fixed_point(coupled, level) for level in (top, bottom)]
+    assert expected[0][1] < expected[1][1]
+    for levels, order in (((top, bottom), (0, 1)), ((bottom, top), (1, 0))):
+        found = dfe._fixed_points(stepper, levels)
+        for got, index in zip(found, order):
+            want = expected[index]
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("budget, start", [(5, 0), (13, 1), (14, 1)])
+def test_sweep_budget_error_names_the_first_unsettled_start(monkeypatch, budget, start):
+    """Upper unsettled: its residual is reported, as when it ran alone first; then the lower one's.
+
+    The upper start settles in exactly 13 sweeps, so at a budget of 13 it
+    retires on the last sweep and the error names the lower start.
+    """
+    config = load_preset("example1-evolving").with_resolution(48, 256)
+    stepper = CoupledStepper(config)
+    zero = np.zeros(config.grid.N + 1)
+    u = np.full(config.grid.N + 1, dfe._start_levels(config)[start])
+    for _ in range(budget):
+        u, v = stepper.period(u, zero)[0], u
+    residual = float(np.max(np.abs(u - v)))
+    monkeypatch.setattr(dfe, "MAX_SWEEPS", budget)
+    with pytest.raises(ConvergenceError, match=f"still moving by {residual:.3e} after {budget} sweeps"):
+        solve_dfe(config)
+
+
+def test_dfe_stepper_holds_about_half_the_coupled_stepper_memory():
+    """No I factors: the S-only stepper holds 0.52x the coupled stepper's bytes at 200x2000."""
+    config = load_preset("example4-b").with_resolution(200, 2000)
+    held = {}
+    for kind in (CoupledStepper, SusceptibleStepper):
+        tracemalloc.start()
+        try:
+            stepper = kind(config)
+            held[kind] = tracemalloc.get_traced_memory()[0]
+            del stepper
+        finally:
+            tracemalloc.stop()
+    assert held[SusceptibleStepper] <= 0.55 * held[CoupledStepper]

@@ -14,12 +14,14 @@ For changes that move rounding, the values mode compares numbers instead
 of bytes. `--save DIR` prints the same digest and keeps every artifact in
 DIR/NN/ with the run's argv, exit code, stdout and stderr in DIR/NN.json;
 `--compare OLD NEW` then reads two saved trees and prints, per run, any
-change in exit code, stdout/stderr lines, artifact set, CSV header or row
+change in exit code, stdout/stderr text, artifact set, CSV header or row
 count, JSON keys or non-numeric cell, and per file and column (a JSON
 column is a key path with list indices dropped) the largest abs and rel
-difference of the numeric cells. Columns with a bound in TOLERANCES (R0,
-the `r0` eigenfunction, simulate's infected density and the disease-free
-orbit) are checked against it; the others are reported only.
+difference of the numeric cells. stdout and stderr lines are split into
+text and number tokens, so their numbers are compared by value too, and
+reported per stream like a column. Columns with a bound in TOLERANCES
+(R0, the `r0` eigenfunction, simulate's infected density and the
+disease-free orbit) are checked against it; the others are reported only.
 reproduction.csv rows must keep their pass/fail verdict at REPRODUCE_TOL.
 It exits 1 on any structural change or exceeded bound:
 
@@ -57,6 +59,7 @@ import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -75,6 +78,9 @@ TOLERANCES = {
     "dfe_orbit.csv:S": DFE_ORBIT,
 }
 REPRODUCE_TOL = 1e-3
+# A finite number in a stdout/stderr line, as a capturing group for re.split;
+# "nan" and "inf" stay text, so a number that turns into one is structural.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def commands(presets: list[str]) -> list[list[str]]:
@@ -156,6 +162,18 @@ def _number(cell: object) -> float | None:
         return None
 
 
+def _largest_difference(pairs: list[tuple[float, float]]) -> tuple[float, float]:
+    """Largest abs and rel change over (old, new) pairs; a number that turns NaN counts as inf."""
+    worst_abs = worst_rel = 0.0
+    for x, y in pairs:
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            change = abs(y - x)
+            change = math.inf if math.isnan(change) else change
+            worst_abs = max(worst_abs, change)
+            worst_rel = max(worst_rel, change / max(abs(x), 1e-300))
+    return worst_abs, worst_rel
+
+
 def _compare_file(name: str, old: Path, new: Path) -> list[str]:
     if old.suffix not in (".csv", ".json"):
         return [] if old.read_bytes() == new.read_bytes() else [f"{name}: text changed"]
@@ -171,15 +189,15 @@ def _compare_file(name: str, old: Path, new: Path) -> list[str]:
         if len(new_cells) != len(old_cells):
             problems.append(f"{name}:{column}: {len(old_cells)} -> {len(new_cells)} values")
             continue
-        worst_abs = worst_rel = 0.0
+        numbers = []
         for a, b in zip(old_cells, new_cells):
             x, y = _number(a), _number(b)
             if x is None or y is None:
                 if a != b:
                     problems.append(f"{name}:{column}: {a!r} -> {b!r}")
-            elif x != y and not (math.isnan(x) and math.isnan(y)):
-                worst_abs = max(worst_abs, abs(y - x))
-                worst_rel = max(worst_rel, abs(y - x) / max(abs(x), 1e-300))
+            else:
+                numbers.append((x, y))
+        worst_abs, worst_rel = _largest_difference(numbers)
         if worst_abs:
             kind, bound = TOLERANCES.get(f"{name}:{column}", (None, math.inf))
             over = (worst_rel if kind == "rel" else worst_abs) > bound
@@ -194,6 +212,25 @@ def _compare_file(name: str, old: Path, new: Path) -> list[str]:
     return problems
 
 
+def _compare_lines(stream: str, old: list[str], new: list[str]) -> list[str]:
+    """Lines compared token by token: changed text is structural, changed numbers are reported."""
+    problems = []
+    numbers: list[tuple[float, float]] = []
+    for a, b in itertools.zip_longest(old, new):
+        if a == b:
+            continue
+        old_parts, new_parts = (_NUMBER.split(line) if line is not None else None for line in (a, b))
+        # re.split with one group alternates text (even indices) and numbers (odd indices)
+        if old_parts is None or new_parts is None or old_parts[::2] != new_parts[::2]:
+            problems.append(f"{stream}: {a!r} -> {b!r}")
+            continue
+        numbers += zip(map(float, old_parts[1::2]), map(float, new_parts[1::2]))
+    worst_abs, worst_rel = _largest_difference(numbers)
+    if worst_abs:
+        print(f"  {stream}  max abs {worst_abs:.3e}  max rel {worst_rel:.3e}")
+    return problems
+
+
 def compare(old_dir: Path, new_dir: Path) -> int:
     problems = 0
     for old_run in sorted(old_dir.glob("*.json")):
@@ -201,8 +238,8 @@ def compare(old_dir: Path, new_dir: Path) -> int:
                     for d in (old_dir, new_dir))
         print(f"== {' '.join(old['argv'])}")
         found = [f"{key}: {old[key]!r} -> {new[key]!r}" for key in ("argv", "exit") if old[key] != new[key]]
-        found += [f"{key}: {a!r} -> {b!r}" for key in ("stdout", "stderr")
-                  for a, b in itertools.zip_longest(old[key], new[key]) if a != b]
+        found += [problem for key in ("stdout", "stderr")
+                  for problem in _compare_lines(key, old[key], new[key])]
         old_files, new_files = ({p.name for p in (d / old_run.stem).glob("*")}
                                 for d in (old_dir, new_dir))
         if old_files != new_files:
