@@ -5,20 +5,22 @@ All operators discretize diffusion with the ghost-node (no-flux) Laplacian
     A u | interior  = (u[j-1] - 2 u[j] + u[j+1]) / h^2
     A u | ends      = (2 u[1] - 2 u[0]) / h^2,  (2 u[N-1] - 2 u[N]) / h^2
 
-whose trapezoid-weighted column sums vanish exactly, so pure diffusion
-conserves the trapezoid mass to rounding. Linear steps are Crank-Nicolson
-in both diffusion and reaction with coefficients averaged over the step
-endpoints; one tridiagonal solve per step.
+which is self-adjoint in the trapezoid inner product: with the weights
+W = diag(1/2, 1, ..., 1, 1/2), the product WA is exactly symmetric (every
+off-diagonal is 1/h^2), so its trapezoid-weighted column sums vanish and
+pure diffusion conserves the trapezoid mass to rounding. Linear steps are
+Crank-Nicolson in both diffusion and reaction with coefficients averaged
+over the step endpoints; one tridiagonal solve per step.
 
 The coupled susceptible/infected step treats diffusion implicitly and the
 reaction explicitly in a predictor (backward Euler diffusion, which stays
 stable for stiff modes where fully explicit diffusion would not) and then
 a trapezoidal corrector, giving second order in time. It advances the
 stacked state u = [S; I] of length 2(N+1) as one tridiagonal system: the
-S and I blocks sit side by side and their sub- and super-diagonals are
-zero at the seam between them, so LAPACK never pivots or eliminates
-across it and one solve gives the two per-species solves bit for bit. (An
-infinity does cross the seam, as NaN from 0 * inf; the step rejects both.)
+S and I blocks sit side by side and their off-diagonal is zero at the
+seam between them, so the factorization never eliminates across it and
+one solve gives the two per-species solves bit for bit. (An infinity does
+cross the seam, as NaN from 0 * inf; the step rejects both.)
 
 With I identically zero the coupled step leaves I at zero, so the
 disease-free orbit steps S alone: `SusceptibleStepper` is the same step on
@@ -26,11 +28,24 @@ the S block only, advancing several independent S fields as rows of one
 multi-column solve, each equal bit for bit to the S half of
 `CoupledStepper.period` (which `simulate` runs).
 
-All share one core: `scaled_bands` builds the per-step band tables (one
-block per scale vector) that `_FactorSet` factors in place. Since
-I + theta B = 2I - (I - theta B), each Crank-Nicolson or trapezoidal step
-(I - theta B) x = (I + theta B) u + f is taken as
-x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit stencil.
+All share one core. Each per-step system (I - theta B) x = rhs, with
+B = dt (nu A + diag q), is solved in its row-scaled form
+
+    (W - theta dt (nu WA + W diag q)) x = W rhs,
+
+a symmetric tridiagonal matrix (one block per species, a zero
+off-diagonal at each seam) that `scaled_bands` builds and `_FactorSet`
+has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step; each solve
+halves the block-end entries of the rhs and calls `pttrs`. The factors
+need positive definiteness. Since -WA is positive semidefinite,
+W - theta dt nu WA is definite for every nu >= 0, and subtracting
+theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
+(q = 0) are therefore always definite; the period map needs its potential
+below 1/(theta dt), and a system that is not definite raises `StepError`.
+Since I + theta B = 2I - (I - theta B),
+each Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f
+is taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit
+stencil.
 """
 
 from __future__ import annotations
@@ -51,10 +66,13 @@ PotentialFn = Callable[[FloatArray, float], Any]
 DENOMINATOR_GUARD = 1e-12
 
 _ERR_NONFINITE_STEP = "non-finite state after step {index} (t = {t:.6g})"
-_ERR_FACTOR = "tridiagonal factorization failed at step {index} (info = {info})"
+_ERR_NOT_DEFINITE = (
+    "step {index}: the tridiagonal system is not positive definite (pivot {info} of {rows}); "
+    "it needs theta*dt*sup q < 1, here theta*dt*sup q = {bound:.6g}"
+)
 _ERR_PERIODS = "periods: must be at least 1, got {periods}"
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0, dtype=np.float64),))
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0, dtype=np.float64),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,22 +111,31 @@ def laplacian_bands(grid: Grid1D) -> tuple[FloatArray, FloatArray, FloatArray]:
     return sub, diag, sup
 
 
-def scaled_bands(grid: Grid1D, *scales: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """Per-step Laplacian bands with one diagonal block per scale vector.
+def scaled_bands(grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
+                 theta_dt: float) -> tuple[FloatArray, FloatArray]:
+    """(d, e) per step: the symmetric tridiagonal W(I - theta_dt*(B + diag q)).
 
-    Block j of row k of each of (sub, diag, sup) is scales[j][k] times the
-    Laplacian band; between blocks the sub- and super-diagonals hold a zero,
-    so the blocks never couple. Each block is written in place, with no
-    full-size temporaries.
+    W = diag(1/2, 1, ..., 1, 1/2) on each block, and B has one diagonal
+    block nus[j][k] A per scale vector and step; q, of shape (steps, N+1),
+    is only taken with one block. Row k of d is the diagonal, and of e the
+    off-diagonal: -theta_dt nus[j][k] / h^2 on block j, as WA is symmetric
+    with every off-diagonal 1/h^2, and zero at each seam between blocks, so
+    the blocks never couple. Each block is written in place.
     """
     n = grid.N + 1
+    weights = trapezoid_weights(grid) / grid.h
+    _, diag, sup = laplacian_bands(grid)
     tables = []
-    for band in laplacian_bands(grid):
-        table = np.zeros((scales[0].size, len(scales) * n - (n - band.size)))
-        for j, scale in enumerate(scales):
-            np.multiply(scale[:, None], band, out=table[:, j * n:j * n + band.size])
+    for band in (weights * diag, weights[:-1] * sup):
+        table = np.zeros((nus[0].size, len(nus) * n - (n - band.size)))
+        for j, nu in enumerate(nus):
+            np.multiply((-theta_dt * nu)[:, None], band, out=table[:, j * n:j * n + band.size])
         tables.append(table)
-    return tuple(tables)  # type: ignore[return-value]
+    d, e = tables
+    d += np.tile(weights, len(nus))
+    if q is not None:
+        d -= (theta_dt * weights) * q
+    return d, e
 
 
 def endpoint_mean(table: FloatArray) -> FloatArray:
@@ -117,37 +144,42 @@ def endpoint_mean(table: FloatArray) -> FloatArray:
 
 
 class _FactorSet:
-    """LU factors of per-step tridiagonal systems I - theta*(B + diag q).
+    """L D L^T factors of per-step systems W(I - theta_dt*(B + diag q)), one per step.
 
-    B is the block band table that `scaled_bands` builds from the scale
-    vectors nus. Factorization is one LAPACK call per step, done in place on
-    the band rows, with the pivot tables preallocated; each step keeps one
-    tuple of row views for the solves that reuse it.
+    B is the block Laplacian of the scale vectors nus and W the block-end
+    halving, which makes each system symmetric tridiagonal: its diagonal d
+    and off-diagonal e (zero at the seam between blocks), from
+    `scaled_bands`, are factored in place by one LAPACK `pttrf` call per
+    step. That needs positive definiteness, which holds when
+    theta_dt*sup q < 1 and always when q is None; a step with a pivot that
+    is not positive raises `StepError`. Each step keeps its (d, e) row views
+    for the solves that reuse it.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_ends")
 
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
-        dl, d, du = scaled_bands(grid, *(-theta_dt * nu for nu in nus))
-        d += 1.0
-        if q is not None:
-            d -= theta_dt * q
-        du2 = np.empty((d.shape[0], d.shape[1] - 2))
-        ipiv = np.empty(d.shape, dtype=np.int32)
+        d, e = scaled_bands(grid, nus, q, theta_dt)
         for k in range(d.shape[0]):
-            _, _, _, du2[k], ipiv[k], info = _gttrf(dl[k], d[k], du[k],
-                                                    overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            _, _, info = _pttrf(d[k], e[k], overwrite_d=1, overwrite_e=1)
             if info != 0:
-                raise StepError(_ERR_FACTOR.format(index=k, info=info))
-        self._rows = [(dl[k], d[k], du[k], du2[k], ipiv[k]) for k in range(d.shape[0])]
+                bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
+                raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=info, rows=d.shape[1],
+                                                         bound=bound))
+        self._rows = [(d[k], e[k]) for k in range(d.shape[0])]
+        n = grid.N + 1
+        self._ends = tuple(j * n + end for j in range(len(nus)) for end in (0, n - 1))
 
     def solve(self, k: int, rhs: FloatArray) -> FloatArray:
-        """Solution at step k; an F-contiguous rhs (1-D, or one column per field) is overwritten with it."""
-        x, info = _gttrs(*self._rows[k], rhs, overwrite_b=1)
-        if info != 0:
-            raise StepError(_ERR_FACTOR.format(index=k, info=info))
-        return x
+        """Solution at step k; an F-contiguous rhs (1-D, or one column per field) is overwritten with it.
+
+        W is applied to rhs in place, entry by entry at the block ends: one
+        halving per end is cheaper than any full-length pass.
+        """
+        for end in self._ends:
+            rhs[end] *= 0.5
+        return _pttrs(*self._rows[k], rhs, overwrite_b=1)[0]
 
 
 # ---- linear period map ----

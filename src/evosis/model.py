@@ -30,10 +30,21 @@ DEFAULT_CLOSURE_TOL = 1e-8
 DEFAULT_GRID_POINTS = 200
 DEFAULT_STEPS_PER_PERIOD = 2000
 DEFAULT_NM_BUDGET = 20_000_000
+# Bound on dt*(sup a + sup |n rho'/rho|): the explicit reaction step of the
+# coupled and disease-free steppers. At dt*a <= 1 the explicit predictor maps
+# the constant supersolution start 2a/b of the disease-free iteration to
+# (2a/b)(1 - a dt) >= 0 (constant coefficients); beyond it the start
+# overshoots, and at dt*a = 3.75 both starts clamp to the zero orbit.
+REACTION_STEP_BOUND = 1.0
 MIN_TABULATED_SAMPLES = 8
 
 _ERR_NOT_FINITE = "{path}: value must be finite, got {value!r}"
 _ERR_NOT_POSITIVE = "{path}: must be positive, got {value!r}"
+_ERR_REACTION_STEP = (
+    "steps_per_period: the explicit reaction step needs T/steps_per_period*(sup a + sup |n rho'/rho|)"
+    " <= {bound:g}, got {value:.6g} (T = {T:g}, sup a = {sup_a:.6g}, sup |n rho'/rho| = {sup_dil:.6g});"
+    " need steps_per_period >= {least}"
+)
 
 RATE_KINDS = ("constant-one", "exp-cosine", "tabulated")
 PROFILE_FORMS = ("constant", "affine", "exponential", "separable")
@@ -398,6 +409,17 @@ def _positive(errors: list[str], path: str, value: float) -> None:
         errors.append(_ERR_NOT_POSITIVE.format(path=path, value=value))
 
 
+def _check_reaction_step(errors: list[str], config: ModelConfig, sup_a: float, t_probe: FloatArray) -> None:
+    rho_t = np.asarray(config.rho.value(t_probe), dtype=float)
+    rho_dot = np.asarray(config.rho.derivative(t_probe), dtype=float)
+    sup_dil = float(np.max(np.abs(config.n * rho_dot / rho_t)))
+    value = config.T / config.steps_per_period * (sup_a + sup_dil)
+    if value > REACTION_STEP_BOUND:
+        least = math.ceil(config.T * (sup_a + sup_dil) / REACTION_STEP_BOUND)
+        errors.append(_ERR_REACTION_STEP.format(bound=REACTION_STEP_BOUND, value=value, T=config.T,
+                                                sup_a=sup_a, sup_dil=sup_dil, least=least))
+
+
 def validate_config(config: ModelConfig) -> ModelConfig:
     """Checks every configuration invariant, raising on any violation.
 
@@ -444,6 +466,8 @@ def validate_config(config: ModelConfig) -> ModelConfig:
             errors.append(f"{name}: evaluation produced non-finite values")
         elif np.min(table) <= 0.0:
             errors.append(f"{name}: must be positive on [0, L] x [0, T], minimum {float(np.min(table)):.6g}")
+        elif name == "a":
+            _check_reaction_step(errors, config, float(np.max(table)), t_probe)
 
     fine = np.linspace(0.0, config.L, 4 * config.grid_points + 1)
     for name, spec in (("initial_S", config.initial_S), ("initial_I", config.initial_I)):

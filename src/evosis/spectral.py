@@ -25,7 +25,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .engine import LinearEquationSpec, PeriodMapOperator, endpoint_mean
-from .errors import ConvergenceError, NotApplicableError
+from .errors import ConvergenceError, NotApplicableError, StepError
 from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table
 from .quadrature import PeriodicSamples, mean_inverse_rho_squared, periodic_integral
 from .tridiag import dirichlet_operator, neumann_operator, smallest_eigenvalue
@@ -162,6 +162,11 @@ def invasion_eigenvalue(config: ModelConfig) -> float:
 
     This is -ln r(1)/T for the potential beta - gamma - n*rho'/rho; its sign
     is opposite to the sign of R0 - 1.
+
+    Raises:
+        StepError: the period map at mu = 1 is not positive definite at some
+            step (theta*dt*sup q >= 1 there).
+        ConvergenceError: power iteration and the dense route both fail.
     """
     return -math.log(_operator_radius(_phi_operators(config)(1.0))[0]) / config.T
 
@@ -212,6 +217,13 @@ def compute_r0(config: ModelConfig) -> R0Result:
     iteration warm-started at the previous mode, or from the dense route
     once power iteration has stalled.
 
+    A trial mu whose period map is not positive definite counts as r = +inf.
+    The definite set is the half-line above a limit that lies below the
+    root (r grows without bound as mu falls to it), so such a mu is on the
+    low side of the crossing: at the bracket's low end this only means the
+    first trial is a bisection, and the regula falsi resumes once both ends
+    have finite radii.
+
     Raises:
         ConvergenceError: the widened bracket does not straddle r = 1, or
             the root search stalls.
@@ -228,7 +240,10 @@ def compute_r0(config: ModelConfig) -> R0Result:
     def radius_at(mu: float) -> float:
         nonlocal start, dense, op
         op = None  # release the previous factors before building the next
-        op = operator_at(mu)
+        try:
+            op = operator_at(mu)
+        except StepError:
+            return math.inf
         r, start, dense = _operator_radius(op, start, dense)
         return r
 

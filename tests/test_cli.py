@@ -11,8 +11,8 @@ import pytest
 
 from evosis import cli, spectral
 from evosis.cli import _parse_values, main
-from evosis.errors import ConfigurationError, ConvergenceError
-from evosis.model import config_to_dict
+from evosis.errors import ConfigurationError, ConvergenceError, StepError
+from evosis.model import CoefficientProfile, EvolutionRate, config_to_dict
 from evosis.presets import load_preset
 
 
@@ -304,3 +304,20 @@ def test_r0_exits_with_solver_code_when_bracket_misses_root(monkeypatch, capsys)
     monkeypatch.setattr(spectral, "r0_bounds", shifted)
     assert main(["r0", "--preset", "example4-b", "--grid", "16", "--steps", "32"]) == 2
     assert "solver failure: the unit spectral radius is not bracketed" in capsys.readouterr().err
+
+
+
+def test_r0_solves_a_config_whose_bracket_starts_below_the_definite_limit(tmp_path, capsys):
+    """Constant beta = 150, gamma = 100 on a fixed domain: at the bracket's low
+    end mu = 0.75 the potential is beta/mu - gamma = 100, so theta dt sup q =
+    100/32 > 1 at 16 steps per unit period and that period map has no LDL^T
+    factors. The search takes it as the low side and finds R0 = beta/gamma."""
+    config = replace(load_preset("example2-fixed"), T=1.0, rho=EvolutionRate(kind="constant-one", period=1.0),
+                     beta=CoefficientProfile(form="constant", c0=150.0),
+                     gamma=CoefficientProfile(form="constant", c0=100.0), grid_points=16, steps_per_period=16)
+    with pytest.raises(StepError, match=r"theta\*dt\*sup q = 3\.125"):
+        spectral._phi_operators(config)(0.75)
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
+    assert main(["r0", "--strict", "--config", str(path)]) == 0
+    assert "R0 = 1.500000" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from evosis import dfe, model
+from evosis.cli import main
 from evosis.dfe import monotone_sweep_levels, solve_dfe, upper_start_level
-from evosis.engine import CoupledStepper, SusceptibleStepper
+from evosis.engine import CoupledStepper, SusceptibleStepper, endpoint_mean
 from evosis.errors import ConvergenceError
 from evosis.model import CoefficientProfile, EvolutionRate, InitialSpec, ModelConfig
 from evosis.presets import load_preset, preset_names
+from tridiagonal_reference import LuFactors
 
 QUARTER_TURN = math.pi / 2
 
@@ -159,28 +162,53 @@ def _sequential_reference(config: ModelConfig):
     return upper, lower, path, stepper.clamp_count
 
 
+def _lu_susceptible_stepper(config: ModelConfig) -> SusceptibleStepper:
+    """The S-only stepper with its L D L^T solves swapped for the LU form with pivoting."""
+    stepper = SusceptibleStepper(config)
+    nu = endpoint_mean(config.d_S * np.asarray(config.rho.value(stepper.times), dtype=float) ** -2.0)
+    stepper._pred = LuFactors(config.grid, nu, stepper.dt)
+    stepper._corr = LuFactors(config.grid, nu, 0.5 * stepper.dt)
+    return stepper
+
+
 @pytest.mark.parametrize("name", ["example1-evolving", "example4-b"])
 @pytest.mark.parametrize("rows", [2, 1])
 def test_susceptible_stepper_matches_coupled_s_half_bit_for_bit(name, rows):
+    """Also, period by period from the same rows, the LU form of the solves to rounding."""
     config = load_preset(name).with_resolution(48, 256)
     levels = dfe._start_levels(config)[:rows]
-    coupled, lone = CoupledStepper(config), SusceptibleStepper(config)
+    coupled, lone, lu = CoupledStepper(config), SusceptibleStepper(config), _lu_susceptible_stepper(config)
     fields = [np.full(config.grid.N + 1, level) for level in levels]
     zero = np.zeros(config.grid.N + 1)
     u = np.array(fields)
     for _ in range(4):
-        u = lone.period(u)
+        u, lu_rows = lone.period(u), lu.period(u)
+        assert np.max(np.abs(lu_rows - u)) <= 1e-13
         fields = [coupled.period(S, zero)[0] for S in fields]
         assert u.shape == (rows, config.grid.N + 1)
         for row, S in zip(u, fields):
             assert np.array_equal(row, S)
-    assert lone.clamp_count == coupled.clamp_count
+    assert lone.clamp_count == coupled.clamp_count == lu.clamp_count
 
 
 def _scalar_clamping_config() -> ModelConfig:
-    """a dt = 3.75: the explicit reaction overshoots below zero and every sweep clamps."""
+    """a dt = 3.75: the explicit reaction overshoots below zero and every sweep clamps.
+
+    `validate_config` rejects it, so the command line never runs it; the
+    solver takes it as given, which exercises its clamp branch.
+    """
     return _scalar_config(EvolutionRate(kind="constant-one", period=1.0), a=60.0, b=120.0,
                           steps_per_period=16)
+
+
+def test_dfe_strict_rejects_the_overshooting_reaction_step(tmp_path, capsys):
+    """Both starts would clamp to the zero orbit and report it converged: a configuration error."""
+    path = tmp_path / "overshoot.json"
+    path.write_text(json.dumps(model.config_to_dict(_scalar_clamping_config())), encoding="utf-8")
+    assert main(["dfe", "--strict", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: steps_per_period: the explicit reaction step needs" in err
+    assert "got 3.75" in err and "need steps_per_period >= 60" in err
 
 
 @pytest.mark.parametrize("config", [
@@ -188,7 +216,14 @@ def _scalar_clamping_config() -> ModelConfig:
     _scalar_clamping_config(),
 ], ids=[*preset_names(), "scalar-clamping"])
 def test_solve_dfe_matches_sequential_coupled_reference(config):
+    """Also the LU form of the solves: the same fixed points to rounding, sweeps and clamps."""
     upper, lower, path, clamps = _sequential_reference(config)
+    lu = _lu_susceptible_stepper(config)
+    for got, want in zip(dfe._fixed_points(lu, dfe._start_levels(config)), (upper, lower)):
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-13
+        assert got[1] == want[1]
+    lu.period(upper[0][None, :])
+    assert lu.clamp_count == clamps
     result = solve_dfe(config)
     assert result.iterations == upper[1]
     assert result.residual == upper[2]
@@ -205,13 +240,19 @@ def test_scalar_clamping_config_reports_its_clamps():
 
 @pytest.mark.parametrize("name", ["example1-evolving", "example4-b"])
 def test_fixed_points_retire_rows_in_either_order(name):
-    """The upper start retires first; swapped, the retiring row is the last one instead of the first."""
+    """The upper start retires first; swapped, the retiring row is the last one instead of the first.
+
+    The LU form of the solves reaches the same fixed points to rounding, in as many sweeps.
+    """
     config = load_preset(name).with_resolution(48, 256)
     top, bottom = dfe._start_levels(config)
     stepper = SusceptibleStepper(config)
     coupled = CoupledStepper(config)
     expected = [_coupled_fixed_point(coupled, level) for level in (top, bottom)]
     assert expected[0][1] < expected[1][1]
+    for got, want in zip(dfe._fixed_points(_lu_susceptible_stepper(config), (top, bottom)), expected):
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-13
+        assert got[1] == want[1]
     for levels, order in (((top, bottom), (0, 1)), ((bottom, top), (1, 0))):
         found = dfe._fixed_points(stepper, levels)
         for got, index in zip(found, order):

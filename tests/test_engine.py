@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import solve_banded
 
+from evosis import spectral
 from evosis.engine import (
     DENOMINATOR_GUARD,
     CoupledStepper,
@@ -17,15 +19,16 @@ from evosis.engine import (
     _FactorSet,
     endpoint_mean,
     laplacian_bands,
+    scaled_bands,
     simulate,
     trapezoid_weights,
 )
 from evosis.errors import StepError
 from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig
 from evosis.presets import load_preset
+from tridiagonal_reference import ldlt_solve, lu_solve, row_weights
 
 UNIT_PERIOD = EvolutionRate(kind="constant-one", period=1.0)
-GTTRF, GTTRS = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0),))
 
 
 def _constant(c0: float) -> CoefficientProfile:
@@ -291,10 +294,11 @@ def test_coupled_step_counts_every_clamped_entry():
     assert np.array_equal(np.flatnonzero(out == 0.0), negative)
 
 
-def _per_species_step(stepper, grid, nus, S, I, k, stencil=False):
+def _per_species_step(stepper, grid, nus, S, I, k, solve_block=ldlt_solve, stencil=False):
     """Reference IMEX step with S and I kept apart: two reactions and four
-    solves per step, as the stepper computed them before stacking. The
-    trapezoidal corrector (I - theta B) x = (I + theta B) u + f is solved as
+    solves per step, as the stepper computed them before stacking, each
+    solve by solve_block on its own block. The trapezoidal corrector
+    (I - theta B) x = (I + theta B) u + f is solved as
     x = (I - theta B)^-1 (2u + f) - u, or with stencil=True by applying
     I + theta B to u explicitly. Returns the next (S, I), unclamped."""
     bands = laplacian_bands(grid)
@@ -309,8 +313,7 @@ def _per_species_step(stepper, grid, nus, S, I, k, stencil=False):
                 incidence - recovery - stepper.dil[j] * I)
 
     def solve(theta, nu, rhs):
-        sub, diag, sup = ((-theta * nu)[k] * band for band in bands)
-        return GTTRS(*GTTRF(sub, diag + 1.0, sup)[:5], rhs)[0]
+        return solve_block(grid, (-theta * nu)[k], rhs)
 
     def apply(nu, u):
         sub, diag, sup = ((half * nu)[k] * band for band in bands)
@@ -330,8 +333,9 @@ def _per_species_step(stepper, grid, nus, S, I, k, stencil=False):
 
 
 def test_coupled_step_matches_per_species_reference_bit_for_bit():
-    """Also, step by step, the stencil form of the corrector to rounding, with
-    the same clamps."""
+    """The reference solves each species with its own L D L^T factors. Also,
+    step by step, the LU form of the solves and the stencil form of the
+    corrector to rounding, with the same clamps."""
     # example4-a at 20 steps per period first clamps in period 18 (54 clamps by period 20)
     config = load_preset("example4-a").with_resolution(48, 20)
     stepper = CoupledStepper(config)
@@ -339,22 +343,26 @@ def test_coupled_step_matches_per_species_reference_bit_for_bit():
     nus = (endpoint_mean(config.d_S * inv_rho2), endpoint_mean(config.d_I * inv_rho2))
     S = config.initial_S.evaluate(config.grid.nodes, config.L)
     I = config.initial_I.evaluate(config.grid.nodes, config.L)
-    u, clamps, stencil_clamps = np.concatenate((S, I)), 0, 0
+    u, clamps, lu_clamps, stencil_clamps = np.concatenate((S, I)), 0, 0, 0
     for _ in range(20):
         for k in range(stepper.n_steps):
             expected = np.concatenate(_per_species_step(stepper, config.grid, nus, S, I, k))
+            lu = np.concatenate(_per_species_step(stepper, config.grid, nus, S, I, k, lu_solve))
             stenciled = np.concatenate(_per_species_step(stepper, config.grid, nus, S, I, k, stencil=True))
+            assert np.max(np.abs(lu - expected)) <= 1e-13
             assert np.max(np.abs(stenciled - expected)) <= 1e-13
             clamps += int(np.count_nonzero(expected < 0.0))
+            lu_clamps += int(np.count_nonzero(lu < 0.0))
             stencil_clamps += int(np.count_nonzero(stenciled < 0.0))
             S, I = np.split(np.maximum(expected, 0.0), 2)
             u = stepper.step(u, k)
             assert np.array_equal(u, np.concatenate((S, I)))
-    assert stepper.clamp_count == clamps == stencil_clamps > 0
+    assert stepper.clamp_count == clamps == lu_clamps == stencil_clamps > 0
 
 
 def test_stacked_bands_solve_like_each_species_alone():
-    """The zero seam makes one stacked solve equal the two separate ones bit for bit."""
+    """The zero seam makes one stacked solve equal the two separate L D L^T
+    solves bit for bit; the LU solves agree to rounding."""
     grid = Grid1D(L=2.0, N=24)
     rng = np.random.default_rng(7)
     steps, theta = 6, 0.01
@@ -363,13 +371,76 @@ def test_stacked_bands_solve_like_each_species_alone():
         factors = _FactorSet(grid, (nu_S, nu_I), None, theta)
         for k in range(steps):
             rhs = rng.standard_normal(2 * (grid.N + 1))
-            solved = []
-            for nu, part in zip((nu_S, nu_I), np.split(rhs, 2)):
-                sub, diag, sup = ((-theta * nu)[k] * band for band in laplacian_bands(grid))
-                dl, d, du, du2, ipiv, info = GTTRF(sub, diag + 1.0, sup)
-                assert info == 0
-                solved.append(GTTRS(dl, d, du, du2, ipiv, part)[0])
-            assert np.array_equal(factors.solve(k, rhs.copy()), np.concatenate(solved))
+            parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
+            stacked = factors.solve(k, rhs.copy())
+            expected = np.concatenate([ldlt_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
+            lu = np.concatenate([lu_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
+            assert np.array_equal(stacked, expected)
+            assert np.max(np.abs(lu - expected)) <= 1e-13
+
+
+def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric():
+    """W A is symmetric to the bit, and before factoring the (d, e) tables are
+    W(I - theta dt (nu A + diag q)) entry by entry, zero at the seam: the
+    reference forms I + (-theta dt nu) A - theta dt diag q densely, then
+    scales its rows by W, in the builder's operation order."""
+    grid = Grid1D(L=1.7, N=12)
+    n = grid.N + 1
+    weights = row_weights(n)
+    dense = _dense_laplacian(grid)
+    assert np.array_equal(weights[:, None] * dense, (weights[:, None] * dense).T)
+    rng = np.random.default_rng(3)
+    steps, theta_dt = 5, 0.013
+    nus = (0.2 + rng.random(steps), 3.0 + rng.random(steps))
+    q = rng.standard_normal((steps, n))
+    for blocks, potential in (((nus[0],), q), ((nus[0],), None), (nus, None)):
+        d, e = scaled_bands(grid, blocks, potential, theta_dt)
+        for k in range(steps):
+            system = np.zeros((len(blocks) * n, len(blocks) * n))
+            for j, nu in enumerate(blocks):
+                block = np.eye(n) + (-theta_dt * nu)[k] * dense
+                if potential is not None:
+                    block -= np.diag(theta_dt * potential[k])
+                system[j * n:(j + 1) * n, j * n:(j + 1) * n] = weights[:, None] * block
+            assert np.array_equal(system, system.T)
+            assert np.array_equal(d[k], np.diag(system))
+            assert np.array_equal(e[k], np.diag(system, 1))
+            if len(blocks) == 2:
+                assert e[k][n - 1] == 0.0
+
+
+def test_period_map_rejects_a_system_that_is_not_positive_definite():
+    """theta dt q > 1 at one step: the factorization stops there, and the
+    error names the step and the definiteness bound."""
+    spec = _linear_spec(lambda y, t: 0.0, steps=16)
+    q = np.zeros((16, 17))
+    q[5] = 3.0 / (0.5 * spec.dt)
+    nu = np.full(16, spec.d)
+    with pytest.raises(StepError, match=r"step 5: .*not positive definite.*theta\*dt\*sup q < 1, "
+                                        r"here theta\*dt\*sup q = 3"):
+        PeriodMapOperator(spec.grid, spec.dt, nu, q)
+    q[5] = 0.99 / (0.5 * spec.dt)
+    PeriodMapOperator(spec.grid, spec.dt, nu, q)
+
+
+def test_held_factors_fit_their_budgets():
+    """At 200x2000 on example4-b the period map holds two tables of M(N+1)
+    doubles and their row views (6.6 MiB), and the coupled stepper about
+    99 B per N*M cell: four coefficient tables and two factor sets."""
+    config = load_preset("example4-b").with_resolution(200, 2000)
+    operator_at = spectral._phi_operators(config)
+    held = {}
+    for name, build in (("period map", lambda: operator_at(1.5)),
+                        ("stepper", lambda: CoupledStepper(config))):
+        tracemalloc.start()
+        try:
+            built = build()
+            held[name] = tracemalloc.get_traced_memory()[0]
+            del built
+        finally:
+            tracemalloc.stop()
+    assert held["period map"] <= 8 * 2**20
+    assert held["stepper"] <= 110 * config.grid_points * config.steps_per_period
 
 
 def test_homogeneous_system_settles_at_endemic_equilibrium():

@@ -291,6 +291,20 @@ def test_validate_config_rejects_tiny_grid_and_budget_violation():
     assert any("budget" in message for message in excinfo.value.errors)
 
 
+def test_validate_config_bounds_the_explicit_reaction_step():
+    """dt (sup a + sup |n rho'/rho|) <= 1, the dilution counted: a = 9.5 at
+    16 steps of pi/32 passes on the fixed domain (0.93), not with the
+    exp-cosine motion's sup |rho'/rho| = 1.2 added (1.05)."""
+    fixed = EvolutionRate(kind="constant-one", period=QUARTER_TURN)
+    assert validate_config(_valid_config(a=_constant(9.5), rho=fixed, steps_per_period=16))
+    with pytest.raises(ConfigurationError) as excinfo:
+        validate_config(_valid_config(a=_constant(9.5), steps_per_period=16))
+    [message] = excinfo.value.errors
+    assert message.startswith("steps_per_period: the explicit reaction step needs")
+    assert "got 1.05" in message and "sup a = 9.5" in message and "need steps_per_period >= 17" in message
+    assert validate_config(_valid_config(a=_constant(9.5), steps_per_period=17))
+
+
 @pytest.mark.parametrize("field", ["grid_points", "steps_per_period"])
 @pytest.mark.parametrize("value", [48.5, 48.0, True, "48"])
 def test_validate_config_rejects_non_integer_resolution(field, value):

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import LinearOperator, eigs
 
 from evosis import spectral
 from evosis.engine import LinearEquationSpec, PeriodMapOperator
-from evosis.errors import ConvergenceError, NotApplicableError
+from evosis.errors import ConvergenceError, NotApplicableError, StepError
 from evosis.model import (
     CoefficientProfile,
     EvolutionRate,
@@ -230,6 +230,35 @@ def test_compute_r0_raises_when_widened_bracket_misses_root(monkeypatch, scale):
     monkeypatch.setattr(spectral, "r0_bounds", shifted)
     with pytest.raises(ConvergenceError, match="not bracketed"):
         compute_r0(load_preset("example4-b").with_resolution(16, 32))
+
+
+@pytest.mark.parametrize(("d_I", "N", "M", "expected"), [
+    (1.0, 16, 64, 0.63338970431071),
+    (1e4, 16, 16, 0.018041409112608917),
+    (1e-4, 16, 16, 0.9713747263984637),
+], ids=["d_I=1,16x64", "d_I=1e4,16x16", "d_I=1e-4,16x16"])
+def test_compute_r0_starts_below_the_definite_limit(d_I, N, M, expected):
+    """example4-a at L = 64: at the bracket's low end 0.5*lower = 0.0036 the
+    period map is not positive definite (theta dt sup q = 2.3 at M = 64 and
+    9.3 at M = 16). The first two values are what the LU route gave. At
+    d_I = 1e4 the root lies below the pointwise limit max beta/(1/(theta dt)
+    + rest) = 0.033, which diffusion lowers. The third is the 16x64 value,
+    which the LU route missed at M = 16 (its search stalled)."""
+    config = replace(load_preset("example4-a"), d_I=d_I, L=64.0).with_resolution(N, M)
+    with pytest.raises(StepError, match="not positive definite"):
+        spectral._phi_operators(config)(0.5 * r0_bounds(config).lower)
+    result = compute_r0(config)
+    assert result.defect <= spectral.DEFECT_TOL
+    assert result.value == pytest.approx(expected, rel=1e-6)
+
+
+def test_invasion_eigenvalue_needs_a_definite_period_map():
+    """beta - gamma = 50 at 16 steps per unit period: theta dt sup q = 1.5625."""
+    config = replace(load_preset("example2-fixed"), T=1.0, rho=EvolutionRate(kind="constant-one", period=1.0),
+                     beta=CoefficientProfile(form="constant", c0=150.0),
+                     gamma=CoefficientProfile(form="constant", c0=100.0), grid_points=16, steps_per_period=16)
+    with pytest.raises(StepError, match=r"theta\*dt\*sup q = 1\.5625"):
+        invasion_eigenvalue(config)
 
 
 @pytest.mark.parametrize("name", ["example4-a", "example4-b"])
