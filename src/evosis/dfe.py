@@ -8,12 +8,13 @@ which has exactly one positive periodic orbit. The period map is monotone,
 so iterating it from a constant above the orbit produces a nonincreasing
 sequence of fields converging to the orbit from above; a small positive
 constant converges from below. Both runs use the same discretization as
-the full coupled system: one sweep is one `SusceptibleStepper.period`,
-the coupled step with the infected field identically zero, which equals
-the susceptible half of `CoupledStepper.period` bit for bit. The two starts
-advance together as two rows of one factorization; the row that settles
-first retires and the other goes on alone. The orbit is recorded by one
-more period, and `monotone_sweep_levels` runs the upper start alone.
+the full coupled system: one sweep is one `CoupledStepper.period` of the
+stepper built with infected=False, the coupled step with the infected
+field identically zero, which equals the susceptible half of the coupled
+step bit for bit. The two starts advance together as two rows of one
+factorization; the row that settles first retires and the other goes on
+alone. The orbit is recorded by one more period, and
+`monotone_sweep_levels` runs the upper start alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from .engine import SusceptibleStepper
+from .engine import CoupledStepper
 from .errors import ConvergenceError
 from .model import ModelConfig, PeriodicOrbit, coefficient_table
 
@@ -69,9 +70,7 @@ def _start_levels(config: ModelConfig) -> tuple[float, float]:
     times = np.linspace(0.0, config.T, 129)
     sup_a = float(np.max(coefficient_table(config.a, config.rho, nodes, times)))
     inf_b = float(np.min(coefficient_table(config.b, config.rho, nodes, times)))
-    rho_t = np.asarray(config.rho.value(times), dtype=float)
-    rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
-    sup_dil = float(np.max(np.abs(config.n * rho_dot / rho_t)))
+    sup_dil = float(np.max(np.abs(config.dilution(times))))
     return 2.0 * sup_a / inf_b + sup_dil / inf_b, LOWER_START_FRACTION * sup_a / inf_b
 
 
@@ -80,7 +79,7 @@ def upper_start_level(config: ModelConfig) -> float:
     return _start_levels(config)[0]
 
 
-def _fixed_points(stepper: SusceptibleStepper,
+def _fixed_points(stepper: CoupledStepper,
                   levels: tuple[float, ...]) -> list[tuple[FloatArray, int, float, float]]:
     """Repeats the period map from constant starts until successive maps stop moving.
 
@@ -121,7 +120,7 @@ def solve_dfe(config: ModelConfig) -> DfeResult:
         ConvergenceError: either iteration exhausts its sweep budget, or
             the two one-sided limits disagree.
     """
-    stepper = SusceptibleStepper(config)
+    stepper = CoupledStepper(config, infected=False)
     (upper, sweeps, residual, monotone_defect), (lower, lower_sweeps, _, _) = _fixed_points(
         stepper, _start_levels(config))
     gap = float(np.max(np.abs(upper - lower)))
@@ -129,7 +128,7 @@ def solve_dfe(config: ModelConfig) -> DfeResult:
         raise ConvergenceError(_ERR_SIDES_DISAGREE.format(gap=gap, budget=TWO_SIDED_FACTOR * DEFAULT_TOL))
 
     path = np.empty((stepper.n_steps + 1, upper.size))
-    stepper.period(upper[None, :], path)
+    stepper.period(upper, path)
     scale = max(float(np.max(np.abs(path))), 1e-300)
     orbit = PeriodicOrbit.from_samples(path, config.T, tolerance=max(10.0 * DEFAULT_TOL / scale, 1e-12))
     return DfeResult(orbit=orbit, iterations=sweeps, residual=residual, bracket_gap=gap,
@@ -143,8 +142,8 @@ def monotone_sweep_levels(config: ModelConfig, sweeps: int) -> FloatArray:
     The sequence never increases (up to rounding); exposing it lets callers
     check that property directly.
     """
-    stepper = SusceptibleStepper(config)
-    u = np.full((1, config.grid.N + 1), upper_start_level(config))
+    stepper = CoupledStepper(config, infected=False)
+    u = np.full(config.grid.N + 1, upper_start_level(config))
     levels = [float(np.max(np.abs(u)))]
     for _ in range(sweeps):
         u = stepper.period(u)

@@ -23,10 +23,11 @@ one solve gives the two per-species solves bit for bit. (An infinity does
 cross the seam, as NaN from 0 * inf; the step rejects both.)
 
 With I identically zero the coupled step leaves I at zero, so the
-disease-free orbit steps S alone: `SusceptibleStepper` is the same step on
-the S block only, advancing several independent S fields as rows of one
-multi-column solve, each equal bit for bit to the S half of
-`CoupledStepper.period` (which `simulate` runs).
+disease-free orbit steps S alone on the same stepper:
+`CoupledStepper(config, infected=False)` factors the S block only and
+advances one S field, or several independent ones as rows of one
+multi-column solve, each equal bit for bit to the S half of the coupled
+step that `simulate` runs.
 
 All share one core. Each per-step system (I - theta B) x = rhs, with
 B = dt (nu A + diag q), is solved in its row-scaled form
@@ -270,34 +271,48 @@ class CoupledStepper:
     wherever S + I falls below a small denominator guard. Coefficients are
     periodic, so all tables and factors are built once and reused every
     period.
+
+    With infected=False the stepper is the I = 0 invariant subsystem, the
+    disease-free flow: it holds only the a and b tables and the S-block
+    factors, and the state is S alone, with reaction R_S = a S - b S^2 -
+    dil * S in the same operation order. That state is one field of N+1
+    nodes, or a C-order array of shape (rows, N+1) of independent fields,
+    whose transpose each solve passes to LAPACK as one right-hand side of
+    `rows` columns. Every row equals, bit for bit, the S half of the
+    coupled step on [row; 0].
     """
 
-    def __init__(self, config: ModelConfig) -> None:
+    def __init__(self, config: ModelConfig, infected: bool = True) -> None:
         grid = config.grid
         m = config.steps_per_period
         self.n_steps = m
         self.dt = config.T / m
         self._half = 0.5 * self.dt
         self._n = grid.N + 1
+        self._infected = infected
         times = np.linspace(0.0, config.T, m + 1)
         self.times = times
         nodes = grid.nodes
         self.a = coefficient_table(config.a, config.rho, nodes, times)
         self.b = coefficient_table(config.b, config.rho, nodes, times)
-        self.beta = coefficient_table(config.beta, config.rho, nodes, times)
-        self.gamma = coefficient_table(config.gamma, config.rho, nodes, times)
-        rho_t = np.asarray(config.rho.value(times), dtype=float)
-        rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
-        self.dil = config.n * rho_dot / rho_t
-        inv_rho2 = rho_t**-2.0
-        nus = (endpoint_mean(config.d_S * inv_rho2), endpoint_mean(config.d_I * inv_rho2))
+        self.dil = config.dilution(times)
+        inv_rho2 = np.asarray(config.rho.value(times), dtype=float) ** -2.0
+        nus: tuple[FloatArray, ...] = (endpoint_mean(config.d_S * inv_rho2),)
+        if infected:
+            self.beta = coefficient_table(config.beta, config.rho, nodes, times)
+            self.gamma = coefficient_table(config.gamma, config.rho, nodes, times)
+            nus += (endpoint_mean(config.d_I * inv_rho2),)
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
         self.clamp_count = 0
 
     def reaction(self, u: FloatArray, k: int) -> FloatArray:
-        """Stacked reaction terms [R_S; R_I] of the stacked state u at t_k."""
+        """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I."""
+        if not self._infected:
+            r = self.a[k] * u - self.b[k] * u * u
+            r -= self.dil[k] * u
+            return r
         S, I = u[:self._n], u[self._n:]
         total = S + I
         if total.min() >= DENOMINATOR_GUARD:
@@ -312,13 +327,13 @@ class CoupledStepper:
         return r
 
     def step(self, u: FloatArray, k: int) -> FloatArray:
-        """One IMEX step of the stacked state from t_k to t_{k+1}, clamping tiny negatives."""
+        """One IMEX step of the state from t_k to t_{k+1}, clamping tiny negatives; never writes u."""
         r = self.reaction(u, k)
-        star = self._pred.solve(k, u + self.dt * r)
+        star = self._pred.solve(k, (u + self.dt * r).T).T
         r += self.reaction(star, k + 1)
         r *= self._half
         r += 2.0 * u
-        nxt = self._corr.solve(k, r)
+        nxt = self._corr.solve(k, r.T).T
         nxt -= u
         if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
             if not np.all(np.isfinite(nxt)):
@@ -327,93 +342,18 @@ class CoupledStepper:
             np.maximum(nxt, 0.0, out=nxt)
         return nxt
 
-    def period(self, S: FloatArray, I: FloatArray,
-               path: tuple[FloatArray, ...] = ()) -> tuple[FloatArray, FloatArray]:
-        """Steps (S, I) across one whole period; never writes its inputs.
+    def period(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
+        """Steps the state across one whole period; never writes u.
 
-        path holds (M+1)-row tables that receive every time slice, S in the
-        first and I in the second; a single table records S alone.
+        path, an (M+1)-row table, receives every time slice of a one-field state.
         """
-        species = (slice(None, self._n), slice(self._n, None))
-        u = np.concatenate((S, I))
-        for table, part in zip(path, species):
-            table[0] = u[part]
-        for k in range(self.n_steps):
-            u = self.step(u, k)
-            for table, part in zip(path, species):
-                table[k + 1] = u[part]
-        return u[species[0]], u[species[1]]
-
-
-class SusceptibleStepper:
-    """The coupled step with the infected field identically zero, on rows of S.
-
-    With I = 0 the incidence and recovery terms vanish and the coupled step
-    leaves I at zero, so only the susceptible half is computed: reaction
-
-        R_S = a S - b S^2 - dil * S
-
-    in the coupled step's operation order, and one predictor and one
-    corrector factorization of the S block alone. The state is a C-order
-    array of shape (starts, N+1), one independent field per row; each solve
-    passes its transpose to LAPACK as one F-contiguous right-hand side of
-    `starts` columns. Every row equals, bit for bit, the S half of
-    `CoupledStepper.period` on (row, 0).
-    """
-
-    def __init__(self, config: ModelConfig) -> None:
-        grid = config.grid
-        m = config.steps_per_period
-        self.n_steps = m
-        self.dt = config.T / m
-        self._half = 0.5 * self.dt
-        times = np.linspace(0.0, config.T, m + 1)
-        self.times = times
-        nodes = grid.nodes
-        self.a = coefficient_table(config.a, config.rho, nodes, times)
-        self.b = coefficient_table(config.b, config.rho, nodes, times)
-        rho_t = np.asarray(config.rho.value(times), dtype=float)
-        rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
-        self.dil = config.n * rho_dot / rho_t
-        nus = (endpoint_mean(config.d_S * rho_t**-2.0),)
-        self._pred = _FactorSet(grid, nus, None, self.dt)
-        self._corr = _FactorSet(grid, nus, None, self._half)
-        self.clamp_count = 0
-
-    def reaction(self, S: FloatArray, k: int) -> FloatArray:
-        """R_S of every row of S at t_k."""
-        r = self.a[k] * S - self.b[k] * S * S
-        r -= self.dil[k] * S
-        return r
-
-    def step(self, S: FloatArray, k: int) -> FloatArray:
-        """One IMEX step of every row from t_k to t_{k+1}, clamping tiny negatives."""
-        r = self.reaction(S, k)
-        star = self._pred.solve(k, (S + self.dt * r).T).T
-        r += self.reaction(star, k + 1)
-        r *= self._half
-        r += 2.0 * S
-        nxt = self._corr.solve(k, r.T).T
-        nxt -= S
-        if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
-            if not np.all(np.isfinite(nxt)):
-                raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
-            self.clamp_count += int(np.count_nonzero(nxt < 0.0))
-            np.maximum(nxt, 0.0, out=nxt)
-        return nxt
-
-    def period(self, S: FloatArray, path: FloatArray | None = None) -> FloatArray:
-        """Steps the rows of S across one whole period; never writes S.
-
-        path, an (M+1)-row table, receives every time slice of a one-row S.
-        """
-        u = np.ascontiguousarray(S, dtype=float)
+        u = np.ascontiguousarray(u, dtype=float)
         if path is not None:
-            path[0] = u[0]
+            path[0] = u
         for k in range(self.n_steps):
             u = self.step(u, k)
             if path is not None:
-                path[k + 1] = u[0]
+                path[k + 1] = u
         return u
 
 
@@ -440,17 +380,19 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
         raise ConfigurationError([_ERR_PERIODS.format(periods=periods)])
     stepper = CoupledStepper(config)
     grid = config.grid
+    n = grid.N + 1
     weights = trapezoid_weights(grid)
-    S = config.initial_S.evaluate(grid.nodes, config.L)
-    I = config.initial_I.evaluate(grid.nodes, config.L)
-    shape = (stepper.n_steps + 1, grid.N + 1)
+    u = np.concatenate((config.initial_S.evaluate(grid.nodes, config.L),
+                        config.initial_I.evaluate(grid.nodes, config.L)))
+    S, I = u[:n], u[n:]
     records: list[PeriodRecord] = []
     last: tuple[FloatArray, FloatArray, FloatArray] | None = None
     for m in range(periods):
         recording = record_last_period and m == periods - 1
-        path = (np.empty(shape), np.empty(shape)) if recording else ()
+        path = np.empty((stepper.n_steps + 1, 2 * n)) if recording else None
         s_start = S
-        S, I = stepper.period(S, I, path)
+        u = stepper.period(u, path)
+        S, I = u[:n], u[n:]
         scale = max(float(np.max(np.abs(S))), 1e-300)
         records.append(PeriodRecord(
             index=m + 1,
@@ -458,8 +400,8 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
             l1_I=float(weights @ np.abs(I)),
             s_closure_defect=float(np.max(np.abs(S - s_start))) / scale,
         ))
-        if path:
-            last = (stepper.times, *path)
+        if path is not None:
+            last = (stepper.times, path[:, :n], path[:, n:])
         if stop_below is not None and records[-1].sup_I < stop_below:
             break
     return SimulationSummary(records=records, final_S=S, final_I=I,

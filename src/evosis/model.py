@@ -403,6 +403,12 @@ class ModelConfig:
             updates["steps_per_period"] = steps_per_period
         return replace(self, **updates) if updates else self
 
+    def dilution(self, times: FloatArray) -> FloatArray:
+        """Dilution rate n * rho'(t)/rho(t) of the evolving domain at the given times."""
+        rho_t = np.asarray(self.rho.value(times), dtype=float)
+        rho_dot = np.asarray(self.rho.derivative(times), dtype=float)
+        return self.n * rho_dot / rho_t
+
 
 def _positive(errors: list[str], path: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -410,9 +416,7 @@ def _positive(errors: list[str], path: str, value: float) -> None:
 
 
 def _check_reaction_step(errors: list[str], config: ModelConfig, sup_a: float, t_probe: FloatArray) -> None:
-    rho_t = np.asarray(config.rho.value(t_probe), dtype=float)
-    rho_dot = np.asarray(config.rho.derivative(t_probe), dtype=float)
-    sup_dil = float(np.max(np.abs(config.n * rho_dot / rho_t)))
+    sup_dil = float(np.max(np.abs(config.dilution(t_probe))))
     value = config.T / config.steps_per_period * (sup_a + sup_dil)
     if value > REACTION_STEP_BOUND:
         least = math.ceil(config.T * (sup_a + sup_dil) / REACTION_STEP_BOUND)

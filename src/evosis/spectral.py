@@ -149,8 +149,7 @@ def _phi_operators(config: ModelConfig) -> Callable[[float], PeriodMapOperator]:
     beta = coefficient_table(config.beta, config.rho, grid.nodes, times)
     gamma = coefficient_table(config.gamma, config.rho, grid.nodes, times)
     rho_t = np.asarray(config.rho.value(times), dtype=float)
-    rho_dot = np.asarray(config.rho.derivative(times), dtype=float)
-    rest_bar = endpoint_mean(gamma + (config.n * rho_dot / rho_t)[:, None])
+    rest_bar = endpoint_mean(gamma + config.dilution(times)[:, None])
     beta_bar = endpoint_mean(beta)
     nu_bar = endpoint_mean(config.d_I * rho_t**-2.0)
     dt = config.T / config.steps_per_period

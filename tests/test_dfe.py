@@ -12,7 +12,7 @@ import pytest
 from evosis import dfe, model
 from evosis.cli import main
 from evosis.dfe import monotone_sweep_levels, solve_dfe, upper_start_level
-from evosis.engine import CoupledStepper, SusceptibleStepper, endpoint_mean
+from evosis.engine import CoupledStepper, endpoint_mean
 from evosis.errors import ConvergenceError
 from evosis.model import CoefficientProfile, EvolutionRate, InitialSpec, ModelConfig
 from evosis.presets import load_preset, preset_names
@@ -130,14 +130,20 @@ def test_heterogeneous_preset_orbit_converges():
 
 # ---- the I-free stepper against the coupled stepper on I = 0 ----
 
+def _coupled_period(stepper: CoupledStepper, S: np.ndarray) -> np.ndarray:
+    """S after one period of the coupled stepper on [S; 0], which must leave I at zero."""
+    n = S.size
+    u = stepper.period(np.concatenate((S, np.zeros(n))))
+    assert not u[n:].any()
+    return u[:n]
+
+
 def _coupled_fixed_point(stepper: CoupledStepper, level: float) -> tuple[np.ndarray, int, float, float]:
     """One start iterated alone by the coupled stepper on I = 0: (fixed point, sweeps, residual, rise)."""
     u = np.full(stepper.a.shape[1], level)
-    zero = np.zeros_like(u)
     worst_rise = 0.0
     for sweep in range(1, dfe.MAX_SWEEPS + 1):
-        v, infected = stepper.period(u, zero)
-        assert not infected.any()
+        v = _coupled_period(stepper, u)
         change = v - u
         residual = float(np.max(np.abs(change)))
         worst_rise = max(worst_rise, float(np.max(change)))
@@ -157,14 +163,16 @@ def _sequential_reference(config: ModelConfig):
     top, bottom = dfe._start_levels(config)
     upper = _coupled_fixed_point(stepper, top)
     lower = _coupled_fixed_point(stepper, bottom)
-    path = np.empty((stepper.n_steps + 1, upper[0].size))
-    stepper.period(upper[0], np.zeros_like(upper[0]), (path,))
-    return upper, lower, path, stepper.clamp_count
+    n = upper[0].size
+    path = np.empty((stepper.n_steps + 1, 2 * n))
+    stepper.period(np.concatenate((upper[0], np.zeros(n))), path)
+    assert not path[:, n:].any()
+    return upper, lower, path[:, :n], stepper.clamp_count
 
 
-def _lu_susceptible_stepper(config: ModelConfig) -> SusceptibleStepper:
+def _lu_dfe_stepper(config: ModelConfig) -> CoupledStepper:
     """The S-only stepper with its L D L^T solves swapped for the LU form with pivoting."""
-    stepper = SusceptibleStepper(config)
+    stepper = CoupledStepper(config, infected=False)
     nu = endpoint_mean(config.d_S * np.asarray(config.rho.value(stepper.times), dtype=float) ** -2.0)
     stepper._pred = LuFactors(config.grid, nu, stepper.dt)
     stepper._corr = LuFactors(config.grid, nu, 0.5 * stepper.dt)
@@ -173,21 +181,28 @@ def _lu_susceptible_stepper(config: ModelConfig) -> SusceptibleStepper:
 
 @pytest.mark.parametrize("name", ["example1-evolving", "example4-b"])
 @pytest.mark.parametrize("rows", [2, 1])
-def test_susceptible_stepper_matches_coupled_s_half_bit_for_bit(name, rows):
-    """Also, period by period from the same rows, the LU form of the solves to rounding."""
+def test_dfe_stepper_matches_coupled_s_half_bit_for_bit(name, rows):
+    """Rows of the S-only form, and its first field stepped alone as a 1-D state, equal the S half.
+
+    Also, period by period from the same rows, the LU form of the solves to rounding.
+    """
     config = load_preset(name).with_resolution(48, 256)
     levels = dfe._start_levels(config)[:rows]
-    coupled, lone, lu = CoupledStepper(config), SusceptibleStepper(config), _lu_susceptible_stepper(config)
+    coupled, lone, lu = CoupledStepper(config), CoupledStepper(config, infected=False), _lu_dfe_stepper(config)
+    single = CoupledStepper(config, infected=False)
     fields = [np.full(config.grid.N + 1, level) for level in levels]
-    zero = np.zeros(config.grid.N + 1)
     u = np.array(fields)
+    field = fields[0]
     for _ in range(4):
         u, lu_rows = lone.period(u), lu.period(u)
         assert np.max(np.abs(lu_rows - u)) <= 1e-13
-        fields = [coupled.period(S, zero)[0] for S in fields]
+        fields = [_coupled_period(coupled, S) for S in fields]
+        field = single.period(field)
         assert u.shape == (rows, config.grid.N + 1)
+        assert field.shape == (config.grid.N + 1,)
         for row, S in zip(u, fields):
             assert np.array_equal(row, S)
+        assert np.array_equal(field, fields[0])
     assert lone.clamp_count == coupled.clamp_count == lu.clamp_count
 
 
@@ -218,11 +233,11 @@ def test_dfe_strict_rejects_the_overshooting_reaction_step(tmp_path, capsys):
 def test_solve_dfe_matches_sequential_coupled_reference(config):
     """Also the LU form of the solves: the same fixed points to rounding, sweeps and clamps."""
     upper, lower, path, clamps = _sequential_reference(config)
-    lu = _lu_susceptible_stepper(config)
+    lu = _lu_dfe_stepper(config)
     for got, want in zip(dfe._fixed_points(lu, dfe._start_levels(config)), (upper, lower)):
         assert np.max(np.abs(got[0] - want[0])) <= 1e-13
         assert got[1] == want[1]
-    lu.period(upper[0][None, :])
+    lu.period(upper[0])
     assert lu.clamp_count == clamps
     result = solve_dfe(config)
     assert result.iterations == upper[1]
@@ -246,11 +261,11 @@ def test_fixed_points_retire_rows_in_either_order(name):
     """
     config = load_preset(name).with_resolution(48, 256)
     top, bottom = dfe._start_levels(config)
-    stepper = SusceptibleStepper(config)
+    stepper = CoupledStepper(config, infected=False)
     coupled = CoupledStepper(config)
     expected = [_coupled_fixed_point(coupled, level) for level in (top, bottom)]
     assert expected[0][1] < expected[1][1]
-    for got, want in zip(dfe._fixed_points(_lu_susceptible_stepper(config), (top, bottom)), expected):
+    for got, want in zip(dfe._fixed_points(_lu_dfe_stepper(config), (top, bottom)), expected):
         assert np.max(np.abs(got[0] - want[0])) <= 1e-13
         assert got[1] == want[1]
     for levels, order in (((top, bottom), (0, 1)), ((bottom, top), (1, 0))):
@@ -270,10 +285,9 @@ def test_sweep_budget_error_names_the_first_unsettled_start(monkeypatch, budget,
     """
     config = load_preset("example1-evolving").with_resolution(48, 256)
     stepper = CoupledStepper(config)
-    zero = np.zeros(config.grid.N + 1)
     u = np.full(config.grid.N + 1, dfe._start_levels(config)[start])
     for _ in range(budget):
-        u, v = stepper.period(u, zero)[0], u
+        u, v = _coupled_period(stepper, u), u
     residual = float(np.max(np.abs(u - v)))
     monkeypatch.setattr(dfe, "MAX_SWEEPS", budget)
     with pytest.raises(ConvergenceError, match=f"still moving by {residual:.3e} after {budget} sweeps"):
@@ -281,15 +295,15 @@ def test_sweep_budget_error_names_the_first_unsettled_start(monkeypatch, budget,
 
 
 def test_dfe_stepper_holds_about_half_the_coupled_stepper_memory():
-    """No I factors: the S-only stepper holds 0.52x the coupled stepper's bytes at 200x2000."""
+    """No I factors or beta/gamma tables: the S-only form holds 0.52x the coupled form's bytes at 200x2000."""
     config = load_preset("example4-b").with_resolution(200, 2000)
     held = {}
-    for kind in (CoupledStepper, SusceptibleStepper):
+    for infected in (True, False):
         tracemalloc.start()
         try:
-            stepper = kind(config)
-            held[kind] = tracemalloc.get_traced_memory()[0]
+            stepper = CoupledStepper(config, infected=infected)
+            held[infected] = tracemalloc.get_traced_memory()[0]
             del stepper
         finally:
             tracemalloc.stop()
-    assert held[SusceptibleStepper] <= 0.55 * held[CoupledStepper]
+    assert held[False] <= 0.55 * held[True]

@@ -294,6 +294,23 @@ def test_coupled_step_counts_every_clamped_entry():
     assert np.array_equal(np.flatnonzero(out == 0.0), negative)
 
 
+@pytest.mark.parametrize("infected", [True, False], ids=["stacked-S-I", "two-S-rows"])
+def test_step_and_period_never_write_their_input(infected):
+    """The 1-D [S; I] state and a 2-row S-only state, with seeded negatives so the clamp runs too."""
+    stepper = CoupledStepper(_homogeneous_config(d_S=1e-9, d_I=1e-9), infected=infected)
+    u = np.full((34,) if infected else (2, 17), 0.3)
+    u.flat[[2, 9, 16, 17 + 5, 17 + 12]] = [-0.1, -0.05, -0.2, -0.05, -0.1]
+    before = u.copy()
+    stepped = stepper.step(u, 0)
+    assert np.array_equal(u, before)
+    out = stepper.period(u)
+    assert np.array_equal(u, before)
+    assert stepper.clamp_count > 0
+    for result in (stepped, out):
+        assert result.shape == u.shape and not np.shares_memory(result, u)
+        assert not np.array_equal(result, before)
+
+
 def _per_species_step(stepper, grid, nus, S, I, k, solve_block=ldlt_solve, stencil=False):
     """Reference IMEX step with S and I kept apart: two reactions and four
     solves per step, as the stepper computed them before stacking, each
