@@ -33,12 +33,10 @@ from .tridiag import dirichlet_operator, neumann_operator, smallest_eigenvalue
 FloatArray = npt.NDArray[np.floating[Any]]
 
 RADIUS_TOL = 1e-10
-RADIUS_MAX_ITERATIONS = 200
 DEFECT_TOL = 1e-8
 
 LAMBDA_STAR_CONVENTIONS = ("neumann", "paper-example")
 
-_ERR_RADIUS_STALL = "power iteration did not settle within {cap} applications (last change {change:.3e})"
 _ERR_BRACKET = (
     "the unit spectral radius is not bracketed by [0.5*lower, 2*upper] = [{lo:.3g}, {hi:.3g}]"
     " (radii {r_lo:.6g} and {r_hi:.6g})"
@@ -78,60 +76,59 @@ class BoundsResult:
 
 # ---- spectral radius of the period map ----
 
-def _power_radius(op: PeriodMapOperator, start: FloatArray | None) -> tuple[float, FloatArray]:
-    """Power iteration from start (constant-one when None), capped at RADIUS_MAX_ITERATIONS."""
-    cap = RADIUS_MAX_ITERATIONS
-    u = np.ones(op.grid.N + 1) if start is None else np.array(start, dtype=float)
-    u /= max(float(np.max(np.abs(u))), 1e-300)
-    estimate = math.inf
-    for _ in range(cap):
-        v = op.apply(u)
-        radius = float(np.max(np.abs(v)))
-        if radius <= 0.0 or not math.isfinite(radius):
-            raise ConvergenceError(f"period map produced degenerate norm {radius!r}")
-        v /= radius
-        change = abs(radius - estimate)
-        # The radius estimate alone can look settled while slowly decaying
-        # stiff modes still pollute the iterate, so also require the
-        # normalized field itself to be stationary.
-        drift = float(np.max(np.abs(v - u)))
-        estimate = radius
-        u = v
-        if change < RADIUS_TOL * max(1.0, radius) and drift < 1e-7:
-            return radius, u
-    raise ConvergenceError(_ERR_RADIUS_STALL.format(cap=cap, change=change))
+def _cosines(n: int, first: int, stop: int) -> FloatArray:
+    """Columns cos(j pi y/L) at the n nodes, first <= j < stop."""
+    return np.cos(np.outer(np.arange(n), np.arange(first, stop)) * (math.pi / (n - 1)))
 
 
-def _dense_radius(op: PeriodMapOperator) -> tuple[float, FloatArray]:
-    matrix = op.dense_matrix()
-    eigenvalues, eigenvectors = np.linalg.eig(matrix)
-    lead = int(np.argmax(np.abs(eigenvalues)))
-    radius = float(np.abs(eigenvalues[lead]))
-    mode = np.real(eigenvectors[:, lead])
-    if np.sum(mode) < 0.0:
-        mode = -mode
-    mode /= max(float(np.max(np.abs(mode))), 1e-300)
-    return radius, mode
+def _operator_radius(op: PeriodMapOperator,
+                     block: FloatArray | None = None) -> tuple[float, FloatArray, FloatArray]:
+    """(radius, positive sup-normalized mode, block that warm-starts the next call).
 
-
-def _operator_radius(op: PeriodMapOperator, start: FloatArray | None = None,
-                    dense: bool = False) -> tuple[float, FloatArray, bool]:
-    """(radius, mode, dense route ran): power iteration from start; dense if set or stalled."""
-    if not dense:
-        try:
-            return (*_power_radius(op, start), False)
-        except ConvergenceError:
-            pass
-    return (*_dense_radius(op), True)
+    Block Rayleigh-Ritz iteration from block or cos(j pi y/L), j < 2: each
+    iteration applies the map to an orthonormal basis V at once and picks,
+    among the eigenpairs (theta, y) of V^T P V, the largest real positive
+    theta whose Ritz vector V y is one-signed. The map is strongly positive,
+    so its radius is its one eigenvalue with a positive eigenvector; stiff
+    Crank-Nicolson modes of modulus near one are passed over by sign. It
+    stops when theta moved by less than RADIUS_TOL*max(1, theta) and the
+    residual |P V y - theta V y|/|theta V y| (sup norms) is below 1e-7.
+    After 4 iterations at one block size the next cosines double it, up to
+    the N+1 columns of the full basis, whose Ritz pairs are the eigenpairs:
+    there the pick is final, or ConvergenceError if it finds no pair.
+    """
+    n = op.grid.N + 1
+    basis = _cosines(n, 0, 2) if block is None else block
+    estimate, iterations = math.inf, 0
+    while True:
+        v = np.linalg.qr(basis)[0]
+        w = op.apply(v)
+        values, vectors = np.linalg.eig(v.T @ w)
+        ritz = v @ vectors.real
+        signs = np.sign(ritz[np.argmax(np.abs(ritz), axis=0), np.arange(ritz.shape[1])])
+        ritz *= signs
+        perron = (values.imag == 0.0) & (values.real > 0.0) & (ritz.min(axis=0) >= -1e-10 * ritz.max(axis=0))
+        full = v.shape[1] == n
+        if perron.any():
+            j = np.flatnonzero(perron)[np.argmax(values.real[perron])]
+            radius, mode = float(values[j].real), ritz[:, j] / np.max(ritz[:, j])
+            residual = np.max(np.abs(w @ (signs[j] * vectors[:, j].real) - radius * ritz[:, j]))
+            if full or (abs(radius - estimate) < RADIUS_TOL * max(1.0, radius)
+                        and residual < 1e-7 * radius * np.max(ritz[:, j])):
+                return radius, mode, w
+            estimate = radius
+        elif full:
+            raise ConvergenceError("the period map has no real positive eigenvalue with a one-signed eigenvector")
+        iterations += 1
+        basis = w if iterations % 4 else np.hstack((w, _cosines(n, w.shape[1], min(2 * w.shape[1], n))))
 
 
 def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
     """Spectral radius of the one-period flow of a linear equation.
 
-    Power iteration starts from the constant-one field and stops when two
-    successive sup-norm growth estimates agree within RADIUS_TOL; when it
-    stalls (clustered spectra at very small diffusivity) a full basis is
-    propagated and the largest eigenvalue modulus taken instead.
+    This is the eigenvalue with a positive eigenfunction, from the block
+    Rayleigh-Ritz iteration of `_operator_radius`, which raises
+    ConvergenceError when the full basis has no such eigenpair.
     """
     return _operator_radius(PeriodMapOperator.from_spec(spec))[0]
 
@@ -165,7 +162,7 @@ def invasion_eigenvalue(config: ModelConfig) -> float:
     Raises:
         StepError: the period map at mu = 1 is not positive definite at some
             step (theta*dt*sup q >= 1 there).
-        ConvergenceError: power iteration and the dense route both fail.
+        ConvergenceError: the period map has no positive one-signed eigenpair.
     """
     return -math.log(_operator_radius(_phi_operators(config)(1.0))[0]) / config.T
 
@@ -212,16 +209,19 @@ def compute_r0(config: ModelConfig) -> R0Result:
     one. Root finding combines bisection with secant proposals in the
     variables (1/mu, ln r), where the dependence is close to affine. The
     search stops once |r - 1| <= DEFECT_TOL, and the mode of that last
-    radius evaluation seeds the eigenfunction. Each radius comes from power
-    iteration warm-started at the previous mode, or from the dense route
-    once power iteration has stalled.
+    radius evaluation seeds the eigenfunction. Each radius comes from the
+    block Rayleigh-Ritz iteration of `_operator_radius`, warm-started at the
+    block that the previous trial mu ended with.
 
     A trial mu whose period map is not positive definite counts as r = +inf.
     The definite set is the half-line above a limit that lies below the
     root (r grows without bound as mu falls to it), so such a mu is on the
     low side of the crossing: at the bracket's low end this only means the
     first trial is a bisection, and the regula falsi resumes once both ends
-    have finite radii.
+    have finite radii. Likewise a trial mu whose full basis has no positive
+    one-signed eigenpair counts as r = 0, the high side: a Perron root that
+    the full basis misses is not the dominant eigenvalue, so it lies below
+    the modulus of the stiff modes, which is below one.
 
     Raises:
         ConvergenceError: the widened bracket does not straddle r = 1, or
@@ -230,27 +230,27 @@ def compute_r0(config: ModelConfig) -> R0Result:
     operator_at = _phi_operators(config)
     bounds = r0_bounds(config)
     mu_lo, mu_hi = 0.5 * bounds.lower, 2.0 * bounds.upper
-    start: FloatArray | None = None
-    # once power iteration stalls it will stall for every nearby mu, so the
-    # dense route stays on for the rest of this search
-    dense = False
+    block: FloatArray | None = None
+    mode: FloatArray | None = None
     op: PeriodMapOperator | None = None
 
     def radius_at(mu: float) -> float:
-        nonlocal start, dense, op
+        nonlocal block, mode, op
         op = None  # release the previous factors before building the next
         try:
             op = operator_at(mu)
+            r, mode, block = _operator_radius(op, block)
         except StepError:
             return math.inf
-        r, start, dense = _operator_radius(op, start, dense)
+        except ConvergenceError:
+            return 0.0
         return r
 
     r_lo, r_hi = radius_at(mu_lo), radius_at(mu_hi)
     if r_lo < 1.0 or r_hi > 1.0:
         raise ConvergenceError(_ERR_BRACKET.format(lo=mu_lo, hi=mu_hi, r_lo=r_lo, r_hi=r_hi))
 
-    f_lo, f_hi = math.log(r_lo), math.log(r_hi)
+    f_lo, f_hi = math.log(r_lo), math.log(r_hi) if r_hi else -math.inf
     mu = math.sqrt(mu_lo * mu_hi)
     iterations = 0
     defect = math.inf
@@ -260,7 +260,7 @@ def compute_r0(config: ModelConfig) -> R0Result:
         defect = abs(r - 1.0)
         if defect <= DEFECT_TOL:
             break
-        f = math.log(r)
+        f = math.log(r) if r else -math.inf
         # regula falsi in (1/mu, ln r) with Illinois damping: when the same
         # side updates twice running, the stale side's value is halved so
         # the proposals cannot stagnate against a nearly flat branch
@@ -285,7 +285,7 @@ def compute_r0(config: ModelConfig) -> R0Result:
     else:
         raise ConvergenceError(f"unit-radius search stalled with defect {defect:.3e}")
 
-    path = op.apply_recording(np.abs(start))
+    path = op.apply_recording(np.abs(mode))
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
     return R0Result(
         value=mu,

@@ -172,7 +172,8 @@ def test_period_map_decays_cosine_mode_at_discrete_rate(rho, mode_index, d):
         # the highest mode with x_k = dt nu_k lam >= 96 on every step: each
         # step maps it by nearly -1, so the period factor (0.202 and 0.041)
         # stays far above the continuum decay, which underflows to 0; this
-        # is why _power_radius also requires a stationary iterate
+        # is why the radius route picks its eigenvalue by the sign of the
+        # eigenvector, not by modulus, and also requires a small residual
         assert np.min(2.0 * half) >= 96.0
         assert factor > 0.04
         return

@@ -23,8 +23,7 @@ from evosis.model import (
 )
 from evosis.presets import load_preset, preset_names
 from evosis.spectral import (
-    _dense_radius,
-    _power_radius,
+    _operator_radius,
     closed_form_r0,
     compute_r0,
     dirichlet_elliptic_principal_eigenvalue,
@@ -128,18 +127,79 @@ def _oscillating_spec() -> LinearEquationSpec:
         potential=potential, grid=Grid1D(L=1.0, N=8), steps_per_period=64)
 
 
-def test_spectral_radius_power_and_dense_agree():
+def _dense_radius(op: PeriodMapOperator) -> float:
+    """Oracle: the Perron eigenvalue of the assembled period-map matrix.
+
+    The largest real positive eigenvalue whose eigenvector is one-signed,
+    from one dense eigen-solve, with no iteration.
+    """
+    values, vectors = np.linalg.eig(op.dense_matrix())
+    perron = []
+    for value, vector in zip(values, vectors.T):
+        x = vector.real * np.sign(vector.real[np.argmax(np.abs(vector.real))])
+        if value.imag == 0.0 and value.real > 0.0 and np.min(x) >= -1e-10 * np.max(x):
+            perron.append(value.real)
+    return max(perron)
+
+
+class _ColumnCounter:
+    """Wraps a period map, recording the column count of every apply."""
+
+    def __init__(self, op: PeriodMapOperator) -> None:
+        self.grid, self._op, self.widths = op.grid, op, []
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        self.widths.append(u.shape[1])
+        return self._op.apply(u)
+
+
+def test_spectral_radius_block_route_matches_dense_oracle():
     op = PeriodMapOperator.from_spec(_oscillating_spec())
-    by_power, _ = _power_radius(op, None)
-    by_dense, _ = _dense_radius(op)
-    assert by_power == pytest.approx(by_dense, abs=1e-9)
+    radius, mode, _ = _operator_radius(op)
+    assert radius == pytest.approx(_dense_radius(op), abs=1e-12)
+    assert np.min(mode) > 0.0 and np.max(mode) == 1.0
+    assert np.max(np.abs(op.apply(mode) - radius * mode)) < 1e-7 * radius
 
 
-def test_spectral_radius_falls_back_to_dense_when_power_stalls(monkeypatch):
-    spec = _oscillating_spec()
-    monkeypatch.setattr(spectral, "RADIUS_MAX_ITERATIONS", 1)
-    by_dense, _ = _dense_radius(PeriodMapOperator.from_spec(spec))
-    assert period_map_spectral_radius(spec) == by_dense
+def test_spectral_radius_block_grows_to_the_full_basis_and_matches_dense_oracle():
+    """Nearly decoupled nodes with a potential rising by 0.01 over the
+    interval: the top eigenvalues differ by about 0.1%, so the block doubles
+    from 2 to 4 to 8 columns after 4 iterations each and ends on the full
+    N+1 = 9, where the Ritz pairs are the eigenpairs."""
+    spec = LinearEquationSpec(
+        d=1e-4, rho=EvolutionRate(kind="constant-one", period=1.0),
+        potential=lambda y, t: 0.5 + 0.01 * y, grid=Grid1D(L=1.0, N=8), steps_per_period=16)
+    op = _ColumnCounter(PeriodMapOperator.from_spec(spec))
+    radius, _, block = _operator_radius(op)
+    assert op.widths == [2] * 4 + [4] * 4 + [8] * 4 + [9]
+    assert block.shape == (9, 9)
+    assert radius == pytest.approx(_dense_radius(op._op), abs=1e-12)
+
+
+def test_spectral_radius_picks_the_perron_root_over_stiff_modes():
+    """At d = 100, L = 0.1 with 32 steps, dt nu lambda_k reaches about 3e5:
+    the top Crank-Nicolson modes map by nearly -1 each step, so a period
+    maps them by 0.9996, far above the Perron root 0.6065. A pick by
+    modulus returns the stiff mode; the radius is the positive mode's."""
+    L = 0.1
+    spec = LinearEquationSpec(
+        d=100.0, rho=EvolutionRate(kind="constant-one", period=1.0),
+        potential=lambda y, t: -0.5 + 0.3 * np.cos(math.pi * y / L),
+        grid=Grid1D(L=L, N=16), steps_per_period=32)
+    radius = period_map_spectral_radius(spec)
+    assert radius == pytest.approx(0.6065247670554669, rel=1e-12)
+    assert radius == pytest.approx(_dense_radius(PeriodMapOperator.from_spec(spec)), rel=1e-12)
+
+
+def test_spectral_radius_raises_without_a_positive_eigenvector():
+    class Negation:
+        grid = Grid1D(L=1.0, N=8)
+
+        def apply(self, u):
+            return -u
+
+    with pytest.raises(ConvergenceError, match="one-signed"):
+        _operator_radius(Negation())
 
 
 def test_principal_periodic_eigenvalue_negates_constant_growth():
@@ -210,15 +270,6 @@ def test_compute_r0_certificate_fields():
     assert result.iterations >= 1
 
 
-def test_compute_r0_dense_method_matches_auto(monkeypatch):
-    config = load_preset("example4-a").with_resolution(24, 128)
-    by_power = compute_r0(config).value
-    # a one-application cap stalls every power iteration, so the whole
-    # search runs on the dense route
-    monkeypatch.setattr(spectral, "RADIUS_MAX_ITERATIONS", 1)
-    assert compute_r0(config).value == pytest.approx(by_power, abs=1e-6)
-
-
 @pytest.mark.parametrize("scale", [10.0, 0.1], ids=["bracket-above-root", "bracket-below-root"])
 def test_compute_r0_raises_when_widened_bracket_misses_root(monkeypatch, scale):
     true_bounds = spectral.r0_bounds
@@ -250,6 +301,27 @@ def test_compute_r0_starts_below_the_definite_limit(d_I, N, M, expected):
     result = compute_r0(config)
     assert result.defect <= spectral.DEFECT_TOL
     assert result.value == pytest.approx(expected, rel=1e-6)
+
+
+def test_invasion_eigenvalue_is_the_perron_root_past_stiff_modes():
+    """example4-a at d_I = 100, L = 0.1 on 16x32: stiff modes of modulus near
+    one outrank the Perron root, and a pick by modulus gives 2.8e-5."""
+    config = replace(load_preset("example4-a"), d_I=100.0, L=0.1).with_resolution(16, 32)
+    oracle = -math.log(_dense_radius(spectral._phi_operators(config)(1.0))) / config.T
+    assert invasion_eigenvalue(config) == pytest.approx(oracle, rel=1e-10)
+    assert invasion_eigenvalue(config) == pytest.approx(0.0463983347, rel=1e-8)
+
+
+def test_compute_r0_takes_a_missing_perron_root_as_the_high_side():
+    """example4-a at d_I = 1e4, L = 64 on 8x64: at the bracket's high end the
+    full basis has no one-signed eigenpair (the Perron root is lost in
+    rounding far below the stiff modes), which the search takes as r = 0."""
+    config = replace(load_preset("example4-a"), d_I=1e4, L=64.0).with_resolution(8, 64)
+    with pytest.raises(ConvergenceError, match="one-signed"):
+        _operator_radius(spectral._phi_operators(config)(2.0 * r0_bounds(config).upper))
+    result = compute_r0(config)
+    assert result.defect <= spectral.DEFECT_TOL
+    assert result.value == pytest.approx(0.01818528408, rel=1e-9)
 
 
 def test_invasion_eigenvalue_needs_a_definite_period_map():
