@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -79,13 +80,18 @@ class Report:
 
 
 def _write_artifact(path: Path, content: Any) -> None:
-    """Writes one artifact, choosing the format by the file suffix."""
+    """Writes one artifact, choosing the format by the file suffix.
+
+    A CSV row is a tuple of cells, floats in shortest round-trip form, or a
+    ready line, written unchanged.
+    """
     if path.suffix == ".json":
         text = json.dumps(content, indent=2, sort_keys=True) + "\n"
     elif path.suffix == ".csv":
         header, rows = content
         lines = [",".join(header)]
-        lines.extend(",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row)
+        lines.extend(row if isinstance(row, str)
+                     else ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row)
                      for row in rows)
         text = "\n".join(lines) + "\n"
     else:
@@ -126,12 +132,17 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return values
 
 
-def _space_time_rows(times: Any, nodes: Any, *tables: Any) -> Iterator[tuple[float, ...]]:
-    """Rows (t, y, values...) on about 64 evenly strided time slices, built while written."""
+def _space_time_rows(times: Any, nodes: Any, *tables: Any) -> Iterator[str]:
+    """Ready CSV lines t,y,values... on about 64 evenly strided time slices, built while written.
+
+    The node column is formatted once, and each time slice with one `repr`
+    per value of its `tolist()`, the cells `_write_artifact` would write.
+    """
     stride = max(1, (times.size - 1) // 64)
-    return ((float(times[k]), float(y), *(float(table[k, j]) for table in tables))
-            for k in range(0, times.size, stride)
-            for j, y in enumerate(nodes))
+    ys = [repr(y) for y in np.asarray(nodes, dtype=float).tolist()]
+    for k in range(0, times.size, stride):
+        t = repr(float(times[k]))
+        yield from map(",".join, zip(repeat(t), ys, *(map(repr, table[k].tolist()) for table in tables)))
 
 
 _PLOT_TIMESERIES = '''"""Plot the infected density from timeseries.csv (run manually)."""

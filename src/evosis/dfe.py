@@ -90,7 +90,7 @@ def _fixed_points(stepper: CoupledStepper,
     produced, which from a start above the orbit is a monotonicity defect.
     """
     starts = np.arange(len(levels))
-    u = np.repeat(np.asarray(levels, dtype=float)[:, None], stepper.a.shape[1], axis=1)
+    u = np.repeat(np.asarray(levels, dtype=float)[:, None], stepper.b.shape[1], axis=1)
     worst_rise = np.zeros(len(levels))
     found: dict[int, tuple[FloatArray, int, float, float]] = {}
     for sweep in range(1, MAX_SWEEPS + 1):

@@ -20,7 +20,11 @@ stacked state u = [S; I] of length 2(N+1) as one tridiagonal system: the
 S and I blocks sit side by side and their off-diagonal is zero at the
 seam between them, so the factorization never eliminates across it and
 one solve gives the two per-species solves bit for bit. (An infinity does
-cross the seam, as NaN from 0 * inf; the step rejects both.)
+cross the seam, as NaN from 0 * inf; the step rejects both.) The reaction
+is fused: the dilution n rho'/rho is folded once into precombined tables,
+the linear rate a - dil of S and the linear loss gamma + dil of I, and
+each term is written in place into one output array, as are both
+right-hand sides of the step.
 
 With I identically zero the coupled step leaves I at zero, so the
 disease-free orbit steps S alone on the same stepper:
@@ -180,7 +184,7 @@ class _FactorSet:
         """
         for end in self._ends:
             rhs[end] *= 0.5
-        return _pttrs(*self._rows[k], rhs, overwrite_b=1)[0]
+        return _pttrs(*self._rows[k], rhs, 1)[0]
 
 
 # ---- linear period map ----
@@ -262,20 +266,22 @@ class CoupledStepper:
     tridiagonal system of two blocks joined by a zero seam, so a step makes
     one predictor solve and one corrector solve.
 
-    Reaction terms at the nodes:
+    Reaction terms at the nodes, in the order they are computed:
 
-        R_S = a S - b S^2 - beta S I / (S + I) + gamma I - dil * S
-        R_I = beta S I / (S + I) - gamma I - dil * I
+        inc = (beta S) I / (S + I)
+        R_S = S (gain - b S) - inc + gamma I
+        R_I = inc - loss I
 
-    with dil = n * rho'(t)/rho(t) and the incidence ratio forced to zero
+    with the precombined tables gain = a - dil and loss = gamma + dil,
+    where dil = n * rho'(t)/rho(t), and the incidence forced to zero
     wherever S + I falls below a small denominator guard. Coefficients are
     periodic, so all tables and factors are built once and reused every
-    period.
+    period; the a table itself is not kept.
 
     With infected=False the stepper is the I = 0 invariant subsystem, the
-    disease-free flow: it holds only the a and b tables and the S-block
-    factors, and the state is S alone, with reaction R_S = a S - b S^2 -
-    dil * S in the same operation order. That state is one field of N+1
+    disease-free flow: it holds only the gain and b tables and the S-block
+    factors, and the state is S alone, with reaction R_S = S (gain - b S)
+    by the same first three operations. That state is one field of N+1
     nodes, or a C-order array of shape (rows, N+1) of independent fields,
     whose transpose each solve passes to LAPACK as one right-hand side of
     `rows` columns. Every row equals, bit for bit, the S half of the
@@ -293,14 +299,17 @@ class CoupledStepper:
         times = np.linspace(0.0, config.T, m + 1)
         self.times = times
         nodes = grid.nodes
-        self.a = coefficient_table(config.a, config.rho, nodes, times)
+        dil = config.dilution(times)[:, None]
+        self.gain = coefficient_table(config.a, config.rho, nodes, times)
+        self.gain -= dil
         self.b = coefficient_table(config.b, config.rho, nodes, times)
-        self.dil = config.dilution(times)
         inv_rho2 = np.asarray(config.rho.value(times), dtype=float) ** -2.0
         nus: tuple[FloatArray, ...] = (endpoint_mean(config.d_S * inv_rho2),)
         if infected:
             self.beta = coefficient_table(config.beta, config.rho, nodes, times)
             self.gamma = coefficient_table(config.gamma, config.rho, nodes, times)
+            self.loss = self.gamma + dil
+            self._scratch = np.empty(self._n)
             nus += (endpoint_mean(config.d_I * inv_rho2),)
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
@@ -308,32 +317,53 @@ class CoupledStepper:
         self.clamp_count = 0
 
     def reaction(self, u: FloatArray, k: int) -> FloatArray:
-        """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I."""
+        """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I.
+
+        Each term is written in place into the one fresh array returned;
+        u is never written.
+        """
+        r = np.empty_like(u)
         if not self._infected:
-            r = self.a[k] * u - self.b[k] * u * u
-            r -= self.dil[k] * u
+            np.multiply(self.b[k], u, out=r)
+            np.subtract(self.gain[k], r, out=r)
+            r *= u
             return r
-        S, I = u[:self._n], u[self._n:]
-        total = S + I
-        if total.min() >= DENOMINATOR_GUARD:
-            incidence = self.beta[k] * S * I / total
+        # the I half of r holds the incidence until loss * I is taken off it;
+        # tmp holds S + I, then gamma * I, then loss * I
+        n, tmp = self._n, self._scratch
+        S, I = u[:n], u[n:]
+        r_S, inc = r[:n], r[n:]
+        np.add(S, I, out=tmp)
+        np.multiply(self.beta[k], S, out=inc)
+        inc *= I
+        if tmp.min() >= DENOMINATOR_GUARD:
+            inc /= tmp
         else:
-            incidence = np.divide(self.beta[k] * S * I, total, out=np.zeros_like(S),
-                                  where=total >= DENOMINATOR_GUARD)
-        recovery = self.gamma[k] * I
-        r = np.concatenate((self.a[k] * S - self.b[k] * S * S - incidence + recovery,
-                            incidence - recovery))
-        r -= self.dil[k] * u
+            guarded = tmp >= DENOMINATOR_GUARD
+            np.divide(inc, tmp, out=inc, where=guarded)
+            inc[~guarded] = 0.0
+        np.multiply(self.b[k], S, out=r_S)
+        np.subtract(self.gain[k], r_S, out=r_S)
+        r_S *= S
+        r_S -= inc
+        np.multiply(self.gamma[k], I, out=tmp)
+        r_S += tmp
+        np.multiply(self.loss[k], I, out=tmp)
+        inc -= tmp
         return r
 
     def step(self, u: FloatArray, k: int) -> FloatArray:
         """One IMEX step of the state from t_k to t_{k+1}, clamping tiny negatives; never writes u."""
         r = self.reaction(u, k)
-        star = self._pred.solve(k, (u + self.dt * r).T).T
-        r += self.reaction(star, k + 1)
-        r *= self._half
-        r += 2.0 * u
-        nxt = self._corr.solve(k, r.T).T
+        pre = r * self.dt
+        pre += u
+        star = self._pred.solve(k, pre.T).T
+        nxt = self.reaction(star, k + 1)
+        nxt += r
+        nxt *= self._half
+        nxt += u
+        nxt += u
+        nxt = self._corr.solve(k, nxt.T).T
         nxt -= u
         if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
             if not np.all(np.isfinite(nxt)):

@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from evosis import cli, spectral
@@ -137,6 +138,27 @@ def test_simulate_command_writes_period_table_and_snapshot(tmp_path, capsys):
     assert header == ["t", "y", "S", "I"]
     compile(_read(out_dir / "plot_periods.py"), "plot_periods.py", "exec")
     compile(_read(out_dir / "plot_timeseries.py"), "plot_timeseries.py", "exec")
+
+
+@pytest.mark.parametrize("steps", [5, 130], ids=["every-slice", "strided"])
+def test_space_time_lines_match_the_per_cell_writer_byte_for_byte(tmp_path, steps):
+    """The ready lines of `_space_time_rows` write the same bytes as rows of
+    floats formatted one cell at a time, on floats whose shortest round-trip
+    form is awkward."""
+    awkward = [1e-05, 0.1 + 0.2, 5e-324, 1e16, -0.0, 1.0 / 3.0, -2.5e-300, 123456789.0]
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 0.1 + 0.2, steps + 1)
+    nodes = np.array(awkward)
+    tables = [rng.choice(awkward, size=(steps + 1, nodes.size)) * rng.choice([1.0, -1.0, 0.1], size=(steps + 1, 1))
+              for _ in range(2)]
+    stride = max(1, steps // 64)
+    per_cell = [(float(times[k]), float(y), *(float(table[k, j]) for table in tables))
+                for k in range(0, times.size, stride) for j, y in enumerate(nodes)]
+    expected = "\n".join(["t,y,S,I"] + [",".join(repr(cell) for cell in row) for row in per_cell]) + "\n"
+    path = tmp_path / "timeseries.csv"
+    cli._write_artifact(path, (("t", "y", "S", "I"), cli._space_time_rows(times, nodes, *tables)))
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert "5e-324" in expected and "-0.0" in expected and "1e+16" in expected
 
 
 def test_simulate_rejects_zero_periods(capsys):

@@ -100,7 +100,7 @@ def test_upper_start_dominates_orbit():
 
 
 def test_solve_dfe_evaluates_each_coefficient_table_once(monkeypatch):
-    """The stepper's a and b tables plus one a/b pass for both start levels."""
+    """The stepper's gain (from a) and b tables plus one a/b pass for both start levels."""
     config = load_preset("example4-b").with_resolution(16, 64)
     calls = []
     original = model.evaluate_coefficient
@@ -140,7 +140,7 @@ def _coupled_period(stepper: CoupledStepper, S: np.ndarray) -> np.ndarray:
 
 def _coupled_fixed_point(stepper: CoupledStepper, level: float) -> tuple[np.ndarray, int, float, float]:
     """One start iterated alone by the coupled stepper on I = 0: (fixed point, sweeps, residual, rise)."""
-    u = np.full(stepper.a.shape[1], level)
+    u = np.full(stepper.b.shape[1], level)
     worst_rise = 0.0
     for sweep in range(1, dfe.MAX_SWEEPS + 1):
         v = _coupled_period(stepper, u)

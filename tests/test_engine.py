@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from evosis.engine import (
     trapezoid_weights,
 )
 from evosis.errors import StepError
-from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig
+from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig, coefficient_table
 from evosis.presets import load_preset
 from tridiagonal_reference import ldlt_solve, lu_solve, row_weights
 
@@ -237,6 +238,42 @@ def test_reaction_guards_vanishing_population():
     assert np.all(np.isfinite(r_i))
 
 
+def test_fused_reaction_zeroes_the_guarded_incidence_and_matches_the_unfused_formula():
+    """S + I below the guard at three nodes of an evolving-domain preset: there
+    the incidence is zero, so R_I is exactly -(gamma + dil) I; everywhere the
+    result is the unfused formula to 1e-15 rel, and u is never written. The
+    S-only form takes a (2, N+1) state, and each row equals, bit for bit, the
+    coupled S half on [row; 0]."""
+    config = load_preset("example1-evolving").with_resolution(16, 32)
+    coupled, lone = CoupledStepper(config), CoupledStepper(config, infected=False)
+    tables = _coefficient_tables(config, coupled.times)
+    n, k = config.grid.N + 1, 5
+    assert tables["dil"][k, 0] != 0.0
+    rng = np.random.default_rng(11)
+    S, I = 0.1 + 2.0 * rng.random(n), 0.1 + 2.0 * rng.random(n)
+    guarded = [0, 7, 16]
+    S[guarded], I[guarded] = [1e-13, 0.0, 4e-13], [3e-13, 5e-13, 0.0]
+    assert np.all((S + I < DENOMINATOR_GUARD) == np.isin(np.arange(n), guarded))
+    u = np.concatenate((S, I))
+    before = u.copy()
+    r_S, r_I = np.split(coupled.reaction(u, k), 2)
+    assert np.array_equal(u, before)
+    assert np.array_equal(r_I[guarded], -(coupled.loss[k] * I)[guarded])
+    for got, want in zip((r_S, r_I), _reference_reaction(tables, S, I, k, fused=False)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    rows = np.stack((S, rng.random(n)))
+    before = rows.copy()
+    r = lone.reaction(rows, k)
+    assert np.array_equal(rows, before)
+    assert r.shape == rows.shape and not np.shares_memory(r, rows)
+    for row, got in zip(rows, r):
+        zeros = np.zeros(n)
+        assert np.array_equal(got, coupled.reaction(np.concatenate((row, zeros)), k)[:n])
+        want = _reference_reaction(tables, row, zeros, k, fused=False)[0]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_coupled_step_fixes_logistic_equilibrium_exactly():
     config = _homogeneous_config()
     stepper = CoupledStepper(config)
@@ -312,23 +349,41 @@ def test_step_and_period_never_write_their_input(infected):
         assert not np.array_equal(result, before)
 
 
-def _per_species_step(stepper, grid, nus, S, I, k, solve_block=ldlt_solve, stencil=False):
+def _coefficient_tables(config, times):
+    """The a, b, beta and gamma tables on the stepper's lattice, and the dilution column n rho'/rho."""
+    nodes = config.grid.nodes
+    tables = {name: coefficient_table(getattr(config, name), config.rho, nodes, times)
+              for name in ("a", "b", "beta", "gamma")}
+    tables["dil"] = config.dilution(times)[:, None]
+    return tables
+
+
+def _reference_reaction(tables, S, I, j, fused=True):
+    """(R_S, R_I) at t_j, in the stepper's fused operation order with gain = a - dil and
+    loss = gamma + dil, or with fused=False in the unfused order, dilution subtracted last."""
+    a, b, beta, gamma, dil = (tables[name][j] for name in ("a", "b", "beta", "gamma", "dil"))
+    total = S + I
+    incidence = np.zeros_like(S)
+    np.divide(beta * S * I, total, out=incidence, where=total >= DENOMINATOR_GUARD)
+    if fused:
+        return S * ((a - dil) - b * S) - incidence + gamma * I, incidence - (gamma + dil) * I
+    recovery = gamma * I
+    return (a * S - b * S * S - incidence + recovery - dil * S,
+            incidence - recovery - dil * I)
+
+
+def _per_species_step(stepper, tables, grid, nus, S, I, k, solve_block=ldlt_solve, stencil=False,
+                      fused=True):
     """Reference IMEX step with S and I kept apart: two reactions and four
-    solves per step, as the stepper computed them before stacking, each
-    solve by solve_block on its own block. The trapezoidal corrector
-    (I - theta B) x = (I + theta B) u + f is solved as
+    solves per step, each solve by solve_block on its own block. The
+    trapezoidal corrector (I - theta B) x = (I + theta B) u + f is solved as
     x = (I - theta B)^-1 (2u + f) - u, or with stencil=True by applying
-    I + theta B to u explicitly. Returns the next (S, I), unclamped."""
+    I + theta B to u explicitly. fused=True takes the stepper's operation
+    order (the right-hand sides r dt + u and (r1 + r0) half + u + u);
+    fused=False the unfused one (u + dt r and half (r0 + r1) + 2u), with
+    the unfused reaction. Returns the next (S, I), unclamped."""
     bands = laplacian_bands(grid)
     dt, half = stepper.dt, 0.5 * stepper.dt
-
-    def reaction(S, I, j):
-        total = S + I
-        incidence = np.zeros_like(S)
-        np.divide(stepper.beta[j] * S * I, total, out=incidence, where=total >= DENOMINATOR_GUARD)
-        recovery = stepper.gamma[j] * I
-        return (stepper.a[j] * S - stepper.b[j] * S * S - incidence + recovery - stepper.dil[j] * S,
-                incidence - recovery - stepper.dil[j] * I)
 
     def solve(theta, nu, rhs):
         return solve_block(grid, (-theta * nu)[k], rhs)
@@ -340,42 +395,51 @@ def _per_species_step(stepper, grid, nus, S, I, k, solve_block=ldlt_solve, stenc
         out[1:] += sub * u[:-1]
         return out
 
-    r0 = reaction(S, I, k)
-    star = [solve(dt, nu, u + dt * r) for nu, u, r in zip(nus, (S, I), r0)]
-    r1 = reaction(*star, k + 1)
+    r0 = _reference_reaction(tables, S, I, k, fused)
+    if not fused:
+        star = [solve(dt, nu, u + dt * r) for nu, u, r in zip(nus, (S, I), r0)]
+        r1 = _reference_reaction(tables, *star, k + 1, fused)
+        return [solve(half, nu, half * (ra + rb) + 2.0 * u) - u
+                for nu, u, ra, rb in zip(nus, (S, I), r0, r1)]
+    star = [solve(dt, nu, r * dt + u) for nu, u, r in zip(nus, (S, I), r0)]
+    r1 = _reference_reaction(tables, *star, k + 1)
     if stencil:
         return [solve(half, nu, u + apply(nu, u) + half * (ra + rb))
                 for nu, u, ra, rb in zip(nus, (S, I), r0, r1)]
-    return [solve(half, nu, half * (ra + rb) + 2.0 * u) - u
+    return [solve(half, nu, (rb + ra) * half + u + u) - u
             for nu, u, ra, rb in zip(nus, (S, I), r0, r1)]
 
 
 def test_coupled_step_matches_per_species_reference_bit_for_bit():
-    """The reference solves each species with its own L D L^T factors. Also,
-    step by step, the LU form of the solves and the stencil form of the
-    corrector to rounding, with the same clamps."""
+    """The reference solves each species with its own L D L^T factors, in the
+    stepper's fused order. Also, step by step, the LU form of the solves, the
+    stencil form of the corrector and the unfused reaction and right-hand
+    sides, each to rounding and with the same clamps."""
     # example4-a at 20 steps per period first clamps in period 18 (54 clamps by period 20)
     config = load_preset("example4-a").with_resolution(48, 20)
     stepper = CoupledStepper(config)
+    tables = _coefficient_tables(config, stepper.times)
     inv_rho2 = np.asarray(config.rho.value(stepper.times), dtype=float) ** -2.0
     nus = (endpoint_mean(config.d_S * inv_rho2), endpoint_mean(config.d_I * inv_rho2))
     S = config.initial_S.evaluate(config.grid.nodes, config.L)
     I = config.initial_I.evaluate(config.grid.nodes, config.L)
-    u, clamps, lu_clamps, stencil_clamps = np.concatenate((S, I)), 0, 0, 0
+    u = np.concatenate((S, I))
+    clamps = {"ldlt": 0, "lu": 0, "stencil": 0, "unfused": 0}
     for _ in range(20):
         for k in range(stepper.n_steps):
-            expected = np.concatenate(_per_species_step(stepper, config.grid, nus, S, I, k))
-            lu = np.concatenate(_per_species_step(stepper, config.grid, nus, S, I, k, lu_solve))
-            stenciled = np.concatenate(_per_species_step(stepper, config.grid, nus, S, I, k, stencil=True))
-            assert np.max(np.abs(lu - expected)) <= 1e-13
-            assert np.max(np.abs(stenciled - expected)) <= 1e-13
-            clamps += int(np.count_nonzero(expected < 0.0))
-            lu_clamps += int(np.count_nonzero(lu < 0.0))
-            stencil_clamps += int(np.count_nonzero(stenciled < 0.0))
+            reference = partial(_per_species_step, stepper, tables, config.grid, nus, S, I, k)
+            steps = {"ldlt": reference(), "lu": reference(lu_solve), "stencil": reference(stencil=True),
+                     "unfused": reference(fused=False)}
+            expected = np.concatenate(steps["ldlt"])
+            for name, step in steps.items():
+                step = np.concatenate(step)
+                assert np.max(np.abs(step - expected)) <= 1e-13, name
+                clamps[name] += int(np.count_nonzero(step < 0.0))
             S, I = np.split(np.maximum(expected, 0.0), 2)
             u = stepper.step(u, k)
             assert np.array_equal(u, np.concatenate((S, I)))
-    assert stepper.clamp_count == clamps == lu_clamps == stencil_clamps > 0
+    assert len(set(clamps.values())) == 1
+    assert stepper.clamp_count == clamps["ldlt"] > 0
 
 
 def test_stacked_bands_solve_like_each_species_alone():
@@ -444,7 +508,8 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
 def test_held_factors_fit_their_budgets():
     """At 200x2000 on example4-b the period map holds two tables of M(N+1)
     doubles and their row views (6.6 MiB), and the coupled stepper about
-    99 B per N*M cell: four coefficient tables and two factor sets."""
+    107 B per N*M cell: five coefficient tables (gain, loss, b, beta and
+    gamma) and two factor sets."""
     config = load_preset("example4-b").with_resolution(200, 2000)
     operator_at = spectral._phi_operators(config)
     held = {}
