@@ -30,7 +30,7 @@ from .errors import ConfigurationError, ConvergenceError, NotApplicableError, St
 from .model import EvolutionRate, ModelConfig, config_from_dict, config_to_dict, validate_config
 from .presets import load_preset, preset_names, preset_text
 from .quadrature import mean_inverse_rho_squared
-from .spectral import LAMBDA_STAR_CONVENTIONS, closed_form_r0, compute_r0, r0_bounds
+from .spectral import DEFECT_TOL, LAMBDA_STAR_CONVENTIONS, closed_form_r0, compute_r0, r0_bounds
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -266,7 +266,7 @@ def cmd_r0(args: argparse.Namespace, config: ModelConfig) -> Report:
                 np.linspace(0.0, config.T, phi.shape[0]), config.grid.nodes, phi)),
         },
         strict_failure=("defect or bracket containment check failed"
-                        if result.defect > 1e-8 or not inside else None),
+                        if result.defect > DEFECT_TOL or not inside else None),
     )
 
 

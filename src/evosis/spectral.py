@@ -9,10 +9,13 @@ is strictly decreasing in mu, and the no-flux sandwich
 
     int min_y beta / int max_y gamma <= R0 <= int max_y beta / int min_y gamma
 
-supplies the initial bracket. A closed form exists when beta is spatially
-constant and gamma is separable c(y)/rho^2: then R0 = beta_hat divided by
-the product of the principal eigenvalue of -d_I w'' + c w and the period
-average of rho^-2.
+supplies the root search's first trial (its geometric mean) and the slope
+of its first steps (the geometric mean of its two beta integrals, between
+which d ln r/d(1/mu) lies). Widened by a factor of two, it is a safeguard
+bracket, evaluated only when a step would leave it. A closed form exists
+when beta is spatially constant and gamma is separable c(y)/rho^2: then
+R0 = beta_hat divided by the product of the principal eigenvalue of
+-d_I w'' + c w and the period average of rho^-2.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ LAMBDA_STAR_CONVENTIONS = ("neumann", "paper-example")
 
 _ERR_BRACKET = (
     "the unit spectral radius is not bracketed by [0.5*lower, 2*upper] = [{lo:.3g}, {hi:.3g}]"
-    " (radii {r_lo:.6g} and {r_hi:.6g})"
+    " (radii {radii})"
 )
 _ERR_CONVENTION = "unknown lambda-star convention {value!r}, expected one of {known}"
 _ERR_NOT_SEPARABLE = (
@@ -51,8 +54,10 @@ _ERR_NOT_SEPARABLE = (
 class R0Result:
     """Computed reproduction number with its certificate data.
 
-    eigenfunction holds the positive Floquet mode over one period, shape
-    (M+1, N+1), sup-normalized on the initial slice.
+    iterations counts every radius evaluation of the root search, a
+    widened bracket end included when one was taken. eigenfunction holds
+    the positive Floquet mode over one period, shape (M+1, N+1),
+    sup-normalized on the initial slice.
     """
 
     value: float
@@ -203,25 +208,39 @@ def r0_bounds(config: ModelConfig) -> BoundsResult:
 def compute_r0(config: ModelConfig) -> R0Result:
     """Finds R0 by driving the period-map spectral radius to one.
 
-    The bracket is the sandwich bounds widened by a factor of two on each
-    side to absorb discretization drift; since r(mu) is monotone with a
-    unique unit crossing, it needs no further handling once it straddles
-    one. Root finding combines bisection with secant proposals in the
-    variables (1/mu, ln r), where the dependence is close to affine. The
-    search stops once |r - 1| <= DEFECT_TOL, and the mode of that last
-    radius evaluation seeds the eigenfunction. Each radius comes from the
-    block Rayleigh-Ritz iteration of `_operator_radius`, warm-started at the
-    block that the previous trial mu ended with.
+    The search runs in x = 1/mu, where f = ln r is increasing and close to
+    affine: its slope is the period integral of an eigen-weighted mean of
+    beta, so it lies between the sandwich's two beta integrals and equals
+    both when beta is constant in space. The first trial is the sandwich
+    mean mu = sqrt(lower*upper), which is already the root when lower ==
+    upper. While only one side of the crossing is known, each step is a
+    Newton step: the first with the slope
+    sqrt(min_beta_integral*max_beta_integral), later ones with the slope
+    the last two trials measured, kept between those two integrals. Once
+    both signs have been seen, a secant step through the last two points is
+    taken if it falls strictly inside the known bracket, else an Illinois
+    regula falsi step, else geometric bisection; bisection also replaces a
+    step longer than half the step before last. The search stops
+    once |r - 1| <= DEFECT_TOL, and the mode of that last radius evaluation
+    seeds the eigenfunction. Each radius comes from the block Rayleigh-Ritz
+    iteration of `_operator_radius`, warm-started at the block that the
+    previous trial mu ended with.
+
+    The sandwich widened by a factor of two on each side, [0.5*lower,
+    2*upper], absorbs discretization drift and serves only as a safeguard:
+    an end of it is evaluated when a Newton step would leave it or a radius
+    is not finite, and if that end shows the same sign as every trial
+    before it, the crossing is not bracketed. Since r(mu) is monotone with a
+    unique unit crossing, any trial that sees the other sign closes the
+    bracket.
 
     A trial mu whose period map is not positive definite counts as r = +inf.
     The definite set is the half-line above a limit that lies below the
     root (r grows without bound as mu falls to it), so such a mu is on the
-    low side of the crossing: at the bracket's low end this only means the
-    first trial is a bisection, and the regula falsi resumes once both ends
-    have finite radii. Likewise a trial mu whose full basis has no positive
-    one-signed eigenpair counts as r = 0, the high side: a Perron root that
-    the full basis misses is not the dominant eigenvalue, so it lies below
-    the modulus of the stiff modes, which is below one.
+    low side of the crossing. Likewise a trial mu whose full basis has no
+    positive one-signed eigenpair counts as r = 0, the high side: a Perron
+    root that the full basis misses is not the dominant eigenvalue, so it
+    lies below the modulus of the stiff modes, which is below one.
 
     Raises:
         ConvergenceError: the widened bracket does not straddle r = 1, or
@@ -229,7 +248,9 @@ def compute_r0(config: ModelConfig) -> R0Result:
     """
     operator_at = _phi_operators(config)
     bounds = r0_bounds(config)
-    mu_lo, mu_hi = 0.5 * bounds.lower, 2.0 * bounds.upper
+    slope = math.sqrt(bounds.min_beta_integral * bounds.max_beta_integral)
+    # the widened end toward the root, in x: below a trial with r > 1, above one with r < 1
+    end_toward = {1: 0.5 / bounds.upper, -1: 2.0 / bounds.lower}
     block: FloatArray | None = None
     mode: FloatArray | None = None
     op: PeriodMapOperator | None = None
@@ -246,54 +267,76 @@ def compute_r0(config: ModelConfig) -> R0Result:
             return 0.0
         return r
 
-    r_lo, r_hi = radius_at(mu_lo), radius_at(mu_hi)
-    if r_lo < 1.0 or r_hi > 1.0:
-        raise ConvergenceError(_ERR_BRACKET.format(lo=mu_lo, hi=mu_hi, r_lo=r_lo, r_hi=r_hi))
-
-    f_lo, f_hi = math.log(r_lo), math.log(r_hi) if r_hi else -math.inf
-    mu = math.sqrt(mu_lo * mu_hi)
-    iterations = 0
+    trials: list[tuple[float, float]] = []  # (x, ln r) of every radius evaluation
+    radii: list[str] = []
+    # the nearest trial on each side of the crossing, keyed by the sign of ln r;
+    # its ln r carries the Illinois damping
+    near: dict[int, tuple[float, float]] = {}
+    moves: list[float] = []  # |step| of every trial taken once both sides were known
+    x = 1.0 / math.sqrt(bounds.lower * bounds.upper)
     defect = math.inf
-    last_side = ""
     for iterations in range(1, 80 + 1):
-        r = radius_at(mu)
+        r = radius_at(1.0 / x)
+        radii.append(f"{r:.6g} at mu = {1.0 / x:.6g}")
         defect = abs(r - 1.0)
         if defect <= DEFECT_TOL:
             break
         f = math.log(r) if r else -math.inf
-        # regula falsi in (1/mu, ln r) with Illinois damping: when the same
-        # side updates twice running, the stale side's value is halved so
-        # the proposals cannot stagnate against a nearly flat branch
-        if f > 0.0:
-            mu_lo, f_lo = mu, f
-            if last_side == "lo":
-                f_hi *= 0.5
-            last_side = "lo"
+        sign = 1 if f > 0.0 else -1
+        if -sign in near and (trials[-1][1] > 0.0) == (sign > 0):
+            # Illinois: when the same side updates twice running, the stale
+            # side's value is halved so regula falsi cannot stagnate on it
+            stale_x, stale_f = near[-sign]
+            near[-sign] = (stale_x, 0.5 * stale_f)
+        near[sign] = (x, f)
+        trials.append((x, f))
+        if -sign not in near:
+            end = end_toward[sign]
+            if x == end:
+                raise ConvergenceError(_ERR_BRACKET.format(
+                    lo=1.0 / end_toward[-1], hi=1.0 / end_toward[1], radii=", ".join(radii)))
+            if len(trials) > 1:
+                # the slope the last two trials measured, inside the range
+                # the sandwich allows; the sandwich slope alone converges
+                # only linearly when the eigenfunction sits where beta is small
+                (x_a, f_a), (x_b, f_b) = trials[-2:]
+                slope = min(max((f_b - f_a) / (x_b - x_a), bounds.min_beta_integral), bounds.max_beta_integral)
+            x -= f / slope
+            if (x - end) * sign <= 0.0:  # the step would leave the widened bracket
+                x = end
         else:
-            mu_hi, f_hi = mu, f
-            if last_side == "hi":
-                f_lo *= 0.5
-            last_side = "hi"
-        x_lo, x_hi = 1.0 / mu_lo, 1.0 / mu_hi
-        denom = f_hi - f_lo
-        proposal = 0.0
-        if denom != 0.0:
-            x_new = x_lo - f_lo * (x_hi - x_lo) / denom
-            if x_hi < x_new < x_lo:
-                proposal = 1.0 / x_new
-        mu = proposal if proposal else math.sqrt(mu_lo * mu_hi)
+            x_lo, x_hi = near[-1][0], near[1][0]
+            x_new = _secant_zero(trials[-2], trials[-1], x_lo, x_hi) or _secant_zero(near[-1], near[1], x_lo, x_hi)
+            # a step longer than half the one before last bisects instead,
+            # so secants that creep along a sharply bent ln r cannot stall
+            if x_new is None or (len(moves) > 1 and abs(x_new - x) > 0.5 * moves[-2]):
+                x_new = math.sqrt(x_lo * x_hi)
+            moves.append(abs(x_new - x))
+            x = x_new
     else:
         raise ConvergenceError(f"unit-radius search stalled with defect {defect:.3e}")
 
     path = op.apply_recording(np.abs(mode))
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
     return R0Result(
-        value=mu,
+        value=1.0 / x,
         bracket=(bounds.lower, bounds.upper),
         iterations=iterations,
         defect=defect,
         eigenfunction=path,
     )
+
+
+def _secant_zero(a: tuple[float, float], b: tuple[float, float], x_lo: float, x_hi: float) -> float | None:
+    """Zero of the line through the points a and b if it lies strictly inside (x_lo, x_hi).
+
+    An infinite ordinate gives a NaN or an endpoint, and so None.
+    """
+    (x_a, f_a), (x_b, f_b) = a, b
+    if f_a == f_b:
+        return None
+    x = x_b - f_b * (x_b - x_a) / (f_b - f_a)
+    return x if x_lo < x < x_hi else None
 
 
 # ---- closed form for separable recovery ----

@@ -333,7 +333,8 @@ def test_r0_solves_a_config_whose_bracket_starts_below_the_definite_limit(tmp_pa
     """Constant beta = 150, gamma = 100 on a fixed domain: at the bracket's low
     end mu = 0.75 the potential is beta/mu - gamma = 100, so theta dt sup q =
     100/32 > 1 at 16 steps per unit period and that period map has no LDL^T
-    factors. The search takes it as the low side and finds R0 = beta/gamma."""
+    factors. The search starts at the sandwich mean, R0 = beta/gamma, and
+    never builds it."""
     config = replace(load_preset("example2-fixed"), T=1.0, rho=EvolutionRate(kind="constant-one", period=1.0),
                      beta=CoefficientProfile(form="constant", c0=150.0),
                      gamma=CoefficientProfile(form="constant", c0=100.0), grid_points=16, steps_per_period=16)

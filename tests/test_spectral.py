@@ -283,6 +283,82 @@ def test_compute_r0_raises_when_widened_bracket_misses_root(monkeypatch, scale):
         compute_r0(load_preset("example4-b").with_resolution(16, 32))
 
 
+def _counted_radius_evaluations(monkeypatch) -> list[PeriodMapOperator]:
+    calls: list[PeriodMapOperator] = []
+    radius = spectral._operator_radius
+
+    def counted(op, block=None):
+        calls.append(op)
+        return radius(op, block)
+
+    monkeypatch.setattr(spectral, "_operator_radius", counted)
+    return calls
+
+
+def _scale_bounds(monkeypatch, factor: float) -> None:
+    true_bounds = spectral.r0_bounds
+
+    def scaled(config):
+        bounds = true_bounds(config)
+        return replace(bounds, lower=factor * bounds.lower, upper=factor * bounds.upper)
+
+    monkeypatch.setattr(spectral, "r0_bounds", scaled)
+
+
+@pytest.mark.parametrize(("name", "most"), [("example1-fixed", 1), ("example2-fixed", 1), ("example4-b", 3)])
+def test_compute_r0_radius_evaluations(monkeypatch, name, most):
+    """With beta and gamma constant in space, lower == upper and the first
+    trial, the sandwich mean, is the root. example4-b's gamma varies in
+    space; Newton steps with the sandwich slope close in on its root without
+    a widened bracket end."""
+    calls = _counted_radius_evaluations(monkeypatch)
+    result = compute_r0(load_preset(name).with_resolution(16, 32))
+    assert 1 <= len(calls) == result.iterations <= most
+
+
+@pytest.mark.parametrize(("d_I", "beta", "gamma", "most"), [
+    (1e-4, (0.01, 0.5), (0.001, 0.5), 12),
+    (1e-3, (0.001, 5.0), (0.0001, 5.0), 25),
+], ids=["eigenfunction-where-beta-is-small", "sharply-bent-ln-r"])
+def test_compute_r0_radius_evaluations_with_heterogeneous_beta(monkeypatch, d_I, beta, gamma, most):
+    """Affine beta and gamma whose ratio is largest where beta is smallest.
+    Newton steps with the sandwich slope alone converge linearly on the
+    first (24 evaluations), and secants taken whenever they fall inside the
+    bracket creep on the second (46); the measured slope and the step guard
+    take 8 and 22. A search that evaluates both widened ends first and then
+    runs Illinois regula falsi takes 15 and 25."""
+    config = replace(load_preset("example4-b"), d_I=d_I,
+                     beta=CoefficientProfile(form="affine", c0=beta[0], c1=beta[1]),
+                     gamma=CoefficientProfile(form="affine", c0=gamma[0], c1=gamma[1])).with_resolution(32, 64)
+    calls = _counted_radius_evaluations(monkeypatch)
+    result = compute_r0(config)
+    assert result.defect <= spectral.DEFECT_TOL
+    assert len(calls) == result.iterations <= most
+
+
+def test_compute_r0_bracket_error_names_only_the_radii_it_computed(monkeypatch):
+    _scale_bounds(monkeypatch, 10.0)
+    calls = _counted_radius_evaluations(monkeypatch)
+    with pytest.raises(ConvergenceError, match="not bracketed") as raised:
+        compute_r0(load_preset("example4-b").with_resolution(16, 32))
+    assert str(raised.value).count(" at mu = ") == len(calls) == 2
+
+
+def test_compute_r0_takes_an_indefinite_trial_as_the_low_side(monkeypatch):
+    """Constant beta = 150, gamma = 100 at 16 steps per unit period, with the
+    sandwich halved to [0.75, 0.75]: the first trial mu = 0.75 has theta dt
+    sup q = 3.125, so its period map has no LDL^T factors. Taken as r = +inf,
+    it sends the search to the widened high end 2*0.75, which is the root."""
+    config = _homogeneous_config(150.0, 100.0, EvolutionRate(kind="constant-one", period=1.0),
+                                 grid_points=16, steps_per_period=16)
+    _scale_bounds(monkeypatch, 0.5)
+    with pytest.raises(StepError, match=r"theta\*dt\*sup q = 3\.125"):
+        spectral._phi_operators(config)(0.75)
+    result = compute_r0(config)
+    assert result.value == pytest.approx(1.5, rel=1e-12)
+    assert result.iterations == 2
+
+
 @pytest.mark.parametrize(("d_I", "N", "M", "expected"), [
     (1.0, 16, 64, 0.63338970431071),
     (1e4, 16, 16, 0.018041409112608917),
@@ -315,7 +391,9 @@ def test_invasion_eigenvalue_is_the_perron_root_past_stiff_modes():
 def test_compute_r0_takes_a_missing_perron_root_as_the_high_side():
     """example4-a at d_I = 1e4, L = 64 on 8x64: at the bracket's high end the
     full basis has no one-signed eigenpair (the Perron root is lost in
-    rounding far below the stiff modes), which the search takes as r = 0."""
+    rounding far below the stiff modes). The first trial, the sandwich mean
+    0.083, is in the same state; the search takes it as r = 0 and goes on
+    from the bracket's low end, whose map is not definite (r = +inf)."""
     config = replace(load_preset("example4-a"), d_I=1e4, L=64.0).with_resolution(8, 64)
     with pytest.raises(ConvergenceError, match="one-signed"):
         _operator_radius(spectral._phi_operators(config)(2.0 * r0_bounds(config).upper))
