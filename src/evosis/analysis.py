@@ -154,6 +154,8 @@ def limit_target(config: ModelConfig, kind: str) -> float:
         ratios = np.trapezoid(beta, dx=dt, axis=0) / np.trapezoid(gamma, dx=dt, axis=0)
         return float(np.max(ratios))
     if kind == "large-diffusivity":
+        # materialized: a matrix product over a broadcast view can round differently
+        beta, gamma = np.ascontiguousarray(beta), np.ascontiguousarray(gamma)
         w = trapezoid_weights(config.grid)
         return float(np.trapezoid(beta @ w, dx=dt) / np.trapezoid(gamma @ w, dx=dt))
     return float(np.trapezoid(beta[:, 0], dx=dt) / np.trapezoid(gamma[:, 0], dx=dt))

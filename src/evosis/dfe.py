@@ -90,7 +90,7 @@ def _fixed_points(stepper: CoupledStepper,
     produced, which from a start above the orbit is a monotonicity defect.
     """
     starts = np.arange(len(levels))
-    u = np.repeat(np.asarray(levels, dtype=float)[:, None], stepper.b.shape[1], axis=1)
+    u = np.repeat(np.asarray(levels, dtype=float)[:, None], stepper.n_nodes, axis=1)
     worst_rise = np.zeros(len(levels))
     found: dict[int, tuple[FloatArray, int, float, float]] = {}
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -129,7 +129,7 @@ def solve_dfe(config: ModelConfig) -> DfeResult:
 
     path = np.empty((stepper.n_steps + 1, upper.size))
     stepper.period(upper, path)
-    scale = max(float(np.max(np.abs(path))), 1e-300)
+    scale = max(float(path.max()), -float(path.min()), 1e-300)
     orbit = PeriodicOrbit.from_samples(path, config.T, tolerance=max(10.0 * DEFAULT_TOL / scale, 1e-12))
     return DfeResult(orbit=orbit, iterations=sweeps, residual=residual, bracket_gap=gap,
                      monotone_defect=monotone_defect, lower_iterations=lower_sweeps,

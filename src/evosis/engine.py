@@ -40,17 +40,28 @@ B = dt (nu A + diag q), is solved in its row-scaled form
 
 a symmetric tridiagonal matrix (one block per species, a zero
 off-diagonal at each seam) that `scaled_bands` builds and `_FactorSet`
-has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step; each solve
-halves the block-end entries of the rhs and calls `pttrs`. The factors
-need positive definiteness. Since -WA is positive semidefinite,
-W - theta dt nu WA is definite for every nu >= 0, and subtracting
+has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step, after
+halving (d, e): halving is exact, so L is unchanged and D is halved
+exactly. Each solve is then one `pttrs` call on the rhs scaled by w/2,
+where w = (1/2, 1, ..., 1, 1/2) per block, with no pass at the block
+ends. The factors need positive definiteness. Since -WA is positive
+semidefinite, W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
 (q = 0) are therefore always definite; the period map needs its potential
 below 1/(theta dt), and a system that is not definite raises `StepError`.
 Since I + theta B = 2I - (I - theta B),
 each Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f
 is taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit
-stencil.
+stencil. Every rhs reaches the halved systems scaled by w/2, with the
+powers of two folded into its terms: the period map passes u * w for
+(w/2)(2u), and the coupled step scales its reaction terms by dt w/2 or
+theta dt w/2 and u by w/2. Scaling by a power of two is exact, so each
+sum rounds as the unscaled one does.
+
+Coefficient tables are read-only views from `coefficient_table`, held at
+the shape they vary in (a table constant in space, in time or in both
+holds one column, one row or one value), and the gain and loss tables are
+combined on those compact arrays before they are broadcast.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ import numpy.typing as npt
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, StepError
-from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table
+from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compact_coefficient_table
 
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
@@ -154,18 +165,21 @@ class _FactorSet:
     B is the block Laplacian of the scale vectors nus and W the block-end
     halving, which makes each system symmetric tridiagonal: its diagonal d
     and off-diagonal e (zero at the seam between blocks), from
-    `scaled_bands`, are factored in place by one LAPACK `pttrf` call per
-    step. That needs positive definiteness, which holds when
-    theta_dt*sup q < 1 and always when q is None; a step with a pivot that
-    is not positive raises `StepError`. Each step keeps its (d, e) row views
-    for the solves that reuse it.
+    `scaled_bands`, are halved and factored in place by one LAPACK `pttrf`
+    call per step. Halving is exact: L is that of the unhalved system and
+    D is halved to the bit. That needs positive definiteness, which
+    holds when theta_dt*sup q < 1 and always when q is None; a step with a
+    pivot that is not positive raises `StepError`. Each step keeps its
+    (d, e) row views for the solves that reuse it.
     """
 
-    __slots__ = ("_rows", "_ends")
+    __slots__ = ("_rows",)
 
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
         d, e = scaled_bands(grid, nus, q, theta_dt)
+        d *= 0.5
+        e *= 0.5
         for k in range(d.shape[0]):
             _, _, info = _pttrf(d[k], e[k], overwrite_d=1, overwrite_e=1)
             if info != 0:
@@ -173,17 +187,14 @@ class _FactorSet:
                 raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=info, rows=d.shape[1],
                                                          bound=bound))
         self._rows = [(d[k], e[k]) for k in range(d.shape[0])]
-        n = grid.N + 1
-        self._ends = tuple(j * n + end for j in range(len(nus)) for end in (0, n - 1))
 
     def solve(self, k: int, rhs: FloatArray) -> FloatArray:
-        """Solution at step k; an F-contiguous rhs (1-D, or one column per field) is overwritten with it.
+        """Solution of step k's system (I - theta_dt*(B + diag q)) x = f, given rhs = (w/2) f.
 
-        W is applied to rhs in place, entry by entry at the block ends: one
-        halving per end is cheaper than any full-length pass.
+        w = (1/2, 1, ..., 1, 1/2) per block, which the caller folds into the
+        terms of f. An F-contiguous rhs (1-D, or one column per field) is
+        overwritten with the solution.
         """
-        for end in self._ends:
-            rhs[end] *= 0.5
         return _pttrs(*self._rows[k], rhs, 1)[0]
 
 
@@ -200,6 +211,9 @@ class PeriodMapOperator:
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
         self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
+        # (w/2)(2u) = w u, for a field and for stacked columns
+        self._w = trapezoid_weights(grid) / grid.h
+        self._w_col = self._w[:, None]
 
     @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
@@ -212,7 +226,7 @@ class PeriodMapOperator:
         return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
     def step(self, k: int, u: FloatArray) -> FloatArray:
-        x = self._factors.solve(k, 2.0 * u)
+        x = self._factors.solve(k, u * (self._w if u.ndim == 1 else self._w_col))
         x -= u
         return x
 
@@ -276,7 +290,10 @@ class CoupledStepper:
     where dil = n * rho'(t)/rho(t), and the incidence forced to zero
     wherever S + I falls below a small denominator guard. Coefficients are
     periodic, so all tables and factors are built once and reused every
-    period; the a table itself is not kept.
+    period; the a table itself is not kept. Each coefficient table is a
+    read-only (M+1, N+1) view held at the shape it varies in, and gain and
+    loss are combined at that shape (dil is one value on the constant-one
+    rate, where it is zero), so only the factor tables are always full.
 
     With infected=False the stepper is the I = 0 invariant subsystem, the
     disease-free flow: it holds only the gain and b tables and the S-block
@@ -294,23 +311,29 @@ class CoupledStepper:
         self.n_steps = m
         self.dt = config.T / m
         self._half = 0.5 * self.dt
-        self._n = grid.N + 1
+        n = self.n_nodes = grid.N + 1
         self._infected = infected
         times = np.linspace(0.0, config.T, m + 1)
         self.times = times
         nodes = grid.nodes
-        dil = config.dilution(times)[:, None]
-        self.gain = coefficient_table(config.a, config.rho, nodes, times)
-        self.gain -= dil
+        shape = (times.size, n)
+        dil = config.dilution(times[:1] if config.rho.kind == "constant-one" else times)[:, None]
+        self.gain = np.broadcast_to(compact_coefficient_table(config.a, config.rho, nodes, times) - dil, shape)
         self.b = coefficient_table(config.b, config.rho, nodes, times)
         inv_rho2 = np.asarray(config.rho.value(times), dtype=float) ** -2.0
         nus: tuple[FloatArray, ...] = (endpoint_mean(config.d_S * inv_rho2),)
         if infected:
             self.beta = coefficient_table(config.beta, config.rho, nodes, times)
-            self.gamma = coefficient_table(config.gamma, config.rho, nodes, times)
-            self.loss = self.gamma + dil
-            self._scratch = np.empty(self._n)
+            gamma = compact_coefficient_table(config.gamma, config.rho, nodes, times)
+            self.gamma = np.broadcast_to(gamma, shape)
+            self.loss = np.broadcast_to(gamma + dil, shape)
+            self._scratch = np.empty(n)
             nus += (endpoint_mean(config.d_I * inv_rho2),)
+        # right-hand side scales of the halved systems, one w/2 per block
+        w_half = np.tile(0.5 * trapezoid_weights(grid) / grid.h, len(nus))
+        self._w_half = w_half
+        self._dt_w_half = self.dt * w_half
+        self._half_w_half = self._half * w_half
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
@@ -330,7 +353,7 @@ class CoupledStepper:
             return r
         # the I half of r holds the incidence until loss * I is taken off it;
         # tmp holds S + I, then gamma * I, then loss * I
-        n, tmp = self._n, self._scratch
+        n, tmp = self.n_nodes, self._scratch
         S, I = u[:n], u[n:]
         r_S, inc = r[:n], r[n:]
         np.add(S, I, out=tmp)
@@ -353,16 +376,22 @@ class CoupledStepper:
         return r
 
     def step(self, u: FloatArray, k: int) -> FloatArray:
-        """One IMEX step of the state from t_k to t_{k+1}, clamping tiny negatives; never writes u."""
+        """One IMEX step of the state from t_k to t_{k+1}, clamping tiny negatives; never writes u.
+
+        Both right-hand sides, r dt + u and (r1 + r) dt/2 + u + u, are
+        formed scaled by w/2 for the halved systems, term by term: scaling
+        by powers of two is exact, so each rounds as the unscaled sum does.
+        """
         r = self.reaction(u, k)
-        pre = r * self.dt
-        pre += u
+        u_w = u * self._w_half
+        pre = r * self._dt_w_half
+        pre += u_w
         star = self._pred.solve(k, pre.T).T
         nxt = self.reaction(star, k + 1)
         nxt += r
-        nxt *= self._half
-        nxt += u
-        nxt += u
+        nxt *= self._half_w_half
+        nxt += u_w
+        nxt += u_w
         nxt = self._corr.solve(k, nxt.T).T
         nxt -= u
         if not (nxt.min() >= 0.0 and nxt.max() < np.inf):

@@ -275,22 +275,57 @@ def evaluate_coefficient(
     return profile.evaluate_z(np.asarray(rho_t) * np.asarray(y)) if np.ndim(y) or np.ndim(t) else profile.evaluate_z(rho_t * y)
 
 
+def _varies_in(profile: CoefficientProfile, rho: EvolutionRate) -> tuple[bool, bool]:
+    """(in time, in space): which lattice axes a coefficient can vary along.
+
+    Decided from the profile form and the evolution rate alone: a constant
+    form varies in neither; a separable form with a constant space profile
+    in time only; any other profile on the constant-one rate (z = y) with no
+    g harmonics in space only; everything else in both.
+    """
+    if profile.form == "constant":
+        return False, False
+    if profile.form == "separable" and profile.space is not None and profile.space.form == "constant":
+        return True, False
+    if rho.kind == "constant-one" and not profile.g_harmonics:
+        return False, True
+    return True, True
+
+
+def compact_coefficient_table(
+    profile: CoefficientProfile,
+    rho: EvolutionRate,
+    nodes: FloatArray,
+    times: FloatArray,
+) -> FloatArray:
+    """A coefficient on a time/node lattice, held at the shape it varies in.
+
+    The shape is (times.size or 1, nodes.size or 1): an axis the
+    coefficient cannot vary along keeps its first sample only. Each entry
+    equals, bit for bit, the one `evaluate_coefficient` gives on the full
+    lattice, so the array broadcasts to the full table.
+    """
+    in_time, in_space = _varies_in(profile, rho)
+    times = times if in_time else times[:1]
+    nodes = nodes if in_space else nodes[:1]
+    return np.asarray(evaluate_coefficient(profile, rho, nodes, times[:, None]), dtype=float)
+
+
 def coefficient_table(
     profile: CoefficientProfile,
     rho: EvolutionRate,
     nodes: FloatArray,
     times: FloatArray,
 ) -> FloatArray:
-    """Full (times.size, nodes.size) table of a coefficient on a time/node lattice.
+    """Read-only (times.size, nodes.size) view of a coefficient on a time/node lattice.
 
-    The table is copied only when the evaluation did not already produce
-    the full shape, so no table is allocated twice.
+    The values are held at the shape they vary in (`compact_coefficient_table`)
+    and broadcast to the full shape, so a table constant in space, in time
+    or in both costs one column, one row or one value. Elementwise results
+    equal those of a full table bit for bit; a matrix product or reduction
+    over a view can round differently, so materialize the table for those.
     """
-    shape = (times.size, nodes.size)
-    table = np.asarray(evaluate_coefficient(profile, rho, nodes, times[:, None]), dtype=float)
-    if table.shape != shape:
-        table = np.broadcast_to(table, shape).copy()
-    return table
+    return np.broadcast_to(compact_coefficient_table(profile, rho, nodes, times), (times.size, nodes.size))
 
 
 # ---- grid and fields ----
@@ -333,7 +368,7 @@ class PeriodicOrbit:
                 sup-norm of the samples.
         """
         values = np.asarray(values, dtype=float)
-        scale = max(float(np.max(np.abs(values))), 1e-300)
+        scale = max(float(values.max()), -float(values.min()), 1e-300)
         defect = float(np.max(np.abs(values[0] - values[-1]))) / scale
         if defect > tolerance:
             raise ValueError(

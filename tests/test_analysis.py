@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from evosis.analysis import (
@@ -13,7 +14,9 @@ from evosis.analysis import (
     sweep_length,
     verify_limit,
 )
+from evosis.engine import trapezoid_weights
 from evosis.errors import ConfigurationError, NotApplicableError
+from evosis.model import evaluate_coefficient
 from evosis.presets import load_preset
 
 # ---- frozen limit targets for the designed standard configuration ----
@@ -72,6 +75,22 @@ def test_limit_targets_match_independent_quadrature(designed_config):
         TARGET_SMALL_LENGTH, abs=1e-12)
     assert limit_target(config, "large-length") == pytest.approx(
         TARGET_LARGE_LENGTH, abs=1e-12)
+
+
+def test_large_diffusivity_target_equals_the_full_table_value():
+    """The node sums beta @ w and gamma @ w over compact coefficient tables
+    round exactly as over materialized full tables (here beta is one value
+    and gamma one column)."""
+    config = load_preset("example1-evolving")
+    nodes = config.grid.nodes
+    times = np.linspace(0.0, config.T, 513)
+    beta, gamma = (np.array(np.broadcast_to(evaluate_coefficient(getattr(config, name), config.rho, nodes,
+                                                                 times[:, None]), (times.size, nodes.size)))
+                   for name in ("beta", "gamma"))
+    w = trapezoid_weights(config.grid)
+    dt = times[1] - times[0]
+    expected = float(np.trapezoid(beta @ w, dx=dt) / np.trapezoid(gamma @ w, dx=dt))
+    assert limit_target(config, "large-diffusivity") == expected
 
 
 def test_limit_target_rejects_unknown_kind(designed_config):

@@ -444,8 +444,12 @@ def test_coupled_step_matches_per_species_reference_bit_for_bit():
 
 def test_stacked_bands_solve_like_each_species_alone():
     """The zero seam makes one stacked solve equal the two separate L D L^T
-    solves bit for bit; the LU solves agree to rounding."""
+    solves bit for bit; the LU solves agree to rounding. The stacked
+    factors are those of the halved system, solved on the rhs scaled by
+    w/2, and the reference's are those of the W-scaled system: halving is
+    exact, so the two agree to the bit."""
     grid = Grid1D(L=2.0, N=24)
+    w_half = np.tile(0.5 * row_weights(grid.N + 1), 2)
     rng = np.random.default_rng(7)
     steps, theta = 6, 0.01
     nu_S = 0.1 * (1.0 + rng.random(steps))
@@ -454,7 +458,7 @@ def test_stacked_bands_solve_like_each_species_alone():
         for k in range(steps):
             rhs = rng.standard_normal(2 * (grid.N + 1))
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
-            stacked = factors.solve(k, rhs.copy())
+            stacked = factors.solve(k, rhs * w_half)
             expected = np.concatenate([ldlt_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             lu = np.concatenate([lu_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             assert np.array_equal(stacked, expected)
@@ -507,14 +511,18 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
 
 def test_held_factors_fit_their_budgets():
     """At 200x2000 on example4-b the period map holds two tables of M(N+1)
-    doubles and their row views (6.6 MiB), and the coupled stepper about
-    107 B per N*M cell: five coefficient tables (gain, loss, b, beta and
-    gamma) and two factor sets."""
+    doubles and their row views (6.6 MiB). The coupled stepper holds about
+    91 B per N*M cell: the four tables of its two factor sets over both
+    blocks (64 B), and beta, gamma and loss, which vary in space and time
+    (24 B); gain and b vary in time only or not at all, and hold one column
+    and one value. The S-only stepper holds about 35 B: the four factor
+    tables of the S block (32 B) and their row views."""
     config = load_preset("example4-b").with_resolution(200, 2000)
     operator_at = spectral._phi_operators(config)
     held = {}
     for name, build in (("period map", lambda: operator_at(1.5)),
-                        ("stepper", lambda: CoupledStepper(config))):
+                        ("stepper", lambda: CoupledStepper(config)),
+                        ("S-only stepper", lambda: CoupledStepper(config, infected=False))):
         tracemalloc.start()
         try:
             built = build()
@@ -522,8 +530,10 @@ def test_held_factors_fit_their_budgets():
             del built
         finally:
             tracemalloc.stop()
+    cells = config.grid_points * config.steps_per_period
     assert held["period map"] <= 8 * 2**20
-    assert held["stepper"] <= 110 * config.grid_points * config.steps_per_period
+    assert held["stepper"] <= 95 * cells
+    assert held["S-only stepper"] <= 36 * cells
 
 
 def test_homogeneous_system_settles_at_endemic_equilibrium():

@@ -16,6 +16,8 @@ from evosis.model import (
     InitialSpec,
     ModelConfig,
     PeriodicOrbit,
+    coefficient_table,
+    compact_coefficient_table,
     config_from_dict,
     config_to_dict,
     evaluate_coefficient,
@@ -204,6 +206,47 @@ def test_evaluate_coefficient_broadcasts_tables():
     assert table.shape == (7, 5)
     assert table[3, 2] == pytest.approx(
         1.0 + 0.5 * float(rho.value(float(t[3, 0]))) * y[2], abs=1e-12)
+
+
+_AFFINE = CoefficientProfile(form="affine", c0=1.0, c1=0.5)
+_TABLE_PROFILES = {
+    "constant": _constant(0.7),
+    "affine": _AFFINE,
+    "exponential": CoefficientProfile(form="exponential", c0=0.3, c1=0.2, c2=-0.5),
+    "separable-constant": CoefficientProfile(form="separable", space=_constant(0.7), g_mean=0.25),
+    "separable-affine": CoefficientProfile(form="separable", space=_AFFINE, g_mean=0.25),
+    "separable-constant-harmonics": CoefficientProfile(
+        form="separable", space=_constant(0.7), g_mean=0.25, g_harmonics=((1, 0.1, -0.05),)),
+    "separable-affine-harmonics": CoefficientProfile(
+        form="separable", space=_AFFINE, g_mean=0.25, g_harmonics=((1, 0.1, -0.05), (3, 0.0, 0.02))),
+}
+# compact shapes on 9 times x 6 nodes, by rate kind
+_COMPACT_SHAPES = {
+    "constant-one": {"constant": (1, 1), "affine": (1, 6), "exponential": (1, 6),
+                     "separable-constant": (9, 1), "separable-affine": (1, 6),
+                     "separable-constant-harmonics": (9, 1), "separable-affine-harmonics": (9, 6)},
+    "exp-cosine": {"constant": (1, 1), "affine": (9, 6), "exponential": (9, 6),
+                   "separable-constant": (9, 1), "separable-affine": (9, 6),
+                   "separable-constant-harmonics": (9, 1), "separable-affine-harmonics": (9, 6)},
+}
+
+
+@pytest.mark.parametrize("rho", [EvolutionRate(kind="constant-one", period=QUARTER_TURN), _exp_cosine()],
+                         ids=["fixed", "evolving"])
+@pytest.mark.parametrize("name", list(_TABLE_PROFILES))
+def test_coefficient_table_is_a_read_only_view_of_the_full_table(name, rho):
+    """Held at the shape the form and rate allow, the view equals the full
+    evaluation entry for entry and cannot be written."""
+    profile = _TABLE_PROFILES[name]
+    nodes = np.linspace(0.0, 1.3, 6)
+    times = np.linspace(0.0, QUARTER_TURN, 9)
+    full = np.broadcast_to(evaluate_coefficient(profile, rho, nodes, times[:, None]), (9, 6))
+    table = coefficient_table(profile, rho, nodes, times)
+    assert table.shape == (9, 6)
+    assert np.array_equal(table, full)
+    assert compact_coefficient_table(profile, rho, nodes, times).shape == _COMPACT_SHAPES[rho.kind][name]
+    with pytest.raises(ValueError, match="read-only"):
+        table[2, 3] = 1.0
 
 
 # ---- grids, orbits, initial data ----
