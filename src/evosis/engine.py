@@ -230,24 +230,19 @@ class PeriodMapOperator:
         x -= u
         return x
 
-    def apply(self, u: FloatArray) -> FloatArray:
-        """Maps u(., 0) to u(., T); accepts a matrix of stacked columns."""
+    def apply(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
+        """Maps u(., 0) to u(., T); accepts a matrix of stacked columns.
+
+        path, an (M+1)-row table, receives every time slice of a one-field u.
+        """
         out = np.array(u, dtype=float)
+        if path is not None:
+            path[0] = out
         for k in range(self.n_steps):
             out = self.step(k, out)
+            if path is not None:
+                path[k + 1] = out
         return out
-
-    def apply_recording(self, u: FloatArray) -> FloatArray:
-        """Like apply, returning all M+1 time slices as shape (M+1, N+1)."""
-        path = np.empty((self.n_steps + 1, u.shape[0]))
-        path[0] = u
-        for k in range(self.n_steps):
-            path[k + 1] = self.step(k, path[k])
-        return path
-
-    def dense_matrix(self) -> FloatArray:
-        """Full period-map matrix, columns obtained by propagating a basis."""
-        return self.apply(np.eye(self.grid.N + 1))
 
 
 # ---- coupled susceptible/infected stepper ----

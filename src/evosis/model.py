@@ -473,7 +473,7 @@ def validate_config(config: ModelConfig) -> ModelConfig:
     _positive(errors, "d_I", config.d_I)
     _positive(errors, "L", config.L)
     _positive(errors, "T", config.T)
-    if not (isinstance(config.n, int) and config.n >= 1):
+    if isinstance(config.n, bool) or not isinstance(config.n, numbers.Integral) or config.n < 1:
         errors.append(f"n: dilution dimension must be a positive integer, got {config.n!r}")
     errors.extend(config.rho.validate("rho"))
     if not errors and abs(config.rho.period - config.T) > PERIODICITY_TOL * max(1.0, config.T):
@@ -665,7 +665,7 @@ def config_to_dict(config: ModelConfig) -> dict[str, Any]:
     return {
         "d_S": config.d_S,
         "d_I": config.d_I,
-        "n": config.n,
+        "n": int(config.n),
         "L": config.L,
         "T": config.T,
         "rho": rho_doc,

@@ -2,71 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
-import numpy.typing as npt
 
+from .errors import ConfigurationError
 from .model import EvolutionRate
 
-FloatArray = npt.NDArray[np.floating[Any]]
-
-CLOSURE_TOL = 1e-10
 MIN_SAMPLES = 8
 
 _ERR_TOO_FEW = "periodic samples need at least {minimum} panels, got {count}"
-_ERR_NOT_CLOSED = "sample endpoints differ by {gap:.3e}; first and last value must agree within {tol:.0e}"
-_ERR_NOT_FINITE = "periodic samples contain non-finite values"
-
-
-@dataclass(frozen=True, slots=True)
-class PeriodicSamples:
-    """Uniform closed samples of a T-periodic function on [0, T].
-
-    values[0] corresponds to t=0 and values[-1] to t=T; both must agree
-    within the closure tolerance since the function is periodic.
-    """
-
-    values: FloatArray
-    period: float
-
-    @classmethod
-    def from_values(cls, values: FloatArray, period: float) -> "PeriodicSamples":
-        values = np.asarray(values, dtype=float)
-        if values.size - 1 < MIN_SAMPLES:
-            raise ValueError(_ERR_TOO_FEW.format(minimum=MIN_SAMPLES, count=values.size - 1))
-        if not np.all(np.isfinite(values)):
-            raise ValueError(_ERR_NOT_FINITE)
-        scale = max(1.0, float(np.max(np.abs(values))))
-        gap = abs(float(values[-1] - values[0]))
-        if gap > CLOSURE_TOL * scale:
-            raise ValueError(_ERR_NOT_CLOSED.format(gap=gap, tol=CLOSURE_TOL))
-        return cls(values=values, period=period)
-
-    @property
-    def times(self) -> FloatArray:
-        return np.linspace(0.0, self.period, self.values.size)
-
-
-def periodic_integral(samples: PeriodicSamples) -> float:
-    """Integrates the sampled function over one full period.
-
-    Uses the composite trapezoid rule, which is spectrally accurate for
-    smooth periodic integrands on uniform closed samples.
-    """
-    step = samples.period / (samples.values.size - 1)
-    return float(np.trapezoid(samples.values, dx=step))
-
-
-def sample_periodic(func: Any, period: float, panels: int) -> PeriodicSamples:
-    """Samples func on panels+1 uniform points spanning [0, period]."""
-    times = np.linspace(0.0, period, panels + 1)
-    return PeriodicSamples.from_values(np.asarray(func(times), dtype=float), period)
 
 
 def mean_inverse_rho_squared(rho: EvolutionRate, panels: int = 256) -> float:
     """Period average of rho(t)**-2, the quantity scaling separable rates.
+
+    Uses the composite trapezoid rule on panels+1 uniform closed samples,
+    which is spectrally accurate for a smooth periodic integrand.
 
     Args:
         rho: domain evolution rate.
@@ -74,6 +24,16 @@ def mean_inverse_rho_squared(rho: EvolutionRate, panels: int = 256) -> float:
 
     Returns:
         (1/T) * integral over [0, T] of rho(t)**-2.
+
+    Raises:
+        ValueError: fewer than 8 panels.
+        ConfigurationError: rho is not a valid T-periodic rate.
     """
-    samples = sample_periodic(lambda t: np.asarray(rho.value(t)) ** -2.0, rho.period, panels)
-    return periodic_integral(samples) / rho.period
+    if panels < MIN_SAMPLES:
+        raise ValueError(_ERR_TOO_FEW.format(minimum=MIN_SAMPLES, count=panels))
+    errors = rho.validate()
+    if errors:
+        raise ConfigurationError(errors)
+    times = np.linspace(0.0, rho.period, panels + 1)
+    values = np.asarray(rho.value(times), dtype=float) ** -2.0
+    return float(np.trapezoid(values, dx=rho.period / panels)) / rho.period

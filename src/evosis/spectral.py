@@ -26,12 +26,12 @@ from typing import Any, Callable
 
 import numpy as np
 import numpy.typing as npt
+from scipy.linalg import eigh_tridiagonal
 
 from .engine import LinearEquationSpec, PeriodMapOperator, endpoint_mean
 from .errors import ConvergenceError, NotApplicableError, StepError
 from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table
-from .quadrature import PeriodicSamples, mean_inverse_rho_squared, periodic_integral
-from .tridiag import dirichlet_operator, neumann_operator, smallest_eigenvalue
+from .quadrature import mean_inverse_rho_squared
 
 FloatArray = npt.NDArray[np.floating[Any]]
 
@@ -179,7 +179,8 @@ def r0_bounds(config: ModelConfig) -> BoundsResult:
 
     Extremes are taken over the grid nodes (the profiles in use are
     monotone in space, so nodal extremes are exact) at each of 257
-    uniform time samples (256 panels), then integrated over one period.
+    uniform time samples (256 panels), then integrated over one period by
+    the trapezoid rule.
     """
     nodes = config.grid.nodes
     times = np.linspace(0.0, config.T, 257)
@@ -187,7 +188,7 @@ def r0_bounds(config: ModelConfig) -> BoundsResult:
     gamma = coefficient_table(config.gamma, config.rho, nodes, times)
 
     def integral(values: FloatArray) -> float:
-        return periodic_integral(PeriodicSamples.from_values(values, config.T))
+        return float(np.trapezoid(values, dx=config.T / 256))
 
     min_beta = integral(np.min(beta, axis=1))
     max_beta = integral(np.max(beta, axis=1))
@@ -316,7 +317,8 @@ def compute_r0(config: ModelConfig) -> R0Result:
     else:
         raise ConvergenceError(f"unit-radius search stalled with defect {defect:.3e}")
 
-    path = op.apply_recording(np.abs(mode))
+    path = np.empty((op.n_steps + 1, mode.size))
+    op.apply(np.abs(mode), path)
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
     return R0Result(
         value=1.0 / x,
@@ -346,22 +348,6 @@ def r0_closed_form(beta_hat: float, lambda_star: float, rho: EvolutionRate, pane
     return beta_hat / (lambda_star * mean_inverse_rho_squared(rho, panels))
 
 
-def neumann_elliptic_principal_eigenvalue(d: float, c_nodes: FloatArray, h: float) -> float:
-    """Principal eigenvalue of -d w'' + c(y) w with no-flux endpoints."""
-    diag, off = neumann_operator(d, np.asarray(c_nodes, dtype=float), h)
-    return smallest_eigenvalue(diag, off)
-
-
-def dirichlet_elliptic_principal_eigenvalue(d: float, c_nodes: FloatArray, h: float) -> float:
-    """Principal eigenvalue of -d w'' + c(y) w with absorbing endpoints.
-
-    For constant c on (0, L) this equals c + d*(pi/L)^2, the value used by
-    the worked fixed-domain comparisons.
-    """
-    diag, off = dirichlet_operator(d, np.asarray(c_nodes, dtype=float), h)
-    return smallest_eigenvalue(diag, off)
-
-
 def lambda_star_from_config(config: ModelConfig, convention: str = "paper-example") -> float:
     """Principal elliptic eigenvalue of the separable recovery profile.
 
@@ -369,6 +355,13 @@ def lambda_star_from_config(config: ModelConfig, convention: str = "paper-exampl
     'neumann' matches the no-flux model; 'paper-example' uses absorbing
     endpoints, the convention behind the worked examples. The grid has the
     config's intervals, but at least 200.
+
+    The eigenvalue is the smallest of the symmetric tridiagonal
+    discretization on that grid (LAPACK stebz). Absorbing endpoints drop
+    the two end nodes. No-flux endpoints use ghost nodes, whose unsymmetric
+    end rows couple each end to its neighbour with weight -2d/h^2; the
+    similarity by the square root of the trapezoid weights makes the matrix
+    symmetric with -sqrt(2)*d/h^2 there, and keeps its eigenvalues.
     """
     if convention not in LAMBDA_STAR_CONVENTIONS:
         raise ValueError(_ERR_CONVENTION.format(value=convention, known=LAMBDA_STAR_CONVENTIONS))
@@ -376,9 +369,15 @@ def lambda_star_from_config(config: ModelConfig, convention: str = "paper-exampl
     grid = Grid1D(L=config.L, N=max(config.grid_points, 200))
     assert config.gamma.space is not None
     c_nodes = np.asarray(config.gamma.space.evaluate_z(grid.nodes), dtype=float)
+    w = config.d_I / grid.h**2
     if convention == "neumann":
-        return neumann_elliptic_principal_eigenvalue(config.d_I, c_nodes, grid.h)
-    return dirichlet_elliptic_principal_eigenvalue(config.d_I, c_nodes, grid.h)
+        diag = 2.0 * w + c_nodes
+        off = np.full(c_nodes.size - 1, -w)
+        off[0] = off[-1] = -math.sqrt(2.0) * w
+    else:
+        diag = 2.0 * w + c_nodes[1:-1]
+        off = np.full(c_nodes.size - 3, -w)
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0])
 
 
 def _require_closed_form(config: ModelConfig) -> None:

@@ -210,11 +210,14 @@ def test_period_map_recording_and_dense_matrix_agree_with_apply():
     spec = _linear_spec(lambda y, t: 0.5 * y, n_points=10, steps=40)
     op = PeriodMapOperator.from_spec(spec)
     u = 1.0 + 0.2 * np.cos(math.pi * spec.grid.nodes)
-    path = op.apply_recording(u)
-    assert path.shape == (41, 11)
+    path = np.empty((41, 11))
+    end = op.apply(u, path)
     assert np.array_equal(path[0], u)
-    assert np.max(np.abs(path[-1] - op.apply(u))) < 1e-13
-    dense = op.dense_matrix()
+    for k in range(40):
+        assert np.array_equal(path[k + 1], op.step(k, path[k]))
+    assert np.array_equal(path[-1], end)
+    assert np.array_equal(end, op.apply(u))
+    dense = op.apply(np.eye(11))
     assert np.max(np.abs(dense @ u - op.apply(u))) < 1e-11
 
 

@@ -363,6 +363,17 @@ def test_validate_config_accepts_numpy_integer_resolution():
     assert (doc["grid_points"], doc["steps_per_period"]) == (16, 32)
 
 
+def test_validate_config_takes_the_dimension_by_the_resolution_integer_rule():
+    with pytest.raises(ConfigurationError) as excinfo:
+        validate_config(_valid_config(n=True))
+    assert [message.split(":")[0] for message in excinfo.value.errors] == ["n"]
+    config = _valid_config(n=np.int64(2))
+    assert validate_config(config) is config
+    doc = json.loads(json.dumps(config_to_dict(config)))
+    assert doc["n"] == 2 and isinstance(doc["n"], int)
+    assert config_from_dict(doc) == config
+
+
 # ---- document round trips ----
 
 def _document() -> dict:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from evosis.errors import ConfigurationError
 from evosis.model import EvolutionRate
-from evosis.quadrature import PeriodicSamples, mean_inverse_rho_squared, periodic_integral, sample_periodic
+from evosis.quadrature import mean_inverse_rho_squared
 
 QUARTER_TURN = math.pi / 2
 
@@ -20,51 +21,44 @@ MEAN_INV_RHO2 = {
     -0.20: 1.552097074199726,
 }
 
-# integral of sin^2(4t) over [0, pi/2]
-SIN_SQUARED_INTEGRAL = math.pi / 4
 
-
-def _rate(amplitude: float) -> EvolutionRate:
+def _rate(amplitude: float, frequency: float = 4.0) -> EvolutionRate:
     return EvolutionRate(kind="exp-cosine", period=QUARTER_TURN,
-                         amplitude=amplitude, frequency=4.0)
+                         amplitude=amplitude, frequency=frequency)
 
 
-# ---- sample container ----
+# ---- checks on the request ----
 
 def test_samples_require_enough_panels():
-    with pytest.raises(ValueError, match="at least"):
-        PeriodicSamples.from_values(np.ones(5), 1.0)
+    with pytest.raises(ValueError, match="at least 8 panels, got 4"):
+        mean_inverse_rho_squared(_rate(0.35), panels=4)
 
 
 def test_samples_require_closed_endpoints():
-    values = np.linspace(0.0, 1.0, 17)
-    with pytest.raises(ValueError, match="endpoints differ"):
-        PeriodicSamples.from_values(values, 1.0)
+    # three quarter turns per period: rho(T) != rho(0)
+    with pytest.raises(ConfigurationError, match="frequency"):
+        mean_inverse_rho_squared(_rate(0.35, frequency=3.0))
 
 
 def test_samples_require_finite_values():
-    values = np.ones(17)
-    values[3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        PeriodicSamples.from_values(values, 1.0)
-
-
-def test_samples_times_span_period():
-    samples = PeriodicSamples.from_values(np.ones(17), 2.0)
-    assert samples.times[0] == 0.0
-    assert samples.times[-1] == pytest.approx(2.0, abs=1e-15)
+    # exp(2 * 400) overflows at the half period
+    with pytest.raises(ConfigurationError, match="finite"):
+        mean_inverse_rho_squared(_rate(400.0))
 
 
 def test_sample_periodic_counts_panels():
-    samples = sample_periodic(lambda t: np.cos(4.0 * t), QUARTER_TURN, 32)
-    assert samples.values.size == 33
+    # on closed periodic samples the trapezoid rule is the mean of the
+    # first `panels` samples
+    rate = _rate(0.35)
+    times = np.arange(32) * (QUARTER_TURN / 32)
+    expected = float(np.mean(rate.value(times) ** -2.0))
+    assert mean_inverse_rho_squared(rate, panels=32) == pytest.approx(expected, rel=1e-14)
 
 
-# ---- integrals ----
+# ---- period means ----
 
 def test_periodic_integral_is_spectrally_accurate():
-    samples = sample_periodic(lambda t: np.sin(4.0 * t) ** 2, QUARTER_TURN, 64)
-    assert periodic_integral(samples) == pytest.approx(SIN_SQUARED_INTEGRAL, abs=1e-12)
+    assert mean_inverse_rho_squared(_rate(0.35), panels=64) == pytest.approx(MEAN_INV_RHO2[0.35], abs=1e-14)
 
 
 def test_mean_inverse_rho_squared_constant_domain():

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from evosis import spectral
@@ -20,17 +21,16 @@ from evosis.model import (
     InitialSpec,
     ModelConfig,
     coefficient_table,
+    evaluate_coefficient,
 )
 from evosis.presets import load_preset, preset_names
 from evosis.spectral import (
     _operator_radius,
     closed_form_r0,
     compute_r0,
-    dirichlet_elliptic_principal_eigenvalue,
     eigenfunction_monotonicity_certificate,
     invasion_eigenvalue,
     lambda_star_from_config,
-    neumann_elliptic_principal_eigenvalue,
     period_map_spectral_radius,
     r0_bounds,
     r0_closed_form,
@@ -133,7 +133,7 @@ def _dense_radius(op: PeriodMapOperator) -> float:
     The largest real positive eigenvalue whose eigenvector is one-signed,
     from one dense eigen-solve, with no iteration.
     """
-    values, vectors = np.linalg.eig(op.dense_matrix())
+    values, vectors = np.linalg.eig(op.apply(np.eye(op.grid.N + 1)))
     perron = []
     for value, vector in zip(values, vectors.T):
         x = vector.real * np.sign(vector.real[np.argmax(np.abs(vector.real))])
@@ -476,6 +476,41 @@ def _next_generation_radius(config: ModelConfig) -> float:
     return float(abs(eigs(operator, k=1, v0=np.ones(steps * size))[0][0]))
 
 
+def _scalar_r0(config: ModelConfig) -> float:
+    """Oracle for beta and gamma constant in space: the exact discrete R0.
+
+    The constant vector is then an eigenvector of every Crank-Nicolson step,
+    with factor (1 + theta dt q_k)/(1 - theta dt q_k), q_k = beta_k x - rest_k
+    (endpoint means, rest = gamma + n rho'/rho, x = 1/mu). It is positive, so
+    it is the Perron vector, and R0 is 1/x at the root of the log period
+    factor, found by brentq.
+    """
+    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
+    rho = config.rho
+    beta = np.broadcast_to(evaluate_coefficient(config.beta, rho, 0.0, times), times.shape)
+    rest = evaluate_coefficient(config.gamma, rho, 0.0, times) + config.n * rho.derivative(times) / rho.value(times)
+    beta_bar, rest_bar = 0.5 * (beta[:-1] + beta[1:]), 0.5 * (rest[:-1] + rest[1:])
+    theta_dt = 0.5 * config.T / config.steps_per_period
+
+    def log_factor(x: float) -> float:
+        q = theta_dt * (beta_bar * x - rest_bar)
+        return float(np.sum(np.log1p(q) - np.log1p(-q)))
+
+    guess = np.sum(rest_bar) / np.sum(beta_bar)
+    return 1.0 / brentq(log_factor, 0.5 * guess, 2.0 * guess, xtol=1e-300)
+
+
+@pytest.mark.parametrize("resolution", [(16, 32), (64, 256)], ids=["16x32", "64x256"])
+@pytest.mark.parametrize("name", ["example1-fixed", "example1-evolving", "example2-fixed",
+                                  "example2-evolving", "example3-b"])
+def test_compute_r0_matches_the_scalar_oracle_when_rates_are_constant_in_space(name, resolution):
+    # |r - 1| <= DEFECT_TOL moves x by at most DEFECT_TOL over the period
+    # integral of beta, so R0 by DEFECT_TOL over that of gamma (>= 1 here)
+    config = load_preset(name).with_resolution(*resolution)
+    oracle = _scalar_r0(config)
+    assert abs(compute_r0(config).value - oracle) <= 1e-8 * oracle
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_compute_r0_matches_next_generation_operator(name):
     config = load_preset(name).with_resolution(32, 64)
@@ -526,12 +561,15 @@ def test_closed_form_requires_separable_shapes():
 # ---- elliptic eigenvalues ----
 
 def test_elliptic_eigenvalues_constant_potential():
-    c_nodes = np.full(201, 6.96)
-    h = 1.0 / 200
-    assert neumann_elliptic_principal_eigenvalue(0.1, c_nodes, h) == pytest.approx(
-        6.96, abs=1e-8)
-    assert dirichlet_elliptic_principal_eigenvalue(0.1, c_nodes, h) == pytest.approx(
-        LAMBDA_STAR_EX1, abs=3e-5)
+    # constant c: no-flux lambda* is c itself; the absorbing one sits below
+    # c + d_I (pi/L)^2 by at most d_I pi^4 h^2 / 12 at the 200-interval grid
+    for name, continuum in (("example1-fixed", LAMBDA_STAR_EX1), ("example2-fixed", LAMBDA_STAR_EX2),
+                            ("example3-b", LAMBDA_STAR_EX3B)):
+        config = load_preset(name)
+        assert lambda_star_from_config(config, convention="neumann") == pytest.approx(
+            config.gamma.space.c0, abs=1e-8)
+        gap = continuum - lambda_star_from_config(config, convention="paper-example")
+        assert 0.0 < gap <= config.d_I * math.pi**4 * (config.L / 200) ** 2 / 12, name
 
 
 # ---- monotonicity certificate ----
