@@ -115,10 +115,11 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
         doc = json.loads(preset_text(args.preset))
     else:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.grid is not None:
-        doc["grid_points"] = args.grid
-    if args.steps is not None:
-        doc["steps_per_period"] = args.steps
+    if isinstance(doc, dict):  # config_from_dict reports a document of any other type
+        if args.grid is not None:
+            doc["grid_points"] = args.grid
+        if args.steps is not None:
+            doc["steps_per_period"] = args.steps
     return validate_config(config_from_dict(doc))
 
 

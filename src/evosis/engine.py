@@ -40,23 +40,22 @@ B = dt (nu A + diag q), is solved in its row-scaled form
 
 a symmetric tridiagonal matrix (one block per species, a zero
 off-diagonal at each seam) that `scaled_bands` builds and `_FactorSet`
-has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step, after
-halving (d, e): halving is exact, so L is unchanged and D is halved
-exactly. Each solve is then one `pttrs` call on the rhs scaled by w/2,
-where w = (1/2, 1, ..., 1, 1/2) per block, with no pass at the block
-ends. The factors need positive definiteness. Since -WA is positive
-semidefinite, W - theta dt nu WA is definite for every nu >= 0, and subtracting
+has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step. Each
+solve is then one `pttrs` call on the rhs scaled by w, where
+w = (1/2, 1, ..., 1, 1/2) per block, with no pass at the block ends. The
+factors need positive definiteness. Since -WA is positive semidefinite,
+W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
 (q = 0) are therefore always definite; the period map needs its potential
 below 1/(theta dt), and a system that is not definite raises `StepError`.
 Since I + theta B = 2I - (I - theta B),
 each Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f
 is taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit
-stencil. Every rhs reaches the halved systems scaled by w/2, with the
-powers of two folded into its terms: the period map passes u * w for
-(w/2)(2u), and the coupled step scales its reaction terms by dt w/2 or
-theta dt w/2 and u by w/2. Scaling by a power of two is exact, so each
-sum rounds as the unscaled one does.
+stencil. Every rhs reaches the systems scaled by w, with the power of
+two folded into its terms: the period map passes u * 2w for w(2u), and
+the coupled step scales its reaction terms by dt w or theta dt w and u
+by w. Scaling by a power of two is exact, so each sum rounds as the
+unscaled one does.
 
 Coefficient tables are read-only views from `coefficient_table`, held at
 the shape they vary in (a table constant in space, in time or in both
@@ -165,12 +164,11 @@ class _FactorSet:
     B is the block Laplacian of the scale vectors nus and W the block-end
     halving, which makes each system symmetric tridiagonal: its diagonal d
     and off-diagonal e (zero at the seam between blocks), from
-    `scaled_bands`, are halved and factored in place by one LAPACK `pttrf`
-    call per step. Halving is exact: L is that of the unhalved system and
-    D is halved to the bit. That needs positive definiteness, which
-    holds when theta_dt*sup q < 1 and always when q is None; a step with a
-    pivot that is not positive raises `StepError`. Each step keeps its
-    (d, e) row views for the solves that reuse it.
+    `scaled_bands`, are factored in place by one LAPACK `pttrf` call per
+    step. That needs positive definiteness, which holds when
+    theta_dt*sup q < 1 and always when q is None; a step with a pivot that
+    is not positive raises `StepError`. Each step keeps its (d, e) row
+    views for the solves that reuse it.
     """
 
     __slots__ = ("_rows",)
@@ -178,8 +176,6 @@ class _FactorSet:
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
         d, e = scaled_bands(grid, nus, q, theta_dt)
-        d *= 0.5
-        e *= 0.5
         for k in range(d.shape[0]):
             _, _, info = _pttrf(d[k], e[k], overwrite_d=1, overwrite_e=1)
             if info != 0:
@@ -189,7 +185,7 @@ class _FactorSet:
         self._rows = [(d[k], e[k]) for k in range(d.shape[0])]
 
     def solve(self, k: int, rhs: FloatArray) -> FloatArray:
-        """Solution of step k's system (I - theta_dt*(B + diag q)) x = f, given rhs = (w/2) f.
+        """Solution of step k's system (I - theta_dt*(B + diag q)) x = f, given rhs = w f.
 
         w = (1/2, 1, ..., 1, 1/2) per block, which the caller folds into the
         terms of f. An F-contiguous rhs (1-D, or one column per field) is
@@ -211,9 +207,9 @@ class PeriodMapOperator:
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
         self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
-        # (w/2)(2u) = w u, for a field and for stacked columns
-        self._w = trapezoid_weights(grid) / grid.h
-        self._w_col = self._w[:, None]
+        # w(2u) = 2w u, for a field and for stacked columns
+        self._two_w = 2.0 * trapezoid_weights(grid) / grid.h
+        self._two_w_col = self._two_w[:, None]
 
     @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
@@ -226,7 +222,7 @@ class PeriodMapOperator:
         return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
     def step(self, k: int, u: FloatArray) -> FloatArray:
-        x = self._factors.solve(k, u * (self._w if u.ndim == 1 else self._w_col))
+        x = self._factors.solve(k, u * (self._two_w if u.ndim == 1 else self._two_w_col))
         x -= u
         return x
 
@@ -324,11 +320,11 @@ class CoupledStepper:
             self.loss = np.broadcast_to(gamma + dil, shape)
             self._scratch = np.empty(n)
             nus += (endpoint_mean(config.d_I * inv_rho2),)
-        # right-hand side scales of the halved systems, one w/2 per block
-        w_half = np.tile(0.5 * trapezoid_weights(grid) / grid.h, len(nus))
-        self._w_half = w_half
-        self._dt_w_half = self.dt * w_half
-        self._half_w_half = self._half * w_half
+        # right-hand side scales, one w per block
+        w = np.tile(trapezoid_weights(grid) / grid.h, len(nus))
+        self._w = w
+        self._dt_w = self.dt * w
+        self._half_w = self._half * w
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
@@ -374,17 +370,17 @@ class CoupledStepper:
         """One IMEX step of the state from t_k to t_{k+1}, clamping tiny negatives; never writes u.
 
         Both right-hand sides, r dt + u and (r1 + r) dt/2 + u + u, are
-        formed scaled by w/2 for the halved systems, term by term: scaling
-        by powers of two is exact, so each rounds as the unscaled sum does.
+        formed scaled by w, term by term: scaling by powers of two is exact,
+        so each rounds as the unscaled sum does.
         """
         r = self.reaction(u, k)
-        u_w = u * self._w_half
-        pre = r * self._dt_w_half
+        u_w = u * self._w
+        pre = r * self._dt_w
         pre += u_w
         star = self._pred.solve(k, pre.T).T
         nxt = self.reaction(star, k + 1)
         nxt += r
-        nxt *= self._half_w_half
+        nxt *= self._half_w
         nxt += u_w
         nxt += u_w
         nxt = self._corr.solve(k, nxt.T).T

@@ -218,14 +218,13 @@ def compute_r0(config: ModelConfig) -> R0Result:
     Newton step: the first with the slope
     sqrt(min_beta_integral*max_beta_integral), later ones with the slope
     the last two trials measured, kept between those two integrals. Once
-    both signs have been seen, a secant step through the last two points is
-    taken if it falls strictly inside the known bracket, else an Illinois
-    regula falsi step, else geometric bisection; bisection also replaces a
-    step longer than half the step before last. The search stops
-    once |r - 1| <= DEFECT_TOL, and the mode of that last radius evaluation
-    seeds the eigenfunction. Each radius comes from the block Rayleigh-Ritz
-    iteration of `_operator_radius`, warm-started at the block that the
-    previous trial mu ended with.
+    both signs have been seen, a secant step through the last two trials is
+    taken if it falls strictly inside the known bracket and is no longer
+    than half the step before last, else geometric bisection. The search
+    stops once |r - 1| <= DEFECT_TOL, and the mode of that last radius
+    evaluation seeds the eigenfunction. Each radius comes from the block
+    Rayleigh-Ritz iteration of `_operator_radius`, warm-started at the block
+    that the previous trial mu ended with.
 
     The sandwich widened by a factor of two on each side, [0.5*lower,
     2*upper], absorbs discretization drift and serves only as a safeguard:
@@ -268,11 +267,10 @@ def compute_r0(config: ModelConfig) -> R0Result:
             return 0.0
         return r
 
-    trials: list[tuple[float, float]] = []  # (x, ln r) of every radius evaluation
     radii: list[str] = []
-    # the nearest trial on each side of the crossing, keyed by the sign of ln r;
-    # its ln r carries the Illinois damping
-    near: dict[int, tuple[float, float]] = {}
+    # x of the nearest trial on each side of the crossing, keyed by the sign of ln r
+    near: dict[int, float] = {}
+    last = (math.nan, math.nan)  # (x, ln r) of the trial before
     moves: list[float] = []  # |step| of every trial taken once both sides were known
     x = 1.0 / math.sqrt(bounds.lower * bounds.upper)
     defect = math.inf
@@ -284,33 +282,29 @@ def compute_r0(config: ModelConfig) -> R0Result:
             break
         f = math.log(r) if r else -math.inf
         sign = 1 if f > 0.0 else -1
-        if -sign in near and (trials[-1][1] > 0.0) == (sign > 0):
-            # Illinois: when the same side updates twice running, the stale
-            # side's value is halved so regula falsi cannot stagnate on it
-            stale_x, stale_f = near[-sign]
-            near[-sign] = (stale_x, 0.5 * stale_f)
-        near[sign] = (x, f)
-        trials.append((x, f))
+        near[sign] = x
+        x_last, f_last = last
+        last = (x, f)
         if -sign not in near:
             end = end_toward[sign]
             if x == end:
                 raise ConvergenceError(_ERR_BRACKET.format(
                     lo=1.0 / end_toward[-1], hi=1.0 / end_toward[1], radii=", ".join(radii)))
-            if len(trials) > 1:
+            if iterations > 1:
                 # the slope the last two trials measured, inside the range
                 # the sandwich allows; the sandwich slope alone converges
                 # only linearly when the eigenfunction sits where beta is small
-                (x_a, f_a), (x_b, f_b) = trials[-2:]
-                slope = min(max((f_b - f_a) / (x_b - x_a), bounds.min_beta_integral), bounds.max_beta_integral)
+                slope = min(max((f - f_last) / (x - x_last), bounds.min_beta_integral), bounds.max_beta_integral)
             x -= f / slope
             if (x - end) * sign <= 0.0:  # the step would leave the widened bracket
                 x = end
         else:
-            x_lo, x_hi = near[-1][0], near[1][0]
-            x_new = _secant_zero(trials[-2], trials[-1], x_lo, x_hi) or _secant_zero(near[-1], near[1], x_lo, x_hi)
+            x_lo, x_hi = near[-1], near[1]
+            # the secant through the last two trials; an infinite ln r makes it NaN or an end
+            x_new = x - f * (x - x_last) / (f - f_last) if f != f_last else math.nan
             # a step longer than half the one before last bisects instead,
             # so secants that creep along a sharply bent ln r cannot stall
-            if x_new is None or (len(moves) > 1 and abs(x_new - x) > 0.5 * moves[-2]):
+            if not x_lo < x_new < x_hi or (len(moves) > 1 and abs(x_new - x) > 0.5 * moves[-2]):
                 x_new = math.sqrt(x_lo * x_hi)
             moves.append(abs(x_new - x))
             x = x_new
@@ -327,18 +321,6 @@ def compute_r0(config: ModelConfig) -> R0Result:
         defect=defect,
         eigenfunction=path,
     )
-
-
-def _secant_zero(a: tuple[float, float], b: tuple[float, float], x_lo: float, x_hi: float) -> float | None:
-    """Zero of the line through the points a and b if it lies strictly inside (x_lo, x_hi).
-
-    An infinite ordinate gives a NaN or an endpoint, and so None.
-    """
-    (x_a, f_a), (x_b, f_b) = a, b
-    if f_a == f_b:
-        return None
-    x = x_b - f_b * (x_b - x_a) / (f_b - f_a)
-    return x if x_lo < x < x_hi else None
 
 
 # ---- closed form for separable recovery ----

@@ -151,6 +151,20 @@ def test_classifier_detects_persistence(preset_r0):
     assert not verdict.flagged
 
 
+def test_classifier_reports_inconclusive_between_the_two_levels():
+    """Six periods of example4-a leave the infected sup at 4.08e-4, still
+    decaying: above the extinction level 1e-4, and the smallest of the last
+    five period ends is the same value, below the persistence floor 1e-3."""
+    config = load_preset("example4-a").with_resolution(32, 200)
+    verdict = classify_stability(config, horizon_periods=6, r0=0.497)
+    assert verdict.classification == "inconclusive"
+    assert 1e-4 < verdict.sup_I_final < 1e-3
+    assert verdict.persistence_floor == verdict.sup_I_final
+    assert verdict.periods_run == 6
+    assert verdict.first_extinct_period is None
+    assert not verdict.flagged
+
+
 def test_classifier_computes_r0_when_missing():
     config = load_preset("example2-fixed").with_resolution(48, 192)
     verdict = classify_stability(config, horizon_periods=20)

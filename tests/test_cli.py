@@ -180,6 +180,23 @@ def test_sweep_command_reports_monotone_verdict(tmp_path, capsys):
     compile(_read(out_dir / "plot_sweep.py"), "plot_sweep.py", "exec")
 
 
+def test_sweep_command_reports_a_monotonicity_violation(tmp_path, capsys):
+    """Across L = 0.25..4, R0 of example4-a falls and then turns up between
+    L = 2 and L = 4 (0.431553 to 0.431968), so the verdict names index 3
+    and --strict fails."""
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "example4-a", "--param", "L",
+                 "--values", "0.25,0.5,1,2,4", "--grid", "24", "--steps", "128",
+                 "--out", str(out_dir), "--strict"]) == 3
+    captured = capsys.readouterr()
+    assert "verdict: violated-at-indices at indices [3]" in captured.out
+    assert "strict: sweep is not strictly monotone" in captured.err
+    doc = json.loads(_read(out_dir / "sweep.json"))
+    assert doc["verdict"] == "violated-at-indices"
+    assert doc["violation_indices"] == [3]
+    assert doc["r0_values"][3] < doc["r0_values"][4]
+
+
 def test_sweep_rejects_zero_length(capsys):
     assert main(["sweep", "--preset", "example4-b", "--param", "L", "--values", "0,1",
                  "--grid", "16", "--steps", "32"]) == 1
@@ -262,12 +279,17 @@ def test_missing_config_file_exits_with_config_error(tmp_path, monkeypatch, caps
 
 
 def test_invalid_json_exits_with_config_error(tmp_path, capsys):
-    """Also a file that is not UTF-8 text."""
+    """Also a file that is not UTF-8 text, and a document that is not an
+    object, with or without a --grid override."""
     bad = tmp_path / "bad.json"
-    for content in (b"{not json", b"\xff\xfe{}"):
+    grid = ["--grid", "16"]
+    for content, extra, message in ((b"{not json", [], "config error"),
+                                    (b"\xff\xfe{}", [], "config error"),
+                                    (b"[1, 2]", grid, "config error: config: expected an object, got [1, 2]"),
+                                    (b'"text"', grid, "config error: config: expected an object, got 'text'")):
         bad.write_bytes(content)
-        assert main(["r0", "--config", str(bad)]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert main(["r0", "--config", str(bad), *extra]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_invalid_field_reports_its_path(tmp_path, capsys):

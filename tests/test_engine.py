@@ -448,11 +448,10 @@ def test_coupled_step_matches_per_species_reference_bit_for_bit():
 def test_stacked_bands_solve_like_each_species_alone():
     """The zero seam makes one stacked solve equal the two separate L D L^T
     solves bit for bit; the LU solves agree to rounding. The stacked
-    factors are those of the halved system, solved on the rhs scaled by
-    w/2, and the reference's are those of the W-scaled system: halving is
-    exact, so the two agree to the bit."""
+    factors, like the reference's, are those of the W-scaled system,
+    solved on the rhs scaled by w."""
     grid = Grid1D(L=2.0, N=24)
-    w_half = np.tile(0.5 * row_weights(grid.N + 1), 2)
+    w = np.tile(row_weights(grid.N + 1), 2)
     rng = np.random.default_rng(7)
     steps, theta = 6, 0.01
     nu_S = 0.1 * (1.0 + rng.random(steps))
@@ -461,7 +460,7 @@ def test_stacked_bands_solve_like_each_species_alone():
         for k in range(steps):
             rhs = rng.standard_normal(2 * (grid.N + 1))
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
-            stacked = factors.solve(k, rhs * w_half)
+            stacked = factors.solve(k, rhs * w)
             expected = np.concatenate([ldlt_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             lu = np.concatenate([lu_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             assert np.array_equal(stacked, expected)

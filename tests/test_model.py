@@ -392,6 +392,18 @@ def _document() -> dict:
     }
 
 
+def _tabulated_document() -> dict:
+    """A tabulated rate, 16 samples of exp(0.2(1 - cos 2t)) over T = pi, and
+    initial_S given as N+1 nodal samples."""
+    doc = _document()
+    doc["T"] = math.pi
+    t = np.arange(16) * (math.pi / 16)
+    doc["rho"] = {"kind": "tabulated", "samples": np.exp(0.2 * (1.0 - np.cos(2.0 * t))).tolist()}
+    y = np.linspace(0.0, 1.0, doc["grid_points"] + 1)
+    doc["initial_S"] = {"samples": (0.3 + 0.01 * np.cos(math.pi * y)).tolist()}
+    return doc
+
+
 def test_config_document_round_trip():
     config = validate_config(config_from_dict(_document()))
     doc = config_to_dict(config)
@@ -399,6 +411,12 @@ def test_config_document_round_trip():
     assert again == config
     assert doc["gamma"]["g"]["harmonics"] == [[1, 0.05, 0.0]]
     assert doc["rho"]["amplitude"] == 0.3
+    source = _tabulated_document()
+    config = validate_config(config_from_dict(source))
+    doc = config_to_dict(config)
+    assert config_from_dict(json.loads(json.dumps(doc))) == config
+    assert doc["rho"] == source["rho"]
+    assert doc["initial_S"] == source["initial_S"]
 
 
 def test_config_from_dict_rejects_unknown_and_missing_keys():

@@ -325,7 +325,7 @@ def test_compute_r0_radius_evaluations_with_heterogeneous_beta(monkeypatch, d_I,
     Newton steps with the sandwich slope alone converge linearly on the
     first (24 evaluations), and secants taken whenever they fall inside the
     bracket creep on the second (46); the measured slope and the step guard
-    take 8 and 22. A search that evaluates both widened ends first and then
+    take 8 and 20. A search that evaluates both widened ends first and then
     runs Illinois regula falsi takes 15 and 25."""
     config = replace(load_preset("example4-b"), d_I=d_I,
                      beta=CoefficientProfile(form="affine", c0=beta[0], c1=beta[1]),

@@ -7,9 +7,8 @@ solves it with LAPACK `pttrf`/`pttrs` on W rhs, as the engine does.
 `lu_solve` is the general LU form with pivoting (`gttrf`/`gttrs`) on the
 unscaled system, and `LuFactors` a drop-in for `_FactorSet` built on it, so
 a stepper can be run on the LU form as a second oracle. `_FactorSet.solve`
-takes its rhs scaled by w/2, with w = (1/2, 1, ..., 1, 1/2), for the halved
-system it factors; `LuFactors.solve` divides that scale back out, which is
-exact.
+takes its rhs scaled by w = (1/2, 1, ..., 1, 1/2), for the W-scaled system
+it factors; `LuFactors.solve` divides that scale back out, which is exact.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class LuFactors:
     def __init__(self, grid: Grid1D, nu: np.ndarray, theta_dt: float) -> None:
         self._grid = grid
         self._scales = -theta_dt * nu
-        self._w_half = 0.5 * row_weights(grid.N + 1)
+        self._w = row_weights(grid.N + 1)
 
     def solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
-        w_half = self._w_half.reshape((-1,) + (1,) * (rhs.ndim - 1))
-        return lu_solve(self._grid, self._scales[k], rhs / w_half)
+        w = self._w.reshape((-1,) + (1,) * (rhs.ndim - 1))
+        return lu_solve(self._grid, self._scales[k], rhs / w)
