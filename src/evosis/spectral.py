@@ -95,9 +95,12 @@ def _operator_radius(op: PeriodMapOperator,
     among the eigenpairs (theta, y) of V^T P V, the largest real positive
     theta whose Ritz vector V y is one-signed. The map is strongly positive,
     so its radius is its one eigenvalue with a positive eigenvector; stiff
-    Crank-Nicolson modes of modulus near one are passed over by sign. It
-    stops when theta moved by less than RADIUS_TOL*max(1, theta) and the
-    residual |P V y - theta V y|/|theta V y| (sup norms) is below 1e-7.
+    Crank-Nicolson modes of modulus near one are passed over by sign. With
+    the residual |P V y - theta V y|/|theta V y| (sup norms), it stops as
+    soon as that residual is below RADIUS_TOL, which certifies the pair
+    from one apply (the first, when the start block holds the eigenvector),
+    or once theta moved by less than RADIUS_TOL*max(1, theta) with the
+    residual below 1e-7.
     After 4 iterations at one block size the next cosines double it, up to
     the N+1 columns of the full basis, whose Ritz pairs are the eigenpairs:
     there the pick is final, or ConvergenceError if it finds no pair.
@@ -118,8 +121,9 @@ def _operator_radius(op: PeriodMapOperator,
             j = np.flatnonzero(perron)[np.argmax(values.real[perron])]
             radius, mode = float(values[j].real), ritz[:, j] / np.max(ritz[:, j])
             residual = np.max(np.abs(w @ (signs[j] * vectors[:, j].real) - radius * ritz[:, j]))
-            if full or (abs(radius - estimate) < RADIUS_TOL * max(1.0, radius)
-                        and residual < 1e-7 * radius * np.max(ritz[:, j])):
+            scale = radius * np.max(ritz[:, j])
+            if full or residual < RADIUS_TOL * scale or (
+                    abs(radius - estimate) < RADIUS_TOL * max(1.0, radius) and residual < 1e-7 * scale):
                 return radius, mode, w
             estimate = radius
         elif full:
@@ -224,7 +228,10 @@ def compute_r0(config: ModelConfig) -> R0Result:
     stops once |r - 1| <= DEFECT_TOL, and the mode of that last radius
     evaluation seeds the eigenfunction. Each radius comes from the block
     Rayleigh-Ritz iteration of `_operator_radius`, warm-started at the block
-    that the previous trial mu ended with.
+    that the previous trial mu ended with. It stops as soon as the Perron
+    pair's relative residual is below RADIUS_TOL, so a trial whose start
+    block already holds the eigenvector (beta and gamma constant in space)
+    or lies near the one before costs one apply.
 
     The sandwich widened by a factor of two on each side, [0.5*lower,
     2*upper], absorbs discretization drift and serves only as a safeguard:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from evosis.model import (
     evaluate_coefficient,
     validate_config,
 )
+from evosis.presets import load_preset
 
 QUARTER_TURN = math.pi / 2
 
@@ -346,6 +348,22 @@ def test_validate_config_bounds_the_explicit_reaction_step():
     assert message.startswith("steps_per_period: the explicit reaction step needs")
     assert "got 1.05" in message and "sup a = 9.5" in message and "need steps_per_period >= 17" in message
     assert validate_config(_valid_config(a=_constant(9.5), steps_per_period=17))
+
+
+def test_validate_config_bounds_the_stiff_crank_nicolson_modes(designed_config):
+    """x = h^2 sum_k 1/(dt nu_k) >= 1e-5: example4-a at d_I = 1e4, L = 0.01 on
+    8x64 (x = 1.42e-7, a probe of the stratum where R0 moved with rounding)
+    is rejected, d_I at the stated limit passes, and so does the designed
+    config at d_I = 1e4 on 96x320 (x = 5.5e-4)."""
+    stiff = replace(load_preset("example4-a"), d_I=1e4, L=0.01).with_resolution(8, 64)
+    with pytest.raises(ConfigurationError) as excinfo:
+        validate_config(stiff)
+    [message] = excinfo.value.errors
+    assert message.startswith("d_I: the stiffest Crank-Nicolson mode of the R0 period map")
+    assert "x must be >= 1e-05; got x = 1.42e-07" in message
+    assert "(d_I = 10000, L = 0.01, grid_points = 8, steps_per_period = 64); need d_I <= 142.047" in message
+    assert validate_config(replace(stiff, d_I=142.0))
+    assert validate_config(replace(designed_config(grid_points=96, steps_per_period=320), d_I=1e4))
 
 
 @pytest.mark.parametrize("field", ["grid_points", "steps_per_period"])

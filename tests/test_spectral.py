@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, eigs
@@ -22,6 +24,7 @@ from evosis.model import (
     ModelConfig,
     coefficient_table,
     evaluate_coefficient,
+    validate_config,
 )
 from evosis.presets import load_preset, preset_names
 from evosis.spectral import (
@@ -159,6 +162,40 @@ def test_spectral_radius_block_route_matches_dense_oracle():
     assert radius == pytest.approx(_dense_radius(op), abs=1e-12)
     assert np.min(mode) > 0.0 and np.max(mode) == 1.0
     assert np.max(np.abs(op.apply(mode) - radius * mode)) < 1e-7 * radius
+
+
+def test_spectral_radius_stops_after_one_apply_when_the_start_block_holds_the_eigenvector():
+    """A constant potential, and example1-fixed at its root (beta and gamma
+    constant in space): the constant vector, the first cosine, is the
+    eigenvector, so the first Ritz pair's residual certifies it."""
+    constant = LinearEquationSpec(
+        d=0.1, rho=EvolutionRate(kind="constant-one", period=1.0),
+        potential=lambda y, t: 0.7, grid=Grid1D(L=1.0, N=16), steps_per_period=64)
+    config = load_preset("example1-fixed").with_resolution(16, 32)
+    root = spectral._phi_operators(config)(_scalar_r0(config))
+    for op in (PeriodMapOperator.from_spec(constant), root):
+        counted = _ColumnCounter(op)
+        radius, mode, _ = _operator_radius(counted)
+        assert counted.widths == [2]
+        assert radius == pytest.approx(_dense_radius(op), abs=1e-12)
+        assert np.allclose(mode, 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["example4-a", "example4-b"])
+def test_spectral_radius_warm_started_at_a_nearby_mu_stops_after_one_apply(name):
+    """The block a radius evaluation ended with, carried to mu(1 + 1e-6) as the
+    root search carries it, certifies the new Perron pair from one apply;
+    from the cosines the same map takes 3 or 4."""
+    config = load_preset(name).with_resolution(16, 32)
+    operator_at = spectral._phi_operators(config)
+    mu = compute_r0(config).value
+    cold = _ColumnCounter(operator_at(mu))
+    _, _, block = _operator_radius(cold)
+    assert len(cold.widths) > 1
+    warm = _ColumnCounter(operator_at(mu * (1.0 + 1e-6)))
+    radius, _, _ = _operator_radius(warm, block)
+    assert warm.widths == [2]
+    assert radius == pytest.approx(_dense_radius(warm._op), abs=1e-12)
 
 
 def test_spectral_radius_block_grows_to_the_full_basis_and_matches_dense_oracle():
@@ -515,6 +552,39 @@ def test_compute_r0_matches_the_scalar_oracle_when_rates_are_constant_in_space(n
 def test_compute_r0_matches_next_generation_operator(name):
     config = load_preset(name).with_resolution(32, 64)
     r0 = compute_r0(config).value
+    assert abs(_next_generation_radius(config) - r0) <= 1e-8 * r0
+
+
+@st.composite
+def _rate_profiles(draw, least: float) -> CoefficientProfile:
+    """Constant, affine or exponential, positive for every z = rho*y the
+    strategy below reaches (z <= 4 e^0.6): c0 >= least, c1 >= -0.02 on the
+    affine form, and exp(c2 z) <= 1 on the exponential one."""
+    form = draw(st.sampled_from(["constant", "affine", "exponential"]))
+    c0 = draw(st.floats(least, 2.0))
+    if form == "constant":
+        return CoefficientProfile(form=form, c0=c0)
+    if form == "affine":
+        return CoefficientProfile(form=form, c0=c0, c1=draw(st.floats(-0.02, 0.5)))
+    return CoefficientProfile(form=form, c0=c0, c1=draw(st.floats(-0.15, 0.5)), c2=draw(st.floats(-1.0, 0.0)))
+
+
+@st.composite
+def _drawn_configs(draw) -> ModelConfig:
+    amplitude = draw(st.none() | st.floats(-0.3, 0.3))
+    rho = (EvolutionRate(kind="constant-one", period=math.pi) if amplitude is None
+           else EvolutionRate(kind="exp-cosine", period=math.pi, amplitude=amplitude, frequency=2.0))
+    # gamma >= 0.35 keeps its period integral above 1, where |r - 1| <=
+    # DEFECT_TOL moves R0 by at most DEFECT_TOL relative
+    config = _homogeneous_config(1.0, 1.0, rho, d_I=10.0 ** draw(st.floats(-3.0, 1.0)),
+                                 L=draw(st.floats(0.25, 4.0)), grid_points=32, steps_per_period=64)
+    return replace(config, beta=draw(_rate_profiles(0.2)), gamma=draw(_rate_profiles(0.5)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_drawn_configs())
+def test_compute_r0_matches_next_generation_operator_on_drawn_configs(config):
+    r0 = compute_r0(validate_config(config)).value
     assert abs(_next_generation_radius(config) - r0) <= 1e-8 * r0
 
 

@@ -2,10 +2,15 @@
 
 Each probe is a preset at one of the grids 8x16, 16x16 and 8x64 (N x M),
 with d_I in {1e-4, 1e4} and L in {0.01, 64}: extremes that
-`validate_config` accepts, where the period map is far from the presets'
-regime. For each probe it prints R0 (or the class of the error that
-`compute_r0` raised) and the number of period-map builds, which is the
-number of radius evaluations; a summary line sums them. A second block,
+`validate_config` accepted before it bounded the stiff Crank-Nicolson
+modes, where the period map is far from the presets' regime. Each probe
+passes through `validate_config` first, so the 24 at d_I = 1e4, L = 0.01
+print `ConfigurationError`. For each probe it prints R0 (or the class of
+the error that `validate_config` or `compute_r0` raised), the number of
+period-map builds, which is the number of radius evaluations, and the
+number of propagated columns, the sum of the column counts of every
+period-map apply (the eigenfunction pass included); a summary line sums
+both. A second block,
 with a summary line of its own, runs the configs the search's evaluation
 counts are tested on: the 8 presets at their own resolution and the two
 affine configs of
@@ -42,33 +47,40 @@ AFFINE = (
 def main() -> None:
     from evosis import engine
     from evosis.errors import EvosisError
-    from evosis.model import CoefficientProfile
+    from evosis.model import CoefficientProfile, validate_config
     from evosis.presets import load_preset, preset_names
     from evosis.spectral import compute_r0
 
-    builds = 0
-    build = engine.PeriodMapOperator.__init__
+    builds = columns = 0
+    build, apply = engine.PeriodMapOperator.__init__, engine.PeriodMapOperator.apply
 
-    def counted(self, *args, **kwargs):
+    def counted_build(self, *args, **kwargs):
         nonlocal builds
         builds += 1
         build(self, *args, **kwargs)
 
-    engine.PeriodMapOperator.__init__ = counted
+    def counted_apply(self, u, *args, **kwargs):
+        nonlocal columns
+        columns += u.shape[1] if u.ndim == 2 else 1
+        return apply(self, u, *args, **kwargs)
+
+    engine.PeriodMapOperator.__init__ = counted_build
+    engine.PeriodMapOperator.apply = counted_apply
 
     def run_block(cases) -> None:
-        nonlocal builds
-        total = solved = 0
+        nonlocal builds, columns
+        total = total_columns = solved = 0
         for label, config in cases:
-            builds = 0
+            builds = columns = 0
             try:
-                outcome = f"{compute_r0(config).value:.17g}"
+                outcome = f"{compute_r0(validate_config(config)).value:.17g}"
                 solved += 1
             except EvosisError as error:
                 outcome = type(error).__name__
             total += builds
-            print(f"{label}  {outcome}  evaluations {builds}", flush=True)
-        print(f"solved {solved} of {len(cases)}, radius evaluations {total}")
+            total_columns += columns
+            print(f"{label}  {outcome}  evaluations {builds}  columns {columns}", flush=True)
+        print(f"solved {solved} of {len(cases)}, radius evaluations {total}, columns {total_columns}")
 
     run_block([(f"{name} {n}x{m} d_I={d_i:g} L={length:g}",
                 replace(load_preset(name), d_I=d_i, L=length).with_resolution(n, m))
