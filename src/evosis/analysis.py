@@ -201,6 +201,8 @@ class StabilityVerdict:
     'near-threshold' (R0 within the band around one where the finite
     horizon cannot discriminate; no simulation is run there). flagged is
     set when a conclusive classification contradicts the sign of R0 - 1.
+    stop_reason is the simulation's ('horizon' or 'extinct'), or 'not-run'
+    near the threshold.
     """
 
     r0: float
@@ -210,6 +212,7 @@ class StabilityVerdict:
     periods_run: int
     first_extinct_period: int | None
     flagged: bool
+    stop_reason: str
 
 
 def classify_stability(config: ModelConfig, horizon_periods: int = DEFAULT_HORIZON,
@@ -230,7 +233,8 @@ def classify_stability(config: ModelConfig, horizon_periods: int = DEFAULT_HORIZ
     if abs(r0 - 1.0) < NEAR_THRESHOLD_BAND:
         return StabilityVerdict(r0=r0, classification="near-threshold",
                                 sup_I_final=float("nan"), persistence_floor=float("nan"),
-                                periods_run=0, first_extinct_period=None, flagged=False)
+                                periods_run=0, first_extinct_period=None, flagged=False,
+                                stop_reason="not-run")
     summary = simulate(config, horizon_periods, stop_below=DEEP_EXTINCTION)
     sups = [record.sup_I for record in summary.records]
     final_sup = sups[-1]
@@ -247,4 +251,5 @@ def classify_stability(config: ModelConfig, horizon_periods: int = DEFAULT_HORIZ
     flagged = classification in ("extinction", "persistence") and classification != expected
     return StabilityVerdict(r0=r0, classification=classification, sup_I_final=final_sup,
                             persistence_floor=floor, periods_run=len(sups),
-                            first_extinct_period=first_extinct, flagged=flagged)
+                            first_extinct_period=first_extinct, flagged=flagged,
+                            stop_reason=summary.stop_reason)

@@ -22,9 +22,12 @@ seam between them, so the factorization never eliminates across it and
 one solve gives the two per-species solves bit for bit. (An infinity does
 cross the seam, as NaN from 0 * inf; the step rejects both.) The reaction
 is fused: the dilution n rho'/rho is folded once into precombined tables,
-the linear rate a - dil of S and the linear loss gamma + dil of I, and
-each term is written in place into one output array, as are both
-right-hand sides of the step.
+the linear rate a - dil of S and the linear loss gamma + dil of I. One
+step core writes every term, both right-hand sides and the next state in
+place into buffers its caller gives it, with their S and I halves made
+once: `period` allocates two state buffers and the scratch once per call
+and alternates the state between them, so a step allocates nothing;
+`step` and `reaction` allocate their output and call the same core.
 
 With I identically zero the coupled step leaves I at zero, so the
 disease-free orbit steps S alone on the same stepper:
@@ -77,6 +80,8 @@ from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compac
 
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
+# a state-shaped array, the view of it that the solves take, and its S and I halves
+_Field = tuple[FloatArray, FloatArray, tuple[FloatArray, FloatArray | None]]
 
 DENOMINATOR_GUARD = 1e-12
 
@@ -259,6 +264,8 @@ class SimulationSummary:
     final_S: FloatArray
     final_I: FloatArray
     clamp_count: int
+    stop_reason: str
+    """'extinct' once the infected sup fell below stop_below, which ends the run; else 'horizon'."""
     last_period: tuple[FloatArray, FloatArray, FloatArray] | None = None
     """Optional (times, S, I) samples of the final simulated period."""
 
@@ -269,7 +276,11 @@ class CoupledStepper:
     The state is one stacked vector u = [S; I] of length 2(N+1), S in
     u[:N+1] and I in u[N+1:]. The diffusion of both species is one
     tridiagonal system of two blocks joined by a zero seam, so a step makes
-    one predictor solve and one corrector solve.
+    one predictor solve and one corrector solve. A step writes its
+    reaction, right-hand sides and result into buffers its caller gives
+    it; `period` allocates them once per call and alternates the state
+    between two of them, and returns the last, which the stepper does not
+    keep.
 
     Reaction terms at the nodes, in the order they are computed:
 
@@ -330,6 +341,77 @@ class CoupledStepper:
         self._corr = _FactorSet(grid, nus, None, self._half)
         self.clamp_count = 0
 
+    def _field(self, a: FloatArray) -> _Field:
+        """a, the view of a that the solves take, and its (S, I) halves: (a, None) without I."""
+        n = self.n_nodes
+        return a, a.T, ((a[:n], a[n:]) if self._infected else (a, None))
+
+    def _react(self, k: int, u: _Field, r: _Field) -> None:
+        """Writes the reaction terms of the state field u at t_k into the field r.
+
+        The S and I products (gain - b S) S and (beta S) I are taken in one
+        pass over the whole state; every other term is written half by half.
+        """
+        S, I = u[2]
+        r_S, inc = r[2]
+        np.multiply(self.b[k], S, out=r_S)
+        np.subtract(self.gain[k], r_S, out=r_S)
+        if I is None:
+            r_S *= S
+            return
+        # the I half of r holds the incidence until loss * I is taken off it;
+        # tmp holds S + I, then gamma * I, then loss * I
+        tmp = self._scratch
+        np.multiply(self.beta[k], S, out=inc)
+        np.multiply(r[0], u[0], out=r[0])
+        np.add(S, I, out=tmp)
+        # the entry at argmin is the minimum, NaN included, at half the cost of a min reduction
+        if tmp.item(tmp.argmin()) >= DENOMINATOR_GUARD:
+            inc /= tmp
+        else:
+            guarded = tmp >= DENOMINATOR_GUARD
+            np.divide(inc, tmp, out=inc, where=guarded)
+            inc[~guarded] = 0.0
+        r_S -= inc
+        np.multiply(self.gamma[k], I, out=tmp)
+        r_S += tmp
+        np.multiply(self.loss[k], I, out=tmp)
+        inc -= tmp
+
+    def _advance(self, k: int, u: _Field, out: _Field, work: tuple[_Field, _Field, _Field]) -> None:
+        """One IMEX step of the state field u from t_k to t_{k+1}, written into the field out.
+
+        work holds the scratch fields r, u w and rhs. Both right-hand sides,
+        r dt + u and (r1 + r) dt/2 + u + u, are formed scaled by w, term by
+        term: scaling by powers of two is exact, so each rounds as the
+        unscaled sum does. The predictor solves in rhs, its reaction goes
+        into out, and the corrector solves there. u is never written; tiny
+        negatives are clamped.
+        """
+        r, u_w, rhs = work
+        self._react(k, u, r)
+        uw = np.multiply(u[0], self._w, out=u_w[0])
+        pre = np.multiply(r[0], self._dt_w, out=rhs[0])
+        pre += uw
+        x = self._pred.solve(k, rhs[1])
+        if x is not rhs[1]:
+            rhs[1][...] = x
+        self._react(k + 1, rhs, out)
+        nxt = out[0]
+        nxt += r[0]
+        nxt *= self._half_w
+        nxt += uw
+        nxt += uw
+        x = self._corr.solve(k, out[1])
+        if x is not out[1]:
+            out[1][...] = x
+        nxt -= u[0]
+        if not (nxt.item(nxt.argmin()) >= 0.0 and nxt.item(nxt.argmax()) < np.inf):
+            if not np.all(np.isfinite(nxt)):
+                raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
+            self.clamp_count += int(np.count_nonzero(nxt < 0.0))
+            np.maximum(nxt, 0.0, out=nxt)
+
     def reaction(self, u: FloatArray, k: int) -> FloatArray:
         """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I.
 
@@ -337,74 +419,37 @@ class CoupledStepper:
         u is never written.
         """
         r = np.empty_like(u)
-        if not self._infected:
-            np.multiply(self.b[k], u, out=r)
-            np.subtract(self.gain[k], r, out=r)
-            r *= u
-            return r
-        # the I half of r holds the incidence until loss * I is taken off it;
-        # tmp holds S + I, then gamma * I, then loss * I
-        n, tmp = self.n_nodes, self._scratch
-        S, I = u[:n], u[n:]
-        r_S, inc = r[:n], r[n:]
-        np.add(S, I, out=tmp)
-        np.multiply(self.beta[k], S, out=inc)
-        inc *= I
-        if tmp.min() >= DENOMINATOR_GUARD:
-            inc /= tmp
-        else:
-            guarded = tmp >= DENOMINATOR_GUARD
-            np.divide(inc, tmp, out=inc, where=guarded)
-            inc[~guarded] = 0.0
-        np.multiply(self.b[k], S, out=r_S)
-        np.subtract(self.gain[k], r_S, out=r_S)
-        r_S *= S
-        r_S -= inc
-        np.multiply(self.gamma[k], I, out=tmp)
-        r_S += tmp
-        np.multiply(self.loss[k], I, out=tmp)
-        inc -= tmp
+        self._react(k, self._field(u), self._field(r))
         return r
 
     def step(self, u: FloatArray, k: int) -> FloatArray:
-        """One IMEX step of the state from t_k to t_{k+1}, clamping tiny negatives; never writes u.
-
-        Both right-hand sides, r dt + u and (r1 + r) dt/2 + u + u, are
-        formed scaled by w, term by term: scaling by powers of two is exact,
-        so each rounds as the unscaled sum does.
-        """
-        r = self.reaction(u, k)
-        u_w = u * self._w
-        pre = r * self._dt_w
-        pre += u_w
-        star = self._pred.solve(k, pre.T).T
-        nxt = self.reaction(star, k + 1)
-        nxt += r
-        nxt *= self._half_w
-        nxt += u_w
-        nxt += u_w
-        nxt = self._corr.solve(k, nxt.T).T
-        nxt -= u
-        if not (nxt.min() >= 0.0 and nxt.max() < np.inf):
-            if not np.all(np.isfinite(nxt)):
-                raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
-            self.clamp_count += int(np.count_nonzero(nxt < 0.0))
-            np.maximum(nxt, 0.0, out=nxt)
-        return nxt
+        """One IMEX step of the state from t_k to t_{k+1}, into a fresh array; never writes u."""
+        u = np.asarray(u, dtype=float)
+        out, *work = (self._field(np.empty(u.shape)) for _ in range(4))
+        self._advance(k, self._field(u), out, tuple(work))
+        return out[0]
 
     def period(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Steps the state across one whole period; never writes u.
 
-        path, an (M+1)-row table, receives every time slice of a one-field state.
+        The steps alternate between two state buffers allocated for this
+        call, so the array returned is fresh and the stepper keeps no
+        reference to it. path, an (M+1)-row table, receives every time
+        slice of the state.
         """
         u = np.ascontiguousarray(u, dtype=float)
+        work = tuple(self._field(np.empty(u.shape)) for _ in range(3))
+        buffers = [self._field(np.empty(u.shape)) for _ in range(2)]
+        src = self._field(u)
         if path is not None:
             path[0] = u
         for k in range(self.n_steps):
-            u = self.step(u, k)
+            dst = buffers[k % 2]
+            self._advance(k, src, dst, work)
             if path is not None:
-                path[k + 1] = u
-        return u
+                path[k + 1] = dst[0]
+            src = dst
+        return src[0]
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:
@@ -421,7 +466,8 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
     density at the period end and the relative change of the susceptible
     field across the period, which measures approach to a periodic orbit.
     stop_below ends the run early once the infected sup norm falls under
-    the given level (the field only keeps shrinking from there).
+    the given level (the field only keeps shrinking from there), and the
+    summary's stop_reason says whether it did.
 
     Raises:
         ConfigurationError: periods is below one.
@@ -437,6 +483,7 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
     S, I = u[:n], u[n:]
     records: list[PeriodRecord] = []
     last: tuple[FloatArray, FloatArray, FloatArray] | None = None
+    stop_reason = "horizon"
     for m in range(periods):
         recording = record_last_period and m == periods - 1
         path = np.empty((stepper.n_steps + 1, 2 * n)) if recording else None
@@ -453,6 +500,7 @@ def simulate(config: ModelConfig, periods: int, record_last_period: bool = False
         if path is not None:
             last = (stepper.times, path[:, :n], path[:, n:])
         if stop_below is not None and records[-1].sup_I < stop_below:
+            stop_reason = "extinct"
             break
-    return SimulationSummary(records=records, final_S=S, final_I=I,
-                             clamp_count=stepper.clamp_count, last_period=last)
+    return SimulationSummary(records=records, final_S=S, final_I=I, clamp_count=stepper.clamp_count,
+                             stop_reason=stop_reason, last_period=last)

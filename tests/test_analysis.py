@@ -126,6 +126,7 @@ def test_classifier_reports_near_threshold_without_simulating(preset_r0):
     verdict = classify_stability(config, r0=preset_r0["example1-fixed"])
     assert verdict.classification == "near-threshold"
     assert verdict.periods_run == 0
+    assert verdict.stop_reason == "not-run"
     assert math.isnan(verdict.sup_I_final)
     assert not verdict.flagged
 
@@ -138,6 +139,7 @@ def test_classifier_detects_extinction(preset_r0):
     assert verdict.sup_I_final < 1e-4
     assert verdict.first_extinct_period is not None
     assert verdict.first_extinct_period <= 60
+    assert verdict.stop_reason == "extinct" and verdict.periods_run < 60
     assert not verdict.flagged
 
 
@@ -148,6 +150,7 @@ def test_classifier_detects_persistence(preset_r0):
     assert verdict.classification == "persistence"
     assert verdict.persistence_floor > 1e-3
     assert verdict.periods_run == 30
+    assert verdict.stop_reason == "horizon"
     assert not verdict.flagged
 
 
@@ -161,6 +164,7 @@ def test_classifier_reports_inconclusive_between_the_two_levels():
     assert 1e-4 < verdict.sup_I_final < 1e-3
     assert verdict.persistence_floor == verdict.sup_I_final
     assert verdict.periods_run == 6
+    assert verdict.stop_reason == "horizon"
     assert verdict.first_extinct_period is None
     assert not verdict.flagged
 

@@ -350,6 +350,31 @@ def test_step_and_period_never_write_their_input(infected):
     for result in (stepped, out):
         assert result.shape == u.shape and not np.shares_memory(result, u)
         assert not np.array_equal(result, before)
+    # a second period returns an array of its own: the first result is neither written nor shared
+    kept = out.copy()
+    again = stepper.period(u)
+    assert np.array_equal(out, kept) and np.array_equal(again, out)
+    assert not np.shares_memory(again, out) and not np.shares_memory(again, u)
+
+
+@pytest.mark.parametrize("infected", [True, False], ids=["stacked-S-I", "two-S-rows"])
+def test_period_equals_a_loop_of_steps_bit_for_bit(infected):
+    """period, on buffers it holds for the call, against step, which allocates each
+    output: the same path rows, result and clamp count, with seeded negatives so
+    the clamp runs."""
+    config = _homogeneous_config(d_S=1e-9, d_I=1e-9)
+    looped, whole = (CoupledStepper(config, infected=infected) for _ in range(2))
+    u = np.full((34,) if infected else (2, 17), 0.3)
+    u.flat[[2, 9, 16, 17 + 5, 17 + 12]] = [-0.1, -0.05, -0.2, -0.05, -0.1]
+    path = np.empty((whole.n_steps + 1,) + u.shape)
+    out = whole.period(u, path)
+    state = u
+    assert np.array_equal(path[0], u)
+    for k in range(looped.n_steps):
+        state = looped.step(state, k)
+        assert np.array_equal(path[k + 1], state)
+    assert np.array_equal(out, state)
+    assert whole.clamp_count == looped.clamp_count > 0
 
 
 def _coefficient_tables(config, times):
@@ -572,6 +597,8 @@ def test_simulate_stops_early_below_extinction_level():
     assert len(summary.records) < 30
     assert summary.records[-1].sup_I < 1e-8
     assert summary.clamp_count == 0
+    assert summary.stop_reason == "extinct"
+    assert simulate(config, periods=3, stop_below=1e-8).stop_reason == "horizon"
 
 
 
