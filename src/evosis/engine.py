@@ -22,12 +22,7 @@ seam between them, so the factorization never eliminates across it and
 one solve gives the two per-species solves bit for bit. (An infinity does
 cross the seam, as NaN from 0 * inf; the step rejects both.) The reaction
 is fused: the dilution n rho'/rho is folded once into precombined tables,
-the linear rate a - dil of S and the linear loss gamma + dil of I. One
-step core writes every term, both right-hand sides and the next state in
-place into buffers its caller gives it, with their S and I halves made
-once: `period` allocates two state buffers and the scratch once per call
-and alternates the state between them, so a step allocates nothing;
-`step` and `reaction` allocate their output and call the same core.
+the linear rate a - dil of S and the linear loss gamma + dil of I.
 
 With I identically zero the coupled step leaves I at zero, so the
 disease-free orbit steps S alone on the same stepper:
@@ -36,7 +31,12 @@ advances one S field, or several independent ones as rows of one
 multi-column solve, each equal bit for bit to the S half of the coupled
 step that `simulate` runs.
 
-All share one core. Each per-step system (I - theta B) x = rhs, with
+Both engines cross a period in one loop, `_march`, which allocates two
+state buffers and the step's scratch once per call and alternates the
+state between them; each step writes its terms and the next state in
+place. The coupled `step` and `reaction` allocate their output instead.
+
+All share one solve. Each per-step system (I - theta B) x = rhs, with
 B = dt (nu A + diag q), is solved in its row-scaled form
 
     (W - theta dt (nu WA + W diag q)) x = W rhs,
@@ -44,8 +44,8 @@ B = dt (nu A + diag q), is solved in its row-scaled form
 a symmetric tridiagonal matrix (one block per species, a zero
 off-diagonal at each seam) that `scaled_bands` builds and `_FactorSet`
 has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step. Each
-solve is then one `pttrs` call on the rhs scaled by w, where
-w = (1/2, 1, ..., 1, 1/2) per block, with no pass at the block ends. The
+solve is then one in-place `pttrs` call on the rhs scaled by w, where
+w = (1/2, 1, ..., 1, 1/2) per block, which the factor set keeps. The
 factors need positive definiteness. Since -WA is positive semidefinite,
 W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
@@ -59,11 +59,6 @@ two folded into its terms: the period map passes u * 2w for w(2u), and
 the coupled step scales its reaction terms by dt w or theta dt w and u
 by w. Scaling by a power of two is exact, so each sum rounds as the
 unscaled one does.
-
-Coefficient tables are read-only views from `coefficient_table`, held at
-the shape they vary in (a table constant in space, in time or in both
-holds one column, one row or one value), and the gain and loss tables are
-combined on those compact arrays before they are broadcast.
 """
 
 from __future__ import annotations
@@ -132,15 +127,16 @@ def laplacian_bands(grid: Grid1D) -> tuple[FloatArray, FloatArray, FloatArray]:
 
 
 def scaled_bands(grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
-                 theta_dt: float) -> tuple[FloatArray, FloatArray]:
-    """(d, e) per step: the symmetric tridiagonal W(I - theta_dt*(B + diag q)).
+                 theta_dt: float) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """(d, e, w): the symmetric tridiagonal W(I - theta_dt*(B + diag q)) per step, and W.
 
     W = diag(1/2, 1, ..., 1, 1/2) on each block, and B has one diagonal
     block nus[j][k] A per scale vector and step; q, of shape (steps, N+1),
     is only taken with one block. Row k of d is the diagonal, and of e the
     off-diagonal: -theta_dt nus[j][k] / h^2 on block j, as WA is symmetric
     with every off-diagonal 1/h^2, and zero at each seam between blocks, so
-    the blocks never couple. Each block is written in place.
+    the blocks never couple. Each block is written in place. w, the
+    diagonal of W tiled over the blocks, is returned too.
     """
     n = grid.N + 1
     weights = trapezoid_weights(grid) / grid.h
@@ -152,10 +148,11 @@ def scaled_bands(grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None
             np.multiply((-theta_dt * nu)[:, None], band, out=table[:, j * n:j * n + band.size])
         tables.append(table)
     d, e = tables
-    d += np.tile(weights, len(nus))
+    w = np.tile(weights, len(nus))
+    d += w
     if q is not None:
         d -= (theta_dt * weights) * q
-    return d, e
+    return d, e, w
 
 
 def endpoint_mean(table: FloatArray) -> FloatArray:
@@ -173,14 +170,15 @@ class _FactorSet:
     step. That needs positive definiteness, which holds when
     theta_dt*sup q < 1 and always when q is None; a step with a pivot that
     is not positive raises `StepError`. Each step keeps its (d, e) row
-    views for the solves that reuse it.
+    views for the solves that reuse it, and the set keeps the row weights
+    w of W, by which its callers scale every right-hand side.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "w")
 
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
-        d, e = scaled_bands(grid, nus, q, theta_dt)
+        d, e, self.w = scaled_bands(grid, nus, q, theta_dt)
         for k in range(d.shape[0]):
             _, _, info = _pttrf(d[k], e[k], overwrite_d=1, overwrite_e=1)
             if info != 0:
@@ -189,14 +187,36 @@ class _FactorSet:
                                                          bound=bound))
         self._rows = [(d[k], e[k]) for k in range(d.shape[0])]
 
-    def solve(self, k: int, rhs: FloatArray) -> FloatArray:
-        """Solution of step k's system (I - theta_dt*(B + diag q)) x = f, given rhs = w f.
+    def solve(self, k: int, rhs: FloatArray) -> None:
+        """Overwrites rhs = w f with the solution x of step k's system (I - theta_dt*(B + diag q)) x = f.
 
-        w = (1/2, 1, ..., 1, 1/2) per block, which the caller folds into the
-        terms of f. An F-contiguous rhs (1-D, or one column per field) is
-        overwritten with the solution.
+        The caller folds w into the terms of f and passes rhs F-contiguous
+        (1-D, or one column per field), so LAPACK solves in place.
         """
-        return _pttrs(*self._rows[k], rhs, 1)[0]
+        x = _pttrs(*self._rows[k], rhs, 1)[0]
+        assert x is rhs, "the right-hand side must be F-contiguous float64"
+
+
+def _march(engine: PeriodMapOperator | CoupledStepper, u: FloatArray, path: FloatArray | None,
+           scratch: int = 0) -> FloatArray:
+    """The state u stepped across one period by engine._advance(k, src, dst, work); never writes u.
+
+    Two state buffers and `scratch` work fields are allocated per call, and
+    the state alternates between the buffers, so the array returned is
+    fresh. path, an (M+1)-row table, receives every time slice of the state.
+    """
+    u = np.asarray(u, dtype=float)
+    fields = [engine._field(np.empty(u.shape)) for _ in range(2 + scratch)]
+    src, work = engine._field(u), tuple(fields[2:])
+    if path is not None:
+        path[0] = u
+    for k in range(engine.n_steps):
+        dst = fields[k % 2]
+        engine._advance(k, src, dst, work)
+        if path is not None:
+            path[k + 1] = dst[0]
+        src = dst
+    return src[0]
 
 
 # ---- linear period map ----
@@ -205,16 +225,16 @@ class PeriodMapOperator:
     """Action of the linear flow over one full period, with cached factors.
 
     Built from per-step coefficient tables: the endpoint-averaged potential
-    q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,).
+    q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,). A
+    step writes u * 2w into the next state buffer, solves there in place
+    and takes u off.
     """
 
     def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> None:
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
         self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
-        # w(2u) = 2w u, for a field and for stacked columns
-        self._two_w = 2.0 * trapezoid_weights(grid) / grid.h
-        self._two_w_col = self._two_w[:, None]
+        self._two_w = 2.0 * self._factors.w  # w(2u) = 2w u
 
     @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
@@ -226,24 +246,24 @@ class PeriodMapOperator:
             q_nodes[k] = spec.potential(nodes, float(t))
         return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
-    def step(self, k: int, u: FloatArray) -> FloatArray:
-        x = self._factors.solve(k, u * (self._two_w if u.ndim == 1 else self._two_w_col))
-        x -= u
-        return x
+    @staticmethod
+    def _field(a: FloatArray) -> tuple[FloatArray, FloatArray]:
+        return a, a.T  # one field per row of a, and the view of a that the solves take
+
+    def _advance(self, k: int, u: tuple[FloatArray, ...], out: tuple[FloatArray, ...], work: tuple) -> None:
+        """One Crank-Nicolson step of the state field u from t_k to t_{k+1}, written into the field out."""
+        np.multiply(u[0], self._two_w, out=out[0])
+        self._factors.solve(k, out[1])
+        np.subtract(out[0], u[0], out=out[0])
 
     def apply(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Maps u(., 0) to u(., T); accepts a matrix of stacked columns.
 
-        path, an (M+1)-row table, receives every time slice of a one-field u.
+        The columns are stepped as the rows of u's transpose, so the result
+        is a fresh F-ordered array; u is never written. path, an (M+1)-row
+        table, receives every time slice of a one-field u.
         """
-        out = np.array(u, dtype=float)
-        if path is not None:
-            path[0] = out
-        for k in range(self.n_steps):
-            out = self.step(k, out)
-            if path is not None:
-                path[k + 1] = out
-        return out
+        return _march(self, np.transpose(u), path).T
 
 
 # ---- coupled susceptible/infected stepper ----
@@ -277,10 +297,8 @@ class CoupledStepper:
     u[:N+1] and I in u[N+1:]. The diffusion of both species is one
     tridiagonal system of two blocks joined by a zero seam, so a step makes
     one predictor solve and one corrector solve. A step writes its
-    reaction, right-hand sides and result into buffers its caller gives
-    it; `period` allocates them once per call and alternates the state
-    between two of them, and returns the last, which the stepper does not
-    keep.
+    reaction, right-hand sides and result into buffers that its caller,
+    `_march` for `period`, gives it.
 
     Reaction terms at the nodes, in the order they are computed:
 
@@ -331,14 +349,12 @@ class CoupledStepper:
             self.loss = np.broadcast_to(gamma + dil, shape)
             self._scratch = np.empty(n)
             nus += (endpoint_mean(config.d_I * inv_rho2),)
-        # right-hand side scales, one w per block
-        w = np.tile(trapezoid_weights(grid) / grid.h, len(nus))
-        self._w = w
-        self._dt_w = self.dt * w
-        self._half_w = self._half * w
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
+        w = self._w = self._pred.w  # right-hand side scales, one w per block
+        self._dt_w = self.dt * w
+        self._half_w = self._half * w
         self.clamp_count = 0
 
     def _field(self, a: FloatArray) -> _Field:
@@ -393,18 +409,14 @@ class CoupledStepper:
         uw = np.multiply(u[0], self._w, out=u_w[0])
         pre = np.multiply(r[0], self._dt_w, out=rhs[0])
         pre += uw
-        x = self._pred.solve(k, rhs[1])
-        if x is not rhs[1]:
-            rhs[1][...] = x
+        self._pred.solve(k, rhs[1])
         self._react(k + 1, rhs, out)
         nxt = out[0]
         nxt += r[0]
         nxt *= self._half_w
         nxt += uw
         nxt += uw
-        x = self._corr.solve(k, out[1])
-        if x is not out[1]:
-            out[1][...] = x
+        self._corr.solve(k, out[1])
         nxt -= u[0]
         if not (nxt.item(nxt.argmin()) >= 0.0 and nxt.item(nxt.argmax()) < np.inf):
             if not np.all(np.isfinite(nxt)):
@@ -432,24 +444,10 @@ class CoupledStepper:
     def period(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Steps the state across one whole period; never writes u.
 
-        The steps alternate between two state buffers allocated for this
-        call, so the array returned is fresh and the stepper keeps no
-        reference to it. path, an (M+1)-row table, receives every time
-        slice of the state.
+        The array returned is fresh, and the stepper keeps no reference to
+        it. path, an (M+1)-row table, receives every time slice of the state.
         """
-        u = np.ascontiguousarray(u, dtype=float)
-        work = tuple(self._field(np.empty(u.shape)) for _ in range(3))
-        buffers = [self._field(np.empty(u.shape)) for _ in range(2)]
-        src = self._field(u)
-        if path is not None:
-            path[0] = u
-        for k in range(self.n_steps):
-            dst = buffers[k % 2]
-            self._advance(k, src, dst, work)
-            if path is not None:
-                path[k + 1] = dst[0]
-            src = dst
-        return src[0]
+        return _march(self, u, path, scratch=3)
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:

@@ -45,6 +45,7 @@ _ERR_BRACKET = (
     " (radii {radii})"
 )
 _ERR_CONVENTION = "unknown lambda-star convention {value!r}, expected one of {known}"
+_ERR_NOT_FINITE = "the period map left the float range: one period of the flow overflows"
 _ERR_NOT_SEPARABLE = (
     "closed form needs spatially constant beta and gamma of the form c(y)/rho^2; got beta={beta!r}, gamma={gamma!r}"
 )
@@ -103,14 +104,19 @@ def _operator_radius(op: PeriodMapOperator,
     residual below 1e-7.
     After 4 iterations at one block size the next cosines double it, up to
     the N+1 columns of the full basis, whose Ritz pairs are the eigenpairs:
-    there the pick is final, or ConvergenceError if it finds no pair.
+    there the pick is final, or ConvergenceError if it finds no pair. An
+    apply that returns a non-finite entry, where the map overflows, raises
+    StepError.
     """
     n = op.grid.N + 1
     basis = _cosines(n, 0, 2) if block is None else block
     estimate, iterations = math.inf, 0
     while True:
         v = np.linalg.qr(basis)[0]
-        w = op.apply(v)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or NaN below
+            w = op.apply(v)
+        if not np.isfinite(w).all():
+            raise StepError(_ERR_NOT_FINITE)
         values, vectors = np.linalg.eig(v.T @ w)
         ritz = v @ vectors.real
         signs = np.sign(ritz[np.argmax(np.abs(ritz), axis=0), np.arange(ritz.shape[1])])
@@ -136,8 +142,12 @@ def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
     """Spectral radius of the one-period flow of a linear equation.
 
     This is the eigenvalue with a positive eigenfunction, from the block
-    Rayleigh-Ritz iteration of `_operator_radius`, which raises
-    ConvergenceError when the full basis has no such eigenpair.
+    Rayleigh-Ritz iteration of `_operator_radius`.
+
+    Raises:
+        StepError: the map is not positive definite at some step, or one
+            period of it overflows the float range.
+        ConvergenceError: the full basis has no such eigenpair.
     """
     return _operator_radius(PeriodMapOperator.from_spec(spec))[0]
 
@@ -170,7 +180,8 @@ def invasion_eigenvalue(config: ModelConfig) -> float:
 
     Raises:
         StepError: the period map at mu = 1 is not positive definite at some
-            step (theta*dt*sup q >= 1 there).
+            step (theta*dt*sup q >= 1 there), or one period of it overflows
+            the float range.
         ConvergenceError: the period map has no positive one-signed eigenpair.
     """
     return -math.log(_operator_radius(_phi_operators(config)(1.0))[0]) / config.T
@@ -241,10 +252,12 @@ def compute_r0(config: ModelConfig) -> R0Result:
     unique unit crossing, any trial that sees the other sign closes the
     bracket.
 
-    A trial mu whose period map is not positive definite counts as r = +inf.
-    The definite set is the half-line above a limit that lies below the
-    root (r grows without bound as mu falls to it), so such a mu is on the
-    low side of the crossing. Likewise a trial mu whose full basis has no
+    A trial mu whose period map is not positive definite, or overflows the
+    float range, counts as r = +inf. The definite set is the half-line
+    above a limit that lies below the root (r grows without bound as mu
+    falls to it), so such a mu is on the low side of the crossing; a map
+    that grows a unit field past the float range in one period is taken
+    to lie there too. Likewise a trial mu whose full basis has no
     positive one-signed eigenpair counts as r = 0, the high side: a Perron
     root that the full basis misses is not the dominant eigenvalue, so it
     lies below the modulus of the stiff modes, which is below one.

@@ -366,3 +366,19 @@ def test_r0_solves_a_config_whose_bracket_starts_below_the_definite_limit(tmp_pa
     path.write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
     assert main(["r0", "--strict", "--config", str(path)]) == 0
     assert "R0 = 1.500000" in capsys.readouterr().out
+
+
+def test_r0_strict_solves_a_config_whose_first_trial_overflows(tmp_path, capsys):
+    """beta = 1000 + 1000 y and gamma = 1500 on example1-fixed: at the first
+    trial one period of the map overflows the float range. The search takes
+    that trial as the low side and ends inside the sandwich [2/3, 4/3]."""
+    doc = config_to_dict(load_preset("example1-fixed"))
+    doc["beta"] = {"form": "affine", "c0": 1000, "c1": 1000}
+    doc["gamma"] = {"form": "constant", "c0": 1500}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["r0", "--strict", "--config", str(path), "--grid", "8", "--steps", "1000"]) == 0
+    captured = capsys.readouterr()
+    r0 = float(captured.out.split("R0 = ")[1].split()[0])
+    assert 2.0 / 3.0 <= r0 <= 4.0 / 3.0
+    assert captured.err == ""

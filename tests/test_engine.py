@@ -194,16 +194,21 @@ def test_pure_diffusion_conserves_mass_on_evolving_domain():
 
 
 def test_period_map_operator_matches_step_linear_loop():
+    """Every time slice of the recorded period, and its end, against the independent banded steps."""
     def potential(y, t):
         return (1.0 + 0.5 * y) * math.sin(2.0 * math.pi * t)
 
     spec = _linear_spec(potential, n_points=16, steps=50)
     u = 1.0 + 0.1 * np.cos(math.pi * spec.grid.nodes)
+    op = PeriodMapOperator.from_spec(spec)
+    path = np.empty((spec.steps_per_period + 1, u.size))
+    end = op.apply(u, path)
     looped = u.copy()
+    assert np.array_equal(path[0], u)
     for k in range(spec.steps_per_period):
         looped = step_linear(spec, looped, k)
-    op = PeriodMapOperator.from_spec(spec)
-    assert np.max(np.abs(op.apply(u) - looped)) < 1e-12
+        assert np.max(np.abs(path[k + 1] - looped)) < 1e-12
+    assert np.max(np.abs(end - looped)) < 1e-12
 
 
 def test_period_map_recording_and_dense_matrix_agree_with_apply():
@@ -213,8 +218,6 @@ def test_period_map_recording_and_dense_matrix_agree_with_apply():
     path = np.empty((41, 11))
     end = op.apply(u, path)
     assert np.array_equal(path[0], u)
-    for k in range(40):
-        assert np.array_equal(path[k + 1], op.step(k, path[k]))
     assert np.array_equal(path[-1], end)
     assert np.array_equal(end, op.apply(u))
     dense = op.apply(np.eye(11))
@@ -312,9 +315,8 @@ def test_coupled_step_raises_on_positive_infinity_alone():
 
     class InfiniteInI:
         def solve(self, k, rhs):
-            out = np.full_like(rhs, 0.3)
-            out[17 + 5] = np.inf
-            return out
+            rhs[...] = 0.3
+            rhs[17 + 5] = np.inf
 
     stepper = CoupledStepper(_homogeneous_config())
     stepper._corr = InfiniteInI()
@@ -333,6 +335,33 @@ def test_coupled_step_counts_every_clamped_entry():
     assert stepper.clamp_count == len(negative)
     assert np.all(out >= 0.0)
     assert np.array_equal(np.flatnonzero(out == 0.0), negative)
+
+
+@pytest.mark.parametrize("columns", [0, 3], ids=["one-field", "three-C-order-columns"])
+def test_period_map_apply_never_writes_its_input(columns):
+    """A 1-D field and a C-order block of columns: u is unchanged, and each result
+    is F-contiguous and an array of its own, kept intact by the next call, and
+    equal, column by column, to the independent banded steps."""
+    spec = _linear_spec(lambda y, t: 0.5 * y, n_points=10, steps=40)
+    op = PeriodMapOperator.from_spec(spec)
+    nodes = spec.grid.nodes
+    angles = math.pi * (np.outer(nodes, np.arange(1, columns + 1)) if columns else nodes)
+    u = 1.0 + 0.2 * np.cos(angles)
+    assert u.flags.c_contiguous and u.shape == ((11, columns) if columns else (11,))
+    before = u.copy()
+    out = op.apply(u)
+    kept = out.copy()
+    again = op.apply(u)
+    assert np.array_equal(u, before)
+    for result in (out, again):
+        assert result.shape == u.shape and result.flags.f_contiguous
+        assert not np.shares_memory(result, u)
+    assert not np.shares_memory(again, out)
+    assert np.array_equal(out, kept) and np.array_equal(again, out)
+    looped = before.reshape(11, -1)
+    for k in range(spec.steps_per_period):
+        looped = np.column_stack([step_linear(spec, column, k) for column in looped.T])
+    assert np.max(np.abs(out - looped.reshape(u.shape))) < 1e-12
 
 
 @pytest.mark.parametrize("infected", [True, False], ids=["stacked-S-I", "two-S-rows"])
@@ -485,7 +514,8 @@ def test_stacked_bands_solve_like_each_species_alone():
         for k in range(steps):
             rhs = rng.standard_normal(2 * (grid.N + 1))
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
-            stacked = factors.solve(k, rhs * w)
+            stacked = rhs * w
+            factors.solve(k, stacked)
             expected = np.concatenate([ldlt_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             lu = np.concatenate([lu_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             assert np.array_equal(stacked, expected)
@@ -507,7 +537,8 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric():
     nus = (0.2 + rng.random(steps), 3.0 + rng.random(steps))
     q = rng.standard_normal((steps, n))
     for blocks, potential in (((nus[0],), q), ((nus[0],), None), (nus, None)):
-        d, e = scaled_bands(grid, blocks, potential, theta_dt)
+        d, e, w = scaled_bands(grid, blocks, potential, theta_dt)
+        assert np.array_equal(w, np.tile(weights, len(blocks)))
         for k in range(steps):
             system = np.zeros((len(blocks) * n, len(blocks) * n))
             for j, nu in enumerate(blocks):

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosis.errors import ConfigurationError
 from evosis.model import (
@@ -435,6 +437,94 @@ def test_config_document_round_trip():
     assert config_from_dict(json.loads(json.dumps(doc))) == config
     assert doc["rho"] == source["rho"]
     assert doc["initial_S"] == source["initial_S"]
+
+
+# every drawn config has T = pi, 16 intervals and 64 steps per period; L <= 4 and
+# rho <= e^0.7 keep the material coordinate z = rho*y below 8
+_DRAWN_GRID = 16
+
+
+@st.composite
+def _drawn_rates(draw) -> EvolutionRate:
+    """Each rate kind: exp-cosine at 1 or 2 turns per period, and 8 to 20 uniform samples
+    of exp(a(1 - cos 2t)) + e sin 2t, with rho(0) = 1, optionally closed by a duplicate."""
+    kind = draw(st.sampled_from(["constant-one", "exp-cosine", "tabulated"]))
+    amplitude = draw(st.floats(-0.3, 0.3))
+    if kind == "constant-one":
+        return EvolutionRate(kind=kind, period=math.pi)
+    if kind == "exp-cosine":
+        return EvolutionRate(kind=kind, period=math.pi, amplitude=amplitude,
+                             frequency=2.0 * draw(st.integers(1, 2)))
+    count = draw(st.integers(8, 20))
+    t = np.arange(count) * (math.pi / count)
+    samples = np.exp(amplitude * (1.0 - np.cos(2.0 * t))) + draw(st.floats(-0.05, 0.05)) * np.sin(2.0 * t)
+    return EvolutionRate(kind=kind, period=math.pi,
+                         samples=tuple(samples.tolist() + ([1.0] if draw(st.booleans()) else [])))
+
+
+@st.composite
+def _drawn_shapes(draw) -> CoefficientProfile:
+    """A z-profile at least 0.05 for every z <= 8."""
+    form = draw(st.sampled_from(["constant", "affine", "exponential"]))
+    c0 = draw(st.floats(0.25, 2.0))
+    if form == "constant":
+        return CoefficientProfile(form=form, c0=c0)
+    if form == "affine":
+        return CoefficientProfile(form=form, c0=c0, c1=draw(st.floats(-0.025, 0.5)))
+    return CoefficientProfile(form=form, c0=c0, c1=draw(st.floats(-0.2, 0.5)), c2=draw(st.floats(-1.0, 0.0)))
+
+
+@st.composite
+def _drawn_profiles(draw) -> CoefficientProfile:
+    """Every profile form; a separable one has up to two harmonics, and g stays above 0.05."""
+    if not draw(st.booleans()):
+        return draw(_drawn_shapes())
+    harmonics = draw(st.lists(st.tuples(st.integers(1, 3), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                              max_size=2))
+    return CoefficientProfile(form="separable", space=draw(_drawn_shapes()), g_mean=draw(st.floats(0.25, 1.0)),
+                              g_harmonics=tuple(harmonics))
+
+
+@st.composite
+def _drawn_initial(draw) -> InitialSpec:
+    """A cosine series with mean m and up to two modes of amplitude at most m/3, or N+1 positive samples."""
+    if draw(st.booleans()):
+        samples = draw(st.lists(st.floats(0.01, 2.0), min_size=_DRAWN_GRID + 1, max_size=_DRAWN_GRID + 1))
+        return InitialSpec(samples=tuple(samples))
+    mean = draw(st.floats(0.1, 1.0))
+    modes = draw(st.lists(st.tuples(st.integers(1, 4), st.floats(-mean / 3.0, mean / 3.0)), max_size=2))
+    return InitialSpec(mean=mean, modes=tuple(modes))
+
+
+@st.composite
+def _drawn_configs(draw) -> ModelConfig:
+    return ModelConfig(
+        d_S=10.0 ** draw(st.floats(-3.0, 1.0)), d_I=10.0 ** draw(st.floats(-3.0, 1.0)),
+        L=draw(st.floats(0.5, 4.0)), T=math.pi, rho=draw(_drawn_rates()),
+        a=draw(_drawn_profiles()), b=draw(_drawn_profiles()), beta=draw(_drawn_profiles()),
+        gamma=draw(_drawn_profiles()), initial_S=draw(_drawn_initial()), initial_I=draw(_drawn_initial()),
+        n=draw(st.integers(1, 2)), grid_points=_DRAWN_GRID, steps_per_period=64)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_drawn_configs())
+def test_config_document_round_trip_on_drawn_configs(config):
+    """Through JSON and back, a valid config keeps its document, and every
+    coefficient table, dilution rate and initial field on its lattice bit for bit."""
+    validate_config(config)
+    doc = json.loads(json.dumps(config_to_dict(config)))
+    again = config_from_dict(doc)
+    assert config_to_dict(again) == doc
+    assert validate_config(again) is again
+    nodes = config.grid.nodes
+    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
+    for name in ("a", "b", "beta", "gamma"):
+        assert np.array_equal(coefficient_table(getattr(again, name), again.rho, nodes, times),
+                              coefficient_table(getattr(config, name), config.rho, nodes, times)), name
+    assert np.array_equal(again.dilution(times), config.dilution(times))
+    for name in ("initial_S", "initial_I"):
+        assert np.array_equal(getattr(again, name).evaluate(nodes, again.L),
+                              getattr(config, name).evaluate(nodes, config.L)), name
 
 
 def test_config_from_dict_rejects_unknown_and_missing_keys():

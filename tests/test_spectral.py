@@ -396,6 +396,24 @@ def test_compute_r0_takes_an_indefinite_trial_as_the_low_side(monkeypatch):
     assert result.iterations == 2
 
 
+def test_compute_r0_takes_an_overflowing_trial_as_the_low_side():
+    """example1-fixed with beta = 1000 + 1000 y and gamma = 1500 at 8x1000,
+    which validate_config accepts. At the first trial, the sandwich mean
+    mu = 0.943, one period grows the start block past the float range. The
+    radius evaluation raises StepError on the non-finite apply, and the
+    search takes the trial as r = +inf."""
+    config = validate_config(replace(load_preset("example1-fixed"),
+                                     beta=CoefficientProfile(form="affine", c0=1000.0, c1=1000.0),
+                                     gamma=CoefficientProfile(form="constant", c0=1500.0)).with_resolution(8, 1000))
+    bounds = r0_bounds(config)
+    with pytest.raises(StepError, match="float range"):
+        _operator_radius(spectral._phi_operators(config)(math.sqrt(bounds.lower * bounds.upper)))
+    result = compute_r0(config)
+    assert result.defect <= spectral.DEFECT_TOL
+    assert bounds.lower <= result.value <= bounds.upper
+    assert result.value == pytest.approx(1.3228047, rel=1e-6)
+
+
 @pytest.mark.parametrize(("d_I", "N", "M", "expected"), [
     (1.0, 16, 64, 0.63338970431071),
     (1e4, 16, 16, 0.018041409112608917),

@@ -8,7 +8,8 @@ solves it with LAPACK `pttrf`/`pttrs` on W rhs, as the engine does.
 unscaled system, and `LuFactors` a drop-in for `_FactorSet` built on it, so
 a stepper can be run on the LU form as a second oracle. `_FactorSet.solve`
 takes its rhs scaled by w = (1/2, 1, ..., 1, 1/2), for the W-scaled system
-it factors; `LuFactors.solve` divides that scale back out, which is exact.
+it factors, and overwrites it with the solution; `LuFactors.solve` divides
+that scale back out, which is exact, and writes into the rhs too.
 """
 
 from __future__ import annotations
@@ -54,6 +55,6 @@ class LuFactors:
         self._scales = -theta_dt * nu
         self._w = row_weights(grid.N + 1)
 
-    def solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, k: int, rhs: np.ndarray) -> None:
         w = self._w.reshape((-1,) + (1,) * (rhs.ndim - 1))
-        return lu_solve(self._grid, self._scales[k], rhs / w)
+        rhs[...] = lu_solve(self._grid, self._scales[k], rhs / w)
