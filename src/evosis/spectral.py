@@ -36,6 +36,7 @@ from .quadrature import mean_inverse_rho_squared
 FloatArray = npt.NDArray[np.floating[Any]]
 
 RADIUS_TOL = 1e-10
+RANK_TOL = 1e-12  # a Krylov column that keeps less of its norm than this after projection is rounding
 DEFECT_TOL = 1e-8
 
 LAMBDA_STAR_CONVENTIONS = ("neumann", "paper-example")
@@ -87,42 +88,70 @@ def _cosines(n: int, first: int, stop: int) -> FloatArray:
     return np.cos(np.outer(np.arange(n), np.arange(first, stop)) * (math.pi / (n - 1)))
 
 
+def _orthonormal_extension(basis: FloatArray, block: FloatArray) -> FloatArray:
+    """Orthonormal columns that extend basis by what block adds to its span.
+
+    Two passes each orthogonalize block against basis and QR-factor it, so
+    the columns stay orthogonal to basis where the block's own columns
+    nearly cancel. A column whose R diagonal falls below RANK_TOL times its
+    norm before projection adds only rounding, and is dropped.
+    """
+    norms = np.linalg.norm(block, axis=0)
+    r = np.eye(block.shape[1])
+    for _ in range(2):
+        block, step = np.linalg.qr(block - basis @ (basis.T @ block))
+        r = step @ r
+    return block[:, np.abs(np.diag(r)) > RANK_TOL * norms]
+
+
 def _operator_radius(op: PeriodMapOperator,
                      block: FloatArray | None = None) -> tuple[float, FloatArray, FloatArray]:
     """(radius, positive sup-normalized mode, block that warm-starts the next call).
 
-    Block Rayleigh-Ritz iteration from block or cos(j pi y/L), j < 2: each
-    iteration applies the map to an orthonormal basis V at once and picks,
-    among the eigenpairs (theta, y) of V^T P V, the largest real positive
-    theta whose Ritz vector V y is one-signed. The map is strongly positive,
-    so its radius is its one eigenvalue with a positive eigenvector; stiff
-    Crank-Nicolson modes of modulus near one are passed over by sign. With
-    the residual |P V y - theta V y|/|theta V y| (sup norms), it stops as
-    soon as that residual is below RADIUS_TOL, which certifies the pair
-    from one apply (the first, when the start block holds the eigenvector),
-    or once theta moved by less than RADIUS_TOL*max(1, theta) with the
-    residual below 1e-7.
-    After 4 iterations at one block size the next cosines double it, up to
-    the N+1 columns of the full basis, whose Ritz pairs are the eigenpairs:
-    there the pick is final, or ConvergenceError if it finds no pair. An
-    apply that returns a non-finite entry, where the map overflows, raises
-    StepError.
+    Block Krylov Rayleigh-Ritz from block or cos(j pi y/L), j < 2. It keeps
+    one orthonormal basis V with its images W = P V, and each iteration
+    applies the map once, to a new block: the last block's images,
+    orthogonalized against V and stripped of the columns that add only
+    rounding (`_orthonormal_extension`). When a whole block deflates, the
+    next unused cosines take its place. Among the eigenpairs (theta, y) of
+    V^T W it picks the largest real positive theta whose Ritz vector V y is
+    one-signed. The map is strongly positive, so its radius is its one
+    eigenvalue with a positive eigenvector; stiff Crank-Nicolson modes of
+    modulus near one are passed over by sign. With the residual
+    |W y - theta V y|/|theta V y| (sup norms), it stops as soon as that
+    residual is below RADIUS_TOL, which certifies the pair from one apply
+    (the first, when the start block holds the eigenvector), or once theta
+    moved by less than RADIUS_TOL*max(1, theta) with the residual below
+    1e-7. A basis of all N+1 columns is final, since its Ritz pairs are the
+    eigenpairs: there the pick stands, or ConvergenceError if it finds no
+    pair. An apply that returns a non-finite entry, where the map
+    overflows, raises StepError. The warm-start block holds the Perron
+    Ritz vector and the Ritz vector of the next-largest real theta.
     """
     n = op.grid.N + 1
-    basis = _cosines(n, 0, 2) if block is None else block
-    estimate, iterations = math.inf, 0
+    used = 0 if block is not None else 2  # cosines taken into the basis so far
+    v = w = np.empty((n, 0))
+    new = _orthonormal_extension(v, _cosines(n, 0, 2) if block is None else block)
+    estimate = math.inf
     while True:
-        v = np.linalg.qr(basis)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or NaN below
-            w = op.apply(v)
-        if not np.isfinite(w).all():
+            image = op.apply(new)
+        if not np.isfinite(image).all():
             raise StepError(_ERR_NOT_FINITE)
+        v, w = np.hstack((v, new)), np.hstack((w, image))
+        full = v.shape[1] == n
+        if not full:
+            new = _orthonormal_extension(v, image)
+            while new.shape[1] == 0 and used < n:  # the block deflated: go on from the next cosines
+                new = _orthonormal_extension(v, _cosines(n, used, min(used + image.shape[1], n)))
+                used += image.shape[1]
+            full = new.shape[1] == 0  # every cosine deflated too: V spans the space up to rounding
         values, vectors = np.linalg.eig(v.T @ w)
         ritz = v @ vectors.real
         signs = np.sign(ritz[np.argmax(np.abs(ritz), axis=0), np.arange(ritz.shape[1])])
         ritz *= signs
-        perron = (values.imag == 0.0) & (values.real > 0.0) & (ritz.min(axis=0) >= -1e-10 * ritz.max(axis=0))
-        full = v.shape[1] == n
+        real = values.imag == 0.0
+        perron = real & (values.real > 0.0) & (ritz.min(axis=0) >= -1e-10 * ritz.max(axis=0))
         if perron.any():
             j = np.flatnonzero(perron)[np.argmax(values.real[perron])]
             radius, mode = float(values[j].real), ritz[:, j] / np.max(ritz[:, j])
@@ -130,19 +159,20 @@ def _operator_radius(op: PeriodMapOperator,
             scale = radius * np.max(ritz[:, j])
             if full or residual < RADIUS_TOL * scale or (
                     abs(radius - estimate) < RADIUS_TOL * max(1.0, radius) and residual < 1e-7 * scale):
-                return radius, mode, w
+                real[j] = False
+                others = np.flatnonzero(real)
+                warm = [j] if others.size == 0 else [j, others[np.argmax(values.real[others])]]
+                return radius, mode, ritz[:, warm]
             estimate = radius
         elif full:
             raise ConvergenceError("the period map has no real positive eigenvalue with a one-signed eigenvector")
-        iterations += 1
-        basis = w if iterations % 4 else np.hstack((w, _cosines(n, w.shape[1], min(2 * w.shape[1], n))))
 
 
 def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
     """Spectral radius of the one-period flow of a linear equation.
 
     This is the eigenvalue with a positive eigenfunction, from the block
-    Rayleigh-Ritz iteration of `_operator_radius`.
+    Krylov Rayleigh-Ritz route of `_operator_radius`.
 
     Raises:
         StepError: the map is not positive definite at some step, or one
@@ -238,11 +268,12 @@ def compute_r0(config: ModelConfig) -> R0Result:
     than half the step before last, else geometric bisection. The search
     stops once |r - 1| <= DEFECT_TOL, and the mode of that last radius
     evaluation seeds the eigenfunction. Each radius comes from the block
-    Rayleigh-Ritz iteration of `_operator_radius`, warm-started at the block
-    that the previous trial mu ended with. It stops as soon as the Perron
-    pair's relative residual is below RADIUS_TOL, so a trial whose start
-    block already holds the eigenvector (beta and gamma constant in space)
-    or lies near the one before costs one apply.
+    Krylov Rayleigh-Ritz route of `_operator_radius`, warm-started from two
+    Ritz vectors of the previous trial mu: the Perron one and the one of the
+    next-largest real Ritz value. It stops as soon as the Perron pair's
+    relative residual is below RADIUS_TOL, so a trial whose start block
+    already holds the eigenvector (beta and gamma constant in space) or lies
+    near the one before costs one apply.
 
     The sandwich widened by a factor of two on each side, [0.5*lower,
     2*upper], absorbs discretization drift and serves only as a safeguard:
@@ -259,8 +290,8 @@ def compute_r0(config: ModelConfig) -> R0Result:
     that grows a unit field past the float range in one period is taken
     to lie there too. Likewise a trial mu whose full basis has no
     positive one-signed eigenpair counts as r = 0, the high side: a Perron
-    root that the full basis misses is not the dominant eigenvalue, so it
-    lies below the modulus of the stiff modes, which is below one.
+    root that the full basis misses is lost in rounding below the stiff
+    modes, whose modulus is below one.
 
     Raises:
         ConvergenceError: the widened bracket does not straddle r = 1, or

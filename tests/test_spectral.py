@@ -181,6 +181,22 @@ def test_spectral_radius_stops_after_one_apply_when_the_start_block_holds_the_ei
         assert np.allclose(mode, 1.0, rtol=0.0, atol=1e-12)
 
 
+def test_spectral_radius_takes_the_next_cosines_when_a_block_deflates():
+    """A constant potential maps every cosine to a multiple of itself. From
+    the block [cos(pi y/L), cos(2 pi y/L)], which holds no one-signed
+    vector, the images add nothing to the basis; the next unused cosines,
+    cos(0) and cos(pi y/L), take their place, the second is dropped as
+    already spanned, and the constant vector certifies the pair."""
+    spec = LinearEquationSpec(
+        d=0.1, rho=EvolutionRate(kind="constant-one", period=1.0),
+        potential=lambda y, t: 0.7, grid=Grid1D(L=1.0, N=16), steps_per_period=64)
+    op = _ColumnCounter(PeriodMapOperator.from_spec(spec))
+    radius, mode, _ = _operator_radius(op, spectral._cosines(17, 1, 3))
+    assert op.widths == [2, 1]
+    assert radius == pytest.approx(_dense_radius(op._op), abs=1e-12)
+    assert np.allclose(mode, 1.0, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", ["example4-a", "example4-b"])
 def test_spectral_radius_warm_started_at_a_nearby_mu_stops_after_one_apply(name):
     """The block a radius evaluation ended with, carried to mu(1 + 1e-6) as the
@@ -198,19 +214,51 @@ def test_spectral_radius_warm_started_at_a_nearby_mu_stops_after_one_apply(name)
     assert radius == pytest.approx(_dense_radius(warm._op), abs=1e-12)
 
 
-def test_spectral_radius_block_grows_to_the_full_basis_and_matches_dense_oracle():
+def test_spectral_radius_basis_grows_to_the_full_space_and_matches_dense_oracle():
     """Nearly decoupled nodes with a potential rising by 0.01 over the
-    interval: the top eigenvalues differ by about 0.1%, so the block doubles
-    from 2 to 4 to 8 columns after 4 iterations each and ends on the full
-    N+1 = 9, where the Ritz pairs are the eigenpairs."""
+    interval: the top eigenvalues differ by about 0.1%, so no Ritz pair
+    settles before the Krylov basis, grown by the 2-column images of each
+    block, spans all N+1 = 9 columns, where the Ritz pairs are the
+    eigenpairs. Of the last images, one column adds only rounding and is
+    dropped."""
     spec = LinearEquationSpec(
         d=1e-4, rho=EvolutionRate(kind="constant-one", period=1.0),
         potential=lambda y, t: 0.5 + 0.01 * y, grid=Grid1D(L=1.0, N=8), steps_per_period=16)
     op = _ColumnCounter(PeriodMapOperator.from_spec(spec))
     radius, _, block = _operator_radius(op)
-    assert op.widths == [2] * 4 + [4] * 4 + [8] * 4 + [9]
-    assert block.shape == (9, 9)
+    assert op.widths == [2, 2, 2, 2, 1]
+    assert sum(op.widths) == 9 and block.shape == (9, 2)
     assert radius == pytest.approx(_dense_radius(op._op), abs=1e-12)
+
+
+def test_spectral_radius_keeps_orthogonality_when_the_perron_vector_spans_57_decades():
+    """example4-a at d_I = 1e-4, L = 64 on 8x16: the Perron vector falls
+    from 1 to 5e-58 across the 9 nodes, and the two images of the start
+    block nearly cancel once projected (R diagonal 2.5e-9 of the column
+    norm). One QR factorization after the projections leaves the second
+    column 1.7e-8 off orthogonal to the basis; the full basis then has no
+    one-signed Ritz vector, the first trial raises ConvergenceError and the
+    search stalls after 80 evaluations."""
+    config = validate_config(replace(load_preset("example4-a"), d_I=1e-4, L=64.0).with_resolution(8, 16))
+    result = compute_r0(config)
+    assert result.defect <= spectral.DEFECT_TOL
+    assert result.iterations <= 5
+    assert result.value == pytest.approx(0.97141510973540546, rel=1e-9)
+
+
+def test_spectral_radius_on_a_clustered_spectrum_matches_dense_oracle(designed_config):
+    """The designed config at d_I = 1.36409e-4 on 32x64, at the sandwich
+    mean: the local growth factors form a near-continuum below the Perron
+    root. The Krylov basis settles after 28 propagated columns; subspace
+    iteration from the same cosines, which discards its basis each
+    iteration, propagated 281."""
+    config = replace(designed_config(grid_points=32, steps_per_period=64), d_I=1.36409e-4)
+    bounds = r0_bounds(config)
+    op = _ColumnCounter(spectral._phi_operators(config)(math.sqrt(bounds.lower * bounds.upper)))
+    radius, mode, _ = _operator_radius(op)
+    assert radius == pytest.approx(_dense_radius(op._op), abs=1e-12)
+    assert np.min(mode) > 0.0
+    assert sum(op.widths) <= 60
 
 
 def test_spectral_radius_picks_the_perron_root_over_stiff_modes():
@@ -444,17 +492,43 @@ def test_invasion_eigenvalue_is_the_perron_root_past_stiff_modes():
 
 
 def test_compute_r0_takes_a_missing_perron_root_as_the_high_side():
-    """example4-a at d_I = 1e4, L = 64 on 8x64: at the bracket's high end the
-    full basis has no one-signed eigenpair (the Perron root is lost in
-    rounding far below the stiff modes). The first trial, the sandwich mean
-    0.083, is in the same state; the search takes it as r = 0 and goes on
-    from the bracket's low end, whose map is not definite (r = +inf)."""
+    """example4-a at d_I = 1e4, L = 64 on 8x64: the Perron root lies far
+    below the stiff modes. At the bracket's high end the dense full basis
+    has no one-signed eigenpair, while the Krylov basis, which keeps the
+    constant start vector, finds one at r of order 1e-19: either way the
+    trial is on the high side. The first trial, the sandwich mean 0.083,
+    finds no pair; the search takes it as r = 0 and goes on from the
+    bracket's low end, whose map is not definite (r = +inf)."""
     config = replace(load_preset("example4-a"), d_I=1e4, L=64.0).with_resolution(8, 64)
-    with pytest.raises(ConvergenceError, match="one-signed"):
-        _operator_radius(spectral._phi_operators(config)(2.0 * r0_bounds(config).upper))
+    try:
+        assert _operator_radius(spectral._phi_operators(config)(2.0 * r0_bounds(config).upper))[0] < 1.0
+    except ConvergenceError:
+        pass
     result = compute_r0(config)
     assert result.defect <= spectral.DEFECT_TOL
     assert result.value == pytest.approx(0.01818528408, rel=1e-9)
+
+
+def test_compute_r0_takes_a_trial_without_a_perron_pair_as_r_equal_zero(monkeypatch):
+    """A radius evaluation that raises ConvergenceError at a trial above the
+    root counts as r = 0, the high side, and the search still converges."""
+    config = load_preset("example4-b").with_resolution(16, 32)
+    root = compute_r0(config).value
+    radius = spectral._operator_radius
+    failed: list[float] = []
+
+    def missing_above_the_root(op, block=None):
+        r = radius(op, block)
+        if r[0] < 1.0 and not failed:
+            failed.append(r[0])
+            raise ConvergenceError("no one-signed pair")
+        return r
+
+    monkeypatch.setattr(spectral, "_operator_radius", missing_above_the_root)
+    result = compute_r0(config)
+    assert len(failed) == 1
+    assert result.defect <= spectral.DEFECT_TOL
+    assert result.value == pytest.approx(root, rel=1e-8)
 
 
 def test_invasion_eigenvalue_needs_a_definite_period_map():

@@ -32,8 +32,8 @@ It exits 1 on any structural change or exceeded bound:
 The list covers `r0`, `dfe`, `bounds` and a 3-period `simulate` on every
 preset at a coarse resolution, `reproduce`, the README sweep and limits
 examples, a coarse sweep whose smallest `d_I` grows the radius route's
-block to the full 49-column basis, a 100-period `simulate` and a fine-in-time
-`dfe`, plus runs that end on the other exit paths: `--strict` failures
+Krylov basis to 38 of its 49 columns at the first trial, a 100-period
+`simulate` and a fine-in-time `dfe`, plus runs that end on the other exit paths: `--strict` failures
 (exit 3), and `r0`, `limits` and an `L` sweep under `--strict` or on a
 second preset. A 40-period `simulate` of example4-a with 20 steps per
 period clamps negative densities about 1700 times, so the clamp branch of

@@ -1,6 +1,7 @@
-"""R0 root search on a fixed set of 96 coarse configs, with radius-evaluation counts.
+"""R0 root search on four fixed blocks of probe configs, with radius-evaluation counts.
 
-Each probe is a preset at one of the grids 8x16, 16x16 and 8x64 (N x M),
+In the first block, of 96 coarse configs, each probe is a preset at one
+of the grids 8x16, 16x16 and 8x64 (N x M),
 with d_I in {1e-4, 1e4} and L in {0.01, 64}: extremes that
 `validate_config` accepted before it bounded the stiff Crank-Nicolson
 modes, where the period map is far from the presets' regime. Each probe
@@ -15,9 +16,20 @@ with a summary line of its own, runs the configs the search's evaluation
 counts are tested on: the 8 presets at their own resolution and the two
 affine configs of
 `tests/test_spectral.py::test_compute_r0_radius_evaluations_with_heterogeneous_beta`
-(example4-b at 32x64 with affine beta and gamma). BLAS is pinned to
-one thread and `evosis` is imported from PYTHONPATH, so two checkouts
-compare with
+(example4-b at 32x64 with affine beta and gamma). A third block runs
+the designed config of the sweep and limit criteria (`DESIGNED`, at
+256x320) at the four d_I values of the seeded `d_I` sweep that perfbench
+draws at seed 1; the smallest, 1.36409e-4, is where the local growth
+factors form a near-continuum below the Perron root. A fourth block holds
+fixed stalls: example1-fixed and example2-fixed at 8x2000 with
+d_I = 1.17e8, which gives the stiff-mode quantity x = 3.4e-4 (above
+`STIFF_MODE_BOUND`). beta and gamma are constant in space there, so the
+exact discrete root is known, yet the radius computed at it is 6.3e-8
+from one, and no trial reaches |r - 1| <= DEFECT_TOL: the search stalls
+after 80 evaluations. The rounding comes from the tridiagonal factors,
+not the eigen-route (ROADMAP item 1). A stall prints its error message,
+which holds the last defect. BLAS is pinned to one thread and `evosis`
+is imported from PYTHONPATH, so two checkouts compare with
 
     PYTHONPATH=/path/to/old/src python tools/r0_probes.py > old.txt
     PYTHONPATH=src python tools/r0_probes.py > new.txt
@@ -32,6 +44,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 import itertools  # noqa: E402
+import math  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 GRIDS = ((8, 16), (16, 16), (8, 64))
@@ -42,12 +55,26 @@ AFFINE = (
     ("eigenfunction-where-beta-is-small", 1e-4, (0.01, 0.5), (0.001, 0.5)),
     ("sharply-bent-ln-r", 1e-3, (0.001, 5.0), (0.0001, 5.0)),
 )
+DESIGNED = {
+    "d_S": 0.05, "d_I": 0.1, "n": 1, "L": 1.0, "T": math.pi,
+    "rho": {"kind": "exp-cosine", "amplitude": 0.2, "frequency": 2.0},
+    "a": {"form": "constant", "c0": 1.0},
+    "b": {"form": "constant", "c0": 2.0},
+    "beta": {"form": "exponential", "c0": 0.4, "c1": -0.15, "c2": -0.5},
+    "gamma": {"form": "exponential", "c0": 0.2, "c1": 0.2, "c2": -0.5},
+    "initial_S": {"mean": 0.25, "modes": [[1, 0.01]]},
+    "initial_I": {"mean": 0.05, "modes": [[1, 0.005]]},
+    "grid_points": 256,
+    "steps_per_period": 320,
+}
+SWEEP_D_I = (1.36409e-4, 1.07737e-3, 1.0277e-2, 8.96707e-2)
+STALLS = (("example1-fixed", 8, 2000, 1.17e8), ("example2-fixed", 8, 2000, 1.17e8))
 
 
 def main() -> None:
     from evosis import engine
-    from evosis.errors import EvosisError
-    from evosis.model import CoefficientProfile, validate_config
+    from evosis.errors import ConvergenceError, EvosisError
+    from evosis.model import CoefficientProfile, config_from_dict, validate_config
     from evosis.presets import load_preset, preset_names
     from evosis.spectral import compute_r0
 
@@ -77,6 +104,8 @@ def main() -> None:
                 solved += 1
             except EvosisError as error:
                 outcome = type(error).__name__
+                if isinstance(error, ConvergenceError):
+                    outcome += f" ({error})"
             total += builds
             total_columns += columns
             print(f"{label}  {outcome}  evaluations {builds}  columns {columns}", flush=True)
@@ -96,6 +125,10 @@ def main() -> None:
                          gamma=CoefficientProfile(form="affine", c0=gamma[0], c1=gamma[1]))
         evidence.append((f"example4-b 32x64 d_I={d_i:g} affine {label}", config.with_resolution(32, 64)))
     run_block(evidence)
+    designed = config_from_dict(DESIGNED)
+    run_block([(f"designed 256x320 d_I={d_i:g}", replace(designed, d_I=d_i)) for d_i in SWEEP_D_I])
+    run_block([(f"{name} {n}x{m} d_I={d_i:g}", replace(load_preset(name), d_I=d_i).with_resolution(n, m))
+               for name, n, m, d_i in STALLS])
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ times whole periods and divides by the M steps of each:
 - `period_map_1_us`, `period_map_8_us`: one Crank-Nicolson step of the
   linearized-infection period map on 1 and 8 columns
   (`PeriodMapOperator.apply`), at mu = twice the upper sandwich bound of R0;
+- `radius_ms`, `radius_columns`: one cold radius evaluation
+  (`spectral._operator_radius` from its cosine start block) at the
+  sandwich mean mu = sqrt(lower*upper), the root search's first trial, and
+  the number of period-map columns it propagates;
 
 and times the build of the coupled stepper's predictor factor set (both
 blocks, `factor_set_ms`). Each figure is the median of `--repeats` samples
@@ -29,6 +33,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 from time import perf_counter  # noqa: E402
 from typing import Any, Callable  # noqa: E402
@@ -66,10 +71,25 @@ def preset_costs(config: Any, repeats: int) -> dict[str, float]:
         state = fields[0] if rows == 1 else fields
         costs[f"s_only_{rows}_us"] = _median_seconds(lambda: s_only.period(state), repeats) * per_step_us
 
-    operator = spectral._phi_operators(config)(2.0 * spectral.r0_bounds(config).upper)
+    operator_at, bounds = spectral._phi_operators(config), spectral.r0_bounds(config)
+    operator = operator_at(2.0 * bounds.upper)
     for columns in (1, 8):
         block = spectral._cosines(n, 0, columns) if columns > 1 else np.ones(n)
         costs[f"period_map_{columns}_us"] = _median_seconds(lambda: operator.apply(block), repeats) * per_step_us
+
+    at_mean = operator_at(math.sqrt(bounds.lower * bounds.upper))
+    costs["radius_ms"] = _median_seconds(lambda: spectral._operator_radius(at_mean), repeats) * 1e3
+    widths: list[int] = []
+
+    class CountedMap:
+        grid = at_mean.grid
+
+        def apply(self, u: np.ndarray) -> np.ndarray:
+            widths.append(u.shape[1])
+            return at_mean.apply(u)
+
+    spectral._operator_radius(CountedMap())
+    costs["radius_columns"] = sum(widths)
 
     inv_rho2 = np.asarray(config.rho.value(coupled.times), dtype=float) ** -2.0
     nus = (engine.endpoint_mean(config.d_S * inv_rho2), engine.endpoint_mean(config.d_I * inv_rho2))
