@@ -42,16 +42,19 @@ B = dt (nu A + diag q), is solved in its row-scaled form
     (W - theta dt (nu WA + W diag q)) x = W rhs,
 
 a symmetric tridiagonal matrix (one block per species, a zero
-off-diagonal at each seam) that `scaled_bands` builds and `_FactorSet`
-has LAPACK factor as L D L^T (`pttrf`, no pivoting) once per step. Each
-solve is then one in-place `pttrs` call on the rhs scaled by w, where
-w = (1/2, 1, ..., 1, 1/2) per block, which the factor set keeps. The
+off-diagonal at each seam) with off-diagonal -theta dt nu / h^2 and row
+sums w (1 - theta dt q), where w = (1/2, 1, ..., 1, 1/2) per block.
+`_FactorSet` factors it as L D L^T once per step from those row sums,
+with additions and multiplications of positive numbers only (while
+theta dt q < 1), so the factors stay accurate to rounding however
+strongly diffusion dominates. Each solve is then one in-place LAPACK
+`pttrs` call on the rhs scaled by w, which the factor set keeps. The
 factors need positive definiteness. Since -WA is positive semidefinite,
 W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
-(q = 0) are therefore always definite; the period map needs its potential
-below 1/(theta dt), and a system that is not definite raises `StepError`.
-Since I + theta B = 2I - (I - theta B),
+(q = 0) are therefore always definite; the period map needs its
+potential below 1/(theta dt), and a system that is not definite raises
+`StepError`. Since I + theta B = 2I - (I - theta B),
 each Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f
 is taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit
 stencil. Every rhs reaches the systems scaled by w, with the power of
@@ -79,6 +82,8 @@ PotentialFn = Callable[[FloatArray, float], Any]
 _Field = tuple[FloatArray, FloatArray, tuple[FloatArray, FloatArray | None]]
 
 DENOMINATOR_GUARD = 1e-12
+# doubles in each node-major scratch span of a factor set build
+_SPAN_DOUBLES = 2**15
 
 _ERR_NONFINITE_STEP = "non-finite state after step {index} (t = {t:.6g})"
 _ERR_NOT_DEFINITE = (
@@ -87,7 +92,7 @@ _ERR_NOT_DEFINITE = (
 )
 _ERR_PERIODS = "periods: must be at least 1, got {periods}"
 
-_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0, dtype=np.float64),))
+_pttrs = get_lapack_funcs("pttrs", (np.empty(0, dtype=np.float64),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,52 +114,6 @@ class LinearEquationSpec:
         return self.rho.period / self.steps_per_period
 
 
-# ---- banded helpers ----
-
-def laplacian_bands(grid: Grid1D) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """Sub/main/super diagonals of the ghost-node Laplacian.
-
-    Returns (sub, diag, sup) with sub of length N (entries A[i+1, i]) and
-    sup of length N (entries A[i, i+1]).
-    """
-    inv_h2 = 1.0 / grid.h**2
-    sub = np.full(grid.N, inv_h2)
-    sub[-1] = 2.0 * inv_h2
-    diag = np.full(grid.N + 1, -2.0 * inv_h2)
-    sup = np.full(grid.N, inv_h2)
-    sup[0] = 2.0 * inv_h2
-    return sub, diag, sup
-
-
-def scaled_bands(grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
-                 theta_dt: float) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """(d, e, w): the symmetric tridiagonal W(I - theta_dt*(B + diag q)) per step, and W.
-
-    W = diag(1/2, 1, ..., 1, 1/2) on each block, and B has one diagonal
-    block nus[j][k] A per scale vector and step; q, of shape (steps, N+1),
-    is only taken with one block. Row k of d is the diagonal, and of e the
-    off-diagonal: -theta_dt nus[j][k] / h^2 on block j, as WA is symmetric
-    with every off-diagonal 1/h^2, and zero at each seam between blocks, so
-    the blocks never couple. Each block is written in place. w, the
-    diagonal of W tiled over the blocks, is returned too.
-    """
-    n = grid.N + 1
-    weights = trapezoid_weights(grid) / grid.h
-    _, diag, sup = laplacian_bands(grid)
-    tables = []
-    for band in (weights * diag, weights[:-1] * sup):
-        table = np.zeros((nus[0].size, len(nus) * n - (n - band.size)))
-        for j, nu in enumerate(nus):
-            np.multiply((-theta_dt * nu)[:, None], band, out=table[:, j * n:j * n + band.size])
-        tables.append(table)
-    d, e = tables
-    w = np.tile(weights, len(nus))
-    d += w
-    if q is not None:
-        d -= (theta_dt * weights) * q
-    return d, e, w
-
-
 def endpoint_mean(table: FloatArray) -> FloatArray:
     """Per-step values from samples at the step endpoints: rows k and k+1 averaged."""
     return 0.5 * (table[:-1] + table[1:])
@@ -164,28 +123,71 @@ class _FactorSet:
     """L D L^T factors of per-step systems W(I - theta_dt*(B + diag q)), one per step.
 
     B is the block Laplacian of the scale vectors nus and W the block-end
-    halving, which makes each system symmetric tridiagonal: its diagonal d
-    and off-diagonal e (zero at the seam between blocks), from
-    `scaled_bands`, are factored in place by one LAPACK `pttrf` call per
-    step. That needs positive definiteness, which holds when
-    theta_dt*sup q < 1 and always when q is None; a step with a pivot that
-    is not positive raises `StepError`. Each step keeps its (d, e) row
-    views for the solves that reuse it, and the set keeps the row weights
-    w of W, by which its callers scale every right-hand side.
+    halving, which makes each system symmetric tridiagonal with
+    off-diagonal -c, c = theta_dt nu_k / h^2 on each block (zero at the seam
+    between blocks), and row sums s = w(1 - theta_dt q), q of shape
+    (steps, N+1) only with one block. The factors come from those row-sum
+    excesses, node by node across every step and block at once: with t = s
+    at the first node of a block,
+
+        D_i = t + c,  L_i = -c / D_i,  t <- s_{i+1} - t L_i,  D_N = t,
+
+    so while s > 0 every operation adds or multiplies positive numbers and
+    the factors are accurate to rounding however large c is (Alfa, Xue and
+    Ye, Math. Comp. 71, 2002); these are the pivots d_i - c^2 / D_{i-1} of
+    `pttrf`, without the subtraction that cancels when diffusion dominates.
+    Every pivot is positive while theta_dt*sup q < 1, and always when q is
+    None; a pivot that is not positive, or NaN, raises `StepError`. Each
+    step keeps its (D, L) row views for the `pttrs` solves that reuse it,
+    and the set keeps the row weights w of W, by which its callers scale
+    every right-hand side.
     """
 
     __slots__ = ("_rows", "w")
 
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
-        d, e, self.w = scaled_bands(grid, nus, q, theta_dt)
-        for k in range(d.shape[0]):
-            _, _, info = _pttrf(d[k], e[k], overwrite_d=1, overwrite_e=1)
-            if info != 0:
-                bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
-                raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=info, rows=d.shape[1],
-                                                         bound=bound))
-        self._rows = [(d[k], e[k]) for k in range(d.shape[0])]
+        n, blocks, steps = grid.N + 1, len(nus), nus[0].size
+        weights = trapezoid_weights(grid) / grid.h
+        self.w = np.tile(weights, blocks)
+        # d holds the row sums s until node i's pivot overwrites s_i; the last
+        # multiplier of each block (the seam, or past the end) stays zero
+        d = np.empty((steps, blocks * n))
+        e = np.zeros((steps, blocks * n))
+        if q is None:
+            d[:] = self.w
+        else:
+            np.multiply(q, -theta_dt, out=d)
+            d += 1.0
+            d *= weights
+        # the recurrence runs node-major on contiguous (blocks, steps) rows: each
+        # span of nodes is copied out of d (its row sums), factored in scratch,
+        # and copied back into the step-major d and e
+        d3, e3 = d.reshape(steps, blocks, n), e.reshape(steps, blocks, n)
+        span = min(n - 1, max(1, _SPAN_DOUBLES // (blocks * steps)))
+        pivots, multipliers = np.empty((span + 1, blocks, steps)), np.empty((span, blocks, steps))
+        inv_h2 = 1.0 / grid.h**2
+        c = np.stack([(theta_dt * nu) * inv_h2 for nu in nus])
+        minus_c = -c
+        t = d3[:, :, 0].T.copy()
+        for start in range(0, n - 1, span):
+            stop = min(start + span, n - 1)
+            pivots[:stop - start + 1] = d3[:, :, start:stop + 1].transpose(2, 1, 0)
+            for i in range(stop - start):
+                np.add(t, c, out=pivots[i])
+                np.divide(minus_c, pivots[i], out=multipliers[i])
+                t *= multipliers[i]
+                np.subtract(pivots[i + 1], t, out=t)
+            d3[:, :, start:stop] = pivots[:stop - start].transpose(2, 1, 0)
+            e3[:, :, start:stop] = multipliers[:stop - start].transpose(2, 1, 0)
+        d3[:, :, n - 1] = t.T
+        if not d.min() > 0.0:
+            failed = ~(d > 0.0)
+            k = int(np.argmax(failed.any(axis=1)))
+            bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
+            raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=int(np.argmax(failed[k])) + 1,
+                                                     rows=d.shape[1], bound=bound))
+        self._rows = [(d[k], e[k, :-1]) for k in range(steps)]
 
     def solve(self, k: int, rhs: FloatArray) -> None:
         """Overwrites rhs = w f with the solution x of step k's system (I - theta_dt*(B + diag q)) x = f.

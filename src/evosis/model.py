@@ -36,13 +36,6 @@ DEFAULT_NM_BUDGET = 20_000_000
 # (2a/b)(1 - a dt) >= 0 (constant coefficients); beyond it the start
 # overshoots, and at dt*a = 3.75 both starts clamp to the zero orbit.
 REACTION_STEP_BOUND = 1.0
-# Bound on x = h^2 * sum_k 1/(dt*nu_k), nu_k the step mean of d_I/rho^2: the
-# stiffest Crank-Nicolson mode of the R0 period map keeps modulus exp(-x).
-# Rounding in the map then grows like 1/x; below the bound a computed R0
-# strays from the exact discrete one (7.9e-8 rel at x = 1.7e-6 on a preset
-# with beta and gamma constant in space) where above it they agree within
-# 2.2e-8.
-STIFF_MODE_BOUND = 1e-5
 MIN_TABULATED_SAMPLES = 8
 
 _ERR_NOT_FINITE = "{path}: value must be finite, got {value!r}"
@@ -51,12 +44,6 @@ _ERR_REACTION_STEP = (
     "steps_per_period: the explicit reaction step needs T/steps_per_period*(sup a + sup |n rho'/rho|)"
     " <= {bound:g}, got {value:.6g} (T = {T:g}, sup a = {sup_a:.6g}, sup |n rho'/rho| = {sup_dil:.6g});"
     " need steps_per_period >= {least}"
-)
-_ERR_STIFF_MODE = (
-    "d_I: the stiffest Crank-Nicolson mode of the R0 period map keeps modulus exp(-x),"
-    " x = (L/grid_points)^2 * sum_k steps_per_period/(T*nu_k) with nu_k the step mean of d_I/rho^2,"
-    " and x must be >= {bound:g}; got x = {value:.3g} (d_I = {d_I:g}, L = {L:g}, grid_points = {N},"
-    " steps_per_period = {M}); need d_I <= {most:.6g}"
 )
 
 RATE_KINDS = ("constant-one", "exp-cosine", "tabulated")
@@ -472,19 +459,6 @@ def _check_reaction_step(errors: list[str], config: ModelConfig, sup_a: float, t
                                                 sup_a=sup_a, sup_dil=sup_dil, least=least))
 
 
-def _check_stiff_modes(errors: list[str], config: ModelConfig) -> None:
-    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
-    inverse = np.asarray(config.rho.value(times), dtype=float) ** -2.0
-    nu_bar = config.d_I * 0.5 * (inverse[:-1] + inverse[1:])
-    h, dt = config.L / config.grid_points, config.T / config.steps_per_period
-    value = h * h * float(np.sum(1.0 / (dt * nu_bar)))
-    if value < STIFF_MODE_BOUND:
-        # x is proportional to 1/d_I
-        errors.append(_ERR_STIFF_MODE.format(bound=STIFF_MODE_BOUND, value=value, d_I=config.d_I, L=config.L,
-                                             N=config.grid_points, M=config.steps_per_period,
-                                             most=config.d_I * value / STIFF_MODE_BOUND))
-
-
 def validate_config(config: ModelConfig) -> ModelConfig:
     """Checks every configuration invariant, raising on any violation.
 
@@ -533,7 +507,6 @@ def validate_config(config: ModelConfig) -> ModelConfig:
             errors.append(f"{name}: must be positive on [0, L] x [0, T], minimum {float(np.min(table)):.6g}")
         elif name == "a":
             _check_reaction_step(errors, config, float(np.max(table)), t_probe)
-    _check_stiff_modes(errors, config)
 
     fine = np.linspace(0.0, config.L, 4 * config.grid_points + 1)
     for name, spec in (("initial_S", config.initial_S), ("initial_I", config.initial_I)):

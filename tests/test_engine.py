@@ -11,7 +11,7 @@ import pytest
 
 from scipy.linalg import solve_banded
 
-from evosis import spectral
+from evosis import engine, spectral
 from evosis.engine import (
     DENOMINATOR_GUARD,
     CoupledStepper,
@@ -19,15 +19,13 @@ from evosis.engine import (
     PeriodMapOperator,
     _FactorSet,
     endpoint_mean,
-    laplacian_bands,
-    scaled_bands,
     simulate,
     trapezoid_weights,
 )
 from evosis.errors import StepError
 from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig, coefficient_table
 from evosis.presets import load_preset
-from tridiagonal_reference import ldlt_solve, lu_solve, row_weights
+from tridiagonal_reference import excess_factors, excess_solve, laplacian_bands, ldlt_solve, lu_solve, row_weights
 
 UNIT_PERIOD = EvolutionRate(kind="constant-one", period=1.0)
 
@@ -429,7 +427,7 @@ def _reference_reaction(tables, S, I, j, fused=True):
             incidence - recovery - dil * I)
 
 
-def _per_species_step(stepper, tables, grid, nus, S, I, k, solve_block=ldlt_solve, stencil=False,
+def _per_species_step(stepper, tables, grid, nus, S, I, k, solve_block=excess_solve, stencil=False,
                       fused=True):
     """Reference IMEX step with S and I kept apart: two reactions and four
     solves per step, each solve by solve_block on its own block. The
@@ -468,10 +466,11 @@ def _per_species_step(stepper, tables, grid, nus, S, I, k, solve_block=ldlt_solv
 
 
 def test_coupled_step_matches_per_species_reference_bit_for_bit():
-    """The reference solves each species with its own L D L^T factors, in the
-    stepper's fused order. Also, step by step, the LU form of the solves, the
-    stencil form of the corrector and the unfused reaction and right-hand
-    sides, each to rounding and with the same clamps."""
+    """The reference solves each species with its own L D L^T factors from the
+    scalar row-sum excess loop, in the stepper's fused order. Also, step by
+    step, the `pttrf` and LU forms of the solves, the stencil form of the
+    corrector and the unfused reaction and right-hand sides, each to rounding
+    and with the same clamps."""
     # example4-a at 20 steps per period first clamps in period 18 (54 clamps by period 20)
     config = load_preset("example4-a").with_resolution(48, 20)
     stepper = CoupledStepper(config)
@@ -481,13 +480,13 @@ def test_coupled_step_matches_per_species_reference_bit_for_bit():
     S = config.initial_S.evaluate(config.grid.nodes, config.L)
     I = config.initial_I.evaluate(config.grid.nodes, config.L)
     u = np.concatenate((S, I))
-    clamps = {"ldlt": 0, "lu": 0, "stencil": 0, "unfused": 0}
+    clamps = {"excess": 0, "ldlt": 0, "lu": 0, "stencil": 0, "unfused": 0}
     for _ in range(20):
         for k in range(stepper.n_steps):
             reference = partial(_per_species_step, stepper, tables, config.grid, nus, S, I, k)
-            steps = {"ldlt": reference(), "lu": reference(lu_solve), "stencil": reference(stencil=True),
-                     "unfused": reference(fused=False)}
-            expected = np.concatenate(steps["ldlt"])
+            steps = {"excess": reference(), "ldlt": reference(ldlt_solve), "lu": reference(lu_solve),
+                     "stencil": reference(stencil=True), "unfused": reference(fused=False)}
+            expected = np.concatenate(steps["excess"])
             for name, step in steps.items():
                 step = np.concatenate(step)
                 assert np.max(np.abs(step - expected)) <= 1e-13, name
@@ -496,14 +495,14 @@ def test_coupled_step_matches_per_species_reference_bit_for_bit():
             u = stepper.step(u, k)
             assert np.array_equal(u, np.concatenate((S, I)))
     assert len(set(clamps.values())) == 1
-    assert stepper.clamp_count == clamps["ldlt"] > 0
+    assert stepper.clamp_count == clamps["excess"] > 0
 
 
 def test_stacked_bands_solve_like_each_species_alone():
-    """The zero seam makes one stacked solve equal the two separate L D L^T
-    solves bit for bit; the LU solves agree to rounding. The stacked
-    factors, like the reference's, are those of the W-scaled system,
-    solved on the rhs scaled by w."""
+    """The zero seam makes one stacked solve equal the two separate solves
+    with the scalar loop's factors bit for bit; the `pttrf` and LU solves
+    agree to rounding. The stacked factors, like the reference's, are those
+    of the W-scaled system, solved on the rhs scaled by w."""
     grid = Grid1D(L=2.0, N=24)
     w = np.tile(row_weights(grid.N + 1), 2)
     rng = np.random.default_rng(7)
@@ -516,17 +515,25 @@ def test_stacked_bands_solve_like_each_species_alone():
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
             stacked = rhs * w
             factors.solve(k, stacked)
-            expected = np.concatenate([ldlt_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
-            lu = np.concatenate([lu_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
+            expected = np.concatenate([excess_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             assert np.array_equal(stacked, expected)
-            assert np.max(np.abs(lu - expected)) <= 1e-13
+            for solve_block in (ldlt_solve, lu_solve):
+                other = np.concatenate([solve_block(grid, (-theta * nu)[k], part) for nu, part in parts])
+                assert np.max(np.abs(other - expected)) <= 1e-13, solve_block.__name__
 
 
-def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric():
-    """W A is symmetric to the bit, and before factoring the (d, e) tables are
-    W(I - theta dt (nu A + diag q)) entry by entry, zero at the seam: the
-    reference forms I + (-theta dt nu) A - theta dt diag q densely, then
-    scales its rows by W, in the builder's operation order."""
+@pytest.mark.parametrize("span_doubles", [None, 1, 15], ids=["one-span", "node-by-node", "uneven-spans"])
+def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(span_doubles, monkeypatch):
+    """W A is symmetric to the bit. The factors of each step's system
+    W(I - theta dt (nu A + diag q)) multiply back to it: L D L^T has its
+    off-diagonals and row sums within a few ulps, with a zero seam between
+    blocks. The reference forms I + (-theta dt nu) A - theta dt diag q
+    densely, then scales its rows by W. Each block's factors also equal the
+    scalar reference loop's bit for bit, however the build splits the
+    nodes into scratch spans (all 13 in one, one by one, or spans of 3 and
+    1 nodes)."""
+    if span_doubles is not None:
+        monkeypatch.setattr(engine, "_SPAN_DOUBLES", span_doubles)
     grid = Grid1D(L=1.7, N=12)
     n = grid.N + 1
     weights = row_weights(n)
@@ -536,9 +543,10 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric():
     steps, theta_dt = 5, 0.013
     nus = (0.2 + rng.random(steps), 3.0 + rng.random(steps))
     q = rng.standard_normal((steps, n))
+    ulp = np.finfo(float).eps
     for blocks, potential in (((nus[0],), q), ((nus[0],), None), (nus, None)):
-        d, e, w = scaled_bands(grid, blocks, potential, theta_dt)
-        assert np.array_equal(w, np.tile(weights, len(blocks)))
+        factors = _FactorSet(grid, blocks, potential, theta_dt)
+        assert np.array_equal(factors.w, np.tile(weights, len(blocks)))
         for k in range(steps):
             system = np.zeros((len(blocks) * n, len(blocks) * n))
             for j, nu in enumerate(blocks):
@@ -547,10 +555,44 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric():
                     block -= np.diag(theta_dt * potential[k])
                 system[j * n:(j + 1) * n, j * n:(j + 1) * n] = weights[:, None] * block
             assert np.array_equal(system, system.T)
-            assert np.array_equal(d[k], np.diag(system))
-            assert np.array_equal(e[k], np.diag(system, 1))
+            d, e = factors._rows[k]
+            lower = np.eye(d.size) + np.diag(e, -1)
+            product = lower @ np.diag(d) @ lower.T
+            off = np.diag(system, 1)
+            assert np.all(np.abs(np.diag(product, 1) - off) <= 2 * ulp * np.abs(off))
+            assert np.all(np.abs(product.sum(axis=1) - system.sum(axis=1))
+                          <= 4 * ulp * np.abs(system).sum(axis=1))
             if len(blocks) == 2:
-                assert e[k][n - 1] == 0.0
+                assert e[n - 1] == 0.0
+            row_sums = factors.w if potential is None else (potential[k] * -theta_dt + 1.0) * factors.w
+            for j, nu in enumerate(blocks):
+                ref_d, ref_e = excess_factors(row_sums[j * n:(j + 1) * n], (theta_dt * nu[k]) * (1.0 / grid.h**2))
+                assert np.array_equal(d[j * n:(j + 1) * n], ref_d)
+                assert np.array_equal(e[j * n:j * n + n - 1], ref_e)
+
+
+@pytest.mark.parametrize("stiffness", [1e4, 1e8, 1e12])
+def test_factor_sets_solve_to_relative_accuracy_however_stiff(stiffness):
+    """The exact discrete oracle: with q constant in space the row sums are
+    w (1 - theta dt q) and A 1 = 0, so with the right-hand side w the solution
+    is 1/(1 - theta dt q) at every node, whatever theta dt nu / h^2 is. The
+    factors come from the row sums, so the solves stay within a few ulps even
+    at theta dt nu / h^2 = 1e12 (the `pttrf` pivots d_i - c^2/D_{i-1} lose
+    7.4e-13, 9.9e-9 and 7.1e-5 here). One block with q constant in space
+    but varying per step, and two blocks without q."""
+    grid = Grid1D(L=1.0, N=32)
+    steps, theta_dt = 4, 0.01
+    nus = (stiffness * grid.h**2 / theta_dt * np.array([1.0, 0.5, 2.0, 1.5]),
+           stiffness * grid.h**2 / theta_dt * np.array([3.0, 1.0, 0.25, 1.0]))
+    levels = np.array([0.3, -2.0, 50.0, 99.0])
+    q = np.repeat(levels[:, None], grid.N + 1, axis=1)
+    for blocks, potential in (((nus[0],), q), (nus, None)):
+        factors = _FactorSet(grid, blocks, potential, theta_dt)
+        for k in range(steps):
+            rhs = factors.w.copy()
+            factors.solve(k, rhs)
+            exact = 1.0 / (1.0 - theta_dt * levels[k]) if potential is not None else 1.0
+            assert np.max(np.abs(rhs / exact - 1.0)) <= 1e-14
 
 
 def test_period_map_rejects_a_system_that_is_not_positive_definite():
@@ -574,7 +616,9 @@ def test_held_factors_fit_their_budgets():
     blocks (64 B), and beta, gamma and loss, which vary in space and time
     (24 B); gain and b vary in time only or not at all, and hold one column
     and one value. The S-only stepper holds about 35 B: the four factor
-    tables of the S block (32 B) and their row views."""
+    tables of the S block (32 B) and their row views. A factor set build,
+    with q on one block or without it on two, needs under 1 MiB of scratch
+    beyond the tables it keeps."""
     config = load_preset("example4-b").with_resolution(200, 2000)
     operator_at = spectral._phi_operators(config)
     held = {}
@@ -592,6 +636,19 @@ def test_held_factors_fit_their_budgets():
     assert held["period map"] <= 8 * 2**20
     assert held["stepper"] <= 95 * cells
     assert held["S-only stepper"] <= 36 * cells
+    grid, steps = config.grid, config.steps_per_period
+    rng = np.random.default_rng(5)
+    nus = (0.1 + rng.random(steps), 1.0 + rng.random(steps))
+    q = rng.random((steps, grid.N + 1))
+    for blocks, potential in (((nus[0],), q), (nus, None)):
+        tracemalloc.start()
+        try:
+            factors = _FactorSet(grid, blocks, potential, 1e-3)
+            kept, peak = tracemalloc.get_traced_memory()
+            del factors
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 2**20, len(blocks)
 
 
 def test_homogeneous_system_settles_at_endemic_equilibrium():

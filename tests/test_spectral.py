@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from evosis import spectral
@@ -23,7 +22,6 @@ from evosis.model import (
     InitialSpec,
     ModelConfig,
     coefficient_table,
-    evaluate_coefficient,
     validate_config,
 )
 from evosis.presets import load_preset, preset_names
@@ -38,6 +36,7 @@ from evosis.spectral import (
     r0_bounds,
     r0_closed_form,
 )
+from r0_oracles import scalar_r0
 
 QUARTER_TURN = math.pi / 2
 
@@ -172,7 +171,7 @@ def test_spectral_radius_stops_after_one_apply_when_the_start_block_holds_the_ei
         d=0.1, rho=EvolutionRate(kind="constant-one", period=1.0),
         potential=lambda y, t: 0.7, grid=Grid1D(L=1.0, N=16), steps_per_period=64)
     config = load_preset("example1-fixed").with_resolution(16, 32)
-    root = spectral._phi_operators(config)(_scalar_r0(config))
+    root = spectral._phi_operators(config)(scalar_r0(config))
     for op in (PeriodMapOperator.from_spec(constant), root):
         counted = _ColumnCounter(op)
         radius, mode, _ = _operator_radius(counted)
@@ -265,14 +264,15 @@ def test_spectral_radius_picks_the_perron_root_over_stiff_modes():
     """At d = 100, L = 0.1 with 32 steps, dt nu lambda_k reaches about 3e5:
     the top Crank-Nicolson modes map by nearly -1 each step, so a period
     maps them by 0.9996, far above the Perron root 0.6065. A pick by
-    modulus returns the stiff mode; the radius is the positive mode's."""
+    modulus returns the stiff mode; the radius is the positive mode's, within
+    rounding of its 60-digit value."""
     L = 0.1
     spec = LinearEquationSpec(
         d=100.0, rho=EvolutionRate(kind="constant-one", period=1.0),
         potential=lambda y, t: -0.5 + 0.3 * np.cos(math.pi * y / L),
         grid=Grid1D(L=L, N=16), steps_per_period=32)
     radius = period_map_spectral_radius(spec)
-    assert radius == pytest.approx(0.6065247670554669, rel=1e-12)
+    assert radius == pytest.approx(0.60652476701830931, rel=1e-12)
     assert radius == pytest.approx(_dense_radius(PeriodMapOperator.from_spec(spec)), rel=1e-12)
 
 
@@ -605,30 +605,6 @@ def _next_generation_radius(config: ModelConfig) -> float:
     return float(abs(eigs(operator, k=1, v0=np.ones(steps * size))[0][0]))
 
 
-def _scalar_r0(config: ModelConfig) -> float:
-    """Oracle for beta and gamma constant in space: the exact discrete R0.
-
-    The constant vector is then an eigenvector of every Crank-Nicolson step,
-    with factor (1 + theta dt q_k)/(1 - theta dt q_k), q_k = beta_k x - rest_k
-    (endpoint means, rest = gamma + n rho'/rho, x = 1/mu). It is positive, so
-    it is the Perron vector, and R0 is 1/x at the root of the log period
-    factor, found by brentq.
-    """
-    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
-    rho = config.rho
-    beta = np.broadcast_to(evaluate_coefficient(config.beta, rho, 0.0, times), times.shape)
-    rest = evaluate_coefficient(config.gamma, rho, 0.0, times) + config.n * rho.derivative(times) / rho.value(times)
-    beta_bar, rest_bar = 0.5 * (beta[:-1] + beta[1:]), 0.5 * (rest[:-1] + rest[1:])
-    theta_dt = 0.5 * config.T / config.steps_per_period
-
-    def log_factor(x: float) -> float:
-        q = theta_dt * (beta_bar * x - rest_bar)
-        return float(np.sum(np.log1p(q) - np.log1p(-q)))
-
-    guess = np.sum(rest_bar) / np.sum(beta_bar)
-    return 1.0 / brentq(log_factor, 0.5 * guess, 2.0 * guess, xtol=1e-300)
-
-
 @pytest.mark.parametrize("resolution", [(16, 32), (64, 256)], ids=["16x32", "64x256"])
 @pytest.mark.parametrize("name", ["example1-fixed", "example1-evolving", "example2-fixed",
                                   "example2-evolving", "example3-b"])
@@ -636,7 +612,7 @@ def test_compute_r0_matches_the_scalar_oracle_when_rates_are_constant_in_space(n
     # |r - 1| <= DEFECT_TOL moves x by at most DEFECT_TOL over the period
     # integral of beta, so R0 by DEFECT_TOL over that of gamma (>= 1 here)
     config = load_preset(name).with_resolution(*resolution)
-    oracle = _scalar_r0(config)
+    oracle = scalar_r0(config)
     assert abs(compute_r0(config).value - oracle) <= 1e-8 * oracle
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "step_cost.py"
 FIGURES = {"grid", "steps", "coupled_us", "s_only_1_us", "s_only_2_us", "period_map_1_us", "period_map_8_us",
-           "radius_ms", "radius_columns", "factor_set_ms"}
+           "radius_ms", "radius_columns", "factor_set_ms", "period_map_factor_ms"}
 
 
 def test_step_cost_prints_one_line_of_finite_positive_figures():

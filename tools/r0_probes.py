@@ -2,12 +2,12 @@
 
 In the first block, of 96 coarse configs, each probe is a preset at one
 of the grids 8x16, 16x16 and 8x64 (N x M),
-with d_I in {1e-4, 1e4} and L in {0.01, 64}: extremes that
-`validate_config` accepted before it bounded the stiff Crank-Nicolson
-modes, where the period map is far from the presets' regime. Each probe
-passes through `validate_config` first, so the 24 at d_I = 1e4, L = 0.01
-print `ConfigurationError`. For each probe it prints R0 (or the class of
-the error that `validate_config` or `compute_r0` raised), the number of
+with d_I in {1e-4, 1e4} and L in {0.01, 64}: extremes where the period
+map is far from the presets' regime. The 24 at d_I = 1e4, L = 0.01 put
+the stiffest Crank-Nicolson modes within rounding of modulus one. Each
+probe passes through `validate_config` first. For each probe it prints
+R0 (or the class of the error that `validate_config` or `compute_r0`
+raised), the number of
 period-map builds, which is the number of radius evaluations, and the
 number of propagated columns, the sum of the column counts of every
 period-map apply (the eigenfunction pass included); a summary line sums
@@ -21,15 +21,15 @@ the designed config of the sweep and limit criteria (`DESIGNED`, at
 256x320) at the four d_I values of the seeded `d_I` sweep that perfbench
 draws at seed 1; the smallest, 1.36409e-4, is where the local growth
 factors form a near-continuum below the Perron root. A fourth block holds
-fixed stalls: example1-fixed and example2-fixed at 8x2000 with
-d_I = 1.17e8, which gives the stiff-mode quantity x = 3.4e-4 (above
-`STIFF_MODE_BOUND`). beta and gamma are constant in space there, so the
-exact discrete root is known, yet the radius computed at it is 6.3e-8
-from one, and no trial reaches |r - 1| <= DEFECT_TOL: the search stalls
-after 80 evaluations. The rounding comes from the tridiagonal factors,
-not the eigen-route (ROADMAP item 1). A stall prints its error message,
-which holds the last defect. BLAS is pinned to one thread and `evosis`
-is imported from PYTHONPATH, so two checkouts compare with
+two former stalls: example1-fixed and example2-fixed at 8x2000 with
+d_I = 1.17e8. beta and gamma are constant in space there, so the exact
+discrete roots are known (1.0057471264367819 and 1.3999999999999999).
+With tridiagonal factors formed by `pttrf` the radius computed at those
+roots was 6.3e-8 from one and the search stalled after 80 evaluations;
+the factors from the row-sum excesses solve each in one evaluation. A
+stall prints its error message, which holds the last defect. BLAS is
+pinned to one thread and `evosis` is imported from PYTHONPATH, so two
+checkouts compare with
 
     PYTHONPATH=/path/to/old/src python tools/r0_probes.py > old.txt
     PYTHONPATH=src python tools/r0_probes.py > new.txt

@@ -15,8 +15,10 @@ times whole periods and divides by the M steps of each:
   sandwich mean mu = sqrt(lower*upper), the root search's first trial, and
   the number of period-map columns it propagates;
 
-and times the build of the coupled stepper's predictor factor set (both
-blocks, `factor_set_ms`). Each figure is the median of `--repeats` samples
+and times two factor set builds: the coupled stepper's predictor (both
+blocks, `factor_set_ms`), and the period map's at the sandwich mean (one
+block with its potential, `period_map_factor_ms`), which every trial mu
+of the root search pays. Each figure is the median of `--repeats` samples
 after one untimed warm-up. BLAS is pinned to one thread and `evosis` is
 imported from PYTHONPATH, so two checkouts compare with
 
@@ -95,6 +97,8 @@ def preset_costs(config: Any, repeats: int) -> dict[str, float]:
     nus = (engine.endpoint_mean(config.d_S * inv_rho2), engine.endpoint_mean(config.d_I * inv_rho2))
     costs["factor_set_ms"] = _median_seconds(
         lambda: engine._FactorSet(config.grid, nus, None, coupled.dt), repeats) * 1e3
+    costs["period_map_factor_ms"] = _median_seconds(
+        lambda: operator_at(math.sqrt(bounds.lower * bounds.upper)), repeats) * 1e3
     return {name: round(value, 3) for name, value in costs.items()}
 
 
