@@ -32,9 +32,13 @@ multi-column solve, each equal bit for bit to the S half of the coupled
 step that `simulate` runs.
 
 Both engines cross a period in one loop, `_march`, which allocates two
-state buffers and the step's scratch once per call and alternates the
-state between them; each step writes its terms and the next state in
-place. The coupled `step` and `reaction` allocate their output instead.
+state buffers per call and alternates the state between them. Each step
+is a closure from the engine's `_core`, which binds once per call all
+that a step reads: the coefficient rows of every time level, the `solve`
+of each factor set, the row weights tiled to the state's shape, and the
+step's scratch. A step then makes only its arithmetic calls, and writes
+its terms and the next state in place. The coupled `step` and `reaction`
+run the same core and allocate their output.
 
 All share one solve. Each per-step system (I - theta B) x = rhs, with
 B = dt (nu A + diag q), is solved in its row-scaled form
@@ -79,7 +83,7 @@ from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compac
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
 # a state-shaped array, the view of it that the solves take, and its S and I halves
-_Field = tuple[FloatArray, FloatArray, tuple[FloatArray, FloatArray | None]]
+_Field = tuple[FloatArray, FloatArray, FloatArray, FloatArray | None]
 
 DENOMINATOR_GUARD = 1e-12
 # doubles in each node-major scratch span of a factor set build
@@ -91,6 +95,7 @@ _ERR_NOT_DEFINITE = (
     "it needs theta*dt*sup q < 1, here theta*dt*sup q = {bound:.6g}"
 )
 _ERR_PERIODS = "periods: must be at least 1, got {periods}"
+_ERR_NOT_IN_PLACE = "the right-hand side must be F-contiguous float64"
 
 _pttrs = get_lapack_funcs("pttrs", (np.empty(0, dtype=np.float64),))
 
@@ -187,34 +192,40 @@ class _FactorSet:
             bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
             raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=int(np.argmax(failed[k])) + 1,
                                                      rows=d.shape[1], bound=bound))
-        self._rows = [(d[k], e[k, :-1]) for k in range(steps)]
+        self._rows = list(zip(d, e[:, :-1]))
 
     def solve(self, k: int, rhs: FloatArray) -> None:
         """Overwrites rhs = w f with the solution x of step k's system (I - theta_dt*(B + diag q)) x = f.
 
         The caller folds w into the terms of f and passes rhs F-contiguous
-        (1-D, or one column per field), so LAPACK solves in place.
+        (1-D, or one column per field), so LAPACK solves in place; any
+        other rhs would be solved in a copy and left as it was, so it
+        raises ValueError.
         """
-        x = _pttrs(*self._rows[k], rhs, 1)[0]
-        assert x is rhs, "the right-hand side must be F-contiguous float64"
+        if _pttrs(*self._rows[k], rhs, 1)[0] is not rhs:
+            raise ValueError(_ERR_NOT_IN_PLACE)
 
 
-def _march(engine: PeriodMapOperator | CoupledStepper, u: FloatArray, path: FloatArray | None,
-           scratch: int = 0) -> FloatArray:
-    """The state u stepped across one period by engine._advance(k, src, dst, work); never writes u.
+def _level_rows(table: FloatArray) -> list[FloatArray]:
+    """The row views of a coefficient table, one view for every row of a table constant in time."""
+    return [table[0]] * len(table) if table.strides[0] == 0 else list(table)
 
-    Two state buffers and `scratch` work fields are allocated per call, and
-    the state alternates between the buffers, so the array returned is
-    fresh. path, an (M+1)-row table, receives every time slice of the state.
+
+def _march(advance: Callable[[int, tuple, tuple], None], field: Callable[[FloatArray], tuple],
+           n_steps: int, u: FloatArray, path: FloatArray | None) -> FloatArray:
+    """The state u stepped across one period by advance(k, src, dst); never writes u.
+
+    Two state buffers are allocated per call, and the state alternates
+    between them, so the array returned is fresh. path, an (M+1)-row
+    table, receives every time slice of the state.
     """
-    u = np.asarray(u, dtype=float)
-    fields = [engine._field(np.empty(u.shape)) for _ in range(2 + scratch)]
-    src, work = engine._field(u), tuple(fields[2:])
+    fields = [field(np.empty(u.shape)) for _ in range(2)]
+    src = field(u)
     if path is not None:
         path[0] = u
-    for k in range(engine.n_steps):
+    for k in range(n_steps):
         dst = fields[k % 2]
-        engine._advance(k, src, dst, work)
+        advance(k, src, dst)
         if path is not None:
             path[k + 1] = dst[0]
         src = dst
@@ -252,11 +263,22 @@ class PeriodMapOperator:
     def _field(a: FloatArray) -> tuple[FloatArray, FloatArray]:
         return a, a.T  # one field per row of a, and the view of a that the solves take
 
-    def _advance(self, k: int, u: tuple[FloatArray, ...], out: tuple[FloatArray, ...], work: tuple) -> None:
-        """One Crank-Nicolson step of the state field u from t_k to t_{k+1}, written into the field out."""
-        np.multiply(u[0], self._two_w, out=out[0])
-        self._factors.solve(k, out[1])
-        np.subtract(out[0], u[0], out=out[0])
+    def _core(self, shape: tuple[int, ...]) -> Callable[[int, tuple, tuple], None]:
+        """advance(k, u, out): one Crank-Nicolson step of the field u from t_k to t_{k+1}, into the field out.
+
+        The solve and 2w, tiled to the state's shape, are bound once per call.
+        """
+        solve = self._factors.solve
+        two_w = np.broadcast_to(self._two_w, shape).copy()
+        multiply, subtract = np.multiply, np.subtract
+
+        def advance(k: int, src: tuple, dst: tuple) -> None:
+            u, (out, out_t) = src[0], dst
+            multiply(u, two_w, out)
+            solve(k, out_t)
+            subtract(out, u, out)
+
+        return advance
 
     def apply(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Maps u(., 0) to u(., T); accepts a matrix of stacked columns.
@@ -265,7 +287,8 @@ class PeriodMapOperator:
         is a fresh F-ordered array; u is never written. path, an (M+1)-row
         table, receives every time slice of a one-field u.
         """
-        return _march(self, np.transpose(u), path).T
+        u = np.asarray(u, dtype=float).T
+        return _march(self._core(u.shape), self._field, self.n_steps, u, path).T
 
 
 # ---- coupled susceptible/infected stepper ----
@@ -298,24 +321,26 @@ class CoupledStepper:
     The state is one stacked vector u = [S; I] of length 2(N+1), S in
     u[:N+1] and I in u[N+1:]. The diffusion of both species is one
     tridiagonal system of two blocks joined by a zero seam, so a step makes
-    one predictor solve and one corrector solve. A step writes its
-    reaction, right-hand sides and result into buffers that its caller,
-    `_march` for `period`, gives it.
+    one predictor solve and one corrector solve.
 
     Reaction terms at the nodes, in the order they are computed:
 
         inc = (beta S) I / (S + I)
-        R_S = S (gain - b S) - inc + gamma I
-        R_I = inc - loss I
+        R_S = (S (gain - b S) - inc) + gamma I
+        R_I = inc + (-loss) I
 
     with the precombined tables gain = a - dil and loss = gamma + dil,
     where dil = n * rho'(t)/rho(t), and the incidence forced to zero
-    wherever S + I falls below a small denominator guard. Coefficients are
-    periodic, so all tables and factors are built once and reused every
-    period; the a table itself is not kept. Each coefficient table is a
-    read-only (M+1, N+1) view held at the shape it varies in, and gain and
-    loss are combined at that shape (dil is one value on the constant-one
-    rate, where it is zero), so only the factor tables are always full.
+    wherever S + I falls below a small denominator guard. Adding (-loss) I
+    rounds as subtracting loss I does. Coefficients are periodic, so all
+    tables and factors are built once and reused every period; the a table
+    itself is not kept. The stepper holds the tables gain, b, beta, gamma
+    and minus_loss = -loss, each a read-only (M+1, N+1) view held at the
+    shape it varies in (gain and loss are combined at that shape, and dil
+    is one value on the constant-one rate, where it is zero), so only the
+    factor tables are always full. It also holds, per time level, one
+    tuple of the row views that a step reads; a table constant in time
+    gives every level the same view.
 
     With infected=False the stepper is the I = 0 invariant subsystem, the
     disease-free flow: it holds only the gain and b tables and the S-block
@@ -348,83 +373,96 @@ class CoupledStepper:
             self.beta = coefficient_table(config.beta, config.rho, nodes, times)
             gamma = compact_coefficient_table(config.gamma, config.rho, nodes, times)
             self.gamma = np.broadcast_to(gamma, shape)
-            self.loss = np.broadcast_to(gamma + dil, shape)
-            self._scratch = np.empty(n)
+            self.minus_loss = np.broadcast_to(-(gamma + dil), shape)
+            self._levels = list(zip(*map(_level_rows, (self.b, self.gain, self.beta, self.gamma, self.minus_loss))))
             nus += (endpoint_mean(config.d_I * inv_rho2),)
+        else:
+            self._levels = [(b, gain, None, None, None) for b, gain in zip(_level_rows(self.b), _level_rows(self.gain))]
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
-        w = self._w = self._pred.w  # right-hand side scales, one w per block
-        self._dt_w = self.dt * w
-        self._half_w = self._half * w
+        self._w = self._pred.w  # right-hand side scales, one w per block
         self.clamp_count = 0
 
     def _field(self, a: FloatArray) -> _Field:
-        """a, the view of a that the solves take, and its (S, I) halves: (a, None) without I."""
+        """a, the view of a that the solves take, and its S and I halves: (a, None) without I."""
         n = self.n_nodes
-        return a, a.T, ((a[:n], a[n:]) if self._infected else (a, None))
+        return (a, a.T, a[:n], a[n:]) if self._infected else (a, a.T, a, None)
 
-    def _react(self, k: int, u: _Field, r: _Field) -> None:
-        """Writes the reaction terms of the state field u at t_k into the field r.
+    def _core(self, shape: tuple[int, ...]) -> tuple[Callable[[int, _Field, _Field], None], ...]:
+        """(react, advance) for states of the given shape, with everything a step reads bound once.
 
-        The S and I products (gain - b S) S and (beta S) I are taken in one
-        pass over the whole state; every other term is written half by half.
+        react(k, u, r) writes the reaction terms of the field u at t_k into
+        the field r. The S and I products (gain - b S) S and (beta S) I are
+        taken in one pass over the whole state, and gamma I and -loss I are
+        added to it in one pass; every other term is written half by half.
+
+        advance(k, u, out) is one IMEX step of the field u from t_k to
+        t_{k+1}, written into the field out. Both right-hand sides, r dt + u
+        and (r1 + r) dt/2 + u + u, are formed scaled by w, term by term:
+        scaling by powers of two is exact, so each rounds as the unscaled
+        sum does. The predictor solves in rhs, its reaction goes into out,
+        and the corrector solves there. u is never written; tiny negatives
+        are clamped.
+
+        Bound here, once per call of `step`, `reaction` or `period`: the
+        per-level rows, both solves, w, dt w and dt/2 w tiled to the
+        state's shape, and the scratch fields r, u w, rhs and the pair
+        [gamma I; -loss I].
         """
-        S, I = u[2]
-        r_S, inc = r[2]
-        np.multiply(self.b[k], S, out=r_S)
-        np.subtract(self.gain[k], r_S, out=r_S)
-        if I is None:
-            r_S *= S
-            return
-        # the I half of r holds the incidence until loss * I is taken off it;
-        # tmp holds S + I, then gamma * I, then loss * I
-        tmp = self._scratch
-        np.multiply(self.beta[k], S, out=inc)
-        np.multiply(r[0], u[0], out=r[0])
-        np.add(S, I, out=tmp)
-        # the entry at argmin is the minimum, NaN included, at half the cost of a min reduction
-        if tmp.item(tmp.argmin()) >= DENOMINATOR_GUARD:
-            inc /= tmp
-        else:
-            guarded = tmp >= DENOMINATOR_GUARD
-            np.divide(inc, tmp, out=inc, where=guarded)
-            inc[~guarded] = 0.0
-        r_S -= inc
-        np.multiply(self.gamma[k], I, out=tmp)
-        r_S += tmp
-        np.multiply(self.loss[k], I, out=tmp)
-        inc -= tmp
+        levels, pred, corr, times = self._levels, self._pred.solve, self._corr.solve, self.times
+        w, dt_w, half_w = (np.broadcast_to(scale * self._w, shape).copy() for scale in (1.0, self.dt, self._half))
+        r, rhs, (pair, _, gamma_I, minus_loss_I) = (self._field(np.empty(shape)) for _ in range(3))
+        r_all, rhs_all, rhs_t, uw, tmp = r[0], rhs[0], rhs[1], np.empty(shape), np.empty(self.n_nodes)
+        multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+        guard, inf = DENOMINATOR_GUARD, np.inf
 
-    def _advance(self, k: int, u: _Field, out: _Field, work: tuple[_Field, _Field, _Field]) -> None:
-        """One IMEX step of the state field u from t_k to t_{k+1}, written into the field out.
+        def react(k: int, u: _Field, into: _Field) -> None:
+            b, gain, beta, gamma, minus_loss = levels[k]
+            u_all, _, S, I = u
+            r_all, _, r_S, inc = into
+            multiply(b, S, r_S)
+            subtract(gain, r_S, r_S)
+            if I is None:
+                multiply(r_S, S, r_S)
+                return
+            # the I half of r holds the incidence until -loss * I is added to it
+            multiply(beta, S, inc)
+            multiply(r_all, u_all, r_all)
+            add(S, I, tmp)
+            # the entry at argmin is the minimum, NaN included, at half the cost of a min reduction
+            if tmp.item(tmp.argmin()) >= guard:
+                divide(inc, tmp, inc)
+            else:
+                guarded = tmp >= guard
+                divide(inc, tmp, out=inc, where=guarded)
+                inc[~guarded] = 0.0
+            subtract(r_S, inc, r_S)
+            multiply(gamma, I, gamma_I)
+            multiply(minus_loss, I, minus_loss_I)
+            add(r_all, pair, r_all)
 
-        work holds the scratch fields r, u w and rhs. Both right-hand sides,
-        r dt + u and (r1 + r) dt/2 + u + u, are formed scaled by w, term by
-        term: scaling by powers of two is exact, so each rounds as the
-        unscaled sum does. The predictor solves in rhs, its reaction goes
-        into out, and the corrector solves there. u is never written; tiny
-        negatives are clamped.
-        """
-        r, u_w, rhs = work
-        self._react(k, u, r)
-        uw = np.multiply(u[0], self._w, out=u_w[0])
-        pre = np.multiply(r[0], self._dt_w, out=rhs[0])
-        pre += uw
-        self._pred.solve(k, rhs[1])
-        self._react(k + 1, rhs, out)
-        nxt = out[0]
-        nxt += r[0]
-        nxt *= self._half_w
-        nxt += uw
-        nxt += uw
-        self._corr.solve(k, out[1])
-        nxt -= u[0]
-        if not (nxt.item(nxt.argmin()) >= 0.0 and nxt.item(nxt.argmax()) < np.inf):
-            if not np.all(np.isfinite(nxt)):
-                raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
-            self.clamp_count += int(np.count_nonzero(nxt < 0.0))
-            np.maximum(nxt, 0.0, out=nxt)
+        def advance(k: int, u: _Field, out: _Field) -> None:
+            react(k, u, r)
+            u, nxt, nxt_t = u[0], out[0], out[1]
+            multiply(u, w, uw)
+            multiply(r_all, dt_w, rhs_all)
+            add(rhs_all, uw, rhs_all)
+            pred(k, rhs_t)
+            react(k + 1, rhs, out)
+            add(nxt, r_all, nxt)
+            multiply(nxt, half_w, nxt)
+            add(nxt, uw, nxt)
+            add(nxt, uw, nxt)
+            corr(k, nxt_t)
+            subtract(nxt, u, nxt)
+            if not (nxt.item(nxt.argmin()) >= 0.0 and nxt.item(nxt.argmax()) < inf):
+                if not np.all(np.isfinite(nxt)):
+                    raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=times[k + 1]))
+                self.clamp_count += int(np.count_nonzero(nxt < 0.0))
+                np.maximum(nxt, 0.0, out=nxt)
+
+        return react, advance
 
     def reaction(self, u: FloatArray, k: int) -> FloatArray:
         """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I.
@@ -433,14 +471,14 @@ class CoupledStepper:
         u is never written.
         """
         r = np.empty_like(u)
-        self._react(k, self._field(u), self._field(r))
+        self._core(r.shape)[0](k, self._field(u), self._field(r))
         return r
 
     def step(self, u: FloatArray, k: int) -> FloatArray:
         """One IMEX step of the state from t_k to t_{k+1}, into a fresh array; never writes u."""
         u = np.asarray(u, dtype=float)
-        out, *work = (self._field(np.empty(u.shape)) for _ in range(4))
-        self._advance(k, self._field(u), out, tuple(work))
+        out = self._field(np.empty(u.shape))
+        self._core(u.shape)[1](k, self._field(u), out)
         return out[0]
 
     def period(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
@@ -449,7 +487,8 @@ class CoupledStepper:
         The array returned is fresh, and the stepper keeps no reference to
         it. path, an (M+1)-row table, receives every time slice of the state.
         """
-        return _march(self, u, path, scratch=3)
+        u = np.asarray(u, dtype=float)
+        return _march(self._core(u.shape)[1], self._field, self.n_steps, u, path)
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:

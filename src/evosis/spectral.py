@@ -139,33 +139,35 @@ def _operator_radius(op: PeriodMapOperator,
         if not np.isfinite(image).all():
             raise StepError(_ERR_NOT_FINITE)
         v, w = np.hstack((v, new)), np.hstack((w, image))
-        full = v.shape[1] == n
-        if not full:
-            new = _orthonormal_extension(v, image)
-            while new.shape[1] == 0 and used < n:  # the block deflated: go on from the next cosines
-                new = _orthonormal_extension(v, _cosines(n, used, min(used + image.shape[1], n)))
-                used += image.shape[1]
-            full = new.shape[1] == 0  # every cosine deflated too: V spans the space up to rounding
         values, vectors = np.linalg.eig(v.T @ w)
         ritz = v @ vectors.real
         signs = np.sign(ritz[np.argmax(np.abs(ritz), axis=0), np.arange(ritz.shape[1])])
         ritz *= signs
         real = values.imag == 0.0
         perron = real & (values.real > 0.0) & (ritz.min(axis=0) >= -1e-10 * ritz.max(axis=0))
+        certified = False
         if perron.any():
             j = np.flatnonzero(perron)[np.argmax(values.real[perron])]
-            radius, mode = float(values[j].real), ritz[:, j] / np.max(ritz[:, j])
+            radius = float(values[j].real)
             residual = np.max(np.abs(w @ (signs[j] * vectors[:, j].real) - radius * ritz[:, j]))
             scale = radius * np.max(ritz[:, j])
-            if full or residual < RADIUS_TOL * scale or (
-                    abs(radius - estimate) < RADIUS_TOL * max(1.0, radius) and residual < 1e-7 * scale):
-                real[j] = False
-                others = np.flatnonzero(real)
-                warm = [j] if others.size == 0 else [j, others[np.argmax(values.real[others])]]
-                return radius, mode, ritz[:, warm]
+            certified = residual < RADIUS_TOL * scale or (
+                abs(radius - estimate) < RADIUS_TOL * max(1.0, radius) and residual < 1e-7 * scale)
             estimate = radius
-        elif full:
-            raise ConvergenceError("the period map has no real positive eigenvalue with a one-signed eigenvector")
+        full = v.shape[1] == n
+        if not (certified or full):  # the next block, built only once the pair is not certified
+            new = _orthonormal_extension(v, image)
+            while new.shape[1] == 0 and used < n:  # the block deflated: go on from the next cosines
+                new = _orthonormal_extension(v, _cosines(n, used, min(used + image.shape[1], n)))
+                used += image.shape[1]
+            full = new.shape[1] == 0  # every cosine deflated too: V spans the space up to rounding
+        if certified or full:
+            if not perron.any():
+                raise ConvergenceError("the period map has no real positive eigenvalue with a one-signed eigenvector")
+            real[j] = False
+            others = np.flatnonzero(real)
+            warm = [j] if others.size == 0 else [j, others[np.argmax(values.real[others])]]
+            return radius, ritz[:, j] / np.max(ritz[:, j]), ritz[:, warm]
 
 
 def period_map_spectral_radius(spec: LinearEquationSpec) -> float:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,10 @@ from evosis.engine import (
 from evosis.errors import StepError
 from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig, coefficient_table
 from evosis.presets import load_preset
+from step_reference import ReferenceStepper, reference_apply
 from tridiagonal_reference import excess_factors, excess_solve, laplacian_bands, ldlt_solve, lu_solve, row_weights
 
+ROOT = Path(__file__).resolve().parents[1]
 UNIT_PERIOD = EvolutionRate(kind="constant-one", period=1.0)
 
 
@@ -244,8 +250,9 @@ def test_reaction_guards_vanishing_population():
 
 def test_fused_reaction_zeroes_the_guarded_incidence_and_matches_the_unfused_formula():
     """S + I below the guard at three nodes of an evolving-domain preset: there
-    the incidence is zero, so R_I is exactly -(gamma + dil) I; everywhere the
-    result is the unfused formula to 1e-15 rel, and u is never written. The
+    the incidence is zero, so R_I is exactly -(gamma + dil) I, the stepper's
+    minus_loss table times I; everywhere the result is the unfused formula
+    to 1e-15 rel, and u is never written. The
     S-only form takes a (2, N+1) state, and each row equals, bit for bit, the
     coupled S half on [row; 0]."""
     config = load_preset("example1-evolving").with_resolution(16, 32)
@@ -262,7 +269,7 @@ def test_fused_reaction_zeroes_the_guarded_incidence_and_matches_the_unfused_for
     before = u.copy()
     r_S, r_I = np.split(coupled.reaction(u, k), 2)
     assert np.array_equal(u, before)
-    assert np.array_equal(r_I[guarded], -(coupled.loss[k] * I)[guarded])
+    assert np.array_equal(r_I[guarded], (coupled.minus_loss[k] * I)[guarded])
     for got, want in zip((r_S, r_I), _reference_reaction(tables, S, I, k, fused=False)):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -402,6 +409,64 @@ def test_period_equals_a_loop_of_steps_bit_for_bit(infected):
         assert np.array_equal(path[k + 1], state)
     assert np.array_equal(out, state)
     assert whole.clamp_count == looped.clamp_count > 0
+
+
+# ---- the step cores against the frozen reference of their arithmetic ----
+
+def _assert_periods_match_reference(stepper, reference, u, periods=3):
+    """Each period's path, result and clamp count equal the reference's, bit for bit."""
+    path = np.empty((stepper.n_steps + 1,) + np.shape(u))
+    for _ in range(periods):
+        want = reference.path(u)
+        u = stepper.period(u, path)
+        assert np.array_equal(path, want) and np.array_equal(u, want[-1])
+    assert stepper.clamp_count == reference.clamp_count
+
+
+@pytest.mark.parametrize("name", ["example4-b", "example1-evolving", "example2-fixed"])
+def test_period_equals_the_frozen_step_arithmetic_bit_for_bit(name):
+    """Tables that vary in space and time, in time only, and not at all."""
+    config = load_preset(name).with_resolution(32, 64)
+    stepper = CoupledStepper(config)
+    reference = ReferenceStepper(config, stepper)
+    nodes = config.grid.nodes
+    u = np.concatenate((config.initial_S.evaluate(nodes, config.L), config.initial_I.evaluate(nodes, config.L)))
+    _assert_periods_match_reference(stepper, reference, u)
+
+
+def test_period_equals_the_frozen_step_arithmetic_through_the_guard_and_the_clamp():
+    """S + I below DENOMINATOR_GUARD at three nodes, and seeded negatives that the step clamps."""
+    config = _homogeneous_config(d_S=1e-9, d_I=1e-9)
+    u = np.full(34, 0.3)
+    u[[3, 8, 11, 17 + 3, 17 + 8, 17 + 11]] = [1e-13, 0.0, 0.0, 2e-13, 0.0, 0.0]
+    assert np.count_nonzero(u[:17] + u[17:] < DENOMINATOR_GUARD) == 3
+    stepper = CoupledStepper(config)
+    _assert_periods_match_reference(stepper, ReferenceStepper(config, stepper), u)
+    u = np.full(34, 0.3)
+    u[[2, 9, 16, 17 + 5, 17 + 12]] = [-0.1, -0.05, -0.2, -0.05, -0.1]
+    stepper = CoupledStepper(config)
+    _assert_periods_match_reference(stepper, ReferenceStepper(config, stepper), u)
+    assert stepper.clamp_count > 0
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_s_only_period_equals_the_frozen_step_arithmetic_bit_for_bit(rows):
+    config = load_preset("example4-b").with_resolution(32, 64)
+    stepper = CoupledStepper(config, infected=False)
+    levels = (2.0, 0.05)[:rows]
+    u = np.repeat(np.asarray(levels)[:, None], config.grid.N + 1, axis=1)
+    _assert_periods_match_reference(stepper, ReferenceStepper(config, stepper, infected=False),
+                                    u[0] if rows == 1 else u)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 8])
+def test_period_map_apply_equals_the_frozen_step_arithmetic_bit_for_bit(columns):
+    config = load_preset("example4-b").with_resolution(32, 64)
+    op = spectral._phi_operators(config)(1.5)
+    n = config.grid.N + 1
+    u = spectral._cosines(n, 0, columns) + 1.5 if columns > 1 else np.linspace(1.0, 2.0, n)
+    assert np.array_equal(op.apply(u), reference_apply(op, u))
+    assert np.array_equal(op.apply(np.asfortranarray(u)), reference_apply(op, u))
 
 
 def _coefficient_tables(config, times):
@@ -571,6 +636,30 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(span_doub
                 assert np.array_equal(e[j * n:j * n + n - 1], ref_e)
 
 
+_STRIDED_SOLVE = """
+import numpy as np
+from evosis.engine import CoupledStepper
+from evosis.presets import load_preset
+stepper = CoupledStepper(load_preset("example4-b").with_resolution(8, 4))
+rhs = np.ones(36)[::2]
+try:
+    stepper._pred.solve(0, rhs)
+except ValueError as error:
+    print(__debug__, type(error).__name__, np.all(rhs == 1.0))
+"""
+
+
+def test_factor_set_solve_refuses_a_strided_rhs_under_python_O():
+    """LAPACK would solve a strided rhs in a copy and leave it unsolved; the
+    check is no assert, so `python -O` keeps it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-O", "-c", _STRIDED_SOLVE], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "ValueError", "True"]
+
+
 @pytest.mark.parametrize("stiffness", [1e4, 1e8, 1e12])
 def test_factor_sets_solve_to_relative_accuracy_however_stiff(stiffness):
     """The exact discrete oracle: with q constant in space the row sums are
@@ -612,11 +701,12 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
 def test_held_factors_fit_their_budgets():
     """At 200x2000 on example4-b the period map holds two tables of M(N+1)
     doubles and their row views (6.6 MiB). The coupled stepper holds about
-    91 B per N*M cell: the four tables of its two factor sets over both
-    blocks (64 B), and beta, gamma and loss, which vary in space and time
-    (24 B); gain and b vary in time only or not at all, and hold one column
-    and one value. The S-only stepper holds about 35 B: the four factor
-    tables of the S block (32 B) and their row views. A factor set build,
+    94 B per N*M cell: the four tables of its two factor sets over both
+    blocks (64 B), beta, gamma and minus_loss, which vary in space and time
+    (24 B), and the row views of each time level (2.7 B); gain and b vary
+    in time only or not at all, and hold one column and one value. The
+    S-only stepper holds about 35.5 B: the four factor tables of the S
+    block (32 B) and the row views. A factor set build,
     with q on one block or without it on two, needs under 1 MiB of scratch
     beyond the tables it keeps."""
     config = load_preset("example4-b").with_resolution(200, 2000)

@@ -7,9 +7,11 @@ times whole periods and divides by the M steps of each:
   preset's initial data (`CoupledStepper.period`);
 - `s_only_1_us`, `s_only_2_us`: one step of the S-only stepper
   (`infected=False`) on 1 and 2 rows, from the disease-free starts;
-- `period_map_1_us`, `period_map_8_us`: one Crank-Nicolson step of the
-  linearized-infection period map on 1 and 8 columns
-  (`PeriodMapOperator.apply`), at mu = twice the upper sandwich bound of R0;
+- `period_map_1_us`, `period_map_2_us`, `period_map_8_us`: one
+  Crank-Nicolson step of the linearized-infection period map on 1, 2 and 8
+  columns (`PeriodMapOperator.apply`), at mu = twice the upper sandwich
+  bound of R0; 2 is the block width that the warm-started root search
+  applies;
 - `radius_ms`, `radius_columns`: one cold radius evaluation
   (`spectral._operator_radius` from its cosine start block) at the
   sandwich mean mu = sqrt(lower*upper), the root search's first trial, and
@@ -75,7 +77,7 @@ def preset_costs(config: Any, repeats: int) -> dict[str, float]:
 
     operator_at, bounds = spectral._phi_operators(config), spectral.r0_bounds(config)
     operator = operator_at(2.0 * bounds.upper)
-    for columns in (1, 8):
+    for columns in (1, 2, 8):
         block = spectral._cosines(n, 0, columns) if columns > 1 else np.ones(n)
         costs[f"period_map_{columns}_us"] = _median_seconds(lambda: operator.apply(block), repeats) * per_step_us
 
