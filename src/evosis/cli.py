@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import LIMIT_KINDS, SWEEP_PARAMS, sweep_diffusivity, sweep_length, verify_limit
 from .dfe import solve_dfe
 from .engine import simulate
-from .errors import ConfigurationError, ConvergenceError, NotApplicableError, StepError
+from .errors import ConfigurationError, ConvergenceError, KernelBuildError, NotApplicableError, StepError
 from .model import EvolutionRate, ModelConfig, config_from_dict, config_to_dict, validate_config
 from .presets import load_preset, preset_names, preset_text
 from .quadrature import mean_inverse_rho_squared
@@ -480,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotApplicableError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, StepError) as exc:
+    except (ConvergenceError, StepError, KernelBuildError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -28,17 +28,20 @@ With I identically zero the coupled step leaves I at zero, so the
 disease-free orbit steps S alone on the same stepper:
 `CoupledStepper(config, infected=False)` factors the S block only and
 advances one S field, or several independent ones as rows of one
-multi-column solve, each equal bit for bit to the S half of the coupled
-step that `simulate` runs.
+state, each equal bit for bit to the S half of the coupled step that
+`simulate` runs.
 
-Both engines cross a period in one loop, `_march`, which allocates two
-state buffers per call and alternates the state between them. Each step
-is a closure from the engine's `_core`, which binds once per call all
-that a step reads: the coefficient rows of every time level, the `solve`
-of each factor set, the row weights tiled to the state's shape, and the
-step's scratch. A step then makes only its arithmetic calls, and writes
-its terms and the next state in place. The coupled `step` and `reaction`
-run the same core and allocate their output.
+The coupled stepper crosses a period in one compiled C loop
+(`steploop.c`, built at first use by `steploop.library`), which reads
+the coefficient tables by stride and the factor tables in place and
+takes each step's operations in the order of the numpy form that
+`tests/step_reference.py` keeps, solving as LAPACK `pttrs` does, so each
+state equals that form's bit for bit. `period`, `step` and `reaction`
+all call it. The period map crosses a period in `_march`, which
+allocates two state buffers per call and alternates the state between
+them; each of its steps is a closure from `_core`, which binds once per
+call the `solve` of its factor set and the row weights tiled to the
+state's shape.
 
 All share one solve. Each per-step system (I - theta B) x = rhs, with
 B = dt (nu A + diag q), is solved in its row-scaled form
@@ -51,8 +54,9 @@ sums w (1 - theta dt q), where w = (1/2, 1, ..., 1, 1/2) per block.
 `_FactorSet` factors it as L D L^T once per step from those row sums,
 with additions and multiplications of positive numbers only (while
 theta dt q < 1), so the factors stay accurate to rounding however
-strongly diffusion dominates. Each solve is then one in-place LAPACK
-`pttrs` call on the rhs scaled by w, which the factor set keeps. The
+strongly diffusion dominates. Each solve is then one in-place `pttrs`
+on the rhs scaled by w, which the factor set keeps: a LAPACK call in the
+period map, the same dptts2 recurrence in the compiled loop. The
 factors need positive definiteness. Since -WA is positive semidefinite,
 W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
@@ -82,9 +86,6 @@ from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compac
 
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
-# a state-shaped array, the view of it that the solves take, and its S and I halves
-_Field = tuple[FloatArray, FloatArray, FloatArray, FloatArray | None]
-
 DENOMINATOR_GUARD = 1e-12
 # doubles in each node-major scratch span of a factor set build
 _SPAN_DOUBLES = 2**15
@@ -96,6 +97,9 @@ _ERR_NOT_DEFINITE = (
 )
 _ERR_PERIODS = "periods: must be at least 1, got {periods}"
 _ERR_NOT_IN_PLACE = "the right-hand side must be F-contiguous float64"
+_ERR_STATE = "state of shape {shape}: the stepper takes {want}"
+_ERR_PATH = "path must be a C-contiguous, writable float64 array of shape {shape}"
+_ERR_LEVEL = "time level {k} is outside 0..{last}"
 
 _pttrs = get_lapack_funcs("pttrs", (np.empty(0, dtype=np.float64),))
 
@@ -144,11 +148,12 @@ class _FactorSet:
     Every pivot is positive while theta_dt*sup q < 1, and always when q is
     None; a pivot that is not positive, or NaN, raises `StepError`. Each
     step keeps its (D, L) row views for the `pttrs` solves that reuse it,
-    and the set keeps the row weights w of W, by which its callers scale
-    every right-hand side.
+    and the set keeps the step-major tables d (pivots) and e (multipliers,
+    zero at the end of each block) that they view, and the row weights w
+    of W, by which its callers scale every right-hand side.
     """
 
-    __slots__ = ("_rows", "w")
+    __slots__ = ("_rows", "d", "e", "w")
 
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
@@ -192,6 +197,7 @@ class _FactorSet:
             bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
             raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=int(np.argmax(failed[k])) + 1,
                                                      rows=d.shape[1], bound=bound))
+        self.d, self.e = d, e
         self._rows = list(zip(d, e[:, :-1]))
 
     def solve(self, k: int, rhs: FloatArray) -> None:
@@ -206,14 +212,9 @@ class _FactorSet:
             raise ValueError(_ERR_NOT_IN_PLACE)
 
 
-def _level_rows(table: FloatArray) -> list[FloatArray]:
-    """The row views of a coefficient table, one view for every row of a table constant in time."""
-    return [table[0]] * len(table) if table.strides[0] == 0 else list(table)
-
-
 def _march(advance: Callable[[int, tuple, tuple], None], field: Callable[[FloatArray], tuple],
            n_steps: int, u: FloatArray, path: FloatArray | None) -> FloatArray:
-    """The state u stepped across one period by advance(k, src, dst); never writes u.
+    """The period map's state u stepped across one period by advance(k, src, dst); never writes u.
 
     Two state buffers are allocated per call, and the state alternates
     between them, so the array returned is fresh. path, an (M+1)-row
@@ -331,28 +332,38 @@ class CoupledStepper:
 
     with the precombined tables gain = a - dil and loss = gamma + dil,
     where dil = n * rho'(t)/rho(t), and the incidence forced to zero
-    wherever S + I falls below a small denominator guard. Adding (-loss) I
-    rounds as subtracting loss I does. Coefficients are periodic, so all
-    tables and factors are built once and reused every period; the a table
-    itself is not kept. The stepper holds the tables gain, b, beta, gamma
-    and minus_loss = -loss, each a read-only (M+1, N+1) view held at the
-    shape it varies in (gain and loss are combined at that shape, and dil
-    is one value on the constant-one rate, where it is zero), so only the
-    factor tables are always full. It also holds, per time level, one
-    tuple of the row views that a step reads; a table constant in time
-    gives every level the same view.
+    wherever S + I falls below a small denominator guard (or is NaN).
+    Adding (-loss) I rounds as subtracting loss I does. Both right-hand
+    sides, r dt + u and (r1 + r) dt/2 + u + u, are formed scaled by w, term
+    by term: scaling by powers of two is exact, so each rounds as the
+    unscaled sum does. A step never writes its input; a non-finite state
+    raises `StepError` naming the step, and tiny negatives are clamped to
+    zero and counted in clamp_count.
+
+    Coefficients are periodic, so all tables and factors are built once
+    and reused every period; the a table itself is not kept. The stepper
+    holds the tables gain, b, beta, gamma and minus_loss = -loss, each a
+    read-only (M+1, N+1) view held at the shape it varies in (gain and
+    loss are combined at that shape, and dil is one value on the
+    constant-one rate, where it is zero), so only the factor tables are
+    always full. The compiled loop (`steploop.c`) reads every table in
+    place, by its strides, so none is copied.
 
     With infected=False the stepper is the I = 0 invariant subsystem, the
     disease-free flow: it holds only the gain and b tables and the S-block
     factors, and the state is S alone, with reaction R_S = S (gain - b S)
     by the same first three operations. That state is one field of N+1
     nodes, or a C-order array of shape (rows, N+1) of independent fields,
-    whose transpose each solve passes to LAPACK as one right-hand side of
-    `rows` columns. Every row equals, bit for bit, the S half of the
-    coupled step on [row; 0].
+    each solved as one right-hand side. Every row equals, bit for bit, the
+    S half of the coupled step on [row; 0].
+
+    Raises:
+        KernelBuildError: the compiled loop cannot be built or loaded.
     """
 
     def __init__(self, config: ModelConfig, infected: bool = True) -> None:
+        from .steploop import Stepper, Table, library  # built at the first stepper, not at import
+
         grid = config.grid
         m = config.steps_per_period
         self.n_steps = m
@@ -369,126 +380,93 @@ class CoupledStepper:
         self.b = coefficient_table(config.b, config.rho, nodes, times)
         inv_rho2 = np.asarray(config.rho.value(times), dtype=float) ** -2.0
         nus: tuple[FloatArray, ...] = (endpoint_mean(config.d_S * inv_rho2),)
+        tables = {"b": self.b, "gain": self.gain}
         if infected:
             self.beta = coefficient_table(config.beta, config.rho, nodes, times)
             gamma = compact_coefficient_table(config.gamma, config.rho, nodes, times)
             self.gamma = np.broadcast_to(gamma, shape)
             self.minus_loss = np.broadcast_to(-(gamma + dil), shape)
-            self._levels = list(zip(*map(_level_rows, (self.b, self.gain, self.beta, self.gamma, self.minus_loss))))
+            tables.update(beta=self.beta, gamma=self.gamma, minus_loss=self.minus_loss)
             nus += (endpoint_mean(config.d_I * inv_rho2),)
-        else:
-            self._levels = [(b, gain, None, None, None) for b, gain in zip(_level_rows(self.b), _level_rows(self.gain))]
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
         self._corr = _FactorSet(grid, nus, None, self._half)
-        self._w = self._pred.w  # right-hand side scales, one w per block
-        self.clamp_count = 0
+        # right-hand side scales of one solve, one w per block: w, dt w and dt/2 w
+        self._scales = np.stack([scale * self._pred.w for scale in (1.0, self.dt, self._half)])
+        self._library = library()
+        # the loop reads these by address, so the stepper holds them for its lifetime
+        factors = (self._pred.d, self._pred.e, self._corr.d, self._corr.e)
+        self._held = (*tables.values(), *factors, self._scales)
+        self._kernel = Stepper(
+            n=n, system=self._scales.shape[1], infected=infected, guard=DENOMINATOR_GUARD,
+            **{name: Table(table.ctypes.data, *(stride // table.itemsize for stride in table.strides))
+               for name, table in tables.items()},
+            **{name: table.ctypes.data for name, table in zip(("pred_d", "pred_e", "corr_d", "corr_e"), factors)},
+            **{name: row.ctypes.data for name, row in zip(("w", "dt_w", "half_w"), self._scales)})
 
-    def _field(self, a: FloatArray) -> _Field:
-        """a, the view of a that the solves take, and its S and I halves: (a, None) without I."""
+    @property
+    def clamp_count(self) -> int:
+        """Negative state entries clamped to zero by every step so far."""
+        return self._kernel.clamps
+
+    def _state(self, u: FloatArray) -> tuple[FloatArray, int]:
+        """u as a C-contiguous float64 array, and its number of fields; ValueError for a shape the stepper cannot take."""
+        u = np.ascontiguousarray(u, dtype=float)
         n = self.n_nodes
-        return (a, a.T, a[:n], a[n:]) if self._infected else (a, a.T, a, None)
+        if self._infected:
+            if u.shape != (2 * n,):
+                raise ValueError(_ERR_STATE.format(shape=u.shape, want=f"({2 * n},)"))
+        elif u.ndim not in (1, 2) or u.shape[-1] != n:
+            raise ValueError(_ERR_STATE.format(shape=u.shape, want=f"({n},) or (rows, {n})"))
+        return u, 1 if u.ndim == 1 else u.shape[0]
 
-    def _core(self, shape: tuple[int, ...]) -> tuple[Callable[[int, _Field, _Field], None], ...]:
-        """(react, advance) for states of the given shape, with everything a step reads bound once.
+    def _check_level(self, k: int, last: int) -> None:
+        if not 0 <= k <= last:
+            raise IndexError(_ERR_LEVEL.format(k=k, last=last))
 
-        react(k, u, r) writes the reaction terms of the field u at t_k into
-        the field r. The S and I products (gain - b S) S and (beta S) I are
-        taken in one pass over the whole state, and gamma I and -loss I are
-        added to it in one pass; every other term is written half by half.
+    def _steps(self, u: FloatArray, k0: int, steps: int, path: FloatArray | None) -> FloatArray:
+        """The state u stepped from t_{k0} across `steps` steps, into a fresh array, by the compiled loop.
 
-        advance(k, u, out) is one IMEX step of the field u from t_k to
-        t_{k+1}, written into the field out. Both right-hand sides, r dt + u
-        and (r1 + r) dt/2 + u + u, are formed scaled by w, term by term:
-        scaling by powers of two is exact, so each rounds as the unscaled
-        sum does. The predictor solves in rhs, its reaction goes into out,
-        and the corrector solves there. u is never written; tiny negatives
-        are clamped.
-
-        Bound here, once per call of `step`, `reaction` or `period`: the
-        per-level rows, both solves, w, dt w and dt/2 w tiled to the
-        state's shape, and the scratch fields r, u w, rhs and the pair
-        [gamma I; -loss I].
+        path, when given, receives the steps + 1 time slices. A step whose
+        state is not finite raises StepError; the clamps of the steps
+        before it are counted.
         """
-        levels, pred, corr, times = self._levels, self._pred.solve, self._corr.solve, self.times
-        w, dt_w, half_w = (np.broadcast_to(scale * self._w, shape).copy() for scale in (1.0, self.dt, self._half))
-        r, rhs, (pair, _, gamma_I, minus_loss_I) = (self._field(np.empty(shape)) for _ in range(3))
-        r_all, rhs_all, rhs_t, uw, tmp = r[0], rhs[0], rhs[1], np.empty(shape), np.empty(self.n_nodes)
-        multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
-        guard, inf = DENOMINATOR_GUARD, np.inf
-
-        def react(k: int, u: _Field, into: _Field) -> None:
-            b, gain, beta, gamma, minus_loss = levels[k]
-            u_all, _, S, I = u
-            r_all, _, r_S, inc = into
-            multiply(b, S, r_S)
-            subtract(gain, r_S, r_S)
-            if I is None:
-                multiply(r_S, S, r_S)
-                return
-            # the I half of r holds the incidence until -loss * I is added to it
-            multiply(beta, S, inc)
-            multiply(r_all, u_all, r_all)
-            add(S, I, tmp)
-            # the entry at argmin is the minimum, NaN included, at half the cost of a min reduction
-            if tmp.item(tmp.argmin()) >= guard:
-                divide(inc, tmp, inc)
-            else:
-                guarded = tmp >= guard
-                divide(inc, tmp, out=inc, where=guarded)
-                inc[~guarded] = 0.0
-            subtract(r_S, inc, r_S)
-            multiply(gamma, I, gamma_I)
-            multiply(minus_loss, I, minus_loss_I)
-            add(r_all, pair, r_all)
-
-        def advance(k: int, u: _Field, out: _Field) -> None:
-            react(k, u, r)
-            u, nxt, nxt_t = u[0], out[0], out[1]
-            multiply(u, w, uw)
-            multiply(r_all, dt_w, rhs_all)
-            add(rhs_all, uw, rhs_all)
-            pred(k, rhs_t)
-            react(k + 1, rhs, out)
-            add(nxt, r_all, nxt)
-            multiply(nxt, half_w, nxt)
-            add(nxt, uw, nxt)
-            add(nxt, uw, nxt)
-            corr(k, nxt_t)
-            subtract(nxt, u, nxt)
-            if not (nxt.item(nxt.argmin()) >= 0.0 and nxt.item(nxt.argmax()) < inf):
-                if not np.all(np.isfinite(nxt)):
-                    raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=times[k + 1]))
-                self.clamp_count += int(np.count_nonzero(nxt < 0.0))
-                np.maximum(nxt, 0.0, out=nxt)
-
-        return react, advance
+        u, rows = self._state(u)
+        if path is not None and not (path.shape == (steps + 1,) + u.shape and path.dtype == np.float64
+                                     and path.flags.c_contiguous and path.flags.writeable):
+            raise ValueError(_ERR_PATH.format(shape=(steps + 1,) + u.shape))
+        out, work = np.empty_like(u), np.empty(4 * u.size)
+        taken = self._library.evosis_steps(self._kernel, rows, k0, steps, u.ctypes.data, out.ctypes.data,
+                                           None if path is None else path.ctypes.data, work.ctypes.data)
+        if taken < steps:
+            k = k0 + taken
+            raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
+        return out
 
     def reaction(self, u: FloatArray, k: int) -> FloatArray:
         """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I.
 
-        Each term is written in place into the one fresh array returned;
-        u is never written.
+        The terms are written into one fresh array; u is never written.
         """
+        self._check_level(k, self.n_steps)
+        u, rows = self._state(u)
         r = np.empty_like(u)
-        self._core(r.shape)[0](k, self._field(u), self._field(r))
+        self._library.evosis_reaction(self._kernel, rows, k, u.ctypes.data, r.ctypes.data)
         return r
 
     def step(self, u: FloatArray, k: int) -> FloatArray:
         """One IMEX step of the state from t_k to t_{k+1}, into a fresh array; never writes u."""
-        u = np.asarray(u, dtype=float)
-        out = self._field(np.empty(u.shape))
-        self._core(u.shape)[1](k, self._field(u), out)
-        return out[0]
+        self._check_level(k, self.n_steps - 1)
+        return self._steps(u, k, 1, None)
 
     def period(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Steps the state across one whole period; never writes u.
 
         The array returned is fresh, and the stepper keeps no reference to
-        it. path, an (M+1)-row table, receives every time slice of the state.
+        it. path, a C-contiguous float64 table of (M+1) rows of u's shape,
+        receives every time slice of the state.
         """
-        u = np.asarray(u, dtype=float)
-        return _march(self._core(u.shape)[1], self._field, self.n_steps, u, path)
+        return self._steps(u, 0, self.n_steps, path)
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:

@@ -28,5 +28,9 @@ class StepError(EvosisError):
     """A single time step produced non-finite values or an unsolvable system."""
 
 
+class KernelBuildError(EvosisError):
+    """The compiled period loop of the coupled stepper could not be built or loaded."""
+
+
 class NotApplicableError(EvosisError):
     """A requested analytic quantity does not exist for the given profiles."""

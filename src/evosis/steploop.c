@@ -1,0 +1,133 @@
+/* The period loop of the coupled IMEX stepper (evosis.engine.CoupledStepper).
+ *
+ * Each step takes the operations of the stepper's arithmetic in their
+ * documented order, one node at a time, so every sum and product rounds as
+ * the term-by-term numpy form in tests/step_reference.py does:
+ *
+ *     inc = ((beta S) I) / (S + I),     zero where S + I < guard (or NaN)
+ *     R_S = ((gain - b S) S - inc) + gamma I
+ *     R_I = inc + (-loss) I
+ *     rhs = r (dt w) + u w                            predictor, solved in place
+ *     x   = (((r1 + r) (dt/2 w)) + u w) + u w         corrector, solved in place
+ *     x  <- x - u, then the finite check and the clamp
+ *
+ * The S-only form (infected == 0) steps `rows` independent S fields with
+ * R_S = (gain - b S) S. The solves follow LAPACK dptts2 over the whole
+ * system, seam included, so an infinity crosses the seam as NaN (0 * inf)
+ * just as it does in pttrs. Built with -ffp-contract=off and without
+ * fast-math, so no product is fused into a sum.
+ */
+
+#include <math.h>
+#include <string.h>
+
+/* A coefficient table read in place: element strides per time level and per node (often 0). */
+struct table {
+    const double *values;
+    long level, node;
+};
+
+struct stepper {
+    long n;          /* nodes per field, N + 1 */
+    long system;     /* rows of one solve: 2n for [S; I], n for S alone */
+    long infected;
+    double guard;
+    struct table b, gain, beta, gamma, minus_loss;
+    const double *pred_d, *pred_e, *corr_d, *corr_e;  /* step-major factor tables, rows of length `system` */
+    const double *w, *dt_w, *half_w;                  /* row weights of one solve, times 1, dt and dt/2 */
+    long clamps;                                      /* negative entries clamped to zero so far */
+};
+
+/* The reaction terms of `rows` fields of u at t_k, into r. */
+void evosis_reaction(const struct stepper *s, long rows, long k, const double *u, double *r)
+{
+    const long n = s->n;
+    const double *b = s->b.values + k * s->b.level, *gain = s->gain.values + k * s->gain.level;
+    const long bs = s->b.node, gs = s->gain.node;
+    if (!s->infected) {
+        for (long row = 0; row < rows; row++, u += n, r += n)
+            for (long j = 0; j < n; j++)
+                r[j] = (gain[j * gs] - b[j * bs] * u[j]) * u[j];
+        return;
+    }
+    const double *beta = s->beta.values + k * s->beta.level, *gamma = s->gamma.values + k * s->gamma.level;
+    const double *minus_loss = s->minus_loss.values + k * s->minus_loss.level;
+    const long es = s->beta.node, cs = s->gamma.node, ls = s->minus_loss.node;
+    const double guard = s->guard;
+    for (long j = 0; j < n; j++) {
+        const double S = u[j], I = u[n + j], total = S + I;
+        const double r_S = (gain[j * gs] - b[j * bs] * S) * S;
+        double inc = (beta[j * es] * S) * I;
+        inc = total >= guard ? inc / total : 0.0;
+        r[j] = (r_S - inc) + gamma[j * cs] * I;
+        r[n + j] = inc + minus_loss[j * ls] * I;
+    }
+}
+
+/* pttrs (dptts2 order) on `rows` contiguous right-hand sides of length m, in place. */
+static void solve(const double *d, const double *e, long m, long rows, double *x)
+{
+    for (long row = 0; row < rows; row++, x += m) {
+        for (long i = 1; i < m; i++)
+            x[i] = x[i] - x[i - 1] * e[i - 1];
+        x[m - 1] = x[m - 1] / d[m - 1];
+        for (long i = m - 2; i >= 0; i--)
+            x[i] = x[i] / d[i] - x[i + 1] * e[i];
+    }
+}
+
+/* One step from t_k to t_{k+1}; 0 when the new state is not finite. r, uw, rhs are scratch. */
+static int step(struct stepper *s, long rows, long k, const double *u, double *x, double *r, double *uw,
+                double *rhs)
+{
+    const long m = s->system, size = rows * m;
+    evosis_reaction(s, rows, k, u, r);
+    for (long i = 0; i < size; i += m)
+        for (long j = 0; j < m; j++) {
+            uw[i + j] = u[i + j] * s->w[j];
+            rhs[i + j] = r[i + j] * s->dt_w[j] + uw[i + j];
+        }
+    solve(s->pred_d + k * m, s->pred_e + k * m, m, rows, rhs);
+    evosis_reaction(s, rows, k + 1, rhs, x);
+    for (long i = 0; i < size; i += m)
+        for (long j = 0; j < m; j++)
+            x[i + j] = (((x[i + j] + r[i + j]) * s->half_w[j]) + uw[i + j]) + uw[i + j];
+    solve(s->corr_d + k * m, s->corr_e + k * m, m, rows, x);
+    int outside = 0;
+    for (long i = 0; i < size; i++) {
+        x[i] = x[i] - u[i];
+        outside |= !(x[i] >= 0.0 && x[i] < HUGE_VAL);
+    }
+    if (!outside)
+        return 1;
+    for (long i = 0; i < size; i++)
+        if (!isfinite(x[i]))
+            return 0;
+    for (long i = 0; i < size; i++) {
+        s->clamps += x[i] < 0.0;
+        x[i] = x[i] > 0.0 ? x[i] : 0.0;  /* as numpy's maximum(x, 0.0): -0.0 becomes 0.0 */
+    }
+    return 1;
+}
+
+/* Steps `rows` fields of u from t_{k0} across `steps` steps into out, never writing u.
+ * work holds 4 states; path, when not NULL, receives steps + 1 time slices.
+ * Returns the number of steps taken: fewer than `steps` when the next one was not finite. */
+long evosis_steps(struct stepper *s, long rows, long k0, long steps, const double *u, double *out, double *path,
+                  double *work)
+{
+    const long size = rows * s->system;
+    double *r = work, *uw = work + size, *rhs = work + 2 * size, *spare = work + 3 * size;
+    const double *src = u;
+    if (path)
+        memcpy(path, u, (size_t)size * sizeof(double));
+    for (long i = 0; i < steps; i++) {
+        double *dst = (steps - 1 - i) % 2 == 0 ? out : spare;  /* the last step lands in out */
+        if (!step(s, rows, k0 + i, src, dst, r, uw, rhs))
+            return i;
+        if (path)
+            memcpy(path + (i + 1) * size, dst, (size_t)size * sizeof(double));
+        src = dst;
+    }
+    return steps;
+}

@@ -16,7 +16,9 @@ with gain = a - dil and loss = gamma + dil, dil = n rho'/rho, and the
 S-only form R_S = (gain - b S) S. The period map step is
 x = solve(u (2w)) - u. The tables are built here from the config, not
 read from the stepper; the solves are the stepper's own factor sets,
-which the engine's tests check separately.
+which the engine's tests check separately, unless others are passed in.
+`assert_same_bits` compares results as raw bits, so a zero's sign counts
+as it does in the `repr` of a CSV artifact.
 """
 
 from __future__ import annotations
@@ -28,18 +30,33 @@ from evosis.errors import StepError
 from evosis.model import ModelConfig, coefficient_table
 
 
-class ReferenceStepper:
-    """The coupled step (or, with infected=False, its S-only form) on the solves of `stepper`."""
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """got and want hold the same doubles bit for bit: -0.0 differs from 0.0, unlike under np.array_equal."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert not differ.any(), f"{np.count_nonzero(differ)} entries differ, first at {np.argwhere(differ)[0]}"
 
-    def __init__(self, config: ModelConfig, stepper: CoupledStepper, infected: bool = True) -> None:
+
+class ReferenceStepper:
+    """The coupled step (or, with infected=False, its S-only form) on the solves of `stepper`.
+
+    solves, a (predictor, corrector) pair with `_FactorSet.solve`'s
+    signature, replaces the stepper's own.
+    """
+
+    def __init__(self, config: ModelConfig, stepper: CoupledStepper, infected: bool = True,
+                 solves: tuple | None = None) -> None:
         times, nodes = stepper.times, config.grid.nodes
         dil = config.dilution(times)[:, None]
         table = {name: coefficient_table(getattr(config, name), config.rho, nodes, times)
                  for name in ("a", "b", "beta", "gamma")}
         self.gain, self.b = table["a"] - dil, table["b"]
         self.beta, self.gamma, self.loss = table["beta"], table["gamma"], table["gamma"] + dil
-        self.n, self.infected, self.dt, self.n_steps = nodes.size, infected, stepper.dt, stepper.n_steps
-        self.pred, self.corr, self.w = stepper._pred, stepper._corr, stepper._pred.w
+        self.n = self.n_nodes = nodes.size
+        self.infected, self.dt, self.n_steps = infected, stepper.dt, stepper.n_steps
+        self.pred, self.corr = solves or (stepper._pred, stepper._corr)
+        self.w = stepper._pred.w
         self.clamp_count = 0
 
     def reaction(self, u: np.ndarray, k: int) -> np.ndarray:
@@ -74,6 +91,9 @@ class ReferenceStepper:
         for k in range(self.n_steps):
             rows.append(self.step(rows[-1], k))
         return np.array(rows)
+
+    def period(self, u: np.ndarray) -> np.ndarray:
+        return self.path(u)[-1]
 
 
 def reference_apply(op: PeriodMapOperator, u: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from evosis.engine import CoupledStepper, endpoint_mean
 from evosis.errors import ConvergenceError
 from evosis.model import CoefficientProfile, EvolutionRate, InitialSpec, ModelConfig
 from evosis.presets import load_preset, preset_names
+from step_reference import ReferenceStepper, assert_same_bits
 from tridiagonal_reference import LuFactors
 
 QUARTER_TURN = math.pi / 2
@@ -170,13 +171,12 @@ def _sequential_reference(config: ModelConfig):
     return upper, lower, path[:, :n], stepper.clamp_count
 
 
-def _lu_dfe_stepper(config: ModelConfig) -> CoupledStepper:
-    """The S-only stepper with its L D L^T solves swapped for the LU form with pivoting."""
+def _lu_dfe_stepper(config: ModelConfig) -> ReferenceStepper:
+    """The frozen S-only step arithmetic with the LU form of the solves, with pivoting, for L D L^T."""
     stepper = CoupledStepper(config, infected=False)
     nu = endpoint_mean(config.d_S * np.asarray(config.rho.value(stepper.times), dtype=float) ** -2.0)
-    stepper._pred = LuFactors(config.grid, nu, stepper.dt)
-    stepper._corr = LuFactors(config.grid, nu, 0.5 * stepper.dt)
-    return stepper
+    solves = (LuFactors(config.grid, nu, stepper.dt), LuFactors(config.grid, nu, 0.5 * stepper.dt))
+    return ReferenceStepper(config, stepper, infected=False, solves=solves)
 
 
 @pytest.mark.parametrize("name", ["example1-evolving", "example4-b"])
@@ -201,8 +201,8 @@ def test_dfe_stepper_matches_coupled_s_half_bit_for_bit(name, rows):
         assert u.shape == (rows, config.grid.N + 1)
         assert field.shape == (config.grid.N + 1,)
         for row, S in zip(u, fields):
-            assert np.array_equal(row, S)
-        assert np.array_equal(field, fields[0])
+            assert_same_bits(row, S)
+        assert_same_bits(field, fields[0])
     assert lone.clamp_count == coupled.clamp_count == lu.clamp_count
 
 
@@ -245,7 +245,7 @@ def test_solve_dfe_matches_sequential_coupled_reference(config):
     assert result.monotone_defect == upper[3]
     assert result.lower_iterations == lower[1]
     assert result.bracket_gap == float(np.max(np.abs(upper[0] - lower[0])))
-    assert np.array_equal(result.orbit.values, path)
+    assert_same_bits(result.orbit.values, path)
     assert result.clamp_count == clamps
 
 
@@ -272,7 +272,7 @@ def test_fixed_points_retire_rows_in_either_order(name):
         found = dfe._fixed_points(stepper, levels)
         for got, index in zip(found, order):
             want = expected[index]
-            assert np.array_equal(got[0], want[0])
+            assert_same_bits(got[0], want[0])
             assert got[1:] == want[1:]
 
 

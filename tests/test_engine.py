@@ -29,7 +29,7 @@ from evosis.engine import (
 from evosis.errors import StepError
 from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig, coefficient_table
 from evosis.presets import load_preset
-from step_reference import ReferenceStepper, reference_apply
+from step_reference import ReferenceStepper, assert_same_bits, reference_apply
 from tridiagonal_reference import excess_factors, excess_solve, laplacian_bands, ldlt_solve, lu_solve, row_weights
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,15 +316,16 @@ def test_coupled_step_raises_on_positive_infinity_alone():
     """A +inf with no NaN and no negative beside it passes the min half of the
     step's guard, so only the max half can catch it. Through the solves an
     infinity always reaches the other half as NaN (0 * inf at the seam), so
-    the corrector's solution is replaced to reach that case."""
-
-    class InfiniteInI:
-        def solve(self, k, rhs):
-            rhs[...] = 0.3
-            rhs[17 + 5] = np.inf
-
+    the compiled loop runs on doctored corrector factor rows: a zero pivot at
+    I node 5 makes that node +inf, and a nonzero seam multiplier carries it
+    back into S as +inf, not NaN."""
     stepper = CoupledStepper(_homogeneous_config())
-    stepper._corr = InfiniteInI()
+    d, e = stepper._corr.d[0], stepper._corr.e[0]
+    assert e[16] == 0.0 and e[15] < 0.0
+    d[17 + 5], e[16] = 0.0, e[15]
+    probe = np.full(34, 0.3)
+    stepper._corr.solve(0, probe)
+    assert np.all(np.isposinf(probe[:17 + 6])) and np.all(np.isfinite(probe[17 + 6:]))
     with pytest.raises(StepError):
         stepper.step(np.full(34, 0.3), 0)
 
@@ -391,6 +392,28 @@ def test_step_and_period_never_write_their_input(infected):
     assert not np.shares_memory(again, out) and not np.shares_memory(again, u)
 
 
+def test_the_compiled_loop_refuses_states_paths_and_levels_it_cannot_take():
+    """Each is checked before the loop gets a pointer: a wrong shape or time level raises, and nothing is written."""
+    coupled, lone = CoupledStepper(_homogeneous_config()), CoupledStepper(_homogeneous_config(), infected=False)
+    for stepper, bad in ((coupled, np.full(17, 0.3)), (coupled, np.full((2, 34), 0.3)),
+                         (lone, np.full(34, 0.3)), (lone, np.full((2, 2, 17), 0.3))):
+        for run in (stepper.period, partial(stepper.step, k=0), partial(stepper.reaction, k=0)):
+            with pytest.raises(ValueError, match="state of shape"):
+                run(bad)
+    u = np.full(34, 0.3)
+    for path in (np.empty((64, 34)), np.empty((65, 34), dtype=np.float32), np.empty((34, 65)).T,
+                 np.empty((65, 34))[:, ::1][::-1]):
+        with pytest.raises(ValueError, match="path must be"):
+            coupled.period(u, path)
+    for k in (-1, 64):
+        with pytest.raises(IndexError):
+            coupled.step(u, k)
+    with pytest.raises(IndexError):
+        coupled.reaction(u, 65)
+    assert coupled.reaction(u, 64).shape == u.shape
+    assert coupled.clamp_count == 0
+
+
 @pytest.mark.parametrize("infected", [True, False], ids=["stacked-S-I", "two-S-rows"])
 def test_period_equals_a_loop_of_steps_bit_for_bit(infected):
     """period, on buffers it holds for the call, against step, which allocates each
@@ -403,11 +426,11 @@ def test_period_equals_a_loop_of_steps_bit_for_bit(infected):
     path = np.empty((whole.n_steps + 1,) + u.shape)
     out = whole.period(u, path)
     state = u
-    assert np.array_equal(path[0], u)
+    assert_same_bits(path[0], u)
     for k in range(looped.n_steps):
         state = looped.step(state, k)
-        assert np.array_equal(path[k + 1], state)
-    assert np.array_equal(out, state)
+        assert_same_bits(path[k + 1], state)
+    assert_same_bits(out, state)
     assert whole.clamp_count == looped.clamp_count > 0
 
 
@@ -419,7 +442,8 @@ def _assert_periods_match_reference(stepper, reference, u, periods=3):
     for _ in range(periods):
         want = reference.path(u)
         u = stepper.period(u, path)
-        assert np.array_equal(path, want) and np.array_equal(u, want[-1])
+        assert_same_bits(path, want)
+        assert_same_bits(u, want[-1])
     assert stepper.clamp_count == reference.clamp_count
 
 
@@ -465,8 +489,8 @@ def test_period_map_apply_equals_the_frozen_step_arithmetic_bit_for_bit(columns)
     op = spectral._phi_operators(config)(1.5)
     n = config.grid.N + 1
     u = spectral._cosines(n, 0, columns) + 1.5 if columns > 1 else np.linspace(1.0, 2.0, n)
-    assert np.array_equal(op.apply(u), reference_apply(op, u))
-    assert np.array_equal(op.apply(np.asfortranarray(u)), reference_apply(op, u))
+    assert_same_bits(op.apply(u), reference_apply(op, u))
+    assert_same_bits(op.apply(np.asfortranarray(u)), reference_apply(op, u))
 
 
 def _coefficient_tables(config, times):
@@ -701,12 +725,13 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
 def test_held_factors_fit_their_budgets():
     """At 200x2000 on example4-b the period map holds two tables of M(N+1)
     doubles and their row views (6.6 MiB). The coupled stepper holds about
-    94 B per N*M cell: the four tables of its two factor sets over both
+    91.5 B per N*M cell: the four tables of its two factor sets over both
     blocks (64 B), beta, gamma and minus_loss, which vary in space and time
-    (24 B), and the row views of each time level (2.7 B); gain and b vary
-    in time only or not at all, and hold one column and one value. The
-    S-only stepper holds about 35.5 B: the four factor tables of the S
-    block (32 B) and the row views. A factor set build,
+    (24 B), and the factor sets' row views (3.5 B); gain and b vary in time
+    only or not at all, and hold one column and one value. The compiled
+    loop reads every table in place, so it adds nothing. The S-only
+    stepper holds about 34.9 B: the four factor tables of the S block
+    (32 B) and their row views. A factor set build,
     with q on one block or without it on two, needs under 1 MiB of scratch
     beyond the tables it keeps."""
     config = load_preset("example4-b").with_resolution(200, 2000)

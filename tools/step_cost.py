@@ -22,10 +22,18 @@ blocks, `factor_set_ms`), and the period map's at the sandwich mean (one
 block with its potential, `period_map_factor_ms`), which every trial mu
 of the root search pays. Each figure is the median of `--repeats` samples
 after one untimed warm-up. BLAS is pinned to one thread and `evosis` is
-imported from PYTHONPATH, so two checkouts compare with
+imported from PYTHONPATH.
 
-    PYTHONPATH=/path/to/old/src python tools/step_cost.py --grid 200 --steps 200
-    PYTHONPATH=src python tools/step_cost.py --grid 200 --steps 200
+`--against PATH` also imports the `evosis` package under PATH (a tree's
+`src` directory) as `evosis_against`, in the same process, and times its
+figures interleaved with this tree's: in each round one sample of each,
+the order alternating. Each preset then also reports that tree's figures
+under "against", and under "faster_rounds" in how many of the rounds
+this tree's sample was the faster, figure by figure. The speed of a
+shared host can move between processes by more than a per-step change,
+so two checkouts compare in one process with
+
+    PYTHONPATH=src python tools/step_cost.py --grid 200 --steps 200 --against /path/to/old/src
 """
 
 from __future__ import annotations
@@ -36,53 +44,65 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 from typing import Any, Callable  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-
-def _median_seconds(run: Callable[[], Any], repeats: int) -> float:
-    run()
-    samples = []
-    for _ in range(repeats):
-        start = perf_counter()
-        run()
-        samples.append(perf_counter() - start)
-    return statistics.median(samples)
+# the module name of the tree that --against loads
+AGAINST = "evosis_against"
 
 
-def preset_costs(config: Any, repeats: int) -> dict[str, float]:
-    from evosis import dfe, engine, spectral
+def _load_tree(src: Path) -> str:
+    """Imports the `evosis` package under `src` as AGAINST, beside this process's own, and returns that name."""
+    init = src / "evosis" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(AGAINST, init, submodule_search_locations=[str(init.parent)])
+    if spec is None or spec.loader is None:
+        raise SystemExit(f"--against: no evosis package under {src}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST] = module
+    spec.loader.exec_module(module)
+    return AGAINST
 
-    steps = config.steps_per_period
+
+def _figures(package: str, preset: str, grid: int | None, steps: int | None
+             ) -> tuple[dict[str, tuple[Callable[[], Any], float]], dict[str, float]]:
+    """One preset's timed runs on the tree imported as `package`, each with the factor that scales
+    its seconds to the figure's unit, and its counts."""
+    dfe, engine, presets, spectral = (importlib.import_module(f"{package}.{name}")
+                                      for name in ("dfe", "engine", "presets", "spectral"))
+    config = presets.load_preset(preset).with_resolution(grid, steps)
+    per_step_us = 1e6 / config.steps_per_period
     n = config.grid.N + 1
-    per_step_us = 1e6 / steps
-    costs: dict[str, float] = {}
+    runs: dict[str, tuple[Callable[[], Any], float]] = {}
 
     coupled = engine.CoupledStepper(config)
     u = np.concatenate((config.initial_S.evaluate(config.grid.nodes, config.L),
                         config.initial_I.evaluate(config.grid.nodes, config.L)))
-    costs["coupled_us"] = _median_seconds(lambda: coupled.period(u), repeats) * per_step_us
+    runs["coupled_us"] = (lambda: coupled.period(u), per_step_us)
 
     s_only = engine.CoupledStepper(config, infected=False)
     levels = dfe._start_levels(config)
     for rows in (1, 2):
         fields = np.repeat(np.asarray(levels[:rows])[:, None], n, axis=1)
         state = fields[0] if rows == 1 else fields
-        costs[f"s_only_{rows}_us"] = _median_seconds(lambda: s_only.period(state), repeats) * per_step_us
+        runs[f"s_only_{rows}_us"] = (lambda state=state: s_only.period(state), per_step_us)
 
     operator_at, bounds = spectral._phi_operators(config), spectral.r0_bounds(config)
     operator = operator_at(2.0 * bounds.upper)
     for columns in (1, 2, 8):
         block = spectral._cosines(n, 0, columns) if columns > 1 else np.ones(n)
-        costs[f"period_map_{columns}_us"] = _median_seconds(lambda: operator.apply(block), repeats) * per_step_us
+        runs[f"period_map_{columns}_us"] = (lambda block=block: operator.apply(block), per_step_us)
 
     at_mean = operator_at(math.sqrt(bounds.lower * bounds.upper))
-    costs["radius_ms"] = _median_seconds(lambda: spectral._operator_radius(at_mean), repeats) * 1e3
+    runs["radius_ms"] = (lambda: spectral._operator_radius(at_mean), 1e3)
     widths: list[int] = []
 
     class CountedMap:
@@ -93,19 +113,45 @@ def preset_costs(config: Any, repeats: int) -> dict[str, float]:
             return at_mean.apply(u)
 
     spectral._operator_radius(CountedMap())
-    costs["radius_columns"] = sum(widths)
 
     inv_rho2 = np.asarray(config.rho.value(coupled.times), dtype=float) ** -2.0
     nus = (engine.endpoint_mean(config.d_S * inv_rho2), engine.endpoint_mean(config.d_I * inv_rho2))
-    costs["factor_set_ms"] = _median_seconds(
-        lambda: engine._FactorSet(config.grid, nus, None, coupled.dt), repeats) * 1e3
-    costs["period_map_factor_ms"] = _median_seconds(
-        lambda: operator_at(math.sqrt(bounds.lower * bounds.upper)), repeats) * 1e3
-    return {name: round(value, 3) for name, value in costs.items()}
+    runs["factor_set_ms"] = (lambda: engine._FactorSet(config.grid, nus, None, coupled.dt), 1e3)
+    runs["period_map_factor_ms"] = (lambda: operator_at(math.sqrt(bounds.lower * bounds.upper)), 1e3)
+    counts = {"grid": config.grid_points, "steps": config.steps_per_period, "radius_columns": sum(widths)}
+    return runs, counts
+
+
+def _medians(trees: list[dict[str, tuple[Callable[[], Any], float]]], repeats: int
+             ) -> tuple[list[dict[str, float]], dict[str, int]]:
+    """Each tree's median per figure, its samples interleaved with the other tree's.
+
+    Figure by figure, every run is warmed up once, untimed; then each of
+    `repeats` rounds times one run per tree, the order alternating from
+    round to round. Also returns, per figure, in how many rounds the first
+    tree ran faster than the second.
+    """
+    medians: list[dict[str, float]] = [{} for _ in trees]
+    faster: dict[str, int] = {}
+    for name in trees[0]:
+        for runs in trees:
+            runs[name][0]()
+        samples: list[list[float]] = [[] for _ in trees]
+        for round_ in range(repeats):
+            order = range(len(trees)) if round_ % 2 == 0 else reversed(range(len(trees)))
+            for index in order:
+                start = perf_counter()
+                trees[index][name][0]()
+                samples[index].append(perf_counter() - start)
+        for index, runs in enumerate(trees):
+            medians[index][name] = round(statistics.median(samples[index]) * runs[name][1], 3)
+        if len(trees) == 2:
+            faster[name] = sum(first < second for first, second in zip(*samples))
+    return medians, faster
 
 
 def main(argv: list[str] | None = None) -> None:
-    from evosis.presets import load_preset, preset_names
+    from evosis.presets import preset_names
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", action="append", choices=preset_names(),
@@ -113,13 +159,22 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--grid", type=int, help="grid intervals N (default: the preset's)")
     parser.add_argument("--steps", type=int, help="steps per period M (default: the preset's)")
     parser.add_argument("--repeats", type=int, default=5, help="timed samples per figure")
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="directory holding another tree's evosis package, timed in the same process")
     args = parser.parse_args(argv)
+    packages = ["evosis"] + ([_load_tree(args.against)] if args.against else [])
     results = {}
     for name in args.preset or preset_names():
-        config = load_preset(name).with_resolution(args.grid, args.steps)
-        results[name] = {"grid": config.grid_points, "steps": config.steps_per_period,
-                         **preset_costs(config, args.repeats)}
-    print(json.dumps({"repeats": args.repeats, "presets": results}))
+        figures = [_figures(package, name, args.grid, args.steps) for package in packages]
+        medians, faster = _medians([runs for runs, _ in figures], args.repeats)
+        results[name] = {**figures[0][1], **medians[0]}
+        if args.against:
+            results[name]["against"] = {**figures[1][1], **medians[1]}
+            results[name]["faster_rounds"] = faster
+    report: dict[str, Any] = {"repeats": args.repeats, "presets": results}
+    if args.against:
+        report["against"] = str(args.against)
+    print(json.dumps(report))
 
 
 if __name__ == "__main__":
