@@ -31,17 +31,15 @@ advances one S field, or several independent ones as rows of one
 state, each equal bit for bit to the S half of the coupled step that
 `simulate` runs.
 
-The coupled stepper crosses a period in one compiled C loop
-(`steploop.c`, built at first use by `steploop.library`), which reads
-the coefficient tables by stride and the factor tables in place and
-takes each step's operations in the order of the numpy form that
-`tests/step_reference.py` keeps, solving as LAPACK `pttrs` does, so each
-state equals that form's bit for bit. `period`, `step` and `reaction`
-all call it. The period map crosses a period in `_march`, which
-allocates two state buffers per call and alternates the state between
-them; each of its steps is a closure from `_core`, which binds once per
-call the `solve` of its factor set and the row weights tiled to the
-state's shape.
+Both engines cross a period in a compiled C loop (`steploop.c`, built
+at first use by `steploop.library`), which also runs their factor
+recurrence. Each loop takes a step's operations in the order of the
+numpy forms that `tests/step_reference.py` keeps and solves as LAPACK
+`pttrs` does, so each state equals those forms' bit for bit. The coupled
+stepper's loop reads the coefficient tables by stride and the factor
+tables in place; `period`, `step` and `reaction` all call it. The period
+map's loop steps the rows of one C-ordered state between two buffers,
+the last step landing in the array returned.
 
 All share one solve. Each per-step system (I - theta B) x = rhs, with
 B = dt (nu A + diag q), is solved in its row-scaled form
@@ -54,9 +52,9 @@ sums w (1 - theta dt q), where w = (1/2, 1, ..., 1, 1/2) per block.
 `_FactorSet` factors it as L D L^T once per step from those row sums,
 with additions and multiplications of positive numbers only (while
 theta dt q < 1), so the factors stay accurate to rounding however
-strongly diffusion dominates. Each solve is then one in-place `pttrs`
-on the rhs scaled by w, which the factor set keeps: a LAPACK call in the
-period map, the same dptts2 recurrence in the compiled loop. The
+strongly diffusion dominates. Each solve is then one in-place
+forward and back substitution in the order of LAPACK's `dptts2`, on the
+rhs scaled by w, which the factor set keeps. The
 factors need positive definiteness. Since -WA is positive semidefinite,
 W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
@@ -79,7 +77,6 @@ from typing import Any, Callable
 
 import numpy as np
 import numpy.typing as npt
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, StepError
 from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compact_coefficient_table
@@ -87,8 +84,6 @@ from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compac
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
 DENOMINATOR_GUARD = 1e-12
-# doubles in each node-major scratch span of a factor set build
-_SPAN_DOUBLES = 2**15
 
 _ERR_NONFINITE_STEP = "non-finite state after step {index} (t = {t:.6g})"
 _ERR_NOT_DEFINITE = (
@@ -96,12 +91,9 @@ _ERR_NOT_DEFINITE = (
     "it needs theta*dt*sup q < 1, here theta*dt*sup q = {bound:.6g}"
 )
 _ERR_PERIODS = "periods: must be at least 1, got {periods}"
-_ERR_NOT_IN_PLACE = "the right-hand side must be F-contiguous float64"
 _ERR_STATE = "state of shape {shape}: the stepper takes {want}"
 _ERR_PATH = "path must be a C-contiguous, writable float64 array of shape {shape}"
 _ERR_LEVEL = "time level {k} is outside 0..{last}"
-
-_pttrs = get_lapack_funcs("pttrs", (np.empty(0, dtype=np.float64),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +128,8 @@ class _FactorSet:
     off-diagonal -c, c = theta_dt nu_k / h^2 on each block (zero at the seam
     between blocks), and row sums s = w(1 - theta_dt q), q of shape
     (steps, N+1) only with one block. The factors come from those row-sum
-    excesses, node by node across every step and block at once: with t = s
-    at the first node of a block,
+    excesses, node by node along each step's block: with t = s at the
+    first node of a block,
 
         D_i = t + c,  L_i = -c / D_i,  t <- s_{i+1} - t L_i,  D_N = t,
 
@@ -145,18 +137,25 @@ class _FactorSet:
     the factors are accurate to rounding however large c is (Alfa, Xue and
     Ye, Math. Comp. 71, 2002); these are the pivots d_i - c^2 / D_{i-1} of
     `pttrf`, without the subtraction that cancels when diffusion dominates.
-    Every pivot is positive while theta_dt*sup q < 1, and always when q is
-    None; a pivot that is not positive, or NaN, raises `StepError`. Each
-    step keeps its (D, L) row views for the `pttrs` solves that reuse it,
-    and the set keeps the step-major tables d (pivots) and e (multipliers,
-    zero at the end of each block) that they view, and the row weights w
-    of W, by which its callers scale every right-hand side.
+    The compiled loop (`evosis_factor` in `steploop.c`) runs the recurrence
+    in place on the row sums, for eight steps at a time as independent
+    chains. Every pivot is positive while theta_dt*sup q < 1, and always
+    when q is None; a pivot that is not positive, or NaN, raises
+    `StepError`. The set keeps the step-major tables d (pivots) and e
+    (multipliers, zero at the end of each block), which the compiled loops
+    read in place, and the row weights w of W, by which its callers scale
+    every right-hand side.
+
+    Raises:
+        KernelBuildError: the compiled loop cannot be built or loaded.
     """
 
-    __slots__ = ("_rows", "d", "e", "w")
+    __slots__ = ("d", "e", "w")
 
     def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
                  theta_dt: float) -> None:
+        from .steploop import library  # built at the first factor set, not at import
+
         n, blocks, steps = grid.N + 1, len(nus), nus[0].size
         weights = trapezoid_weights(grid) / grid.h
         self.w = np.tile(weights, blocks)
@@ -170,27 +169,9 @@ class _FactorSet:
             np.multiply(q, -theta_dt, out=d)
             d += 1.0
             d *= weights
-        # the recurrence runs node-major on contiguous (blocks, steps) rows: each
-        # span of nodes is copied out of d (its row sums), factored in scratch,
-        # and copied back into the step-major d and e
-        d3, e3 = d.reshape(steps, blocks, n), e.reshape(steps, blocks, n)
-        span = min(n - 1, max(1, _SPAN_DOUBLES // (blocks * steps)))
-        pivots, multipliers = np.empty((span + 1, blocks, steps)), np.empty((span, blocks, steps))
         inv_h2 = 1.0 / grid.h**2
         c = np.stack([(theta_dt * nu) * inv_h2 for nu in nus])
-        minus_c = -c
-        t = d3[:, :, 0].T.copy()
-        for start in range(0, n - 1, span):
-            stop = min(start + span, n - 1)
-            pivots[:stop - start + 1] = d3[:, :, start:stop + 1].transpose(2, 1, 0)
-            for i in range(stop - start):
-                np.add(t, c, out=pivots[i])
-                np.divide(minus_c, pivots[i], out=multipliers[i])
-                t *= multipliers[i]
-                np.subtract(pivots[i + 1], t, out=t)
-            d3[:, :, start:stop] = pivots[:stop - start].transpose(2, 1, 0)
-            e3[:, :, start:stop] = multipliers[:stop - start].transpose(2, 1, 0)
-        d3[:, :, n - 1] = t.T
+        library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, n, blocks, steps)
         if not d.min() > 0.0:
             failed = ~(d > 0.0)
             k = int(np.argmax(failed.any(axis=1)))
@@ -198,39 +179,13 @@ class _FactorSet:
             raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=int(np.argmax(failed[k])) + 1,
                                                      rows=d.shape[1], bound=bound))
         self.d, self.e = d, e
-        self._rows = list(zip(d, e[:, :-1]))
-
-    def solve(self, k: int, rhs: FloatArray) -> None:
-        """Overwrites rhs = w f with the solution x of step k's system (I - theta_dt*(B + diag q)) x = f.
-
-        The caller folds w into the terms of f and passes rhs F-contiguous
-        (1-D, or one column per field), so LAPACK solves in place; any
-        other rhs would be solved in a copy and left as it was, so it
-        raises ValueError.
-        """
-        if _pttrs(*self._rows[k], rhs, 1)[0] is not rhs:
-            raise ValueError(_ERR_NOT_IN_PLACE)
 
 
-def _march(advance: Callable[[int, tuple, tuple], None], field: Callable[[FloatArray], tuple],
-           n_steps: int, u: FloatArray, path: FloatArray | None) -> FloatArray:
-    """The period map's state u stepped across one period by advance(k, src, dst); never writes u.
-
-    Two state buffers are allocated per call, and the state alternates
-    between them, so the array returned is fresh. path, an (M+1)-row
-    table, receives every time slice of the state.
-    """
-    fields = [field(np.empty(u.shape)) for _ in range(2)]
-    src = field(u)
-    if path is not None:
-        path[0] = u
-    for k in range(n_steps):
-        dst = fields[k % 2]
-        advance(k, src, dst)
-        if path is not None:
-            path[k + 1] = dst[0]
-        src = dst
-    return src[0]
+def _check_path(path: FloatArray | None, shape: tuple[int, ...]) -> None:
+    """ValueError unless path is None or a C-contiguous, writable float64 array of the given shape."""
+    if path is not None and not (path.shape == shape and path.dtype == np.float64
+                                 and path.flags.c_contiguous and path.flags.writeable):
+        raise ValueError(_ERR_PATH.format(shape=shape))
 
 
 # ---- linear period map ----
@@ -239,16 +194,23 @@ class PeriodMapOperator:
     """Action of the linear flow over one full period, with cached factors.
 
     Built from per-step coefficient tables: the endpoint-averaged potential
-    q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,). A
-    step writes u * 2w into the next state buffer, solves there in place
+    q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,). The
+    compiled loop (`evosis_period_map` in `steploop.c`) crosses the period:
+    a step writes u * 2w into the next state buffer, solves there in place
     and takes u off.
+
+    Raises:
+        KernelBuildError: the compiled loop cannot be built or loaded.
     """
 
     def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> None:
+        from .steploop import library
+
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
         self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
         self._two_w = 2.0 * self._factors.w  # w(2u) = 2w u
+        self._library = library()
 
     @classmethod
     def from_spec(cls, spec: LinearEquationSpec) -> "PeriodMapOperator":
@@ -260,36 +222,22 @@ class PeriodMapOperator:
             q_nodes[k] = spec.potential(nodes, float(t))
         return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
 
-    @staticmethod
-    def _field(a: FloatArray) -> tuple[FloatArray, FloatArray]:
-        return a, a.T  # one field per row of a, and the view of a that the solves take
-
-    def _core(self, shape: tuple[int, ...]) -> Callable[[int, tuple, tuple], None]:
-        """advance(k, u, out): one Crank-Nicolson step of the field u from t_k to t_{k+1}, into the field out.
-
-        The solve and 2w, tiled to the state's shape, are bound once per call.
-        """
-        solve = self._factors.solve
-        two_w = np.broadcast_to(self._two_w, shape).copy()
-        multiply, subtract = np.multiply, np.subtract
-
-        def advance(k: int, src: tuple, dst: tuple) -> None:
-            u, (out, out_t) = src[0], dst
-            multiply(u, two_w, out)
-            solve(k, out_t)
-            subtract(out, u, out)
-
-        return advance
-
     def apply(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Maps u(., 0) to u(., T); accepts a matrix of stacked columns.
 
         The columns are stepped as the rows of u's transpose, so the result
-        is a fresh F-ordered array; u is never written. path, an (M+1)-row
-        table, receives every time slice of a one-field u.
+        is a fresh F-ordered array; u is never written. path, a C-contiguous
+        float64 table of (M+1) slices of the transpose's shape, receives
+        every time slice of the state; any other path raises ValueError.
         """
-        u = np.asarray(u, dtype=float).T
-        return _march(self._core(u.shape), self._field, self.n_steps, u, path).T
+        v = np.ascontiguousarray(np.transpose(u), dtype=float)
+        _check_path(path, (self.n_steps + 1,) + v.shape)
+        out, spare = np.empty_like(v), np.empty_like(v)
+        factors, m = self._factors, v.shape[-1]
+        self._library.evosis_period_map(factors.d.ctypes.data, factors.e.ctypes.data, self._two_w.ctypes.data,
+                                        m, v.size // m, self.n_steps, v.ctypes.data, out.ctypes.data,
+                                        None if path is None else path.ctypes.data, spare.ctypes.data)
+        return out.T
 
 
 # ---- coupled susceptible/infected stepper ----
@@ -432,9 +380,7 @@ class CoupledStepper:
         before it are counted.
         """
         u, rows = self._state(u)
-        if path is not None and not (path.shape == (steps + 1,) + u.shape and path.dtype == np.float64
-                                     and path.flags.c_contiguous and path.flags.writeable):
-            raise ValueError(_ERR_PATH.format(shape=(steps + 1,) + u.shape))
+        _check_path(path, (steps + 1,) + u.shape)
         out, work = np.empty_like(u), np.empty(4 * u.size)
         taken = self._library.evosis_steps(self._kernel, rows, k0, steps, u.ctypes.data, out.ctypes.data,
                                            None if path is None else path.ctypes.data, work.ctypes.data)

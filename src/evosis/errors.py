@@ -29,7 +29,7 @@ class StepError(EvosisError):
 
 
 class KernelBuildError(EvosisError):
-    """The compiled period loop of the coupled stepper could not be built or loaded."""
+    """The compiled step loop of the engine could not be built or loaded."""
 
 
 class NotApplicableError(EvosisError):

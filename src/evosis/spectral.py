@@ -57,15 +57,21 @@ class R0Result:
     """Computed reproduction number with its certificate data.
 
     iterations counts every radius evaluation of the root search, a
-    widened bracket end included when one was taken. eigenfunction holds
-    the positive Floquet mode over one period, shape (M+1, N+1),
-    sup-normalized on the initial slice.
+    widened bracket end included when one was taken. error_estimate is
+    R0^2 |ln r| / slope, the distance from value to the unit-radius root
+    of the discrete map that the last trial's ln r implies, with the slope
+    of ln r in x = 1/mu measured by the secant through the last two trials
+    (the sandwich slope after a single trial, or when that secant is not
+    finite and positive); it leaves out the discretization error.
+    eigenfunction holds the positive Floquet mode over one period, shape
+    (M+1, N+1), sup-normalized on the initial slice.
     """
 
     value: float
     bracket: tuple[float, float]
     iterations: int
     defect: float
+    error_estimate: float
     eigenfunction: FloatArray
 
 
@@ -301,7 +307,7 @@ def compute_r0(config: ModelConfig) -> R0Result:
     """
     operator_at = _phi_operators(config)
     bounds = r0_bounds(config)
-    slope = math.sqrt(bounds.min_beta_integral * bounds.max_beta_integral)
+    slope = sandwich_slope = math.sqrt(bounds.min_beta_integral * bounds.max_beta_integral)
     # the widened end toward the root, in x: below a trial with r > 1, above one with r < 1
     end_toward = {1: 0.5 / bounds.upper, -1: 2.0 / bounds.lower}
     block: FloatArray | None = None
@@ -367,11 +373,14 @@ def compute_r0(config: ModelConfig) -> R0Result:
     path = np.empty((op.n_steps + 1, mode.size))
     op.apply(np.abs(mode), path)
     path /= max(float(np.max(np.abs(path[0]))), 1e-300)
+    f = math.log(r)
+    secant = (f - last[1]) / (x - last[0]) if x != last[0] else math.nan  # NaN after a single trial
     return R0Result(
         value=1.0 / x,
         bracket=(bounds.lower, bounds.upper),
         iterations=iterations,
         defect=defect,
+        error_estimate=abs(f) / (secant if 0.0 < secant < math.inf else sandwich_slope) / x**2,
         eigenfunction=path,
     )
 

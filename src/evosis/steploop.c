@@ -1,6 +1,8 @@
-/* The period loop of the coupled IMEX stepper (evosis.engine.CoupledStepper).
+/* The compiled time-stepping core of evosis.engine: the period loop of the coupled IMEX stepper
+ * (CoupledStepper), the Crank-Nicolson period map (PeriodMapOperator) and the factor recurrence of
+ * their tridiagonal systems (_FactorSet).
  *
- * Each step takes the operations of the stepper's arithmetic in their
+ * Each coupled step takes the operations of the stepper's arithmetic in their
  * documented order, one node at a time, so every sum and product rounds as
  * the term-by-term numpy form in tests/step_reference.py does:
  *
@@ -12,10 +14,11 @@
  *     x  <- x - u, then the finite check and the clamp
  *
  * The S-only form (infected == 0) steps `rows` independent S fields with
- * R_S = (gain - b S) S. The solves follow LAPACK dptts2 over the whole
- * system, seam included, so an infinity crosses the seam as NaN (0 * inf)
- * just as it does in pttrs. Built with -ffp-contract=off and without
- * fast-math, so no product is fused into a sum.
+ * R_S = (gain - b S) S. A period-map step is x = u (2w), solved in place,
+ * less u. The solves follow LAPACK dptts2 over the whole system, seam
+ * included, so an infinity crosses the seam as NaN (0 * inf) just as it
+ * does in pttrs. Built with -ffp-contract=off and without fast-math, so no
+ * product is fused into a sum.
  */
 
 #include <math.h>
@@ -130,4 +133,62 @@ long evosis_steps(struct stepper *s, long rows, long k0, long steps, const doubl
         src = dst;
     }
     return steps;
+}
+
+/* Steps `rows` fields of u across `steps` Crank-Nicolson steps of the period map into out, never
+ * writing u: per step x = u (2w), solved with that step's factors (d, e: step-major, rows of length
+ * m), then x - u. spare holds one state; path, when not NULL, receives steps + 1 time slices. */
+void evosis_period_map(const double *d, const double *e, const double *two_w, long m, long rows, long steps,
+                       const double *u, double *out, double *path, double *spare)
+{
+    const long size = rows * m;
+    const double *src = u;
+    if (path)
+        memcpy(path, u, (size_t)size * sizeof(double));
+    for (long k = 0; k < steps; k++) {
+        double *x = (steps - 1 - k) % 2 == 0 ? out : spare;  /* the last step lands in out */
+        for (long i = 0; i < size; i += m)
+            for (long j = 0; j < m; j++)
+                x[i + j] = src[i + j] * two_w[j];
+        solve(d + k * m, e + k * m, m, rows, x);
+        for (long i = 0; i < size; i++)
+            x[i] = x[i] - src[i];
+        if (path)
+            memcpy(path + (k + 1) * size, x, (size_t)size * sizeof(double));
+        src = x;
+    }
+}
+
+/* The L D L^T factors of `chains` steps' blocks of n nodes from their row sums, one chain per step:
+ * t = s_0, then D_i = t + c, L_i = (-c) / D_i, t = s_{i+1} - t L_i, and D_{n-1} = t. d holds the row
+ * sums on entry and the pivots on return, e the multipliers; both are step-major with rows of length m. */
+static inline void factor_chains(double *d, double *e, const double *c, long n, long m, long chains)
+{
+    double t[8];
+    for (long j = 0; j < chains; j++)
+        t[j] = d[j * m];
+    for (long i = 0; i + 1 < n; i++)
+        for (long j = 0; j < chains; j++) {
+            const double pivot = t[j] + c[j], multiplier = -c[j] / pivot;
+            t[j] = d[j * m + i + 1] - t[j] * multiplier;
+            d[j * m + i] = pivot;
+            e[j * m + i] = multiplier;
+        }
+    for (long j = 0; j < chains; j++)
+        d[j * m + n - 1] = t[j];
+}
+
+/* The factors of `blocks` blocks of n nodes over `steps` steps in place (see factor_chains), groups of
+ * 8 steps as independent chains; c holds theta dt nu / h^2 per block and step, block-major. */
+void evosis_factor(double *d, double *e, const double *c, long n, long blocks, long steps)
+{
+    const long m = blocks * n;
+    for (long b = 0; b < blocks; b++)
+        for (long k = 0; k < steps; k += 8) {
+            double *db = d + k * m + b * n, *eb = e + k * m + b * n;
+            if (steps - k >= 8)
+                factor_chains(db, eb, c + b * steps + k, n, m, 8);
+            else
+                factor_chains(db, eb, c + b * steps + k, n, m, steps - k);
+        }
 }

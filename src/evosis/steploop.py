@@ -1,4 +1,8 @@
-"""The compiled period loop of the coupled stepper, built from `steploop.c` at first use.
+"""The compiled time-stepping core of the engine, built from `steploop.c` at first use.
+
+It holds the period loop of the coupled stepper, the period map's
+Crank-Nicolson loop and the factor recurrence of their tridiagonal
+systems.
 
 `library()` compiles the C source with the system compiler `cc` and the
 fixed FLAGS into the package's `__pycache__` directory, where Python keeps
@@ -12,7 +16,8 @@ no file behind. A host without a compiler, or whose cache directory is
 not writable, gets `KernelBuildError`.
 
 Importing this module builds and loads nothing; the engine imports it
-when it builds its first `CoupledStepper`.
+when it builds its first factor set, for a `CoupledStepper` or a
+`PeriodMapOperator`.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ COMPILER = "cc"
 # no -march and no fast-math: every operation rounds as numpy's does, and none is fused
 FLAGS = ("-std=c99", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
-_ERR_NO_COMPILER = "cannot build the coupled step loop: no C compiler {compiler!r} ({reason})"
-_ERR_COMPILER = "cannot build the coupled step loop: {compiler} exited with status {code}: {stderr}"
-_ERR_CACHE = "cannot build the coupled step loop in {cache}: {reason}"
-_ERR_LOAD = "cannot load the coupled step loop {path}: {reason}"
+_ERR_NO_COMPILER = "cannot build the compiled step loop: no C compiler {compiler!r} ({reason})"
+_ERR_COMPILER = "cannot build the compiled step loop: {compiler} exited with status {code}: {stderr}"
+_ERR_CACHE = "cannot build the compiled step loop in {cache}: {reason}"
+_ERR_LOAD = "cannot load the compiled step loop {path}: {reason}"
 
 
 class Table(ctypes.Structure):
@@ -97,7 +102,7 @@ def build(cache: Path, compiler: str) -> Path:
 
 
 def load(cache: Path, compiler: str) -> ctypes.CDLL:
-    """The library from `build`, loaded, with the signatures of its two entry points declared."""
+    """The library from `build`, loaded, with the signatures of its entry points declared."""
     path = build(cache, compiler)
     try:
         lib = ctypes.CDLL(str(path))
@@ -108,10 +113,15 @@ def load(cache: Path, compiler: str) -> ctypes.CDLL:
     lib.evosis_steps.restype = ctypes.c_long
     lib.evosis_reaction.argtypes = [stepper, index, index, pointer, pointer]
     lib.evosis_reaction.restype = None
+    lib.evosis_period_map.argtypes = [pointer, pointer, pointer, index, index, index, pointer, pointer, pointer,
+                                      pointer]
+    lib.evosis_period_map.restype = None
+    lib.evosis_factor.argtypes = [pointer, pointer, pointer, index, index, index]
+    lib.evosis_factor.restype = None
     return lib
 
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The period loop, built into CACHE with COMPILER at the first call of the process."""
+    """The compiled loop, built into CACHE with COMPILER at the first call of the process."""
     return load(CACHE, COMPILER)

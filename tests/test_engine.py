@@ -15,7 +15,7 @@ import pytest
 
 from scipy.linalg import solve_banded
 
-from evosis import engine, spectral
+from evosis import spectral
 from evosis.engine import (
     DENOMINATOR_GUARD,
     CoupledStepper,
@@ -30,7 +30,17 @@ from evosis.errors import StepError
 from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec, ModelConfig, coefficient_table
 from evosis.presets import load_preset
 from step_reference import ReferenceStepper, assert_same_bits, reference_apply
-from tridiagonal_reference import excess_factors, excess_solve, laplacian_bands, ldlt_solve, lu_solve, row_weights
+from tridiagonal_reference import (
+    PTTRS,
+    PttrsFactors,
+    excess_factors,
+    excess_solve,
+    laplacian_bands,
+    ldlt_solve,
+    lu_solve,
+    node_major_factors,
+    row_weights,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 UNIT_PERIOD = EvolutionRate(kind="constant-one", period=1.0)
@@ -323,8 +333,8 @@ def test_coupled_step_raises_on_positive_infinity_alone():
     d, e = stepper._corr.d[0], stepper._corr.e[0]
     assert e[16] == 0.0 and e[15] < 0.0
     d[17 + 5], e[16] = 0.0, e[15]
-    probe = np.full(34, 0.3)
-    stepper._corr.solve(0, probe)
+    with np.errstate(all="ignore"):
+        probe = PTTRS(d, e[:-1], np.full(34, 0.3))[0]
     assert np.all(np.isposinf(probe[:17 + 6])) and np.all(np.isfinite(probe[17 + 6:]))
     with pytest.raises(StepError):
         stepper.step(np.full(34, 0.3), 0)
@@ -603,7 +613,7 @@ def test_stacked_bands_solve_like_each_species_alone():
             rhs = rng.standard_normal(2 * (grid.N + 1))
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
             stacked = rhs * w
-            factors.solve(k, stacked)
+            PttrsFactors(factors).solve(k, stacked)
             expected = np.concatenate([excess_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             assert np.array_equal(stacked, expected)
             for solve_block in (ldlt_solve, lu_solve):
@@ -611,25 +621,23 @@ def test_stacked_bands_solve_like_each_species_alone():
                 assert np.max(np.abs(other - expected)) <= 1e-13, solve_block.__name__
 
 
-@pytest.mark.parametrize("span_doubles", [None, 1, 15], ids=["one-span", "node-by-node", "uneven-spans"])
-def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(span_doubles, monkeypatch):
+@pytest.mark.parametrize("steps", [5, 8, 19], ids=["under-one-group", "one-group", "two-groups-and-a-tail"])
+def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(steps):
     """W A is symmetric to the bit. The factors of each step's system
     W(I - theta dt (nu A + diag q)) multiply back to it: L D L^T has its
     off-diagonals and row sums within a few ulps, with a zero seam between
     blocks. The reference forms I + (-theta dt nu) A - theta dt diag q
     densely, then scales its rows by W. Each block's factors also equal the
-    scalar reference loop's bit for bit, however the build splits the
-    nodes into scratch spans (all 13 in one, one by one, or spans of 3 and
-    1 nodes)."""
-    if span_doubles is not None:
-        monkeypatch.setattr(engine, "_SPAN_DOUBLES", span_doubles)
+    scalar reference loop's bit for bit, whether the compiled recurrence
+    runs its steps in a part of one group of 8 chains, in one whole group,
+    or in two with a tail of 3."""
     grid = Grid1D(L=1.7, N=12)
     n = grid.N + 1
     weights = row_weights(n)
     dense = _dense_laplacian(grid)
     assert np.array_equal(weights[:, None] * dense, (weights[:, None] * dense).T)
     rng = np.random.default_rng(3)
-    steps, theta_dt = 5, 0.013
+    theta_dt = 0.013
     nus = (0.2 + rng.random(steps), 3.0 + rng.random(steps))
     q = rng.standard_normal((steps, n))
     ulp = np.finfo(float).eps
@@ -644,7 +652,7 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(span_doub
                     block -= np.diag(theta_dt * potential[k])
                 system[j * n:(j + 1) * n, j * n:(j + 1) * n] = weights[:, None] * block
             assert np.array_equal(system, system.T)
-            d, e = factors._rows[k]
+            d, e = factors.d[k], factors.e[k, :-1]
             lower = np.eye(d.size) + np.diag(e, -1)
             product = lower @ np.diag(d) @ lower.T
             off = np.diag(system, 1)
@@ -660,28 +668,65 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(span_doub
                 assert np.array_equal(e[j * n:j * n + n - 1], ref_e)
 
 
-_STRIDED_SOLVE = """
+@pytest.mark.parametrize("steps", [8, 21], ids=["one-group", "two-groups-and-a-tail"])
+def test_compiled_factors_equal_the_node_major_recurrence_bit_for_bit(steps):
+    """One block with a potential, one without, and two blocks: every pivot and
+    multiplier of the compiled recurrence has the bits of the numpy form,
+    also when the step count leaves a tail of fewer than 8 chains."""
+    grid = Grid1D(L=2.3, N=40)
+    rng = np.random.default_rng(11)
+    theta_dt = 0.007
+    nus = (0.05 + rng.random(steps), 30.0 * (1.0 + rng.random(steps)))
+    q = 40.0 * rng.standard_normal((steps, grid.N + 1))
+    for blocks, potential in (((nus[0],), q), ((nus[1],), None), (nus, None)):
+        factors = _FactorSet(grid, blocks, potential, theta_dt)
+        want_d, want_e = node_major_factors(grid, blocks, potential, theta_dt)
+        assert_same_bits(factors.d, want_d)
+        assert_same_bits(factors.e, want_e)
+
+
+_APPLY_LAYOUTS = """
 import numpy as np
-from evosis.engine import CoupledStepper
+from evosis import spectral
 from evosis.presets import load_preset
-stepper = CoupledStepper(load_preset("example4-b").with_resolution(8, 4))
-rhs = np.ones(36)[::2]
-try:
-    stepper._pred.solve(0, rhs)
-except ValueError as error:
-    print(__debug__, type(error).__name__, np.all(rhs == 1.0))
+op = spectral._phi_operators(load_preset("example4-b").with_resolution(8, 4))(1.5)
+ints = np.arange(27).reshape(9, 3) % 5 + 1
+block = ints.astype(float)
+padded = np.zeros((18, 6))
+padded[::2, ::2] = block
+want = op.apply(block)
+same = lambda got, ref: bool(np.all(got.view(np.uint64) == ref.view(np.uint64)))
+checks = []
+for u in (ints, np.asfortranarray(block), padded[::2, ::2], block[:, 0], padded[::2, 0]):
+    before = u.copy()
+    got = op.apply(u)
+    checks.append(same(got, want if u.ndim == 2 else want[:, 0]) and np.array_equal(u, before)
+                  and not np.shares_memory(got, u))
+field = block[:, 0]
+paths = (np.empty((4, 9)), np.empty((5, 9), dtype=np.float32), np.empty((9, 5)).T, np.empty((5, 9))[::-1],
+         np.empty((5, 3, 9)), np.empty((5, 9)))
+paths[-1].flags.writeable = False
+for path in paths:
+    try:
+        op.apply(field, path)
+        checks.append(False)
+    except ValueError as error:
+        checks.append(str(error).startswith("path must be") and np.array_equal(field, block[:, 0]))
+print(__debug__, *checks)
 """
 
 
-def test_factor_set_solve_refuses_a_strided_rhs_under_python_O():
-    """LAPACK would solve a strided rhs in a copy and leave it unsolved; the
-    check is no assert, so `python -O` keeps it."""
+def test_period_map_apply_takes_any_input_layout_and_checks_its_path_under_python_O():
+    """Integer, F-ordered and strided input give the bits of a C-ordered float
+    block, and u is never written or shared; a path of the wrong shape,
+    dtype, layout or writability raises ValueError before the loop gets a
+    pointer. No check is an assert, so `python -O` keeps them all."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    run = subprocess.run([sys.executable, "-O", "-c", _STRIDED_SOLVE], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-O", "-c", _APPLY_LAYOUTS], capture_output=True, text=True,
                          timeout=120, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "ValueError", "True"]
+    assert run.stdout.split() == ["False"] + ["True"] * 11
 
 
 @pytest.mark.parametrize("stiffness", [1e4, 1e8, 1e12])
@@ -703,20 +748,26 @@ def test_factor_sets_solve_to_relative_accuracy_however_stiff(stiffness):
         factors = _FactorSet(grid, blocks, potential, theta_dt)
         for k in range(steps):
             rhs = factors.w.copy()
-            factors.solve(k, rhs)
+            PttrsFactors(factors).solve(k, rhs)
             exact = 1.0 / (1.0 - theta_dt * levels[k]) if potential is not None else 1.0
             assert np.max(np.abs(rhs / exact - 1.0)) <= 1e-14
 
 
 def test_period_map_rejects_a_system_that_is_not_positive_definite():
     """theta dt q > 1 at one step: the factorization stops there, and the
-    error names the step and the definiteness bound."""
+    error names the step, the first pivot that is not positive in the
+    numpy form of the recurrence, and the definiteness bound."""
     spec = _linear_spec(lambda y, t: 0.0, steps=16)
     q = np.zeros((16, 17))
     q[5] = 3.0 / (0.5 * spec.dt)
+    q[5, :4] = 0.0
     nu = np.full(16, spec.d)
-    with pytest.raises(StepError, match=r"step 5: .*not positive definite.*theta\*dt\*sup q < 1, "
-                                        r"here theta\*dt\*sup q = 3"):
+    d = node_major_factors(spec.grid, (nu,), q, 0.5 * spec.dt)[0]
+    assert np.all(d[:5] > 0.0) and np.all(d[6:] > 0.0)
+    pivot = int(np.argmax(~(d[5] > 0.0))) + 1
+    assert pivot > 1
+    with pytest.raises(StepError, match=rf"step 5: .*not positive definite \(pivot {pivot} of 17\).*"
+                                        r"theta\*dt\*sup q < 1, here theta\*dt\*sup q = 3"):
         PeriodMapOperator(spec.grid, spec.dt, nu, q)
     q[5] = 0.99 / (0.5 * spec.dt)
     PeriodMapOperator(spec.grid, spec.dt, nu, q)
@@ -724,16 +775,15 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
 
 def test_held_factors_fit_their_budgets():
     """At 200x2000 on example4-b the period map holds two tables of M(N+1)
-    doubles and their row views (6.6 MiB). The coupled stepper holds about
-    91.5 B per N*M cell: the four tables of its two factor sets over both
-    blocks (64 B), beta, gamma and minus_loss, which vary in space and time
-    (24 B), and the factor sets' row views (3.5 B); gain and b vary in time
-    only or not at all, and hold one column and one value. The compiled
-    loop reads every table in place, so it adds nothing. The S-only
-    stepper holds about 34.9 B: the four factor tables of the S block
-    (32 B) and their row views. A factor set build,
-    with q on one block or without it on two, needs under 1 MiB of scratch
-    beyond the tables it keeps."""
+    doubles (6.2 MiB). The coupled stepper holds about 88.6 B per N*M cell:
+    the four tables of its two factor sets over both blocks (64 B), and
+    beta, gamma and minus_loss, which vary in space and time (24 B); gain
+    and b vary in time only or not at all, and hold one column and one
+    value. The compiled loop reads every table in place, so it adds
+    nothing. The S-only stepper holds about 32.3 B: the four factor tables
+    of the S block (32 B). A factor set build, with q on one block or
+    without it on two, needs under 1 MiB of scratch beyond the tables it
+    keeps (65 KiB measured: the compiled recurrence runs in place)."""
     config = load_preset("example4-b").with_resolution(200, 2000)
     operator_at = spectral._phi_operators(config)
     held = {}

@@ -616,6 +616,43 @@ def test_compute_r0_matches_the_scalar_oracle_when_rates_are_constant_in_space(n
     assert abs(compute_r0(config).value - oracle) <= 1e-8 * oracle
 
 
+@pytest.mark.parametrize("name, resolution, trials", [("example3-b", (64, 256), 2), ("example3-b", (16, 32), 3),
+                                                     ("example1-fixed", (64, 256), 1)],
+                         ids=["secant-of-two", "secant-of-three", "one-trial-sandwich-slope"])
+def test_compute_r0_error_estimate_is_its_distance_from_the_scalar_oracle(name, resolution, trials):
+    """R0^2 |ln r| / slope, with the secant slope of the last two trials, is the
+    distance from the exact discrete root to a few percent (measured 4.80e-10
+    against 4.80e-10 rel at 64x256, and 2.41e-14 against 2.39e-14 at 16x32).
+    After a single trial it takes the sandwich slope, and both sit at rounding."""
+    config = load_preset(name).with_resolution(*resolution)
+    oracle = scalar_r0(config)
+    result = compute_r0(config)
+    assert result.iterations == trials
+    assert result.error_estimate == pytest.approx(abs(result.value - oracle), rel=0.05, abs=1e-15 * oracle)
+    assert result.error_estimate <= 1e-8 * oracle
+
+
+@pytest.mark.parametrize(("d_I", "beta", "gamma"), [(1e-4, (0.01, 0.5), (0.001, 0.5)),
+                                                   (1e-3, (0.001, 5.0), (0.0001, 5.0))],
+                         ids=["sandwich-slope-twice-too-steep", "sandwich-slope-38-times-too-flat"])
+def test_compute_r0_error_estimate_takes_the_measured_slope_where_beta_varies(d_I, beta, gamma):
+    """On the affine configs of the heterogeneous-beta test the sandwich slope
+    is 1.9 and 0.026 times that of ln r at the root, so an estimate on it
+    would be off by as much; the secant slope is not. The reference root is
+    one Newton step from the result, on the slope of ln r measured across a
+    relative step of 1e-6 in mu (measured 2.033e-11 and 2.977e-10 rel,
+    against estimates of 2.018e-11 and 2.988e-10)."""
+    config = replace(load_preset("example4-b"), d_I=d_I,
+                     beta=CoefficientProfile(form="affine", c0=beta[0], c1=beta[1]),
+                     gamma=CoefficientProfile(form="affine", c0=gamma[0], c1=gamma[1])).with_resolution(32, 64)
+    result = compute_r0(config)
+    operator_at = spectral._phi_operators(config)
+    x0, x1 = 1.0 / result.value, 1.0 / (result.value * (1.0 + 1e-6))
+    f0, f1 = (math.log(spectral._operator_radius(operator_at(1.0 / x))[0]) for x in (x0, x1))
+    root = 1.0 / (x0 - f0 * (x1 - x0) / (f1 - f0))
+    assert result.error_estimate == pytest.approx(abs(result.value - root), rel=0.05)
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_compute_r0_matches_next_generation_operator(name):
     config = load_preset(name).with_resolution(32, 64)

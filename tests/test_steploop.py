@@ -1,4 +1,4 @@
-"""Building and loading the compiled period loop of the coupled stepper (`evosis.steploop`)."""
+"""Building and loading the compiled step loop of the engine (`evosis.steploop`)."""
 
 from __future__ import annotations
 
@@ -47,7 +47,8 @@ def test_a_cold_cache_builds_once_and_a_second_load_starts_no_compiler(tmp_path,
     second = steploop.load(cache, counting)
     assert calls.read_text().splitlines() == ["run"]
     assert first._name == second._name
-    assert callable(second.evosis_steps) and callable(second.evosis_reaction)
+    assert all(callable(getattr(second, name))
+               for name in ("evosis_steps", "evosis_reaction", "evosis_period_map", "evosis_factor"))
 
 
 def test_the_cache_key_follows_the_source_text_and_the_flags(tmp_path, monkeypatch):
@@ -78,23 +79,25 @@ def test_a_failed_build_removes_its_partial_output(tmp_path):
     assert list(cache.iterdir()) == []
 
 
-def test_the_cli_reports_a_missing_compiler_as_a_solver_failure(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", [["simulate", "--periods", "1"], ["r0"]], ids=["simulate", "r0"])
+def test_the_cli_reports_a_missing_compiler_as_a_solver_failure(command, tmp_path, monkeypatch, capsys):
+    """The coupled stepper of `simulate` and the period map of `r0` both need the loop."""
     monkeypatch.setattr(steploop, "CACHE", tmp_path / "cache")
     monkeypatch.setattr(steploop, "COMPILER", str(tmp_path / "no-such-cc"))
     steploop.library.cache_clear()
     try:
-        assert main(["simulate", "--preset", "example4-a", "--grid", "16", "--steps", "32",
-                     "--periods", "1"]) == EXIT_SOLVER
+        assert main([*command, "--preset", "example4-a", "--grid", "16", "--steps", "32"]) == EXIT_SOLVER
     finally:
         steploop.library.cache_clear()
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: cannot build the coupled step loop: no C compiler")
+    assert err.startswith("solver failure: cannot build the compiled step loop: no C compiler")
     assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_importing_the_cli_loads_no_kernel():
-    """numpy itself imports ctypes, so what `import evosis.cli` adds after numpy is checked."""
-    code = ("import sys, numpy\nbefore = set(sys.modules)\nimport evosis.cli\n"
+    """numpy itself imports ctypes, so what `import evosis.cli` and `import evosis.spectral` add after numpy
+    is checked."""
+    code = ("import sys, numpy\nbefore = set(sys.modules)\nimport evosis.cli, evosis.spectral\n"
             "print(sorted(name for name in set(sys.modules) - before\n"
             "             if name.partition('.')[0] in ('ctypes', '_ctypes') or 'steploop' in name))\n"
             "print('evosis.steploop' in sys.modules)\n")

@@ -1,4 +1,4 @@
-"""Independent one-block solves of (I + s A) x = rhs, for checking the engine's factor sets.
+"""Independent solves and factors of the engine's tridiagonal systems, for checking its factor sets.
 
 A is the ghost-node Laplacian of `laplacian_bands` and s one step's scale
 (-theta dt nu). The symmetric form is W(I + s A), with
@@ -9,11 +9,16 @@ order, and `excess_solve` solves with those factors and LAPACK `pttrs` on
 W rhs, as the engine does. `ldlt_solve` forms W(I + s A) straight from the
 unsymmetric bands and factors it with LAPACK `pttrf` instead. `lu_solve` is
 the general LU form with pivoting (`gttrf`/`gttrs`) on the unscaled system,
-and `LuFactors` a drop-in for `_FactorSet` built on it, so a stepper can be
-run on the LU form as a second oracle. `_FactorSet.solve` takes its rhs
-scaled by w, for the W-scaled system it factors, and overwrites it with the
-solution; `LuFactors.solve` divides that scale back out, which is exact,
-and writes into the rhs too.
+and `LuFactors` a drop-in for `PttrsFactors` built on it, so a stepper can be
+run on the LU form as a second oracle. `PttrsFactors` solves with a factor
+set's own d and e tables by LAPACK `pttrs`, not by the compiled loop that
+reads them in the engine: it takes the rhs scaled by w, for the W-scaled
+system the set factors, and overwrites it with the solution;
+`LuFactors.solve` divides that scale back out, which is exact, and writes
+into the rhs too. `node_major_factors` is the numpy form of the factor
+set build, the row-sum excess recurrence run node by node across every
+step and block at once, against which the compiled recurrence is checked
+bit for bit.
 """
 
 from __future__ import annotations
@@ -88,8 +93,44 @@ def lu_solve(grid: Grid1D, scale: float, rhs: np.ndarray) -> np.ndarray:
     return GTTRS(dl, d, du, du2, ipiv, rhs)[0]
 
 
+def node_major_factors(grid: Grid1D, nus: tuple[np.ndarray, ...], q: np.ndarray | None,
+                       theta_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The step-major (d, e) tables of `_FactorSet(grid, nus, q, theta_dt)`, without its definiteness check.
+
+    The row sums are w(1 - theta_dt q) per block, formed as the factor set
+    forms them; then the recurrence of `excess_factors` runs one node at a
+    time on (blocks, steps) arrays of ufunc calls. e is zero at the end of
+    each block.
+    """
+    n, blocks, steps = grid.N + 1, len(nus), nus[0].size
+    weights = row_weights(n)
+    s = np.tile(weights, (steps, blocks)) if q is None else (q * -theta_dt + 1.0) * weights
+    s = s.reshape(steps, blocks, n).transpose(2, 1, 0)  # node-major: (n, blocks, steps)
+    c = np.stack([(theta_dt * nu) * (1.0 / grid.h**2) for nu in nus])
+    minus_c = -c
+    d, e = np.empty_like(s), np.zeros_like(s)
+    t = s[0].copy()
+    with np.errstate(all="ignore"):
+        for i in range(n - 1):
+            d[i] = t + c
+            e[i] = minus_c / d[i]
+            t = s[i + 1] - t * e[i]
+    d[n - 1] = t
+    return tuple(table.transpose(2, 1, 0).reshape(steps, blocks * n) for table in (d, e))
+
+
+class PttrsFactors:
+    """Per-step LAPACK `pttrs` solves with a factor set's d and e tables, with `LuFactors.solve`'s signature."""
+
+    def __init__(self, factors) -> None:
+        self._d, self._e = factors.d, factors.e
+
+    def solve(self, k: int, rhs: np.ndarray) -> None:
+        rhs[...] = PTTRS(self._d[k], self._e[k, :-1], rhs)[0]
+
+
 class LuFactors:
-    """Per-step LU solves of I - theta dt nu_k A on one block, with `_FactorSet.solve`'s signature."""
+    """Per-step LU solves of I - theta dt nu_k A on one block, for a stepper's W-scaled right-hand sides."""
 
     def __init__(self, grid: Grid1D, nu: np.ndarray, theta_dt: float) -> None:
         self._grid = grid

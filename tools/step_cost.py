@@ -9,9 +9,12 @@ times whole periods and divides by the M steps of each:
   (`infected=False`) on 1 and 2 rows, from the disease-free starts;
 - `period_map_1_us`, `period_map_2_us`, `period_map_8_us`: one
   Crank-Nicolson step of the linearized-infection period map on 1, 2 and 8
-  columns (`PeriodMapOperator.apply`), at mu = twice the upper sandwich
-  bound of R0; 2 is the block width that the warm-started root search
-  applies;
+  columns (`PeriodMapOperator.apply`, a compiled loop like the coupled
+  stepper's), at mu = twice the upper sandwich bound of R0; 2 is the block
+  width that the warm-started root search applies;
+- `period_map_path_us`: the same step on one column with a path table
+  that records every time slice, the apply that ends every
+  `compute_r0`;
 - `radius_ms`, `radius_columns`: one cold radius evaluation
   (`spectral._operator_radius` from its cosine start block) at the
   sandwich mean mu = sqrt(lower*upper), the root search's first trial, and
@@ -100,6 +103,8 @@ def _figures(package: str, preset: str, grid: int | None, steps: int | None
     for columns in (1, 2, 8):
         block = spectral._cosines(n, 0, columns) if columns > 1 else np.ones(n)
         runs[f"period_map_{columns}_us"] = (lambda block=block: operator.apply(block), per_step_us)
+    field = np.ones(n)
+    runs["period_map_path_us"] = (lambda: operator.apply(field, np.empty((operator.n_steps + 1, n))), per_step_us)
 
     at_mean = operator_at(math.sqrt(bounds.lower * bounds.upper))
     runs["radius_ms"] = (lambda: spectral._operator_radius(at_mean), 1e3)
