@@ -37,9 +37,10 @@ recurrence. Each loop takes a step's operations in the order of the
 numpy forms that `tests/step_reference.py` keeps and solves as LAPACK
 `pttrs` does, so each state equals those forms' bit for bit. The coupled
 stepper's loop reads the coefficient tables by stride and the factor
-tables in place; `period`, `step` and `reaction` all call it. The period
-map's loop steps the rows of one C-ordered state between two buffers,
-the last step landing in the array returned.
+tables in place, and `CoupledStepper.period` is its one caller, as
+`PeriodMapOperator.apply` is of the period map's loop. That loop steps
+the rows of one C-ordered state between two buffers, the last step
+landing in the array returned.
 
 All share one solve. Each per-step system (I - theta B) x = rhs, with
 B = dt (nu A + diag q), is solved in its row-scaled form
@@ -93,7 +94,6 @@ _ERR_NOT_DEFINITE = (
 _ERR_PERIODS = "periods: must be at least 1, got {periods}"
 _ERR_STATE = "state of shape {shape}: the stepper takes {want}"
 _ERR_PATH = "path must be a C-contiguous, writable float64 array of shape {shape}"
-_ERR_LEVEL = "time level {k} is outside 0..{last}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,9 +284,11 @@ class CoupledStepper:
     Adding (-loss) I rounds as subtracting loss I does. Both right-hand
     sides, r dt + u and (r1 + r) dt/2 + u + u, are formed scaled by w, term
     by term: scaling by powers of two is exact, so each rounds as the
-    unscaled sum does. A step never writes its input; a non-finite state
-    raises `StepError` naming the step, and tiny negatives are clamped to
-    zero and counted in clamp_count.
+    unscaled sum does. `period` is the one way to step: it crosses the
+    whole period from t_0 in the compiled loop, and its path receives
+    every step's state. A non-finite state raises `StepError` naming the
+    step, and tiny negatives are clamped to zero and counted in
+    clamp_count.
 
     Coefficients are periodic, so all tables and factors are built once
     and reused every period; the a table itself is not kept. The stepper
@@ -295,7 +297,9 @@ class CoupledStepper:
     loss are combined at that shape, and dil is one value on the
     constant-one rate, where it is zero), so only the factor tables are
     always full. The compiled loop (`steploop.c`) reads every table in
-    place, by its strides, so none is copied.
+    place, by its strides, so none is copied; the stepper holds each one
+    once for its lifetime, in an attribute of its own or, for the factor
+    tables, of its two factor sets.
 
     With infected=False the stepper is the I = 0 invariant subsystem, the
     disease-free flow: it holds only the gain and b tables and the S-block
@@ -342,9 +346,7 @@ class CoupledStepper:
         # right-hand side scales of one solve, one w per block: w, dt w and dt/2 w
         self._scales = np.stack([scale * self._pred.w for scale in (1.0, self.dt, self._half)])
         self._library = library()
-        # the loop reads these by address, so the stepper holds them for its lifetime
         factors = (self._pred.d, self._pred.e, self._corr.d, self._corr.e)
-        self._held = (*tables.values(), *factors, self._scales)
         self._kernel = Stepper(
             n=n, system=self._scales.shape[1], infected=infected, guard=DENOMINATOR_GUARD,
             **{name: Table(table.ctypes.data, *(stride // table.itemsize for stride in table.strides))
@@ -368,51 +370,22 @@ class CoupledStepper:
             raise ValueError(_ERR_STATE.format(shape=u.shape, want=f"({n},) or (rows, {n})"))
         return u, 1 if u.ndim == 1 else u.shape[0]
 
-    def _check_level(self, k: int, last: int) -> None:
-        if not 0 <= k <= last:
-            raise IndexError(_ERR_LEVEL.format(k=k, last=last))
-
-    def _steps(self, u: FloatArray, k0: int, steps: int, path: FloatArray | None) -> FloatArray:
-        """The state u stepped from t_{k0} across `steps` steps, into a fresh array, by the compiled loop.
-
-        path, when given, receives the steps + 1 time slices. A step whose
-        state is not finite raises StepError; the clamps of the steps
-        before it are counted.
-        """
-        u, rows = self._state(u)
-        _check_path(path, (steps + 1,) + u.shape)
-        out, work = np.empty_like(u), np.empty(4 * u.size)
-        taken = self._library.evosis_steps(self._kernel, rows, k0, steps, u.ctypes.data, out.ctypes.data,
-                                           None if path is None else path.ctypes.data, work.ctypes.data)
-        if taken < steps:
-            k = k0 + taken
-            raise StepError(_ERR_NONFINITE_STEP.format(index=k, t=self.times[k + 1]))
-        return out
-
-    def reaction(self, u: FloatArray, k: int) -> FloatArray:
-        """Reaction terms of the state u at t_k: [R_S; R_I], or R_S of every row without I.
-
-        The terms are written into one fresh array; u is never written.
-        """
-        self._check_level(k, self.n_steps)
-        u, rows = self._state(u)
-        r = np.empty_like(u)
-        self._library.evosis_reaction(self._kernel, rows, k, u.ctypes.data, r.ctypes.data)
-        return r
-
-    def step(self, u: FloatArray, k: int) -> FloatArray:
-        """One IMEX step of the state from t_k to t_{k+1}, into a fresh array; never writes u."""
-        self._check_level(k, self.n_steps - 1)
-        return self._steps(u, k, 1, None)
-
     def period(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
-        """Steps the state across one whole period; never writes u.
+        """Steps the state across one whole period into a fresh array, by the compiled loop; never writes u.
 
-        The array returned is fresh, and the stepper keeps no reference to
-        it. path, a C-contiguous float64 table of (M+1) rows of u's shape,
-        receives every time slice of the state.
+        The stepper keeps no reference to the array returned. path, a
+        C-contiguous float64 table of (M+1) rows of u's shape, receives
+        every time slice of the state. A step whose state is not finite
+        raises StepError; the clamps of the steps before it are counted.
         """
-        return self._steps(u, 0, self.n_steps, path)
+        u, rows = self._state(u)
+        _check_path(path, (self.n_steps + 1,) + u.shape)
+        out, work = np.empty_like(u), np.empty(4 * u.size)
+        taken = self._library.evosis_steps(self._kernel, rows, self.n_steps, u.ctypes.data, out.ctypes.data,
+                                           None if path is None else path.ctypes.data, work.ctypes.data)
+        if taken < self.n_steps:
+            raise StepError(_ERR_NONFINITE_STEP.format(index=taken, t=self.times[taken + 1]))
+        return out
 
 
 def trapezoid_weights(grid: Grid1D) -> FloatArray:

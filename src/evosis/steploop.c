@@ -42,7 +42,7 @@ struct stepper {
 };
 
 /* The reaction terms of `rows` fields of u at t_k, into r. */
-void evosis_reaction(const struct stepper *s, long rows, long k, const double *u, double *r)
+static void reaction(const struct stepper *s, long rows, long k, const double *u, double *r)
 {
     const long n = s->n;
     const double *b = s->b.values + k * s->b.level, *gain = s->gain.values + k * s->gain.level;
@@ -84,14 +84,14 @@ static int step(struct stepper *s, long rows, long k, const double *u, double *x
                 double *rhs)
 {
     const long m = s->system, size = rows * m;
-    evosis_reaction(s, rows, k, u, r);
+    reaction(s, rows, k, u, r);
     for (long i = 0; i < size; i += m)
         for (long j = 0; j < m; j++) {
             uw[i + j] = u[i + j] * s->w[j];
             rhs[i + j] = r[i + j] * s->dt_w[j] + uw[i + j];
         }
     solve(s->pred_d + k * m, s->pred_e + k * m, m, rows, rhs);
-    evosis_reaction(s, rows, k + 1, rhs, x);
+    reaction(s, rows, k + 1, rhs, x);
     for (long i = 0; i < size; i += m)
         for (long j = 0; j < m; j++)
             x[i + j] = (((x[i + j] + r[i + j]) * s->half_w[j]) + uw[i + j]) + uw[i + j];
@@ -113,10 +113,10 @@ static int step(struct stepper *s, long rows, long k, const double *u, double *x
     return 1;
 }
 
-/* Steps `rows` fields of u from t_{k0} across `steps` steps into out, never writing u.
+/* Steps `rows` fields of u across `steps` steps from t_0, the start of the period, into out, never writing u.
  * work holds 4 states; path, when not NULL, receives steps + 1 time slices.
  * Returns the number of steps taken: fewer than `steps` when the next one was not finite. */
-long evosis_steps(struct stepper *s, long rows, long k0, long steps, const double *u, double *out, double *path,
+long evosis_steps(struct stepper *s, long rows, long steps, const double *u, double *out, double *path,
                   double *work)
 {
     const long size = rows * s->system;
@@ -126,7 +126,7 @@ long evosis_steps(struct stepper *s, long rows, long k0, long steps, const doubl
         memcpy(path, u, (size_t)size * sizeof(double));
     for (long i = 0; i < steps; i++) {
         double *dst = (steps - 1 - i) % 2 == 0 ? out : spare;  /* the last step lands in out */
-        if (!step(s, rows, k0 + i, src, dst, r, uw, rhs))
+        if (!step(s, rows, i, src, dst, r, uw, rhs))
             return i;
         if (path)
             memcpy(path + (i + 1) * size, dst, (size_t)size * sizeof(double));

@@ -1,8 +1,10 @@
 """The compiled time-stepping core of the engine, built from `steploop.c` at first use.
 
-It holds the period loop of the coupled stepper, the period map's
-Crank-Nicolson loop and the factor recurrence of their tridiagonal
-systems.
+It exports three functions, and `load` declares the argument types of
+each: `evosis_steps`, the period loop of the coupled stepper;
+`evosis_period_map`, the period map's Crank-Nicolson loop; and
+`evosis_factor`, the factor recurrence of their tridiagonal systems.
+Everything else in the source is `static`.
 
 `library()` compiles the C source with the system compiler `cc` and the
 fixed FLAGS into the package's `__pycache__` directory, where Python keeps
@@ -109,10 +111,8 @@ def load(cache: Path, compiler: str) -> ctypes.CDLL:
     except OSError as exc:
         raise KernelBuildError(_ERR_LOAD.format(path=path, reason=exc)) from exc
     stepper, index, pointer = ctypes.POINTER(Stepper), ctypes.c_long, ctypes.c_void_p
-    lib.evosis_steps.argtypes = [stepper, index, index, index, pointer, pointer, pointer, pointer]
+    lib.evosis_steps.argtypes = [stepper, index, index, pointer, pointer, pointer, pointer]
     lib.evosis_steps.restype = ctypes.c_long
-    lib.evosis_reaction.argtypes = [stepper, index, index, pointer, pointer]
-    lib.evosis_reaction.restype = None
     lib.evosis_period_map.argtypes = [pointer, pointer, pointer, index, index, index, pointer, pointer, pointer,
                                       pointer]
     lib.evosis_period_map.restype = None

@@ -93,9 +93,11 @@ def test_large_diffusivity_target_equals_the_full_table_value():
     assert limit_target(config, "large-diffusivity") == expected
 
 
-def test_limit_target_rejects_unknown_kind(designed_config):
-    with pytest.raises(ValueError, match="unknown limit kind"):
-        limit_target(designed_config(), "huge-period")
+@pytest.mark.parametrize("check", [limit_target, lambda config, kind: verify_limit(config, kind, (0.1, 0.05))],
+                         ids=["limit_target", "verify_limit"])
+def test_limit_target_rejects_unknown_kind(designed_config, check):
+    with pytest.raises(ValueError, match="unknown limit kind 'huge-period'"):
+        check(designed_config(), "huge-period")
 
 
 def test_limit_target_needs_finite_far_field():

@@ -294,6 +294,15 @@ def test_sweep_budget_error_names_the_first_unsettled_start(monkeypatch, budget,
         solve_dfe(config)
 
 
+def test_solve_dfe_raises_when_the_two_starts_settle_apart(monkeypatch):
+    """With no room left between them, the two fixed points, which settle to within DEFAULT_TOL but not to the bit,
+    are too far apart."""
+    monkeypatch.setattr(dfe, "TWO_SIDED_FACTOR", 0.0)
+    with pytest.raises(ConvergenceError, match=r"upper and lower iterations settled \S+ apart, beyond 0\.000e\+00; "
+                                               r"the orbit bracket did not close"):
+        solve_dfe(load_preset("example4-b").with_resolution(16, 64))
+
+
 def test_dfe_stepper_holds_about_half_the_coupled_stepper_memory():
     """No I factors or beta/gamma tables: the S-only form holds 0.38x the coupled form's bytes at 200x2000."""
     config = load_preset("example4-b").with_resolution(200, 2000)

@@ -96,6 +96,9 @@ def test_exp_cosine_rejects_incommensurate_frequency():
 
 def test_unknown_kind_and_mode_are_reported():
     assert "kind" in EvolutionRate(kind="sawtooth", period=1.0).validate()[0]
+    for period in (0.0, -1.0, math.inf):
+        assert EvolutionRate(kind="constant-one", period=period).validate() == [
+            f"rho.period: must be positive, got {period!r}"]
 
 
 def test_tabulated_rate_reproduces_exp_cosine():
@@ -160,6 +163,7 @@ def test_profile_z_limit():
     assert CoefficientProfile(form="affine", c0=1.0, c1=0.0).z_limit() == 1.0
     assert CoefficientProfile(form="exponential", c0=0.4, c1=-0.15, c2=-0.5).z_limit() == 0.4
     assert CoefficientProfile(form="exponential", c0=0.4, c1=0.15, c2=0.5).z_limit() is None
+    assert CoefficientProfile(form="separable", space=_constant(2.0)).z_limit() is None
 
 
 def test_profile_time_offset_series():
@@ -182,6 +186,9 @@ def test_profile_validation_messages():
     bad_harmonic = CoefficientProfile(form="separable", space=_constant(1.0),
                                       g_harmonics=((0, 1.0, 0.0),))
     assert any("g_harmonics" in m for m in bad_harmonic.validate("gamma"))
+    for name in ("c0", "c1", "c2", "g_mean"):
+        profile = replace(CoefficientProfile(form="separable", space=_constant(1.0)), **{name: math.nan})
+        assert profile.validate("beta") == [f"beta.{name}: value must be finite, got nan"]
 
 
 def test_evaluate_coefficient_composes_with_material_coordinate():
@@ -313,16 +320,31 @@ def test_validate_config_rejects_bad_dimension():
 
 
 def test_validate_config_rejects_sign_changing_coefficient():
+    """Also a coefficient whose finite parameters evaluate past the float range."""
     gamma = CoefficientProfile(form="affine", c0=0.1, c1=-1.0)
     with pytest.raises(ConfigurationError) as excinfo:
         validate_config(_valid_config(gamma=gamma))
     assert any(message.startswith("gamma") for message in excinfo.value.errors)
+    beta = CoefficientProfile(form="exponential", c0=1.0, c1=1.0, c2=1000.0)
+    with pytest.raises(ConfigurationError) as excinfo, np.errstate(over="ignore"):
+        validate_config(_valid_config(beta=beta))
+    assert excinfo.value.errors == ["beta: evaluation produced non-finite values"]
 
 
 def test_validate_config_rejects_zero_infected_start():
+    """Also initial data that are not finite, an S start that is not positive and a negative I start."""
     with pytest.raises(ConfigurationError) as excinfo:
         validate_config(_valid_config(initial_I=InitialSpec(mean=0.0)))
     assert any("identically zero" in message for message in excinfo.value.errors)
+    for overrides, message in (({"initial_S": InitialSpec(mean=math.inf)}, "initial_S: values must be finite"),
+                               ({"initial_I": InitialSpec(mean=math.nan)}, "initial_I: values must be finite"),
+                               ({"initial_S": InitialSpec(mean=0.3, modes=((1, 0.4),))},
+                                "initial_S: must be positive everywhere, minimum -0.1"),
+                               ({"initial_I": InitialSpec(mean=0.1, modes=((2, 0.2),))},
+                                "initial_I: must be nonnegative, minimum -0.1")):
+        with pytest.raises(ConfigurationError) as excinfo:
+            validate_config(_valid_config(**overrides))
+        assert excinfo.value.errors == [message]
 
 
 def test_validate_config_rejects_wrong_sample_count():

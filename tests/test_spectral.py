@@ -13,6 +13,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from evosis import spectral
+from evosis.cli import EXIT_SOLVER, main
 from evosis.engine import LinearEquationSpec, PeriodMapOperator
 from evosis.errors import ConvergenceError, NotApplicableError, StepError
 from evosis.model import (
@@ -366,6 +367,30 @@ def test_compute_r0_raises_when_widened_bracket_misses_root(monkeypatch, scale):
     monkeypatch.setattr(spectral, "r0_bounds", shifted)
     with pytest.raises(ConvergenceError, match="not bracketed"):
         compute_r0(load_preset("example4-b").with_resolution(16, 32))
+
+
+def test_compute_r0_raises_when_the_root_search_stalls(monkeypatch, capsys):
+    """A radius that jumps from 2 to 1/2 at 1.01 times the sandwich mean never
+    comes within DEFECT_TOL of 1: the search closes in on the jump for its 80
+    trials and then stops, naming the defect of the last one. `evosis r0`
+    reports the same as a solver failure."""
+    config = load_preset("example4-b").with_resolution(16, 32)
+    bounds = spectral.r0_bounds(config)
+    jump = 1.01 * math.sqrt(bounds.lower * bounds.upper)
+    trials: list[float] = []
+
+    def radius(mu, block=None):
+        trials.append(mu)
+        return (2.0 if mu < jump else 0.5), None, None
+
+    monkeypatch.setattr(spectral, "_phi_operators", lambda config: lambda mu: mu)  # each trial's "map" is its mu
+    monkeypatch.setattr(spectral, "_operator_radius", radius)
+    with pytest.raises(ConvergenceError, match=r"unit-radius search stalled with defect (1\.000e\+00|5\.000e-01)"):
+        compute_r0(config)
+    assert len(trials) == 80
+    assert trials[-1] == pytest.approx(jump, rel=1e-12)
+    assert main(["r0", "--preset", "example4-b", "--grid", "16", "--steps", "32"]) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("solver failure: unit-radius search stalled")
 
 
 def _counted_radius_evaluations(monkeypatch) -> list[PeriodMapOperator]:

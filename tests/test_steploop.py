@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from evosis.cli import EXIT_SOLVER, main
 from evosis.errors import KernelBuildError
 
 ROOT = Path(__file__).resolve().parents[1]
+EXPORTS = ("evosis_steps", "evosis_period_map", "evosis_factor")
 
 
 def _script(path: Path, body: str) -> str:
@@ -47,8 +49,21 @@ def test_a_cold_cache_builds_once_and_a_second_load_starts_no_compiler(tmp_path,
     second = steploop.load(cache, counting)
     assert calls.read_text().splitlines() == ["run"]
     assert first._name == second._name
-    assert all(callable(getattr(second, name))
-               for name in ("evosis_steps", "evosis_reaction", "evosis_period_map", "evosis_factor"))
+    assert all(callable(getattr(second, name)) for name in EXPORTS)
+    assert not hasattr(second, "evosis_reaction")
+
+
+def test_the_exported_functions_are_exactly_those_whose_signatures_load_declares(tmp_path, cc):
+    """A function that steploop.c defines without `static` and that `load` does not
+    declare would get ctypes' int-sized argument defaults; one that `load` declares
+    without an export fails at load. Comments are dropped before the scan."""
+    code = re.sub(r"/\*.*?\*/", "", steploop.SOURCE.read_text(encoding="utf-8"), flags=re.S)
+    definitions = re.findall(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\([^)]*\)\s*\{", code, flags=re.M)
+    assert {name for _, name in definitions} >= {"reaction", "solve", "step", "factor_chains", *EXPORTS}
+    exported = {name for head, name in definitions if "static" not in head.split()}
+    lib = steploop.load(tmp_path / "cache", cc)
+    declared = {name for name, value in vars(lib).items() if isinstance(value, lib._FuncPtr) and value.argtypes}
+    assert exported == declared == set(EXPORTS)
 
 
 def test_the_cache_key_follows_the_source_text_and_the_flags(tmp_path, monkeypatch):
@@ -69,6 +84,24 @@ def test_a_missing_compiler_is_a_named_error_and_leaves_no_file(tmp_path):
     assert list(cache.iterdir()) == []
 
 
+def test_a_cache_that_cannot_be_made_is_a_named_error(tmp_path, cc):
+    """The cache directory would sit under a regular file, so it cannot be created."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    with pytest.raises(KernelBuildError, match="cannot build the compiled step loop in .*file/cache"):
+        steploop.load(blocker / "cache", cc)
+
+
+def test_junk_at_the_cached_library_name_is_a_named_error(tmp_path, cc):
+    """A file at the library's cache name is taken as built; when it is no library, loading it fails by name."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    target = steploop.library_path(steploop.SOURCE.read_bytes(), cache)
+    target.write_bytes(b"not a shared library")
+    with pytest.raises(KernelBuildError, match="cannot load the compiled step loop .*" + re.escape(target.name)):
+        steploop.load(cache, cc)
+
+
 def test_a_failed_build_removes_its_partial_output(tmp_path):
     """A compiler that writes part of its output and then fails: the error names its status, and no file stays."""
     failing = _script(tmp_path / "cc", 'while [ $# -gt 0 ]; do\n  if [ "$1" = -o ]; then echo partial > "$2"; fi\n'
@@ -79,19 +112,36 @@ def test_a_failed_build_removes_its_partial_output(tmp_path):
     assert list(cache.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["simulate", "--periods", "1"], ["r0"]], ids=["simulate", "r0"])
-def test_the_cli_reports_a_missing_compiler_as_a_solver_failure(command, tmp_path, monkeypatch, capsys):
-    """The coupled stepper of `simulate` and the period map of `r0` both need the loop."""
-    monkeypatch.setattr(steploop, "CACHE", tmp_path / "cache")
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """An empty cache and a compiler that does not exist; the process's loaded library is set aside meanwhile."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(steploop, "CACHE", cache)
     monkeypatch.setattr(steploop, "COMPILER", str(tmp_path / "no-such-cc"))
     steploop.library.cache_clear()
-    try:
-        assert main([*command, "--preset", "example4-a", "--grid", "16", "--steps", "32"]) == EXIT_SOLVER
-    finally:
-        steploop.library.cache_clear()
+    yield cache
+    steploop.library.cache_clear()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--periods", "1"], ["r0"], ["dfe"],
+                                     ["sweep", "--param", "d_I", "--values", "0.05,0.1"],
+                                     ["limits", "--kind", "small-diffusivity", "--values", "0.1,0.05"]],
+                         ids=["simulate", "r0", "dfe", "sweep", "limits"])
+def test_the_cli_reports_a_missing_compiler_as_a_solver_failure(command, no_compiler, capsys):
+    """The coupled stepper of `simulate` and `dfe` and the period map of `r0`, `sweep` and `limits` need the loop."""
+    assert main([*command, "--preset", "example4-a", "--grid", "16", "--steps", "32"]) == EXIT_SOLVER
     err = capsys.readouterr().err
     assert err.startswith("solver failure: cannot build the compiled step loop: no C compiler")
-    assert list((tmp_path / "cache").iterdir()) == []
+    assert list(no_compiler.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["bounds", "--preset", "example4-b"], ["reproduce"]], ids=["bounds", "reproduce"])
+def test_the_quadrature_commands_run_without_a_compiler(command, no_compiler, capsys):
+    """`bounds` and `reproduce` are quadratures only: they need no compiled loop, and build none."""
+    assert main(command) == 0
+    assert capsys.readouterr().err == ""
+    assert list(no_compiler.iterdir()) == []
 
 
 def test_importing_the_cli_loads_no_kernel():
