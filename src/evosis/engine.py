@@ -19,8 +19,12 @@ a trapezoidal corrector, giving second order in time. It advances the
 stacked state u = [S; I] of length 2(N+1) as one tridiagonal system: the
 S and I blocks sit side by side and their off-diagonal is zero at the
 seam between them, so the factorization never eliminates across it and
-one solve gives the two per-species solves bit for bit. (An infinity does
-cross the seam, as NaN from 0 * inf; the step rejects both.) The reaction
+one solve gives the two per-species solves bit for bit. The compiled
+solve runs the two blocks as a pair of chains, side by side, each in the
+`dptts2` order; where a seam node is zero it takes the stacked order,
+since a seam term x * 0 can flip a zero's sign. (An infinity in one block
+crosses the seam only in the stacked order, as NaN from 0 * inf; the step
+rejects both.) The reaction
 is fused: the dilution n rho'/rho is folded once into precombined tables,
 the linear rate a - dil of S and the linear loss gamma + dil of I.
 
@@ -55,7 +59,8 @@ with additions and multiplications of positive numbers only (while
 theta dt q < 1), so the factors stay accurate to rounding however
 strongly diffusion dominates. Each solve is then one in-place
 forward and back substitution in the order of LAPACK's `dptts2`, on the
-rhs scaled by w, which the factor set keeps. The
+rhs scaled by w, which the factor set keeps; independent right-hand
+sides are solved two at a time. The
 factors need positive definiteness. Since -WA is positive semidefinite,
 W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers

@@ -500,7 +500,8 @@ def validate_config(config: ModelConfig) -> ModelConfig:
     y_probe = np.linspace(0.0, config.L, 65)
     t_probe = np.linspace(0.0, config.T, 65)
     for name in ("a", "b", "beta", "gamma"):
-        table = coefficient_table(getattr(config, name), config.rho, y_probe, t_probe)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or NaN below
+            table = coefficient_table(getattr(config, name), config.rho, y_probe, t_probe)
         if not np.all(np.isfinite(table)):
             errors.append(f"{name}: evaluation produced non-finite values")
         elif np.min(table) <= 0.0:

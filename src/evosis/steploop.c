@@ -15,10 +15,14 @@
  *
  * The S-only form (infected == 0) steps `rows` independent S fields with
  * R_S = (gain - b S) S. A period-map step is x = u (2w), solved in place,
- * less u. The solves follow LAPACK dptts2 over the whole system, seam
- * included, so an infinity crosses the seam as NaN (0 * inf) just as it
- * does in pttrs. Built with -ffp-contract=off and without fast-math, so no
- * product is fused into a sum.
+ * less u. The solves are LAPACK pttrs: each dependent chain keeps the
+ * dptts2 order, and independent chains run in pairs in one loop, so that
+ * their latencies overlap: the S and I blocks of a coupled step, and two
+ * S-only rows or two period-map columns at a time. The seam multiplier
+ * between S and I is zero, so the pair gives the stacked system's values;
+ * where a seam node is zero, whose sign a seam term can flip, the coupled
+ * solve keeps the stacked order (see solve_blocks). Built with
+ * -ffp-contract=off and without fast-math, so no product is fused into a sum.
  */
 
 #include <math.h>
@@ -67,16 +71,87 @@ static void reaction(const struct stepper *s, long rows, long k, const double *u
     }
 }
 
-/* pttrs (dptts2 order) on `rows` contiguous right-hand sides of length m, in place. */
+/* The two sweeps of pttrs in LAPACK dptts2 order, on one right-hand side x of length m, in place. */
+static void forward(const double *e, long m, double *x)
+{
+    for (long i = 1; i < m; i++)
+        x[i] = x[i] - x[i - 1] * e[i - 1];
+}
+
+static void back(const double *d, const double *e, long m, double *x)
+{
+    x[m - 1] = x[m - 1] / d[m - 1];
+    for (long i = m - 2; i >= 0; i--)
+        x[i] = x[i] / d[i] - x[i + 1] * e[i];
+}
+
+/* The same sweeps on two independent right-hand sides x and y of length m, each with its own factors,
+ * in one loop: each chain's running value stays in a local, so the two latency chains overlap, and
+ * each takes the operations of `forward` and `back` in their order. */
+static void forward_pair(const double *restrict ex, const double *restrict ey, long m, double *restrict x,
+                         double *restrict y)
+{
+    double a = x[0], b = y[0];
+    for (long i = 1; i < m; i++) {
+        a = x[i] - a * ex[i - 1];
+        b = y[i] - b * ey[i - 1];
+        x[i] = a;
+        y[i] = b;
+    }
+}
+
+static void back_pair(const double *restrict dx, const double *restrict ex, const double *restrict dy,
+                      const double *restrict ey, long m, double *restrict x, double *restrict y)
+{
+    double a = x[m - 1] / dx[m - 1], b = y[m - 1] / dy[m - 1];
+    x[m - 1] = a;
+    y[m - 1] = b;
+    for (long i = m - 2; i >= 0; i--) {
+        a = x[i] / dx[i] - a * ex[i];
+        b = y[i] / dy[i] - b * ey[i];
+        x[i] = a;
+        y[i] = b;
+    }
+}
+
+/* pttrs on `rows` contiguous right-hand sides of length m, in place: two at a time, an odd last one alone. */
 static void solve(const double *d, const double *e, long m, long rows, double *x)
 {
-    for (long row = 0; row < rows; row++, x += m) {
-        for (long i = 1; i < m; i++)
-            x[i] = x[i] - x[i - 1] * e[i - 1];
-        x[m - 1] = x[m - 1] / d[m - 1];
-        for (long i = m - 2; i >= 0; i--)
-            x[i] = x[i] / d[i] - x[i + 1] * e[i];
+    for (; rows >= 2; rows -= 2, x += 2 * m) {
+        forward_pair(e, e, m, x, x + m);
+        back_pair(d, e, d, e, m, x, x + m);
     }
+    if (rows) {
+        forward(e, m, x);
+        back(d, e, m, x);
+    }
+}
+
+/* pttrs on the stacked [S; I] system of two blocks of n nodes (one coupled state), in place. The seam
+ * multiplier e[n-1] is zero, so each seam term, x[n] - x[n-1] * 0 and x[n-1] / d[n-1] - x[n] * 0, leaves
+ * its value as it is, with two exceptions: a zero, whose sign it can flip, and a block that is not
+ * finite, which it carries into the other as NaN (0 * inf); then the step fails at the same index either
+ * way. So the blocks are solved as a pair, and a sweep in the stacked order where its seam value is zero:
+ * x[n] before the forward sweep, x[n-1] / d[n-1] before the back sweep. */
+static void solve_blocks(const double *d, const double *e, long n, double *x)
+{
+    if (x[n] == 0.0)
+        forward(e, 2 * n, x);
+    else
+        forward_pair(e, e + n, n, x, x + n);
+    if (x[n - 1] / d[n - 1] == 0.0)
+        back(d, e, 2 * n, x);
+    else
+        back_pair(d, e, d + n, e + n, n, x, x + n);
+}
+
+/* A step's solve with its factors d, e, in place: the [S; I] blocks of a coupled state, or `rows` S fields. */
+static void solve_state(const struct stepper *s, const double *d, const double *e, long rows, double *x)
+{
+    if (s->infected)
+        solve_blocks(d, e, s->n, x);
+    else
+        solve(d, e, s->system, rows, x);
 }
 
 /* One step from t_k to t_{k+1}; 0 when the new state is not finite. r, uw, rhs are scratch. */
@@ -90,12 +165,12 @@ static int step(struct stepper *s, long rows, long k, const double *u, double *x
             uw[i + j] = u[i + j] * s->w[j];
             rhs[i + j] = r[i + j] * s->dt_w[j] + uw[i + j];
         }
-    solve(s->pred_d + k * m, s->pred_e + k * m, m, rows, rhs);
+    solve_state(s, s->pred_d + k * m, s->pred_e + k * m, rows, rhs);
     reaction(s, rows, k + 1, rhs, x);
     for (long i = 0; i < size; i += m)
         for (long j = 0; j < m; j++)
             x[i + j] = (((x[i + j] + r[i + j]) * s->half_w[j]) + uw[i + j]) + uw[i + j];
-    solve(s->corr_d + k * m, s->corr_e + k * m, m, rows, x);
+    solve_state(s, s->corr_d + k * m, s->corr_e + k * m, rows, x);
     int outside = 0;
     for (long i = 0; i < size; i++) {
         x[i] = x[i] - u[i];

@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from evosis.cli import _parse_values, main
 from evosis.errors import ConfigurationError, ConvergenceError, StepError
 from evosis.model import CoefficientProfile, EvolutionRate, config_to_dict
 from evosis.presets import load_preset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read(path):
@@ -326,6 +332,25 @@ def test_invalid_field_reports_its_path(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"config error: {path}:" in captured.err
         assert captured.out == ""
+
+
+def test_a_coefficient_that_overflows_is_a_config_error_alone_on_stderr(tmp_path):
+    """beta = 1 + exp(1000 z) on example4-b overflows the float range. A fresh
+    interpreter, with Python's default warning filters, writes the config
+    error line to stderr and nothing before it: numpy's overflow warning is
+    not shown."""
+    doc = config_to_dict(load_preset("example4-b"))
+    doc["beta"] = {"form": "exponential", "c0": 1, "c1": 1, "c2": 1000}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run([sys.executable, "-c", "import sys; from evosis.cli import main; sys.exit(main())",
+                          "r0", "--config", str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "config error: beta: evaluation produced non-finite values\n"
 
 
 def test_solver_failure_exits_with_solver_code(monkeypatch, capsys):

@@ -360,19 +360,23 @@ def test_coupled_step_raises_on_one_nonfinite_entry(node, value):
 
 def test_coupled_step_raises_on_positive_infinity_alone():
     """A +inf with no NaN and no negative beside it passes the min half of the
-    step's guard, so only the max half can catch it. Through the solves an
-    infinity always reaches the other half as NaN (0 * inf at the seam), so
-    the compiled loop runs on doctored corrector factor rows: a zero pivot at
-    I node 5 of step 3 makes that node +inf, and a nonzero seam multiplier
-    carries it back into S as +inf, not NaN. The three steps before it
-    are taken, and the error names step 3."""
+    step's guard, so only the max half can catch it. The compiled loop runs on
+    a doctored corrector factor row: a zero pivot at I node 5 of step 3 makes
+    that node +inf, and the back sweep carries it down the I block to node 0
+    as +inf. S and I are solved as a pair, each block alone, so the zero seam
+    multiplier, read only where a seam node is zero, never turns it into NaN
+    in S (the stacked order would: 0 * inf). The three steps before it are
+    taken, and the error names step 3."""
     stepper = CoupledStepper(_homogeneous_config())
     d, e = stepper._corr.d[3], stepper._corr.e[3]
-    assert e[16] == 0.0 and e[15] < 0.0
-    d[17 + 5], e[16] = 0.0, e[15]
+    assert e[16] == 0.0
+    d[17 + 5] = 0.0
     with np.errstate(all="ignore"):
-        probe = PTTRS(d, e[:-1], np.full(34, 0.3))[0]
-    assert np.all(np.isposinf(probe[:17 + 6])) and np.all(np.isfinite(probe[17 + 6:]))
+        probe = np.concatenate([PTTRS(d[block], e[block][:-1], np.full(17, 0.3))[0]
+                                for block in (slice(0, 17), slice(17, 34))])
+        stacked = PTTRS(d, e[:-1], np.full(34, 0.3))[0]
+    assert np.all(np.isposinf(probe[17:17 + 6])) and np.all(np.isfinite(np.delete(probe, range(17, 17 + 6))))
+    assert np.all(np.isnan(stacked[:17]))
     with pytest.raises(StepError, match=r"after step 3 "):
         stepper.period(np.full(34, 0.3))
 
@@ -483,17 +487,59 @@ def test_period_equals_the_frozen_step_arithmetic_through_the_guard_and_the_clam
         assert stepper.clamp_count > 0
 
 
-@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("zeros", [17, 6], ids=["I-zero", "I-zero-at-the-left-end"])
+def test_period_equals_the_frozen_step_arithmetic_with_a_zero_at_the_seam(zeros):
+    """I = 0 at the seam node, its first: there the predictor's right-hand side
+    is zero, so the compiled solve takes the stacked order across the seam. With
+    I zero on the left end only, diffusion lifts I at node 0 off zero after the
+    first solve, and later steps solve S and I as a pair; with I = 0 throughout,
+    every solve of the period takes the stacked order."""
+    config = load_preset("example1-evolving").with_resolution(16, 32)
+    stepper = CoupledStepper(config)
+    reference = ReferenceStepper(config, stepper)
+    nodes = config.grid.nodes
+    I = config.initial_I.evaluate(nodes, config.L)
+    I[:zeros] = 0.0
+    u = np.concatenate((config.initial_S.evaluate(nodes, config.L), I))
+    rhs = reference.reaction(u, 0) * (stepper.dt * reference.w) + u * reference.w
+    assert rhs[17] == 0.0
+    path = _assert_periods_match_reference(stepper, reference, u)
+    if zeros == 17:
+        assert np.all(path[:, 17:] == 0.0)
+    else:
+        assert np.all(path[1:, 17] > 0.0)
+
+
+def test_period_equals_the_frozen_step_arithmetic_where_the_last_s_node_solves_to_zero():
+    """Doctored factor rows cut the last S node and the last I node off their
+    blocks (a zero multiplier before each, at every step), and both start at
+    zero, so the last S node solves to zero in every predictor and corrector:
+    its back sweep starts at zero, and the compiled solve takes the stacked
+    order there, while the forward sweep, with I nonzero at the seam, solves S
+    and I as a pair. The reference solves with `pttrs` on the same rows."""
+    config = _homogeneous_config()
+    stepper = CoupledStepper(config)
+    for factors in (stepper._pred, stepper._corr):
+        assert np.all(factors.e[:, 16] == 0.0)
+        factors.e[:, [15, 17 + 15]] = 0.0
+    u = np.concatenate((np.linspace(0.3, 0.6, 17), np.linspace(0.2, 0.1, 17)))
+    u[[16, 17 + 16]] = 0.0
+    path = _assert_periods_match_reference(stepper, ReferenceStepper(config, stepper), u)
+    assert np.all(path[:, [16, 17 + 16]] == 0.0) and np.all(path[:, 17] > 0.0)
+    assert np.all(path[:, :16] > 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
 def test_s_only_period_equals_the_frozen_step_arithmetic_bit_for_bit(rows):
     config = load_preset("example4-b").with_resolution(32, 64)
     stepper = CoupledStepper(config, infected=False)
-    levels = (2.0, 0.05)[:rows]
+    levels = (2.0, 0.05, 0.7)[:rows]
     u = np.repeat(np.asarray(levels)[:, None], config.grid.N + 1, axis=1)
     _assert_periods_match_reference(stepper, ReferenceStepper(config, stepper, infected=False),
                                     u[0] if rows == 1 else u)
 
 
-@pytest.mark.parametrize("columns", [1, 2, 8])
+@pytest.mark.parametrize("columns", [1, 2, 3, 8])
 def test_period_map_apply_equals_the_frozen_step_arithmetic_bit_for_bit(columns):
     config = load_preset("example4-b").with_resolution(32, 64)
     op = spectral._phi_operators(config)(1.5)

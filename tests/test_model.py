@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -320,13 +321,14 @@ def test_validate_config_rejects_bad_dimension():
 
 
 def test_validate_config_rejects_sign_changing_coefficient():
-    """Also a coefficient whose finite parameters evaluate past the float range."""
+    """Also a coefficient whose finite parameters evaluate past the float range, with no numpy warning."""
     gamma = CoefficientProfile(form="affine", c0=0.1, c1=-1.0)
     with pytest.raises(ConfigurationError) as excinfo:
         validate_config(_valid_config(gamma=gamma))
     assert any(message.startswith("gamma") for message in excinfo.value.errors)
     beta = CoefficientProfile(form="exponential", c0=1.0, c1=1.0, c2=1000.0)
-    with pytest.raises(ConfigurationError) as excinfo, np.errstate(over="ignore"):
+    with pytest.raises(ConfigurationError) as excinfo, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported as the error, not warned about first
         validate_config(_valid_config(beta=beta))
     assert excinfo.value.errors == ["beta: evaluation produced non-finite values"]
 

@@ -7,11 +7,13 @@ times whole periods and divides by the M steps of each:
   preset's initial data (`CoupledStepper.period`);
 - `s_only_1_us`, `s_only_2_us`: one step of the S-only stepper
   (`infected=False`) on 1 and 2 rows, from the disease-free starts;
-- `period_map_1_us`, `period_map_2_us`, `period_map_8_us`: one
-  Crank-Nicolson step of the linearized-infection period map on 1, 2 and 8
-  columns (`PeriodMapOperator.apply`, a compiled loop like the coupled
-  stepper's), at mu = twice the upper sandwich bound of R0; 2 is the block
-  width that the warm-started root search applies;
+- `period_map_1_us`, `period_map_2_us`, `period_map_3_us`,
+  `period_map_8_us`: one Crank-Nicolson step of the linearized-infection
+  period map on 1, 2, 3 and 8 columns (`PeriodMapOperator.apply`, a
+  compiled loop like the coupled stepper's), at mu = twice the upper
+  sandwich bound of R0; 2 is the block width that the warm-started root
+  search applies, and 3 a pair of columns solved side by side plus one
+  solved alone;
 - `period_map_path_us`: the same step on one column with a path table
   that records every time slice, the apply that ends every
   `compute_r0`;
@@ -100,7 +102,7 @@ def _figures(package: str, preset: str, grid: int | None, steps: int | None
 
     operator_at, bounds = spectral._phi_operators(config), spectral.r0_bounds(config)
     operator = operator_at(2.0 * bounds.upper)
-    for columns in (1, 2, 8):
+    for columns in (1, 2, 3, 8):
         block = spectral._cosines(n, 0, columns) if columns > 1 else np.ones(n)
         runs[f"period_map_{columns}_us"] = (lambda block=block: operator.apply(block), per_step_us)
     field = np.ones(n)
