@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Every run can echo a manifest (JSON) plus CSV artifacts into --out that are
-byte-identical across repeated runs: text mode with '\\n' line endings,
-'.' decimal separator, shortest round-trip float formatting, and no
-timestamps. Plots are never rendered here; commands that produce plottable
-data also emit a small matplotlib script next to the CSV.
+byte-identical across repeated runs: '\\n' line endings, '.' decimal
+separator, shortest round-trip float formatting (Python's `repr`), and no
+timestamps. The space-time tables (`eigenfunction.csv`, `dfe_orbit.csv`,
+`timeseries.csv`) are written by the compiled loop
+(`steploop.space_time_csv`), byte for byte as `repr` would write them;
+the other tables are rows of cells formatted here, so `bounds` and
+`reproduce` need no compiler. Plots are never rendered here; commands
+that produce plottable data also emit a small matplotlib script next to
+the CSV.
 
 Exit codes: 0 success, 1 configuration error, 2 solver non-convergence,
 3 strict-mode check failure.
@@ -16,9 +21,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -71,8 +75,8 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True, slots=True)
 class Report:
     """One subcommand's stdout lines, its artifacts by file name (a dict for `.json`,
-    a (header, rows) pair for `.csv`, text for a plot script) and the message of a
-    failed soft check, or None."""
+    a (header, rows) or (header, body) pair for `.csv`, text for a plot script) and
+    the message of a failed soft check, or None."""
 
     lines: list[str]
     artifacts: dict[str, Any]
@@ -82,18 +86,22 @@ class Report:
 def _write_artifact(path: Path, content: Any) -> None:
     """Writes one artifact, choosing the format by the file suffix.
 
-    A CSV row is a tuple of cells, floats in shortest round-trip form, or a
-    ready line, written unchanged.
+    A CSV artifact is its header and either rows of cells, floats in
+    shortest round-trip form (`repr`), or a compiled body, the bytes of its
+    lines (`_space_time`), written after the header as they are.
     """
     if path.suffix == ".json":
         text = json.dumps(content, indent=2, sort_keys=True) + "\n"
     elif path.suffix == ".csv":
         header, rows = content
-        lines = [",".join(header)]
-        lines.extend(row if isinstance(row, str)
-                     else ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row)
-                     for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = ",".join(header) + "\n"
+        if isinstance(rows, memoryview):
+            with path.open("wb") as handle:
+                handle.write(text.encode("utf-8"))
+                handle.write(rows)
+            return
+        text += "".join(",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row) + "\n"
+                        for row in rows)
     else:
         text = content
     path.write_text(text, encoding="utf-8", newline="\n")
@@ -133,17 +141,12 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return values
 
 
-def _space_time_rows(times: Any, nodes: Any, *tables: Any) -> Iterator[str]:
-    """Ready CSV lines t,y,values... on about 64 evenly strided time slices, built while written.
+def _space_time(times: Any, nodes: Any, *tables: Any) -> memoryview:
+    """The compiled body of a space-time CSV table, lines t,y,values... on about 64 evenly strided
+    time slices (`steploop.space_time_csv`). The compiled loop is imported here, not with the CLI."""
+    from .steploop import space_time_csv
 
-    The node column is formatted once, and each time slice with one `repr`
-    per value of its `tolist()`, the cells `_write_artifact` would write.
-    """
-    stride = max(1, (times.size - 1) // 64)
-    ys = [repr(y) for y in np.asarray(nodes, dtype=float).tolist()]
-    for k in range(0, times.size, stride):
-        t = repr(float(times[k]))
-        yield from map(",".join, zip(repeat(t), ys, *(map(repr, table[k].tolist()) for table in tables)))
+    return space_time_csv(times, nodes, *tables)
 
 
 _PLOT_TIMESERIES = '''"""Plot the infected density from timeseries.csv (run manually)."""
@@ -256,16 +259,16 @@ def cmd_r0(args: argparse.Namespace, config: ModelConfig) -> Report:
     phi = result.eigenfunction
     slack = 1e-6 * max(1.0, result.value)
     inside = result.bracket[0] - slack <= result.value <= result.bracket[1] + slack
+    artifacts: dict[str, Any] = {"r0.json": {"r0": result.value, "bracket": list(result.bracket),
+                                             "iterations": result.iterations, "defect": result.defect}}
+    if args.out is not None:
+        artifacts["eigenfunction.csv"] = (("t", "y", "phi"), _space_time(
+            np.linspace(0.0, config.T, phi.shape[0]), config.grid.nodes, phi))
     return Report(
         lines=[f"R0 = {result.value:.6f}",
                f"sandwich bracket = [{result.bracket[0]:.6f}, {result.bracket[1]:.6f}]",
                f"unit-radius defect = {result.defect:.3e} after {result.iterations} iterations"],
-        artifacts={
-            "r0.json": {"r0": result.value, "bracket": list(result.bracket),
-                        "iterations": result.iterations, "defect": result.defect},
-            "eigenfunction.csv": (("t", "y", "phi"), _space_time_rows(
-                np.linspace(0.0, config.T, phi.shape[0]), config.grid.nodes, phi)),
-        },
+        artifacts=artifacts,
         strict_failure=("defect or bracket containment check failed"
                         if result.defect > DEFECT_TOL or not inside else None),
     )
@@ -286,17 +289,17 @@ def cmd_bounds(args: argparse.Namespace, config: ModelConfig) -> Report:
 def cmd_dfe(args: argparse.Namespace, config: ModelConfig) -> Report:
     result = solve_dfe(config)
     orbit = result.orbit
+    artifacts: dict[str, Any] = {"dfe.json": {"iterations": result.iterations, "residual": result.residual,
+                                              "bracket_gap": result.bracket_gap,
+                                              "closure_defect": orbit.closure_defect}}
+    if args.out is not None:
+        artifacts["dfe_orbit.csv"] = (("t", "y", "S"), _space_time(orbit.times, config.grid.nodes, orbit.values))
+        artifacts["plot_dfe_orbit.py"] = _PLOT_ORBIT
     return Report(
         lines=[f"disease-free orbit converged in {result.iterations} sweeps",
                f"residual = {result.residual:.3e}, two-sided gap = {result.bracket_gap:.3e}, "
                f"closure defect = {orbit.closure_defect:.3e}"],
-        artifacts={
-            "dfe.json": {"iterations": result.iterations, "residual": result.residual,
-                         "bracket_gap": result.bracket_gap, "closure_defect": orbit.closure_defect},
-            "dfe_orbit.csv": (("t", "y", "S"),
-                              _space_time_rows(orbit.times, config.grid.nodes, orbit.values)),
-            "plot_dfe_orbit.py": _PLOT_ORBIT,
-        },
+        artifacts=artifacts,
         strict_failure="orbit closure check failed" if orbit.closure_defect > 1e-8 else None,
     )
 
@@ -313,7 +316,7 @@ def cmd_simulate(args: argparse.Namespace, config: ModelConfig) -> Report:
     if summary.last_period is not None:
         times, s_path, i_path = summary.last_period
         artifacts["timeseries.csv"] = (("t", "y", "S", "I"),
-                                       _space_time_rows(times, config.grid.nodes, s_path, i_path))
+                                       _space_time(times, config.grid.nodes, s_path, i_path))
         artifacts["plot_timeseries.py"] = _PLOT_TIMESERIES
     return Report(
         lines=[f"ran {len(summary.records)} periods; sup I = {final.sup_I:.6e}, "

@@ -1,6 +1,6 @@
-/* The compiled time-stepping core of evosis.engine: the period loop of the coupled IMEX stepper
- * (CoupledStepper), the Crank-Nicolson period map (PeriodMapOperator) and the factor recurrence of
- * their tridiagonal systems (_FactorSet).
+/* The compiled core of evosis: the period loop of the coupled IMEX stepper (engine.CoupledStepper),
+ * the Crank-Nicolson period map (engine.PeriodMapOperator), the factor recurrence of their tridiagonal
+ * systems (engine._FactorSet), and the writer of the space-time CSV tables (steploop.space_time_csv).
  *
  * Each coupled step takes the operations of the stepper's arithmetic in their
  * documented order, one node at a time, so every sum and product rounds as
@@ -23,9 +23,14 @@
  * where a seam node is zero, whose sign a seam term can flip, the coupled
  * solve keeps the stacked order (see solve_blocks). Built with
  * -ffp-contract=off and without fast-math, so no product is fused into a sum.
+ *
+ * The CSV writer formats every double as Python's repr does, with the shortest
+ * digits that round-trip (Ryu: Adams, PLDI 2018), from power-of-5 tables that
+ * steploop.py computes with exact integers.
  */
 
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* A coefficient table read in place: element strides per time level and per node (often 0). */
@@ -266,4 +271,232 @@ void evosis_factor(double *d, double *e, const double *c, long n, long blocks, l
             else
                 factor_chains(db, eb, c + b * steps + k, n, m, steps - k);
         }
+}
+
+/* ---- shortest round-trip float text ---- */
+
+/* Bytes of the longest number text, "-2.2250738585072014e-308", and its separator. */
+#define CELL 25
+/* The bit length of each multiplier of the power-of-5 tables (Ryu's DOUBLE_POW5_BITCOUNT and
+ * DOUBLE_POW5_INV_BITCOUNT); steploop.POW5_BITS. */
+#define POW5_BITS 125
+
+/* the 128-bit products of Ryu, as GCC and Clang provide them on 64-bit hosts */
+__extension__ typedef unsigned __int128 uint128;
+
+/* floor(log10(2^e)), floor(log10(5^e)) and the bit length of 5^e, exact for the exponents of a double. */
+static inline int log10_pow2(int e) { return (int)(((uint32_t)e * 78913) >> 18); }
+static inline int log10_pow5(int e) { return (int)(((uint32_t)e * 732923) >> 20); }
+static inline int pow5_bits(int e) { return (int)((((uint32_t)e * 1217359) >> 19) + 1); }
+
+/* The exponent of 5 in v > 0. */
+static int pow5_factor(uint64_t v)
+{
+    int count = 0;
+    for (; v % 5 == 0; v /= 5)
+        count++;
+    return count;
+}
+
+/* floor(m * mul / 2^shift) for a 128-bit multiplier mul, low word first, and 64 <= shift < 192. */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int shift)
+{
+    const uint128 low = (uint128)m * mul[0], high = (uint128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (shift - 64));
+}
+
+/* The shortest decimal, digits * 10^exponent, that reads back as the finite nonzero double with these bits
+ * (Ryu's d2d): of the decimals in the double's rounding interval, its ends included when the mantissa is
+ * even, those with the fewest digits, and of these the nearest, a tie going to the even one.
+ * pow5 row i is 5^i and pow5_inv row q is 2^k / 5^q (rounded up), each scaled to POW5_BITS bits. */
+static uint64_t shortest(uint64_t bits, const uint64_t *pow5, const uint64_t *pow5_inv, int *exponent)
+{
+    const uint64_t fraction = bits & ((1ull << 52) - 1);
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    const int e2 = (biased ? biased : 1) - 1023 - 52 - 2;
+    const uint64_t m2 = biased ? fraction | 1ull << 52 : fraction;
+    const int even = (m2 & 1) == 0;
+    /* the interval is (mm, mp) around mv, in units of a quarter gap; at a power of two the gap below is half */
+    const uint64_t mv = 4 * m2, mm_shift = fraction != 0 || biased <= 1, mm = mv - 1 - mm_shift, mp = mv + 2;
+    uint64_t vr, vp, vm;
+    int e10, vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        const int q = log10_pow2(e2) - (e2 > 3), shift = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        e10 = q;
+        vr = mul_shift(mv, mul, shift);
+        vp = mul_shift(mp, mul, shift);
+        vm = mul_shift(mm, mul, shift);
+        if (q <= 21) {  /* whether the digits dropped from each end are all zero: at most one of mm, mv, mp is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_zeros = pow5_factor(mv) >= q;
+            else if (even)
+                vm_zeros = pow5_factor(mm) >= q;
+            else
+                vp -= pow5_factor(mp) >= q;  /* the upper end is excluded */
+        }
+    } else {
+        const int q = log10_pow5(-e2) - (-e2 > 1), i = -e2 - q, shift = q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        e10 = q + e2;
+        vr = mul_shift(mv, mul, shift);
+        vp = mul_shift(mp, mul, shift);
+        vm = mul_shift(mm, mul, shift);
+        if (q <= 1) {
+            vr_zeros = 1;  /* mv is a multiple of 4 */
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;  /* mp is even, so the upper end is exact, and excluded */
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+    /* drop digits while the interval holds a shorter decimal, remembering the last digit dropped from vr */
+    int removed = 0, last = 0;
+    if (vm_zeros || vr_zeros) {
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        if (vm_zeros)  /* the lower end is exact and included: trailing zeros of it may go too */
+            for (; vm % 10 == 0; removed++) {
+                vr_zeros &= last == 0;
+                last = (int)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* an exact tie goes to the even neighbour */
+        *exponent = e10 + removed;
+        return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    }
+    for (; vp / 10 > vm / 10; removed++) {
+        last = (int)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+    }
+    *exponent = e10 + removed;
+    return vr + (vr == vm || last >= 5);
+}
+
+/* The decimal digits of value > 0, written to end just before `end`; returns their start. Two digits at a time,
+ * and the eight below 10^8 apart from the rest, in 32-bit arithmetic. */
+static char *decimal(uint64_t value, char *end)
+{
+    static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+                                "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+                                "8081828384858687888990919293949596979899";
+    if (value >= 100000000) {
+        uint32_t low = (uint32_t)(value % 100000000);
+        value /= 100000000;
+        for (int i = 0; i < 4; i++, low /= 100)
+            memcpy(end -= 2, pairs + 2 * (low % 100), 2);
+    }
+    uint32_t high = (uint32_t)value;
+    for (; high >= 100; high /= 100)
+        memcpy(end -= 2, pairs + 2 * (high % 100), 2);
+    if (high >= 10)
+        memcpy(end -= 2, pairs + 2 * high, 2);
+    else
+        *--end = (char)('0' + high);
+    return end;
+}
+
+/* x as Python's repr writes it, from p; returns the end. Exponent form when the decimal point falls
+ * before the fourth zero after it or beyond 16 digits (x < 1e-4 or x >= 1e16): 1e-05, 2.5e-300, 1e+16;
+ * otherwise fixed form with a point: 0.0001, 123456789.0. */
+static char *repr(double x, const uint64_t *pow5, const uint64_t *pow5_inv, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (isnan(x)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (isinf(x) || x == 0.0) {
+        memcpy(p, isinf(x) ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+    int exponent;
+    char text[20];
+    const char *digits = decimal(shortest(bits, pow5, pow5_inv, &exponent), text + sizeof text);
+    const int length = (int)(text + sizeof text - digits), point = exponent + length;  /* x = 0.digits * 10^point */
+    if (point <= -4 || point > 16) {
+        *p++ = digits[0];
+        if (length > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, (size_t)(length - 1));
+            p += length - 1;
+        }
+        int e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (point <= 0) {
+        memcpy(p, "0.000", (size_t)(2 - point));
+        p += 2 - point;
+        memcpy(p, digits, (size_t)length);
+        p += length;
+    } else if (point < length) {
+        memcpy(p, digits, (size_t)point);
+        p += point;
+        *p++ = '.';
+        memcpy(p, digits + point, (size_t)(length - point));
+        p += length - point;
+    } else {
+        memcpy(p, digits, (size_t)length);
+        p += length;
+        for (int i = length; i < point; i++)
+            *p++ = '0';
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p;
+}
+
+/* The body of a space-time CSV table into out: a line t,y,v... for each of the n nodes y of every
+ * `stride`-th of the `levels` time levels t, the values read in place from the `count` tables, every
+ * number as repr writes it. Each y is formatted once, into its cell of work (n cells: a length byte, then
+ * the text), and each t once per slice. out holds CELL bytes per cell of every line.
+ * Returns the length of the body. */
+long evosis_space_time_csv(const double *t, long levels, long stride, const double *y, long n,
+                           const struct table *values, long count, const uint64_t *pow5, const uint64_t *pow5_inv,
+                           char *work, char *out)
+{
+    for (long j = 0; j < n; j++) {
+        char *cell = work + j * CELL;
+        cell[0] = (char)(repr(y[j], pow5, pow5_inv, cell + 1) - (cell + 1));
+    }
+    char *p = out;
+    for (long k = 0; k < levels; k += stride) {
+        char slice[CELL];
+        const size_t slice_length = (size_t)(repr(t[k], pow5, pow5_inv, slice) - slice);
+        for (long j = 0; j < n; j++) {
+            const char *cell = work + j * CELL;
+            memcpy(p, slice, slice_length);
+            p += slice_length;
+            *p++ = ',';
+            memcpy(p, cell + 1, (size_t)cell[0]);
+            p += cell[0];
+            for (long c = 0; c < count; c++) {
+                *p++ = ',';
+                p = repr(values[c].values[k * values[c].level + j * values[c].node], pow5, pow5_inv, p);
+            }
+            *p++ = '\n';
+        }
+    }
+    return (long)(p - out);
 }

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csv_reference import space_time_bytes
 from evosis import cli, spectral
 from evosis.cli import _parse_values, main
 from evosis.errors import ConfigurationError, ConvergenceError, StepError
@@ -146,25 +147,33 @@ def test_simulate_command_writes_period_table_and_snapshot(tmp_path, capsys):
     compile(_read(out_dir / "plot_timeseries.py"), "plot_timeseries.py", "exec")
 
 
-@pytest.mark.parametrize("steps", [5, 130], ids=["every-slice", "strided"])
-def test_space_time_lines_match_the_per_cell_writer_byte_for_byte(tmp_path, steps):
-    """The ready lines of `_space_time_rows` write the same bytes as rows of
-    floats formatted one cell at a time, on floats whose shortest round-trip
-    form is awkward."""
-    awkward = [1e-05, 0.1 + 0.2, 5e-324, 1e16, -0.0, 1.0 / 3.0, -2.5e-300, 123456789.0]
+AWKWARD = [1e-05, 0.1 + 0.2, 5e-324, 1e16, -0.0, 1.0 / 3.0, -2.5e-300, 123456789.0]
+
+
+@pytest.mark.parametrize("layout", ["path-halves", "f-ordered", "single-node"])
+@pytest.mark.parametrize("steps", [5, 64, 129], ids=["below-64", "64", "129"])
+def test_space_time_lines_match_the_per_cell_writer_byte_for_byte(tmp_path, steps, layout):
+    """The compiled body that `_write_artifact` writes equals, byte for byte, the file of the per-cell
+    reference writer (`tests/csv_reference.py`), on floats whose shortest round-trip form is awkward:
+    the strided S and I halves of one (M+1)x2(N+1) path, as `timeseries.csv` reads them; an F-ordered
+    table, as an eigenfunction may be; and the halves of a path on a single node. Below 64 steps every
+    slice is written, at 64 every one of 65, and at 129 every second one."""
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 0.1 + 0.2, steps + 1)
-    nodes = np.array(awkward)
-    tables = [rng.choice(awkward, size=(steps + 1, nodes.size)) * rng.choice([1.0, -1.0, 0.1], size=(steps + 1, 1))
-              for _ in range(2)]
-    stride = max(1, steps // 64)
-    per_cell = [(float(times[k]), float(y), *(float(table[k, j]) for table in tables))
-                for k in range(0, times.size, stride) for j, y in enumerate(nodes)]
-    expected = "\n".join(["t,y,S,I"] + [",".join(repr(cell) for cell in row) for row in per_cell]) + "\n"
-    path = tmp_path / "timeseries.csv"
-    cli._write_artifact(path, (("t", "y", "S", "I"), cli._space_time_rows(times, nodes, *tables)))
-    assert path.read_bytes() == expected.encode("utf-8")
-    assert "5e-324" in expected and "-0.0" in expected and "1e+16" in expected
+    nodes = np.array([0.1 + 0.2] if layout == "single-node" else AWKWARD)
+    n = nodes.size
+    path = rng.choice(AWKWARD, size=(steps + 1, 2 * n)) * rng.choice([1.0, -1.0, 0.1], size=(steps + 1, 1))
+    if layout == "f-ordered":
+        header, tables = ("t", "y", "phi"), [np.asfortranarray(path[:, :n])]
+        assert tables[0].flags.f_contiguous and not tables[0].flags.c_contiguous
+    else:
+        header, tables = ("t", "y", "S", "I"), [path[:, :n], path[:, n:]]
+    target = tmp_path / "table.csv"
+    cli._write_artifact(target, (header, cli._space_time(times, nodes, *tables)))
+    expected = space_time_bytes(header, times, nodes, *tables)
+    assert target.read_bytes() == expected
+    assert expected.count(b"\n") == 1 + len(range(0, steps + 1, max(1, steps // 64))) * n
+    assert b"5e-324" in expected and b"-0.0" in expected and b"1e+16" in expected
 
 
 def test_simulate_rejects_zero_periods(capsys):

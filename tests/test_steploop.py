@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evosis import steploop
@@ -16,7 +17,7 @@ from evosis.cli import EXIT_SOLVER, main
 from evosis.errors import KernelBuildError
 
 ROOT = Path(__file__).resolve().parents[1]
-EXPORTS = ("evosis_steps", "evosis_period_map", "evosis_factor")
+EXPORTS = ("evosis_steps", "evosis_period_map", "evosis_factor", "evosis_space_time_csv")
 
 
 def _script(path: Path, body: str) -> str:
@@ -59,7 +60,8 @@ def test_the_exported_functions_are_exactly_those_whose_signatures_load_declares
     without an export fails at load. Comments are dropped before the scan."""
     code = re.sub(r"/\*.*?\*/", "", steploop.SOURCE.read_text(encoding="utf-8"), flags=re.S)
     definitions = re.findall(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\([^)]*\)\s*\{", code, flags=re.M)
-    assert {name for _, name in definitions} >= {"reaction", "solve", "step", "factor_chains", *EXPORTS}
+    assert {name for _, name in definitions} >= {"reaction", "solve", "step", "factor_chains", "shortest", "repr",
+                                                 *EXPORTS}
     exported = {name for head, name in definitions if "static" not in head.split()}
     lib = steploop.load(tmp_path / "cache", cc)
     declared = {name for name, value in vars(lib).items() if isinstance(value, lib._FuncPtr) and value.argtypes}
@@ -136,12 +138,17 @@ def test_the_cli_reports_a_missing_compiler_as_a_solver_failure(command, no_comp
     assert list(no_compiler.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["bounds", "--preset", "example4-b"], ["reproduce"]], ids=["bounds", "reproduce"])
-def test_the_quadrature_commands_run_without_a_compiler(command, no_compiler, capsys):
-    """`bounds` and `reproduce` are quadratures only: they need no compiled loop, and build none."""
-    assert main(command) == 0
+@pytest.mark.parametrize("command, artifact", [(["bounds", "--preset", "example4-b"], "bounds.json"),
+                                               (["reproduce"], "reproduction.csv")], ids=["bounds", "reproduce"])
+def test_the_quadrature_commands_run_without_a_compiler(command, artifact, no_compiler, tmp_path, capsys):
+    """`bounds` and `reproduce` are quadratures only: they need no compiled loop, and build none, also
+    to write their artifacts (`reproduction.csv` is rows of cells, not a compiled body)."""
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert list(no_compiler.iterdir()) == []
+    assert sorted(path.name for path in out.iterdir()) == sorted(["manifest.json", artifact])
+    assert (out / artifact).stat().st_size > 0
 
 
 def test_importing_the_cli_loads_no_kernel():
@@ -156,3 +163,49 @@ def test_importing_the_cli_loads_no_kernel():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "False"]
+
+
+def _compiled_text(values: np.ndarray) -> list[str]:
+    """Each value as the compiled writer formats it: the y and value cells of a one-slice table."""
+    body = bytes(steploop.space_time_csv([0.0], values, values[None, :])).decode("ascii")
+    lines = body.split("\n")
+    assert lines.pop() == "" and len(lines) == values.size
+    cells = [line.split(",") for line in lines]
+    assert all(t == "0.0" and y == value for t, y, value in cells)
+    return [value for _, _, value in cells]
+
+
+def _assert_repr_text(values: np.ndarray) -> None:
+    expected = [repr(value) for value in values.tolist()]
+    wrong = [(value.hex(), text, got) for value, text, got in zip(values.tolist(), expected, _compiled_text(values))
+             if got != text]
+    assert not wrong, f"{len(wrong)} of {values.size} differ from repr, first (hex, repr, compiled): {wrong[:5]}"
+
+
+def test_the_compiled_float_text_is_repr_on_uniform_bit_patterns():
+    """Uniform 64-bit patterns reach every exponent, subnormals, infinities and NaNs included."""
+    bits = np.random.default_rng(20180618).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    assert np.unique(bits >> np.uint64(52) & np.uint64(0x7FF)).size == 2048
+    _assert_repr_text(bits.view(np.float64))
+
+
+def test_the_compiled_float_text_is_repr_on_the_edge_cases():
+    """Zeros, the subnormal and normal limits, every power of two and of ten with its neighbours, the
+    integers near 2^53, the switches to exponent form at 1e-4 and 1e16, and the non-finite values."""
+    powers = np.concatenate((np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-323, 309)], [1e-4, 1e16]))
+    limits = [0.0, 5e-324, np.nextafter(sys.float_info.min, 0.0), sys.float_info.min, sys.float_info.max]
+    values = np.concatenate((limits, powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),
+                             2.0**53 + np.arange(-64.0, 65.0)))
+    values = np.concatenate((values, -values, [np.nan, np.inf, -np.inf]))
+    _assert_repr_text(values)
+    texts = set(_compiled_text(values))
+    assert {"0.0", "-0.0", "5e-324", "1e-05", "0.0001", "1e+16", "9999999999999998.0", "nan", "inf",
+            "-inf"} <= texts
+
+
+def test_a_space_time_column_of_the_wrong_shape_is_refused():
+    """The compiled writer reads each column by its strides, so a column that is not (times, nodes) is refused
+    before the call."""
+    with pytest.raises(ValueError, match=r"shape \(3, 2\) on 3 times and 4 nodes"):
+        steploop.space_time_csv(np.zeros(3), np.zeros(4), np.zeros((3, 2)))

@@ -25,7 +25,10 @@ times whole periods and divides by the M steps of each:
 and times two factor set builds: the coupled stepper's predictor (both
 blocks, `factor_set_ms`), and the period map's at the sandwich mean (one
 block with its potential, `period_map_factor_ms`), which every trial mu
-of the root search pays. Each figure is the median of `--repeats` samples
+of the root search pays; and `csv_ms`, the write of one `timeseries.csv`
+through the CLI's writer (`cli._write_artifact`), the S and I halves of
+one recorded coupled period, (M+1)x(N+1) each, on about 64 time slices,
+into a temporary directory. Each figure is the median of `--repeats` samples
 after one untimed warm-up. BLAS is pinned to one thread and `evosis` is
 imported from PYTHONPATH.
 
@@ -55,6 +58,7 @@ import json  # noqa: E402
 import math  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 from typing import Any, Callable  # noqa: E402
@@ -77,12 +81,12 @@ def _load_tree(src: Path) -> str:
     return AGAINST
 
 
-def _figures(package: str, preset: str, grid: int | None, steps: int | None
+def _figures(package: str, preset: str, grid: int | None, steps: int | None, scratch: Path
              ) -> tuple[dict[str, tuple[Callable[[], Any], float]], dict[str, float]]:
     """One preset's timed runs on the tree imported as `package`, each with the factor that scales
-    its seconds to the figure's unit, and its counts."""
-    dfe, engine, presets, spectral = (importlib.import_module(f"{package}.{name}")
-                                      for name in ("dfe", "engine", "presets", "spectral"))
+    its seconds to the figure's unit, and its counts. The CSV write goes into `scratch`."""
+    cli, dfe, engine, presets, spectral = (importlib.import_module(f"{package}.{name}")
+                                           for name in ("cli", "dfe", "engine", "presets", "spectral"))
     config = presets.load_preset(preset).with_resolution(grid, steps)
     per_step_us = 1e6 / config.steps_per_period
     n = config.grid.N + 1
@@ -92,6 +96,13 @@ def _figures(package: str, preset: str, grid: int | None, steps: int | None
     u = np.concatenate((config.initial_S.evaluate(config.grid.nodes, config.L),
                         config.initial_I.evaluate(config.grid.nodes, config.L)))
     runs["coupled_us"] = (lambda: coupled.period(u), per_step_us)
+    path = np.empty((config.steps_per_period + 1, 2 * n))
+    coupled.period(u, path)
+    # a tree from before the compiled CSV body wrote the lines of `_space_time_rows`
+    body = getattr(cli, "_space_time", None) or cli._space_time_rows
+    target = scratch / f"{package}-{preset}-timeseries.csv"
+    recorded = (coupled.times, config.grid.nodes, path[:, :n], path[:, n:])
+    runs["csv_ms"] = (lambda: cli._write_artifact(target, (("t", "y", "S", "I"), body(*recorded))), 1e3)
 
     s_only = engine.CoupledStepper(config, infected=False)
     levels = dfe._start_levels(config)
@@ -171,13 +182,14 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     packages = ["evosis"] + ([_load_tree(args.against)] if args.against else [])
     results = {}
-    for name in args.preset or preset_names():
-        figures = [_figures(package, name, args.grid, args.steps) for package in packages]
-        medians, faster = _medians([runs for runs, _ in figures], args.repeats)
-        results[name] = {**figures[0][1], **medians[0]}
-        if args.against:
-            results[name]["against"] = {**figures[1][1], **medians[1]}
-            results[name]["faster_rounds"] = faster
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in args.preset or preset_names():
+            figures = [_figures(package, name, args.grid, args.steps, Path(scratch)) for package in packages]
+            medians, faster = _medians([runs for runs, _ in figures], args.repeats)
+            results[name] = {**figures[0][1], **medians[0]}
+            if args.against:
+                results[name]["against"] = {**figures[1][1], **medians[1]}
+                results[name]["faster_rounds"] = faster
     report: dict[str, Any] = {"repeats": args.repeats, "presets": results}
     if args.against:
         report["against"] = str(args.against)
