@@ -26,7 +26,6 @@ from typing import Any, Callable
 
 import numpy as np
 import numpy.typing as npt
-from scipy.linalg import eigh_tridiagonal
 
 from .engine import LinearEquationSpec, PeriodMapOperator, endpoint_mean
 from .errors import ConvergenceError, NotApplicableError, StepError
@@ -406,7 +405,13 @@ def lambda_star_from_config(config: ModelConfig, convention: str = "paper-exampl
     end rows couple each end to its neighbour with weight -2d/h^2; the
     similarity by the square root of the trapezoid weights makes the matrix
     symmetric with -sqrt(2)*d/h^2 there, and keeps its eigenvalues.
+
+    scipy is imported here, not with the module: this is the package's one
+    scipy call, only `reproduce` reaches it, and `scipy.linalg` would more
+    than double the import time of every other command.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if convention not in LAMBDA_STAR_CONVENTIONS:
         raise ValueError(_ERR_CONVENTION.format(value=convention, known=LAMBDA_STAR_CONVENTIONS))
     _require_closed_form(config)

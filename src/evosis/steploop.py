@@ -19,6 +19,13 @@ concurrent build never reads a partial library and a failed build leaves
 no file behind. A host without a compiler, or whose cache directory is
 not writable, gets `KernelBuildError`.
 
+Once a build has moved its library into place, it unlinks every other
+`steploop-*.so` in the cache, the libraries of earlier sources or flags,
+so the cache holds one library and not one per source edit. It leaves the
+`.steploop-*.tmp` partials alone, so a concurrent build still finishes,
+and ignores a file it cannot remove. A process that has loaded a removed
+library keeps its mapping.
+
 Importing this module builds and loads nothing; the engine imports it
 when it builds its first factor set, for a `CoupledStepper` or a
 `PeriodMapOperator`, and the CLI when it writes a space-time table.
@@ -26,6 +33,7 @@ when it builds its first factor set, for a `CoupledStepper` or a
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -73,21 +81,21 @@ class Stepper(ctypes.Structure):
     ]
 
 
-def library_path(source: bytes, cache: Path) -> Path:
-    """The cached library of this source, built with FLAGS."""
-    key = hashlib.sha256(b"\0".join((source, *(flag.encode() for flag in FLAGS)))).hexdigest()[:16]
+def library_path(source: bytes, cache: Path, flags: tuple[str, ...]) -> Path:
+    """The cached library of this source, built with these flags."""
+    key = hashlib.sha256(b"\0".join((source, *(flag.encode() for flag in flags)))).hexdigest()[:16]
     return cache / f"steploop-{key}.so"
 
 
-def build(cache: Path, compiler: str) -> Path:
-    """The cached library of the current source, compiled first if it is not there yet.
+def build(cache: Path, compiler: str, flags: tuple[str, ...]) -> Path:
+    """The cached library of the current source built with `flags`, compiled first if it is not there yet.
 
     Raises:
         KernelBuildError: no compiler, a failed compilation, or a cache
             directory that cannot be written.
     """
     source = SOURCE.read_bytes()
-    target = library_path(source, cache)
+    target = library_path(source, cache, flags)
     if target.exists():
         return target
     try:
@@ -99,7 +107,7 @@ def build(cache: Path, compiler: str) -> Path:
     try:
         # the hashed bytes themselves are compiled, from stdin
         try:
-            run = subprocess.run([compiler, *FLAGS, "-o", partial, "-x", "c", "-"], input=source,
+            run = subprocess.run([compiler, *flags, "-o", partial, "-x", "c", "-"], input=source,
                                  capture_output=True, check=False)
         except OSError as exc:
             raise KernelBuildError(_ERR_NO_COMPILER.format(compiler=compiler, reason=exc)) from exc
@@ -110,12 +118,16 @@ def build(cache: Path, compiler: str) -> Path:
         os.replace(partial, target)
     finally:
         Path(partial).unlink(missing_ok=True)
+    for stale in cache.glob("steploop-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return target
 
 
-def load(cache: Path, compiler: str) -> ctypes.CDLL:
+def load(cache: Path, compiler: str, flags: tuple[str, ...]) -> ctypes.CDLL:
     """The library from `build`, loaded, with the signatures of its entry points declared."""
-    path = build(cache, compiler)
+    path = build(cache, compiler, flags)
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
@@ -136,8 +148,8 @@ def load(cache: Path, compiler: str) -> ctypes.CDLL:
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The compiled loop, built into CACHE with COMPILER at the first call of the process."""
-    return load(CACHE, COMPILER)
+    """The compiled loop, built into CACHE with COMPILER and FLAGS at the first call of the process."""
+    return load(CACHE, COMPILER, FLAGS)
 
 
 @functools.cache

@@ -44,10 +44,11 @@ def test_a_cold_cache_builds_once_and_a_second_load_starts_no_compiler(tmp_path,
     calls = tmp_path / "calls"
     counting = _script(tmp_path / "cc", f'echo run >> "{calls}"\nexec "{cc}" "$@"\n')
     cache = tmp_path / "cache"
-    first = steploop.load(cache, counting)
+    first = steploop.load(cache, counting, steploop.FLAGS)
     assert calls.read_text().splitlines() == ["run"]
-    assert [path.name for path in cache.iterdir()] == [steploop.library_path(steploop.SOURCE.read_bytes(), cache).name]
-    second = steploop.load(cache, counting)
+    target = steploop.library_path(steploop.SOURCE.read_bytes(), cache, steploop.FLAGS)
+    assert [path.name for path in cache.iterdir()] == [target.name]
+    second = steploop.load(cache, counting, steploop.FLAGS)
     assert calls.read_text().splitlines() == ["run"]
     assert first._name == second._name
     assert all(callable(getattr(second, name)) for name in EXPORTS)
@@ -63,26 +64,25 @@ def test_the_exported_functions_are_exactly_those_whose_signatures_load_declares
     assert {name for _, name in definitions} >= {"reaction", "solve", "step", "factor_chains", "shortest", "repr",
                                                  *EXPORTS}
     exported = {name for head, name in definitions if "static" not in head.split()}
-    lib = steploop.load(tmp_path / "cache", cc)
+    lib = steploop.load(tmp_path / "cache", cc, steploop.FLAGS)
     declared = {name for name, value in vars(lib).items() if isinstance(value, lib._FuncPtr) and value.argtypes}
     assert exported == declared == set(EXPORTS)
 
 
-def test_the_cache_key_follows_the_source_text_and_the_flags(tmp_path, monkeypatch):
-    source = steploop.SOURCE.read_bytes()
-    path = steploop.library_path(source, tmp_path)
+def test_the_cache_key_follows_the_source_text_and_the_flags(tmp_path):
+    source, flags = steploop.SOURCE.read_bytes(), steploop.FLAGS
+    path = steploop.library_path(source, tmp_path, flags)
     assert path.parent == tmp_path
-    assert steploop.library_path(source, tmp_path) == path
-    assert steploop.library_path(source + b"\n", tmp_path) != path
-    assert steploop.library_path(source.replace(b"0.0", b"0.00", 1), tmp_path) != path
-    monkeypatch.setattr(steploop, "FLAGS", (*steploop.FLAGS, "-g"))
-    assert steploop.library_path(source, tmp_path) != path
+    assert steploop.library_path(source, tmp_path, flags) == path
+    assert steploop.library_path(source + b"\n", tmp_path, flags) != path
+    assert steploop.library_path(source.replace(b"0.0", b"0.00", 1), tmp_path, flags) != path
+    assert steploop.library_path(source, tmp_path, (*flags, "-g")) != path
 
 
 def test_a_missing_compiler_is_a_named_error_and_leaves_no_file(tmp_path):
     cache = tmp_path / "cache"
     with pytest.raises(KernelBuildError, match="no C compiler"):
-        steploop.load(cache, str(tmp_path / "no-such-cc"))
+        steploop.load(cache, str(tmp_path / "no-such-cc"), steploop.FLAGS)
     assert list(cache.iterdir()) == []
 
 
@@ -91,17 +91,17 @@ def test_a_cache_that_cannot_be_made_is_a_named_error(tmp_path, cc):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     with pytest.raises(KernelBuildError, match="cannot build the compiled step loop in .*file/cache"):
-        steploop.load(blocker / "cache", cc)
+        steploop.load(blocker / "cache", cc, steploop.FLAGS)
 
 
 def test_junk_at_the_cached_library_name_is_a_named_error(tmp_path, cc):
     """A file at the library's cache name is taken as built; when it is no library, loading it fails by name."""
     cache = tmp_path / "cache"
     cache.mkdir()
-    target = steploop.library_path(steploop.SOURCE.read_bytes(), cache)
+    target = steploop.library_path(steploop.SOURCE.read_bytes(), cache, steploop.FLAGS)
     target.write_bytes(b"not a shared library")
     with pytest.raises(KernelBuildError, match="cannot load the compiled step loop .*" + re.escape(target.name)):
-        steploop.load(cache, cc)
+        steploop.load(cache, cc, steploop.FLAGS)
 
 
 def test_a_failed_build_removes_its_partial_output(tmp_path):
@@ -110,8 +110,41 @@ def test_a_failed_build_removes_its_partial_output(tmp_path):
                                        '  shift\ndone\necho "broken" >&2\nexit 3\n')
     cache = tmp_path / "cache"
     with pytest.raises(KernelBuildError, match="exited with status 3: broken"):
-        steploop.load(cache, failing)
+        steploop.load(cache, failing, steploop.FLAGS)
     assert list(cache.iterdir()) == []
+
+
+def test_a_new_build_removes_the_stale_libraries_and_leaves_the_partials(tmp_path, cc):
+    """An earlier source's library goes; a concurrent build's partial, a stale name that cannot be
+    unlinked (a directory) and files of other names stay."""
+    cache = tmp_path / "cache"
+    (cache / "steploop-1111111111111111.so").mkdir(parents=True)
+    (cache / "steploop-1111111111111111.so" / "inside").write_text("", encoding="utf-8")
+    for name in ("steploop-0000000000000000.so", ".steploop-0000000000000000-x1y2z3.tmp", "other.so"):
+        (cache / name).write_bytes(b"old")
+    target = steploop.build(cache, cc, steploop.FLAGS)
+    assert target == steploop.library_path(steploop.SOURCE.read_bytes(), cache, steploop.FLAGS)
+    assert sorted(path.name for path in cache.iterdir()) == sorted(
+        [".steploop-0000000000000000-x1y2z3.tmp", "other.so", "steploop-1111111111111111.so", target.name])
+    assert target.stat().st_size > 0
+    assert steploop.build(cache, cc, steploop.FLAGS) == target
+
+
+def test_a_cache_that_cannot_be_written_is_a_named_error_and_keeps_its_libraries(tmp_path, cc, monkeypatch):
+    """The partial file cannot be made, as in a read-only directory (made to fail here so that it fails
+    for root too): the build raises before it would remove anything."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "steploop-0000000000000000.so"
+    stale.write_bytes(b"old")
+
+    def read_only(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(cache))
+
+    monkeypatch.setattr(steploop.tempfile, "mkstemp", read_only)
+    with pytest.raises(KernelBuildError, match="cannot build the compiled step loop in .*Permission denied"):
+        steploop.build(cache, cc, steploop.FLAGS)
+    assert list(cache.iterdir()) == [stale]
 
 
 @pytest.fixture
