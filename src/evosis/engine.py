@@ -16,15 +16,10 @@ The coupled susceptible/infected step treats diffusion implicitly and the
 reaction explicitly in a predictor (backward Euler diffusion, which stays
 stable for stiff modes where fully explicit diffusion would not) and then
 a trapezoidal corrector, giving second order in time. It advances the
-stacked state u = [S; I] of length 2(N+1) as one tridiagonal system: the
-S and I blocks sit side by side and their off-diagonal is zero at the
-seam between them, so the factorization never eliminates across it and
-one solve gives the two per-species solves bit for bit. The compiled
-solve runs the two blocks as a pair of chains, side by side, each in the
-`dptts2` order; where a seam node is zero it takes the stacked order,
-since a seam term x * 0 can flip a zero's sign. (An infinity in one block
-crosses the seam only in the stacked order, as NaN from 0 * inf; the step
-rejects both.) The reaction
+stacked state u = [S; I] of length 2(N+1); the diffusion of S and of I
+are two tridiagonal systems, one block each, factored and solved each
+alone, so nothing crosses from one block into the other. The compiled
+solve runs the two blocks side by side. The reaction
 is fused: the dilution n rho'/rho is folded once into precombined tables,
 the linear rate a - dil of S and the linear loss gamma + dil of I.
 
@@ -38,8 +33,9 @@ state, each equal bit for bit to the S half of the coupled step that
 Both engines cross a period in a compiled C loop (`steploop.c`, built
 at first use by `steploop.library`), which also runs their factor
 recurrence. Each loop takes a step's operations in the order of the
-numpy forms that `tests/step_reference.py` keeps and solves as LAPACK
-`pttrs` does, so each state equals those forms' bit for bit. The coupled
+numpy forms that `tests/step_reference.py` keeps and solves in the
+twisted order that `tests/tridiagonal_reference.py` keeps, so each state
+equals those forms' bit for bit. The coupled
 stepper's loop reads the coefficient tables by stride and the factor
 tables in place, and `CoupledStepper.period` is its one caller, as
 `PeriodMapOperator.apply` is of the period map's loop. That loop steps
@@ -54,13 +50,14 @@ B = dt (nu A + diag q), is solved in its row-scaled form
 a symmetric tridiagonal matrix (one block per species, a zero
 off-diagonal at each seam) with off-diagonal -theta dt nu / h^2 and row
 sums w (1 - theta dt q), where w = (1/2, 1, ..., 1, 1/2) per block.
-`_FactorSet` factors it as L D L^T once per step from those row sums,
-with additions and multiplications of positive numbers only (while
+`_FactorSet` factors each block once per step from those row sums, in
+twisted form about its middle node (L D L^T above it, U D U^T below), with
+additions and multiplications of positive numbers only (while
 theta dt q < 1), so the factors stay accurate to rounding however
-strongly diffusion dominates. Each solve is then one in-place
-forward and back substitution in the order of LAPACK's `dptts2`, on the
-rhs scaled by w, which the factor set keeps; independent right-hand
-sides are solved two at a time. The
+strongly diffusion dominates. Each solve is then one in-place forward and
+back substitution on the rhs scaled by w, which the factor set keeps, each
+sweep two independent chains, from the two ends of the block to its
+middle; independent right-hand sides are solved two at a time. The
 factors need positive definiteness. Since -WA is positive semidefinite,
 W - theta dt nu WA is definite for every nu >= 0, and subtracting
 theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
@@ -126,30 +123,39 @@ def endpoint_mean(table: FloatArray) -> FloatArray:
 
 
 class _FactorSet:
-    """L D L^T factors of per-step systems W(I - theta_dt*(B + diag q)), one per step.
+    """Twisted factors of per-step systems W(I - theta_dt*(B + diag q)), one per step and block.
 
     B is the block Laplacian of the scale vectors nus and W the block-end
     halving, which makes each system symmetric tridiagonal with
     off-diagonal -c, c = theta_dt nu_k / h^2 on each block (zero at the seam
     between blocks), and row sums s = w(1 - theta_dt q), q of shape
-    (steps, N+1) only with one block. The factors come from those row-sum
-    excesses, node by node along each step's block: with t = s at the
-    first node of a block,
+    (steps, N+1) only with one block. Each block of n = N+1 nodes is
+    factored about its twist row k = n // 2 (van der Vorst, Parallel
+    Computing 5, 1987; Parlett and Dhillon, Linear Algebra Appl. 309,
+    2000): L D L^T on nodes 0..k-1, U D U^T on nodes k+1..N, and one pivot
+    at k, so a solve runs two independent chains, from each end to the
+    twist row. Both halves come from the row-sum excesses, node by node
+    towards k: from t = s_0 and u = s_N,
 
-        D_i = t + c,  L_i = -c / D_i,  t <- s_{i+1} - t L_i,  D_N = t,
+        D_i = t + c,  L_i = -c / D_i,  t <- s_{i+1} - t L_i    (i < k)
+        D_i = u + c,  U_i = -c / D_i,  u <- s_{i-1} - u U_i    (i > k)
+        D_k = (s_k - t_{k-1} L_{k-1}) - u_{k+1} U_{k+1}
 
-    so while s > 0 every operation adds or multiplies positive numbers and
-    the factors are accurate to rounding however large c is (Alfa, Xue and
-    Ye, Math. Comp. 71, 2002); these are the pivots d_i - c^2 / D_{i-1} of
-    `pttrf`, without the subtraction that cancels when diffusion dominates.
-    The compiled loop (`evosis_factor` in `steploop.c`) runs the recurrence
-    in place on the row sums, for eight steps at a time as independent
-    chains. Every pivot is positive while theta_dt*sup q < 1, and always
-    when q is None; a pivot that is not positive, or NaN, raises
-    `StepError`. The set keeps the step-major tables d (pivots) and e
-    (multipliers, zero at the end of each block), which the compiled loops
-    read in place, and the row weights w of W, by which its callers scale
-    every right-hand side.
+    (a term whose node does not exist left out), so while s > 0 every
+    operation adds or multiplies positive numbers, the twist pivot a sum of
+    three positive terms, and the factors are accurate to rounding however
+    large c is (Alfa, Xue and Ye, Math. Comp. 71, 2002); these are the
+    pivots d_i - c^2 / D_{i-1} of `pttrf`, without the subtraction that
+    cancels when diffusion dominates. The compiled loop (`evosis_factor` in
+    `steploop.c`) runs the recurrence in place on the row sums, for eight
+    steps at a time as independent chains. Every pivot is positive while
+    theta_dt*sup q < 1, and always when q is None; the loop checks each one
+    as it forms it, and a pivot that is not positive, or NaN, raises
+    `StepError` naming the first such step and, in it, the lowest such
+    node. The set keeps the step-major tables d (pivots) and e (L_i above
+    each block's twist row, U_i below it, zero at it), which the compiled
+    loops read in place, and the row weights w of W, by which its callers
+    scale every right-hand side.
 
     Raises:
         KernelBuildError: the compiled loop cannot be built or loaded.
@@ -164,10 +170,9 @@ class _FactorSet:
         n, blocks, steps = grid.N + 1, len(nus), nus[0].size
         weights = trapezoid_weights(grid) / grid.h
         self.w = np.tile(weights, blocks)
-        # d holds the row sums s until node i's pivot overwrites s_i; the last
-        # multiplier of each block (the seam, or past the end) stays zero
+        # d holds the row sums s until node i's pivot overwrites s_i; e is 0 at each block's twist row
         d = np.empty((steps, blocks * n))
-        e = np.zeros((steps, blocks * n))
+        e = np.empty((steps, blocks * n))
         if q is None:
             d[:] = self.w
         else:
@@ -176,13 +181,11 @@ class _FactorSet:
             d *= weights
         inv_h2 = 1.0 / grid.h**2
         c = np.stack([(theta_dt * nu) * inv_h2 for nu in nus])
-        library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, n, blocks, steps)
-        if not d.min() > 0.0:
-            failed = ~(d > 0.0)
-            k = int(np.argmax(failed.any(axis=1)))
+        failed = library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, n, blocks, steps)
+        if failed >= 0:
+            k, node = divmod(failed, d.shape[1])
             bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
-            raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=int(np.argmax(failed[k])) + 1,
-                                                     rows=d.shape[1], bound=bound))
+            raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=node + 1, rows=d.shape[1], bound=bound))
         self.d, self.e = d, e
 
 
@@ -273,9 +276,9 @@ class CoupledStepper:
     """Precomputed one-period stepper for the full nonlinear system.
 
     The state is one stacked vector u = [S; I] of length 2(N+1), S in
-    u[:N+1] and I in u[N+1:]. The diffusion of both species is one
-    tridiagonal system of two blocks joined by a zero seam, so a step makes
-    one predictor solve and one corrector solve.
+    u[:N+1] and I in u[N+1:]. The diffusion of each species is a
+    tridiagonal system of its own, so a step makes one predictor solve and
+    one corrector solve per block, the two blocks side by side.
 
     Reaction terms at the nodes, in the order they are computed:
 

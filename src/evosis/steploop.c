@@ -15,14 +15,13 @@
  *
  * The S-only form (infected == 0) steps `rows` independent S fields with
  * R_S = (gain - b S) S. A period-map step is x = u (2w), solved in place,
- * less u. The solves are LAPACK pttrs: each dependent chain keeps the
- * dptts2 order, and independent chains run in pairs in one loop, so that
- * their latencies overlap: the S and I blocks of a coupled step, and two
- * S-only rows or two period-map columns at a time. The seam multiplier
- * between S and I is zero, so the pair gives the stacked system's values;
- * where a seam node is zero, whose sign a seam term can flip, the coupled
- * solve keeps the stacked order (see solve_blocks). Built with
- * -ffp-contract=off and without fast-math, so no product is fused into a sum.
+ * less u. Every system is tridiagonal and factored in twisted form (see
+ * evosis_factor), so each solve runs two independent chains that meet at the
+ * twist row, and independent systems run in pairs in one loop, so that four
+ * chains' latencies overlap: the S and I blocks of a coupled step, each its
+ * own system, and two S-only rows or two period-map columns at a time. Built
+ * with -ffp-contract=off and without fast-math, so no product is fused into
+ * a sum.
  *
  * The CSV writer formats every double as Python's repr does, with the shortest
  * digits that round-trip (Ryu: Adams, PLDI 2018), from power-of-5 tables that
@@ -76,85 +75,111 @@ static void reaction(const struct stepper *s, long rows, long k, const double *u
     }
 }
 
-/* The two sweeps of pttrs in LAPACK dptts2 order, on one right-hand side x of length m, in place. */
-static void forward(const double *e, long m, double *x)
+/* The twisted solves. A system of n nodes is factored about its twist row k = n/2 (see evosis_factor):
+ * d holds the pivots, e the multiplier of each node towards the twist (L_i for i < k, U_i for i > k, 0 at
+ * k). A solve runs two independent chains on each sweep, the top one from node 0 and the bottom one from
+ * node n-1, which meet at k:
+ *
+ *     forward   y_i = x_i - y_{i-1} L_{i-1}  (0 < i < k),   y_i = x_i - y_{i+1} U_{i+1}  (k < i < n-1)
+ *     twist     y_k = (x_k - y_{k-1} L_{k-1}) - y_{k+1} U_{k+1},   x_k = y_k / D_k
+ *     back      x_i = y_i / D_i - x_{i+1} L_i  (i < k),         x_i = y_i / D_i - x_{i-1} U_i  (i > k)
+ *
+ * a term whose node does not exist (k = 0, or k = n-1) left out. The top half holds k nodes and the bottom
+ * half n-1-k, one fewer when n is even, so each sweep runs the two chains side by side and then the top
+ * chain's last node alone. Each chain's running value stays in a local, so the chains' latencies
+ * overlap. */
+
+/* The twist row's forward value from the chains' last values top (node k-1) and bottom (node k+1). */
+static inline double twist_row(const double *e, long n, long k, const double *x, double top, double bottom)
 {
-    for (long i = 1; i < m; i++)
-        x[i] = x[i] - x[i - 1] * e[i - 1];
+    double y = x[k];
+    if (k > 0)
+        y = y - top * e[k - 1];
+    if (k + 1 < n)
+        y = y - bottom * e[k + 1];
+    return y;
 }
 
-static void back(const double *d, const double *e, long m, double *x)
+/* The twisted solve of one system of n nodes with factors d, e, in place. */
+static void twisted(const double *restrict d, const double *restrict e, long n, double *restrict x)
 {
-    x[m - 1] = x[m - 1] / d[m - 1];
-    for (long i = m - 2; i >= 0; i--)
-        x[i] = x[i] / d[i] - x[i + 1] * e[i];
+    const long k = n / 2;
+    double top = x[0], bottom = x[n - 1];
+    long i = 1, j = n - 2;
+    for (; j > k; i++, j--) {
+        top = x[i] - top * e[i - 1];
+        bottom = x[j] - bottom * e[j + 1];
+        x[i] = top;
+        x[j] = bottom;
+    }
+    for (; i < k; i++)
+        x[i] = top = x[i] - top * e[i - 1];
+    top = bottom = x[k] = twist_row(e, n, k, x, top, bottom) / d[k];
+    for (i = k - 1, j = k + 1; j < n; i--, j++) {
+        top = x[i] / d[i] - top * e[i];
+        bottom = x[j] / d[j] - bottom * e[j];
+        x[i] = top;
+        x[j] = bottom;
+    }
+    for (; i >= 0; i--)
+        x[i] = top = x[i] / d[i] - top * e[i];
 }
 
-/* The same sweeps on two independent right-hand sides x and y of length m, each with its own factors,
- * in one loop: each chain's running value stays in a local, so the two latency chains overlap, and
- * each takes the operations of `forward` and `back` in their order. */
-static void forward_pair(const double *restrict ex, const double *restrict ey, long m, double *restrict x,
-                         double *restrict y)
+/* The twisted solves of two independent systems x and y of n nodes, each with its own factors, in one
+ * loop: four chains, each taking the operations of `twisted` in their order. */
+static void twisted_pair(const double *restrict dx, const double *restrict ex, const double *restrict dy,
+                         const double *restrict ey, long n, double *restrict x, double *restrict y)
 {
-    double a = x[0], b = y[0];
-    for (long i = 1; i < m; i++) {
-        a = x[i] - a * ex[i - 1];
-        b = y[i] - b * ey[i - 1];
-        x[i] = a;
-        y[i] = b;
+    const long k = n / 2;
+    double xt = x[0], xb = x[n - 1], yt = y[0], yb = y[n - 1];
+    long i = 1, j = n - 2;
+    for (; j > k; i++, j--) {
+        xt = x[i] - xt * ex[i - 1];
+        xb = x[j] - xb * ex[j + 1];
+        yt = y[i] - yt * ey[i - 1];
+        yb = y[j] - yb * ey[j + 1];
+        x[i] = xt;
+        x[j] = xb;
+        y[i] = yt;
+        y[j] = yb;
+    }
+    for (; i < k; i++) {
+        x[i] = xt = x[i] - xt * ex[i - 1];
+        y[i] = yt = y[i] - yt * ey[i - 1];
+    }
+    xt = xb = x[k] = twist_row(ex, n, k, x, xt, xb) / dx[k];
+    yt = yb = y[k] = twist_row(ey, n, k, y, yt, yb) / dy[k];
+    for (i = k - 1, j = k + 1; j < n; i--, j++) {
+        xt = x[i] / dx[i] - xt * ex[i];
+        xb = x[j] / dx[j] - xb * ex[j];
+        yt = y[i] / dy[i] - yt * ey[i];
+        yb = y[j] / dy[j] - yb * ey[j];
+        x[i] = xt;
+        x[j] = xb;
+        y[i] = yt;
+        y[j] = yb;
+    }
+    for (; i >= 0; i--) {
+        x[i] = xt = x[i] / dx[i] - xt * ex[i];
+        y[i] = yt = y[i] / dy[i] - yt * ey[i];
     }
 }
 
-static void back_pair(const double *restrict dx, const double *restrict ex, const double *restrict dy,
-                      const double *restrict ey, long m, double *restrict x, double *restrict y)
-{
-    double a = x[m - 1] / dx[m - 1], b = y[m - 1] / dy[m - 1];
-    x[m - 1] = a;
-    y[m - 1] = b;
-    for (long i = m - 2; i >= 0; i--) {
-        a = x[i] / dx[i] - a * ex[i];
-        b = y[i] / dy[i] - b * ey[i];
-        x[i] = a;
-        y[i] = b;
-    }
-}
-
-/* pttrs on `rows` contiguous right-hand sides of length m, in place: two at a time, an odd last one alone. */
+/* `rows` contiguous systems of m nodes with the same factors, in place: two at a time, an odd last one alone. */
 static void solve(const double *d, const double *e, long m, long rows, double *x)
 {
-    for (; rows >= 2; rows -= 2, x += 2 * m) {
-        forward_pair(e, e, m, x, x + m);
-        back_pair(d, e, d, e, m, x, x + m);
-    }
-    if (rows) {
-        forward(e, m, x);
-        back(d, e, m, x);
-    }
+    for (; rows >= 2; rows -= 2, x += 2 * m)
+        twisted_pair(d, e, d, e, m, x, x + m);
+    if (rows)
+        twisted(d, e, m, x);
 }
 
-/* pttrs on the stacked [S; I] system of two blocks of n nodes (one coupled state), in place. The seam
- * multiplier e[n-1] is zero, so each seam term, x[n] - x[n-1] * 0 and x[n-1] / d[n-1] - x[n] * 0, leaves
- * its value as it is, with two exceptions: a zero, whose sign it can flip, and a block that is not
- * finite, which it carries into the other as NaN (0 * inf); then the step fails at the same index either
- * way. So the blocks are solved as a pair, and a sweep in the stacked order where its seam value is zero:
- * x[n] before the forward sweep, x[n-1] / d[n-1] before the back sweep. */
-static void solve_blocks(const double *d, const double *e, long n, double *x)
-{
-    if (x[n] == 0.0)
-        forward(e, 2 * n, x);
-    else
-        forward_pair(e, e + n, n, x, x + n);
-    if (x[n - 1] / d[n - 1] == 0.0)
-        back(d, e, 2 * n, x);
-    else
-        back_pair(d, e, d + n, e + n, n, x, x + n);
-}
-
-/* A step's solve with its factors d, e, in place: the [S; I] blocks of a coupled state, or `rows` S fields. */
+/* A step's solve with its factors d, e, in place: the [S; I] blocks of a coupled state, each its own system
+ * of n nodes, or `rows` S fields. */
 static void solve_state(const struct stepper *s, const double *d, const double *e, long rows, double *x)
 {
     if (s->infected)
-        solve_blocks(d, e, s->n, x);
+        twisted_pair(d, e, d + s->n, e + s->n, s->n, x, x + s->n);
     else
         solve(d, e, s->system, rows, x);
 }
@@ -239,38 +264,74 @@ void evosis_period_map(const double *d, const double *e, const double *two_w, lo
     }
 }
 
-/* The L D L^T factors of `chains` steps' blocks of n nodes from their row sums, one chain per step:
- * t = s_0, then D_i = t + c, L_i = (-c) / D_i, t = s_{i+1} - t L_i, and D_{n-1} = t. d holds the row
- * sums on entry and the pivots on return, e the multipliers; both are step-major with rows of length m. */
-static inline void factor_chains(double *d, double *e, const double *c, long n, long m, long chains)
+/* The twisted factors of `chains` steps' blocks of n nodes from their row sums s, one chain per step and
+ * half: L D L^T from node 0 down to the twist row k = n/2, U D U^T from node n-1 up to it. Each half runs
+ * the row-sum excess recurrence: from t = s_0, D_i = t + c, L_i = (-c) / D_i, t <- s_{i+1} - t L_i for
+ * i < k, and from u = s_{n-1}, D_i = u + c, U_i = (-c) / D_i, u <- s_{i-1} - u U_i for i > k. The top half
+ * leaves its t in place of s_k, so the bottom half's last step forms the twist pivot
+ * D_k = (s_k - t_{k-1} L_{k-1}) - u_{k+1} U_{k+1}, a sum of positive terms while every s > 0. d holds the row
+ * sums on entry and the pivots on return, e the multipliers (0 at k); both are step-major with rows of
+ * length m. Returns the lowest node whose pivot is not positive (or NaN) in the first such step, as
+ * step * m + node, or -1. */
+static inline long factor_chains(double *d, double *e, const double *c, long n, long m, long chains)
 {
+    const long k = n / 2;
     double t[8];
-    for (long j = 0; j < chains; j++)
+    long failed[8];
+    for (long j = 0; j < chains; j++) {
         t[j] = d[j * m];
-    for (long i = 0; i + 1 < n; i++)
+        failed[j] = n;
+    }
+    for (long i = 0; i < k; i++)
         for (long j = 0; j < chains; j++) {
             const double pivot = t[j] + c[j], multiplier = -c[j] / pivot;
+            if (!(pivot > 0.0) && i < failed[j])
+                failed[j] = i;
             t[j] = d[j * m + i + 1] - t[j] * multiplier;
             d[j * m + i] = pivot;
             e[j * m + i] = multiplier;
         }
+    for (long j = 0; j < chains; j++) {
+        d[j * m + k] = t[j];
+        t[j] = d[j * m + n - 1];
+    }
+    for (long i = n - 1; i > k; i--)
+        for (long j = 0; j < chains; j++) {
+            const double pivot = t[j] + c[j], multiplier = -c[j] / pivot;
+            if (!(pivot > 0.0) && i < failed[j])
+                failed[j] = i;
+            t[j] = d[j * m + i - 1] - t[j] * multiplier;
+            d[j * m + i] = pivot;
+            e[j * m + i] = multiplier;
+        }
+    for (long j = 0; j < chains; j++) {
+        if (!(t[j] > 0.0) && k < failed[j])
+            failed[j] = k;
+        d[j * m + k] = t[j];
+        e[j * m + k] = 0.0;
+    }
     for (long j = 0; j < chains; j++)
-        d[j * m + n - 1] = t[j];
+        if (failed[j] < n)
+            return j * m + failed[j];
+    return -1;
 }
 
 /* The factors of `blocks` blocks of n nodes over `steps` steps in place (see factor_chains), groups of
- * 8 steps as independent chains; c holds theta dt nu / h^2 per block and step, block-major. */
-void evosis_factor(double *d, double *e, const double *c, long n, long blocks, long steps)
+ * 8 steps as independent chains; c holds theta dt nu / h^2 per block and step, block-major. Returns the
+ * first pivot that is not positive, as the index step * m + node into the tables (m = blocks n): of the
+ * lowest such step, the lowest such node; or -1 when every pivot is positive. */
+long evosis_factor(double *d, double *e, const double *c, long n, long blocks, long steps)
 {
     const long m = blocks * n;
+    long first = -1;
     for (long b = 0; b < blocks; b++)
         for (long k = 0; k < steps; k += 8) {
             double *db = d + k * m + b * n, *eb = e + k * m + b * n;
-            if (steps - k >= 8)
-                factor_chains(db, eb, c + b * steps + k, n, m, 8);
-            else
-                factor_chains(db, eb, c + b * steps + k, n, m, steps - k);
+            const long failed = factor_chains(db, eb, c + b * steps + k, n, m, steps - k >= 8 ? 8 : steps - k);
+            if (failed >= 0 && (first < 0 || k * m + b * n + failed < first))
+                first = k * m + b * n + failed;
         }
+    return first;
 }
 
 /* ---- shortest round-trip float text ---- */

@@ -139,7 +139,7 @@ def load(cache: Path, compiler: str, flags: tuple[str, ...]) -> ctypes.CDLL:
                                       pointer]
     lib.evosis_period_map.restype = None
     lib.evosis_factor.argtypes = [pointer, pointer, pointer, index, index, index]
-    lib.evosis_factor.restype = None
+    lib.evosis_factor.restype = ctypes.c_long
     lib.evosis_space_time_csv.argtypes = [pointer, index, index, pointer, index, ctypes.POINTER(Table), index,
                                           pointer, pointer, pointer, pointer]
     lib.evosis_space_time_csv.restype = ctypes.c_long

@@ -15,8 +15,9 @@ grouped the same way:
 with gain = a - dil and loss = gamma + dil, dil = n rho'/rho, and the
 S-only form R_S = (gain - b S) S. The period map step is
 x = solve(u (2w)) - u. The tables are built here from the config, not
-read from the stepper; the solves are LAPACK `pttrs` on the stepper's
-own factor tables (`PttrsFactors`), which the engine's tests check
+read from the stepper; the solves are the twisted solves of
+`tridiagonal_reference.twisted_solve` on the stepper's own factor tables,
+each block alone (`TwistedFactors`), which the engine's tests check
 separately, unless others are passed in.
 `assert_same_bits` compares results as raw bits, so a zero's sign counts
 as it does in the `repr` of a CSV artifact.
@@ -29,7 +30,7 @@ import numpy as np
 from evosis.engine import DENOMINATOR_GUARD, CoupledStepper, PeriodMapOperator
 from evosis.errors import StepError
 from evosis.model import ModelConfig, coefficient_table
-from tridiagonal_reference import PttrsFactors
+from tridiagonal_reference import TwistedFactors
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -43,8 +44,9 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 class ReferenceStepper:
     """The coupled step (or, with infected=False, its S-only form) on the solves of `stepper`.
 
-    solves, a (predictor, corrector) pair with `PttrsFactors.solve`'s
-    signature, replaces the `pttrs` solves on the stepper's own factors.
+    solves, a (predictor, corrector) pair with `TwistedFactors.solve`'s
+    signature, replaces the twisted solves on the stepper's own factors,
+    the S and I blocks of a coupled state each solved alone.
     """
 
     def __init__(self, config: ModelConfig, stepper: CoupledStepper, infected: bool = True,
@@ -57,7 +59,8 @@ class ReferenceStepper:
         self.beta, self.gamma, self.loss = table["beta"], table["gamma"], table["gamma"] + dil
         self.n = self.n_nodes = nodes.size
         self.infected, self.dt, self.n_steps = infected, stepper.dt, stepper.n_steps
-        self.pred, self.corr = solves or (PttrsFactors(stepper._pred), PttrsFactors(stepper._corr))
+        blocks = 2 if infected else 1
+        self.pred, self.corr = solves or (TwistedFactors(stepper._pred, blocks), TwistedFactors(stepper._corr, blocks))
         self.w = stepper._pred.w
         self.clamp_count = 0
 
@@ -101,7 +104,7 @@ class ReferenceStepper:
 def reference_apply(op: PeriodMapOperator, u: np.ndarray) -> np.ndarray:
     """The period map of u, a field or a block of columns, one Crank-Nicolson step at a time."""
     v = np.ascontiguousarray(np.transpose(u), dtype=float)  # one row per column of u
-    two_w, factors = 2.0 * op._factors.w, PttrsFactors(op._factors)
+    two_w, factors = 2.0 * op._factors.w, TwistedFactors(op._factors)
     for k in range(op.n_steps):
         x = v * two_w
         factors.solve(k, x.T)

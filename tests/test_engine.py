@@ -31,8 +31,7 @@ from evosis.model import CoefficientProfile, EvolutionRate, Grid1D, InitialSpec,
 from evosis.presets import load_preset
 from step_reference import ReferenceStepper, assert_same_bits, reference_apply
 from tridiagonal_reference import (
-    PTTRS,
-    PttrsFactors,
+    TwistedFactors,
     excess_factors,
     excess_solve,
     laplacian_bands,
@@ -40,6 +39,7 @@ from tridiagonal_reference import (
     lu_solve,
     node_major_factors,
     row_weights,
+    twisted_solve,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -361,22 +361,19 @@ def test_coupled_step_raises_on_one_nonfinite_entry(node, value):
 def test_coupled_step_raises_on_positive_infinity_alone():
     """A +inf with no NaN and no negative beside it passes the min half of the
     step's guard, so only the max half can catch it. The compiled loop runs on
-    a doctored corrector factor row: a zero pivot at I node 5 of step 3 makes
-    that node +inf, and the back sweep carries it down the I block to node 0
-    as +inf. S and I are solved as a pair, each block alone, so the zero seam
-    multiplier, read only where a seam node is zero, never turns it into NaN
-    in S (the stacked order would: 0 * inf). The three steps before it are
-    taken, and the error names step 3."""
+    a doctored corrector factor row: a zero pivot at I node 5 of step 3, in
+    the top half of the I block, makes that node +inf, and the top chain of
+    the back sweep carries it down the I block to node 0 as +inf. S and I are
+    separate systems, each solved alone, so nothing of it reaches S. The
+    three steps before it are taken, and the error names step 3."""
     stepper = CoupledStepper(_homogeneous_config())
     d, e = stepper._corr.d[3], stepper._corr.e[3]
-    assert e[16] == 0.0
+    assert 5 < 17 // 2 and e[17 + 17 // 2] == 0.0
     d[17 + 5] = 0.0
+    probe = np.full(34, 0.3)
     with np.errstate(all="ignore"):
-        probe = np.concatenate([PTTRS(d[block], e[block][:-1], np.full(17, 0.3))[0]
-                                for block in (slice(0, 17), slice(17, 34))])
-        stacked = PTTRS(d, e[:-1], np.full(34, 0.3))[0]
+        TwistedFactors(stepper._corr, 2).solve(3, probe)
     assert np.all(np.isposinf(probe[17:17 + 6])) and np.all(np.isfinite(np.delete(probe, range(17, 17 + 6))))
-    assert np.all(np.isnan(stacked[:17]))
     with pytest.raises(StepError, match=r"after step 3 "):
         stepper.period(np.full(34, 0.3))
 
@@ -489,11 +486,13 @@ def test_period_equals_the_frozen_step_arithmetic_through_the_guard_and_the_clam
 
 @pytest.mark.parametrize("zeros", [17, 6], ids=["I-zero", "I-zero-at-the-left-end"])
 def test_period_equals_the_frozen_step_arithmetic_with_a_zero_at_the_seam(zeros):
-    """I = 0 at the seam node, its first: there the predictor's right-hand side
-    is zero, so the compiled solve takes the stacked order across the seam. With
-    I zero on the left end only, diffusion lifts I at node 0 off zero after the
-    first solve, and later steps solve S and I as a pair; with I = 0 throughout,
-    every solve of the period takes the stacked order."""
+    """I = 0 at its first node, next to the last S node: there the predictor's
+    right-hand side is zero. S and I are separate systems, each solved alone
+    with its own twisted factors, so no term crosses from one block into the
+    other and no zero's sign can flip there. With I zero on the left end only,
+    diffusion lifts I at node 0 off zero after the first solve; with I = 0
+    throughout, I stays +0 at every node and step, and S follows the S-only
+    stepper bit for bit."""
     config = load_preset("example1-evolving").with_resolution(16, 32)
     stepper = CoupledStepper(config)
     reference = ReferenceStepper(config, stepper)
@@ -505,23 +504,27 @@ def test_period_equals_the_frozen_step_arithmetic_with_a_zero_at_the_seam(zeros)
     assert rhs[17] == 0.0
     path = _assert_periods_match_reference(stepper, reference, u)
     if zeros == 17:
-        assert np.all(path[:, 17:] == 0.0)
+        assert_same_bits(path[:, 17:], np.zeros((33, 17)))
+        lone = CoupledStepper(config, infected=False)
+        lone_path = np.empty((33, 17))
+        lone.period(path[0, :17], lone_path)
+        assert_same_bits(path[:, :17], lone_path)
     else:
         assert np.all(path[1:, 17] > 0.0)
 
 
 def test_period_equals_the_frozen_step_arithmetic_where_the_last_s_node_solves_to_zero():
     """Doctored factor rows cut the last S node and the last I node off their
-    blocks (a zero multiplier before each, at every step), and both start at
-    zero, so the last S node solves to zero in every predictor and corrector:
-    its back sweep starts at zero, and the compiled solve takes the stacked
-    order there, while the forward sweep, with I nonzero at the seam, solves S
-    and I as a pair. The reference solves with `pttrs` on the same rows."""
+    blocks (a zero multiplier at each, the bottom chain's first, at every
+    step), and both start at zero, so the last S node solves to zero in every
+    predictor and corrector: its back sweep ends at zero, next to the first I
+    node, which is nonzero. Each block is solved alone, so neither value
+    reaches across. The reference solves with the same doctored rows."""
     config = _homogeneous_config()
     stepper = CoupledStepper(config)
     for factors in (stepper._pred, stepper._corr):
-        assert np.all(factors.e[:, 16] == 0.0)
-        factors.e[:, [15, 17 + 15]] = 0.0
+        assert np.all(factors.e[:, [8, 17 + 8]] == 0.0) and np.all(factors.e[:, [16, 17 + 16]] != 0.0)
+        factors.e[:, [16, 17 + 16]] = 0.0
     u = np.concatenate((np.linspace(0.3, 0.6, 17), np.linspace(0.2, 0.1, 17)))
     u[[16, 17 + 16]] = 0.0
     path = _assert_periods_match_reference(stepper, ReferenceStepper(config, stepper), u)
@@ -644,10 +647,12 @@ def test_coupled_step_matches_per_species_reference_bit_for_bit():
 
 
 def test_stacked_bands_solve_like_each_species_alone():
-    """The zero seam makes one stacked solve equal the two separate solves
-    with the scalar loop's factors bit for bit; the `pttrf` and LU solves
-    agree to rounding. The stacked factors, like the reference's, are those
-    of the W-scaled system, solved on the rhs scaled by w."""
+    """A factor set over the stacked bands of two species holds each block's
+    own twisted factors: solving each block alone with them equals the two
+    separate solves with the scalar loop's factors bit for bit; the `pttrf`
+    and LU solves agree to rounding. The stacked factors, like the
+    reference's, are those of the W-scaled system, solved on the rhs scaled
+    by w."""
     grid = Grid1D(L=2.0, N=24)
     w = np.tile(row_weights(grid.N + 1), 2)
     rng = np.random.default_rng(7)
@@ -659,7 +664,7 @@ def test_stacked_bands_solve_like_each_species_alone():
             rhs = rng.standard_normal(2 * (grid.N + 1))
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
             stacked = rhs * w
-            PttrsFactors(factors).solve(k, stacked)
+            TwistedFactors(factors, 2).solve(k, stacked)
             expected = np.concatenate([excess_solve(grid, (-theta * nu)[k], part) for nu, part in parts])
             assert np.array_equal(stacked, expected)
             for solve_block in (ldlt_solve, lu_solve):
@@ -669,16 +674,18 @@ def test_stacked_bands_solve_like_each_species_alone():
 
 @pytest.mark.parametrize("steps", [5, 8, 19], ids=["under-one-group", "one-group", "two-groups-and-a-tail"])
 def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(steps):
-    """W A is symmetric to the bit. The factors of each step's system
-    W(I - theta dt (nu A + diag q)) multiply back to it: L D L^T has its
-    off-diagonals and row sums within a few ulps, with a zero seam between
-    blocks. The reference forms I + (-theta dt nu) A - theta dt diag q
-    densely, then scales its rows by W. Each block's factors also equal the
-    scalar reference loop's bit for bit, whether the compiled recurrence
-    runs its steps in a part of one group of 8 chains, in one whole group,
-    or in two with a tail of 3."""
+    """W A is symmetric to the bit. The twisted factors of each step's system
+    W(I - theta dt (nu A + diag q)) multiply back to it: N D N^T, with N unit
+    lower bidiagonal above each block's twist row k = n/2 and unit upper
+    bidiagonal below it, has its off-diagonals and row sums within a few
+    ulps, with a zero seam between blocks. The reference forms
+    I + (-theta dt nu) A - theta dt diag q densely, then scales its rows by W.
+    Each block's factors also equal the scalar reference loop's bit for bit,
+    whether the compiled recurrence runs its steps in a part of one group of
+    8 chains, in one whole group, or in two with a tail of 3."""
     grid = Grid1D(L=1.7, N=12)
     n = grid.N + 1
+    k_twist = n // 2
     weights = row_weights(n)
     dense = _dense_laplacian(grid)
     assert np.array_equal(weights[:, None] * dense, (weights[:, None] * dense).T)
@@ -698,20 +705,24 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(steps):
                     block -= np.diag(theta_dt * potential[k])
                 system[j * n:(j + 1) * n, j * n:(j + 1) * n] = weights[:, None] * block
             assert np.array_equal(system, system.T)
-            d, e = factors.d[k], factors.e[k, :-1]
-            lower = np.eye(d.size) + np.diag(e, -1)
-            product = lower @ np.diag(d) @ lower.T
+            d, e = factors.d[k], factors.e[k]
+            twisted = np.eye(d.size)
+            for start in range(0, d.size, n):
+                for i in range(n):
+                    if i != k_twist:
+                        twisted[start + i + (1 if i < k_twist else -1), start + i] = e[start + i]
+            product = twisted @ np.diag(d) @ twisted.T
             off = np.diag(system, 1)
             assert np.all(np.abs(np.diag(product, 1) - off) <= 2 * ulp * np.abs(off))
             assert np.all(np.abs(product.sum(axis=1) - system.sum(axis=1))
                           <= 4 * ulp * np.abs(system).sum(axis=1))
             if len(blocks) == 2:
-                assert e[n - 1] == 0.0
+                assert product[n - 1, n] == product[n, n - 1] == 0.0
             row_sums = factors.w if potential is None else (potential[k] * -theta_dt + 1.0) * factors.w
             for j, nu in enumerate(blocks):
                 ref_d, ref_e = excess_factors(row_sums[j * n:(j + 1) * n], (theta_dt * nu[k]) * (1.0 / grid.h**2))
                 assert np.array_equal(d[j * n:(j + 1) * n], ref_d)
-                assert np.array_equal(e[j * n:j * n + n - 1], ref_e)
+                assert np.array_equal(e[j * n:(j + 1) * n], ref_e)
 
 
 @pytest.mark.parametrize("steps", [8, 21], ids=["one-group", "two-groups-and-a-tail"])
@@ -794,7 +805,7 @@ def test_factor_sets_solve_to_relative_accuracy_however_stiff(stiffness):
         factors = _FactorSet(grid, blocks, potential, theta_dt)
         for k in range(steps):
             rhs = factors.w.copy()
-            PttrsFactors(factors).solve(k, rhs)
+            TwistedFactors(factors, len(blocks)).solve(k, rhs)
             exact = 1.0 / (1.0 - theta_dt * levels[k]) if potential is not None else 1.0
             assert np.max(np.abs(rhs / exact - 1.0)) <= 1e-14
 
