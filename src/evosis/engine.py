@@ -149,10 +149,13 @@ class _FactorSet:
     cancels when diffusion dominates. The compiled loop (`evosis_factor` in
     `steploop.c`) runs the recurrence in place on the row sums, for eight
     steps at a time as independent chains. Every pivot is positive while
-    theta_dt*sup q < 1, and always when q is None; the loop checks each one
-    as it forms it, and a pivot that is not positive, or NaN, raises
-    `StepError` naming the first such step and, in it, the lowest such
-    node. The set keeps the step-major tables d (pivots) and e (L_i above
+    theta_dt*sup q < 1, and always when q is None. The loop checks each one
+    as it forms it, before it inverts it (a pivot of +0 would become +inf,
+    which passes for positive), and a pivot that is not positive, or NaN,
+    raises `StepError` naming the first such step and, in it, the lowest
+    such node. The set keeps the step-major tables d (the reciprocal pivots
+    1/D_i, so that the solves multiply where they would divide; the loop
+    forms each with its multiplier in one paired division) and e (L_i above
     each block's twist row, U_i below it, zero at it), which the compiled
     loops read in place, and the row weights w of W, by which its callers
     scale every right-hand side.
@@ -170,7 +173,7 @@ class _FactorSet:
         n, blocks, steps = grid.N + 1, len(nus), nus[0].size
         weights = trapezoid_weights(grid) / grid.h
         self.w = np.tile(weights, blocks)
-        # d holds the row sums s until node i's pivot overwrites s_i; e is 0 at each block's twist row
+        # d holds the row sums s until node i's reciprocal pivot overwrites s_i; e is 0 at each block's twist row
         d = np.empty((steps, blocks * n))
         e = np.empty((steps, blocks * n))
         if q is None:

@@ -76,18 +76,18 @@ static void reaction(const struct stepper *s, long rows, long k, const double *u
 }
 
 /* The twisted solves. A system of n nodes is factored about its twist row k = n/2 (see evosis_factor):
- * d holds the pivots, e the multiplier of each node towards the twist (L_i for i < k, U_i for i > k, 0 at
- * k). A solve runs two independent chains on each sweep, the top one from node 0 and the bottom one from
- * node n-1, which meet at k:
+ * d holds the reciprocal pivots 1/D_i, e the multiplier of each node towards the twist (L_i for i < k,
+ * U_i for i > k, 0 at k). A solve runs two independent chains on each sweep, the top one from node 0 and
+ * the bottom one from node n-1, which meet at k:
  *
- *     forward   y_i = x_i - y_{i-1} L_{i-1}  (0 < i < k),   y_i = x_i - y_{i+1} U_{i+1}  (k < i < n-1)
- *     twist     y_k = (x_k - y_{k-1} L_{k-1}) - y_{k+1} U_{k+1},   x_k = y_k / D_k
- *     back      x_i = y_i / D_i - x_{i+1} L_i  (i < k),         x_i = y_i / D_i - x_{i-1} U_i  (i > k)
+ *     forward   y_i = x_i - y_{i-1} L_{i-1}  (0 < i < k),    y_i = x_i - y_{i+1} U_{i+1}  (k < i < n-1)
+ *     twist     y_k = (x_k - y_{k-1} L_{k-1}) - y_{k+1} U_{k+1},    x_k = y_k (1/D_k)
+ *     back      x_i = y_i (1/D_i) - x_{i+1} L_i  (i < k),    x_i = y_i (1/D_i) - x_{i-1} U_i  (i > k)
  *
- * a term whose node does not exist (k = 0, or k = n-1) left out. The top half holds k nodes and the bottom
- * half n-1-k, one fewer when n is even, so each sweep runs the two chains side by side and then the top
- * chain's last node alone. Each chain's running value stays in a local, so the chains' latencies
- * overlap. */
+ * a term whose node does not exist (k = 0, or k = n-1) left out; neither sweep divides. The top half holds
+ * k nodes and the bottom half n-1-k, one fewer when n is even, so each sweep runs the two chains side by
+ * side and then the top chain's last node alone. Each chain's running value stays in a local, so the
+ * chains' latencies overlap. */
 
 /* The twist row's forward value from the chains' last values top (node k-1) and bottom (node k+1). */
 static inline double twist_row(const double *e, long n, long k, const double *x, double top, double bottom)
@@ -114,15 +114,15 @@ static void twisted(const double *restrict d, const double *restrict e, long n, 
     }
     for (; i < k; i++)
         x[i] = top = x[i] - top * e[i - 1];
-    top = bottom = x[k] = twist_row(e, n, k, x, top, bottom) / d[k];
+    top = bottom = x[k] = twist_row(e, n, k, x, top, bottom) * d[k];
     for (i = k - 1, j = k + 1; j < n; i--, j++) {
-        top = x[i] / d[i] - top * e[i];
-        bottom = x[j] / d[j] - bottom * e[j];
+        top = x[i] * d[i] - top * e[i];
+        bottom = x[j] * d[j] - bottom * e[j];
         x[i] = top;
         x[j] = bottom;
     }
     for (; i >= 0; i--)
-        x[i] = top = x[i] / d[i] - top * e[i];
+        x[i] = top = x[i] * d[i] - top * e[i];
 }
 
 /* The twisted solves of two independent systems x and y of n nodes, each with its own factors, in one
@@ -147,21 +147,21 @@ static void twisted_pair(const double *restrict dx, const double *restrict ex, c
         x[i] = xt = x[i] - xt * ex[i - 1];
         y[i] = yt = y[i] - yt * ey[i - 1];
     }
-    xt = xb = x[k] = twist_row(ex, n, k, x, xt, xb) / dx[k];
-    yt = yb = y[k] = twist_row(ey, n, k, y, yt, yb) / dy[k];
+    xt = xb = x[k] = twist_row(ex, n, k, x, xt, xb) * dx[k];
+    yt = yb = y[k] = twist_row(ey, n, k, y, yt, yb) * dy[k];
     for (i = k - 1, j = k + 1; j < n; i--, j++) {
-        xt = x[i] / dx[i] - xt * ex[i];
-        xb = x[j] / dx[j] - xb * ex[j];
-        yt = y[i] / dy[i] - yt * ey[i];
-        yb = y[j] / dy[j] - yb * ey[j];
+        xt = x[i] * dx[i] - xt * ex[i];
+        xb = x[j] * dx[j] - xb * ex[j];
+        yt = y[i] * dy[i] - yt * ey[i];
+        yb = y[j] * dy[j] - yb * ey[j];
         x[i] = xt;
         x[j] = xb;
         y[i] = yt;
         y[j] = yb;
     }
     for (; i >= 0; i--) {
-        x[i] = xt = x[i] / dx[i] - xt * ex[i];
-        y[i] = yt = y[i] / dy[i] - yt * ey[i];
+        x[i] = xt = x[i] * dx[i] - xt * ex[i];
+        y[i] = yt = y[i] * dy[i] - yt * ey[i];
     }
 }
 
@@ -264,15 +264,22 @@ void evosis_period_map(const double *d, const double *e, const double *two_w, lo
     }
 }
 
+/* Two doubles divided lane by lane in one instruction, as GCC and Clang provide vectors; each quotient
+ * rounds as its scalar division does. */
+__extension__ typedef double quotients __attribute__((vector_size(16)));
+
 /* The twisted factors of `chains` steps' blocks of n nodes from their row sums s, one chain per step and
- * half: L D L^T from node 0 down to the twist row k = n/2, U D U^T from node n-1 up to it. Each half runs
- * the row-sum excess recurrence: from t = s_0, D_i = t + c, L_i = (-c) / D_i, t <- s_{i+1} - t L_i for
- * i < k, and from u = s_{n-1}, D_i = u + c, U_i = (-c) / D_i, u <- s_{i-1} - u U_i for i > k. The top half
- * leaves its t in place of s_k, so the bottom half's last step forms the twist pivot
+ * half: L D L^T from node 0 down to the twist row k = n/2, U D U^T from node n-1 up to it (van der Vorst,
+ * Parallel Computing 5, 1987; Parlett and Dhillon, Linear Algebra Appl. 309, 2000). Each half runs the
+ * row-sum excess recurrence: from t = s_0, D_i = t + c, L_i = (-c) / D_i, t <- s_{i+1} - t L_i for i < k,
+ * and from u = s_{n-1}, D_i = u + c, U_i = (-c) / D_i, u <- s_{i-1} - u U_i for i > k. The top half leaves
+ * its t in place of s_k, so the bottom half's last step forms the twist pivot
  * D_k = (s_k - t_{k-1} L_{k-1}) - u_{k+1} U_{k+1}, a sum of positive terms while every s > 0. d holds the row
- * sums on entry and the pivots on return, e the multipliers (0 at k); both are step-major with rows of
- * length m. Returns the lowest node whose pivot is not positive (or NaN) in the first such step, as
- * step * m + node, or -1. */
+ * sums on entry and the reciprocal pivots 1/D_i on return, so that the solves multiply where they would
+ * divide; each node's multiplier and reciprocal come from one division of the pair (-c, 1) by D_i. e holds
+ * the multipliers (0 at k); both are step-major with rows of length m. Each pivot is checked before it is
+ * inverted: the reciprocal of +0 would pass for a positive number. Returns the lowest node whose pivot is
+ * not positive (or NaN) in the first such step, as step * m + node, or -1. */
 static inline long factor_chains(double *d, double *e, const double *c, long n, long m, long chains)
 {
     const long k = n / 2;
@@ -284,11 +291,13 @@ static inline long factor_chains(double *d, double *e, const double *c, long n, 
     }
     for (long i = 0; i < k; i++)
         for (long j = 0; j < chains; j++) {
-            const double pivot = t[j] + c[j], multiplier = -c[j] / pivot;
+            const double pivot = t[j] + c[j];
             if (!(pivot > 0.0) && i < failed[j])
                 failed[j] = i;
+            const quotients q = (quotients){-c[j], 1.0} / (quotients){pivot, pivot};
+            const double multiplier = q[0], inverse = q[1];
             t[j] = d[j * m + i + 1] - t[j] * multiplier;
-            d[j * m + i] = pivot;
+            d[j * m + i] = inverse;
             e[j * m + i] = multiplier;
         }
     for (long j = 0; j < chains; j++) {
@@ -297,17 +306,19 @@ static inline long factor_chains(double *d, double *e, const double *c, long n, 
     }
     for (long i = n - 1; i > k; i--)
         for (long j = 0; j < chains; j++) {
-            const double pivot = t[j] + c[j], multiplier = -c[j] / pivot;
+            const double pivot = t[j] + c[j];
             if (!(pivot > 0.0) && i < failed[j])
                 failed[j] = i;
+            const quotients q = (quotients){-c[j], 1.0} / (quotients){pivot, pivot};
+            const double multiplier = q[0], inverse = q[1];
             t[j] = d[j * m + i - 1] - t[j] * multiplier;
-            d[j * m + i] = pivot;
+            d[j * m + i] = inverse;
             e[j * m + i] = multiplier;
         }
     for (long j = 0; j < chains; j++) {
         if (!(t[j] > 0.0) && k < failed[j])
             failed[j] = k;
-        d[j * m + k] = t[j];
+        d[j * m + k] = 1.0 / t[j];
         e[j * m + k] = 0.0;
     }
     for (long j = 0; j < chains; j++)

@@ -369,7 +369,7 @@ def test_coupled_step_raises_on_positive_infinity_alone():
     stepper = CoupledStepper(_homogeneous_config())
     d, e = stepper._corr.d[3], stepper._corr.e[3]
     assert 5 < 17 // 2 and e[17 + 17 // 2] == 0.0
-    d[17 + 5] = 0.0
+    d[17 + 5] = np.inf  # the table holds 1/D, and a zero pivot's reciprocal is +inf
     probe = np.full(34, 0.3)
     with np.errstate(all="ignore"):
         TwistedFactors(stepper._corr, 2).solve(3, probe)
@@ -682,7 +682,9 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(steps):
     I + (-theta dt nu) A - theta dt diag q densely, then scales its rows by W.
     Each block's factors also equal the scalar reference loop's bit for bit,
     whether the compiled recurrence runs its steps in a part of one group of
-    8 chains, in one whole group, or in two with a tail of 3."""
+    8 chains, in one whole group, or in two with a tail of 3: the set's d
+    table holds the reciprocals of the reference pivots, and the product is
+    formed with the pivots."""
     grid = Grid1D(L=1.7, N=12)
     n = grid.N + 1
     k_twist = n // 2
@@ -705,31 +707,32 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(steps):
                     block -= np.diag(theta_dt * potential[k])
                 system[j * n:(j + 1) * n, j * n:(j + 1) * n] = weights[:, None] * block
             assert np.array_equal(system, system.T)
-            d, e = factors.d[k], factors.e[k]
-            twisted = np.eye(d.size)
-            for start in range(0, d.size, n):
+            row_sums = factors.w if potential is None else (potential[k] * -theta_dt + 1.0) * factors.w
+            pivots, e = np.empty(factors.d.shape[1]), factors.e[k]
+            for j, nu in enumerate(blocks):
+                ref_d, ref_e = excess_factors(row_sums[j * n:(j + 1) * n], (theta_dt * nu[k]) * (1.0 / grid.h**2))
+                pivots[j * n:(j + 1) * n] = ref_d
+                assert np.array_equal(e[j * n:(j + 1) * n], ref_e)
+            assert np.array_equal(factors.d[k], 1.0 / pivots)
+            twisted = np.eye(pivots.size)
+            for start in range(0, pivots.size, n):
                 for i in range(n):
                     if i != k_twist:
                         twisted[start + i + (1 if i < k_twist else -1), start + i] = e[start + i]
-            product = twisted @ np.diag(d) @ twisted.T
+            product = twisted @ np.diag(pivots) @ twisted.T
             off = np.diag(system, 1)
             assert np.all(np.abs(np.diag(product, 1) - off) <= 2 * ulp * np.abs(off))
             assert np.all(np.abs(product.sum(axis=1) - system.sum(axis=1))
                           <= 4 * ulp * np.abs(system).sum(axis=1))
             if len(blocks) == 2:
                 assert product[n - 1, n] == product[n, n - 1] == 0.0
-            row_sums = factors.w if potential is None else (potential[k] * -theta_dt + 1.0) * factors.w
-            for j, nu in enumerate(blocks):
-                ref_d, ref_e = excess_factors(row_sums[j * n:(j + 1) * n], (theta_dt * nu[k]) * (1.0 / grid.h**2))
-                assert np.array_equal(d[j * n:(j + 1) * n], ref_d)
-                assert np.array_equal(e[j * n:(j + 1) * n], ref_e)
 
 
 @pytest.mark.parametrize("steps", [8, 21], ids=["one-group", "two-groups-and-a-tail"])
 def test_compiled_factors_equal_the_node_major_recurrence_bit_for_bit(steps):
-    """One block with a potential, one without, and two blocks: every pivot and
-    multiplier of the compiled recurrence has the bits of the numpy form,
-    also when the step count leaves a tail of fewer than 8 chains."""
+    """One block with a potential, one without, and two blocks: every reciprocal
+    pivot and multiplier of the compiled recurrence has the bits of the numpy
+    form, also when the step count leaves a tail of fewer than 8 chains."""
     grid = Grid1D(L=2.3, N=40)
     rng = np.random.default_rng(11)
     theta_dt = 0.007
@@ -737,8 +740,8 @@ def test_compiled_factors_equal_the_node_major_recurrence_bit_for_bit(steps):
     q = 40.0 * rng.standard_normal((steps, grid.N + 1))
     for blocks, potential in (((nus[0],), q), ((nus[1],), None), (nus, None)):
         factors = _FactorSet(grid, blocks, potential, theta_dt)
-        want_d, want_e = node_major_factors(grid, blocks, potential, theta_dt)
-        assert_same_bits(factors.d, want_d)
+        pivots, want_e = node_major_factors(grid, blocks, potential, theta_dt)
+        assert_same_bits(factors.d, 1.0 / pivots)
         assert_same_bits(factors.e, want_e)
 
 
@@ -828,6 +831,130 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
         PeriodMapOperator(spec.grid, spec.dt, nu, q)
     q[5] = 0.99 / (0.5 * spec.dt)
     PeriodMapOperator(spec.grid, spec.dt, nu, q)
+
+
+def test_period_map_rejects_a_zero_pivot_before_inverting_it():
+    """theta dt q = 1 exactly (theta dt = 1/32, q = 32) and nu = 0 on step 5:
+    there every row sum w(1 - theta dt q), the coupling c and so the first
+    pivot are exactly +0, whose reciprocal +inf would pass for a positive
+    number. The factor loop checks each pivot before it inverts it, so the
+    error names step 5 and its first node."""
+    spec = _linear_spec(lambda y, t: 0.0, steps=16)
+    theta_dt = 0.5 * spec.dt
+    q = np.zeros((16, 17))
+    q[5] = 1.0 / theta_dt
+    nu = np.full(16, spec.d)
+    nu[5] = 0.0
+    assert theta_dt == 1.0 / 32.0 and np.all(q[5] * -theta_dt + 1.0 == 0.0)
+    pivots = node_major_factors(spec.grid, (nu,), q, theta_dt)[0]
+    assert pivots[5, 0] == 0.0 and not np.signbit(pivots[5, 0])
+    with np.errstate(divide="ignore"):
+        assert np.isposinf(1.0 / pivots[5, 0])
+    with pytest.raises(StepError, match=r"^step 5: .*not positive definite \(pivot 1 of 17\).*"
+                                        r"here theta\*dt\*sup q = 1$"):
+        PeriodMapOperator(spec.grid, spec.dt, nu, q)
+
+
+# ---- the smallest systems: every layout of the twisted halves ----
+
+def _constant_potential(steps: int) -> np.ndarray:
+    """Per-step levels of a potential constant in space, theta dt q within (-0.4, 0.5)."""
+    return np.linspace(-12.0, 15.0, steps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_small_period_maps_equal_the_twisted_reference_and_the_exact_oracle(n):
+    """n nodes, even and odd, so the top half holds one node more than the
+    bottom half or as many; at n = 2 there is no bottom half. With q constant
+    in space, A 1 = 0 makes each step map a constant a to
+    a (1 + theta dt q_k) / (1 - theta dt q_k) exactly, whatever the
+    diffusion; the map's factor set and its applies of 0, 1, 2, 3 and 8
+    columns (and of one field) equal the twisted reference bit for bit, and
+    each column is its constant times that product to a few ulps per step."""
+    grid, steps = Grid1D(L=1.0, N=n - 1), 10
+    dt = 1.0 / steps
+    levels = _constant_potential(steps)
+    q = np.repeat(levels[:, None], n, axis=1)
+    nu = np.linspace(0.5, 40.0, steps)
+    op = PeriodMapOperator(grid, dt, nu, q)
+    pivots, e = node_major_factors(grid, (nu,), q, 0.5 * dt)
+    assert_same_bits(op._factors.d, 1.0 / pivots)
+    assert_same_bits(op._factors.e, e)
+    factor = 1.0
+    for level in levels:
+        factor *= (1.0 + 0.5 * dt * level) / (1.0 - 0.5 * dt * level)
+    for columns in (0, 1, 2, 3, 8):
+        u = np.repeat(np.linspace(0.5, 2.0, columns)[None, :], n, axis=0)
+        got = op.apply(u)
+        assert got.shape == (n, columns)
+        assert_same_bits(got, reference_apply(op, u))
+        assert np.all(np.abs(got / (u * factor) - 1.0) <= 1e-15 * steps)
+    field = np.full(n, 1.5)
+    assert_same_bits(op.apply(field), reference_apply(op, field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_small_steppers_equal_the_twisted_reference_and_the_exact_oracle(n):
+    """The S-only stepper on 1, 2 and 3 rows and the coupled stepper, whose S
+    and I blocks are two systems of n nodes: every step equals the reference
+    bit for bit. On constant fields of the homogeneous model, diffusion
+    leaves each field constant, so each S-only row follows the scalar IMEX
+    recursion of its level to a few ulps per step."""
+    config = _homogeneous_config(grid_points=n - 1, steps_per_period=16)
+    lone = CoupledStepper(config, infected=False)
+    dt = lone.dt
+    levels = (2.0, 0.05, 0.7)
+    for rows in (1, 2, 3):
+        u = np.repeat(np.asarray(levels[:rows])[:, None], n, axis=1)
+        state = u[0] if rows == 1 else u
+        path = _assert_periods_match_reference(lone, ReferenceStepper(config, lone, infected=False), state,
+                                               periods=1)
+        for j, level in enumerate(levels[:rows]):
+            for k in range(lone.n_steps):
+                r = (1.0 - 2.0 * level) * level
+                star = r * dt + level
+                level = (((1.0 - 2.0 * star) * star + r) * (0.5 * dt) + 2.0 * level) - level
+                got = path[k + 1] if rows == 1 else path[k + 1, j]
+                assert np.all(np.abs(got / level - 1.0) <= 1e-15 * (k + 1))
+    coupled = CoupledStepper(config)
+    u = np.concatenate((np.linspace(0.3, 0.6, n), np.linspace(0.2, 0.1, n)))
+    _assert_periods_match_reference(coupled, ReferenceStepper(config, coupled), u, periods=2)
+
+
+def test_one_node_factors_and_period_map_in_the_compiled_loop():
+    """One node, where the twist row is the whole system: no half, the pivot
+    is the row sum, and a solve is one multiplication by its reciprocal.
+    `Grid1D` cannot hold one node (h = L/N), so the compiled entry points
+    are called directly, with the row weight 1/2 of a node that is both
+    ends: the factors equal the scalar reference's bit for bit, a map of 0,
+    1, 2, 3 and 8 columns equals the twisted reference solve step by step,
+    and each value is its start times the exact product of the steps."""
+    from evosis.steploop import library
+
+    steps, theta_dt, w = 10, 0.05, 0.5
+    levels = _constant_potential(steps)
+    row_sums = (levels * -theta_dt + 1.0) * w
+    d, e = row_sums[:, None].copy(), np.full((steps, 1), np.nan)
+    c = np.linspace(1.0, 1e6, steps)
+    assert library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, 1, 1, steps) == -1
+    for k in range(steps):
+        pivots, multipliers = excess_factors(row_sums[k:k + 1], c[k])
+        assert_same_bits(d[k], 1.0 / pivots)
+        assert_same_bits(e[k], multipliers)
+    two_w = np.array([2.0 * w])
+    for columns in (0, 1, 2, 3, 8):
+        u = np.linspace(0.5, 2.0, columns)[:, None].copy()
+        out, spare = np.empty_like(u), np.empty_like(u)
+        library().evosis_period_map(d.ctypes.data, e.ctypes.data, two_w.ctypes.data, 1, columns, steps,
+                                    u.ctypes.data, out.ctypes.data, None, spare.ctypes.data)
+        want, exact = u.T.copy(), u.T.copy()
+        for k in range(steps):
+            x = want * two_w
+            twisted_solve(d[k], e[k], x)
+            want = x - want
+            exact = exact * ((1.0 + theta_dt * levels[k]) / (1.0 - theta_dt * levels[k]))
+        assert_same_bits(out.T, want)
+        assert np.all(np.abs(out.T / exact - 1.0) <= 1e-15 * steps)
 
 
 def test_held_factors_fit_their_budgets():

@@ -6,9 +6,11 @@ W = diag(1/2, 1, ..., 1, 1/2): its off-diagonal is s/h^2 and its row sums
 are w = (1/2, 1, ..., 1, 1/2). `excess_factors` factors it in twisted form
 from those row-sum excesses in a plain scalar loop, in the engine's
 operation order: L D L^T from the first node down to the twist row
-k = n/2, U D U^T from the last node up to it. `twisted_solve` solves with
-such factors in the compiled loop's operation order, and `excess_solve`
-with the factors of `excess_factors` on W rhs, as the engine does.
+k = n/2, U D U^T from the last node up to it. It returns the pivots D,
+of which a factor set's d table holds the reciprocals 1/D.
+`twisted_solve` solves with such reciprocals and multipliers in the
+compiled loop's operation order, and `excess_solve` with the factors of
+`excess_factors` on W rhs, as the engine does.
 `ldlt_solve` forms W(I + s A) straight from the unsymmetric bands and
 factors and solves it with LAPACK `pttrf`/`pttrs` instead. `lu_solve` is
 the general LU form with pivoting (`gttrf`/`gttrs`) on the unscaled
@@ -22,7 +24,8 @@ back out, which is exact, and writes into the rhs too.
 `node_major_factors` is the numpy form of the factor set build, the
 twisted row-sum excess recurrence run node by node across every step and
 block at once, against which the compiled recurrence is checked bit for
-bit.
+bit: its pivots, inverted, give the set's d table, and its multipliers
+the e table.
 """
 
 from __future__ import annotations
@@ -87,11 +90,12 @@ def excess_factors(row_sums: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarr
 def twisted_solve(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> None:
     """Solves in place with twisted factors, x of shape (n,) or (n, columns), in the compiled order.
 
+    d holds the reciprocal pivots 1/D, as a factor set's table does.
     Forward, the top chain y_i = x_i - y_{i-1} E_{i-1} (0 < i < k) and the
     bottom chain y_i = x_i - y_{i+1} E_{i+1} (k < i < n-1); at the twist
     y_k = (x_k - y_{k-1} E_{k-1}) - y_{k+1} E_{k+1}, a missing node's term
-    left out, and x_k = y_k / D_k; back, x_i = y_i / D_i - x_{i+1} E_i
-    (i < k) and x_i = y_i / D_i - x_{i-1} E_i (i > k).
+    left out, and x_k = y_k (1/D_k); back, x_i = y_i (1/D_i) - x_{i+1} E_i
+    (i < k) and x_i = y_i (1/D_i) - x_{i-1} E_i (i > k).
     """
     n = d.size
     k = n // 2
@@ -103,18 +107,18 @@ def twisted_solve(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> None:
         x[k] = x[k] - x[k - 1] * e[k - 1]
     if k + 1 < n:
         x[k] = x[k] - x[k + 1] * e[k + 1]
-    x[k] = x[k] / d[k]
+    x[k] = x[k] * d[k]
     for i in range(k - 1, -1, -1):
-        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+        x[i] = x[i] * d[i] - x[i + 1] * e[i]
     for i in range(k + 1, n):
-        x[i] = x[i] / d[i] - x[i - 1] * e[i]
+        x[i] = x[i] * d[i] - x[i - 1] * e[i]
 
 
 def excess_solve(grid: Grid1D, scale: float, rhs: np.ndarray) -> np.ndarray:
     weights = row_weights(grid.N + 1)
     d, e = excess_factors(weights, -scale * (1.0 / grid.h**2))
     x = weights * rhs
-    twisted_solve(d, e, x)
+    twisted_solve(1.0 / d, e, x)
     return x
 
 
@@ -138,12 +142,13 @@ def lu_solve(grid: Grid1D, scale: float, rhs: np.ndarray) -> np.ndarray:
 
 def node_major_factors(grid: Grid1D, nus: tuple[np.ndarray, ...], q: np.ndarray | None,
                        theta_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The step-major (d, e) tables of `_FactorSet(grid, nus, q, theta_dt)`, without its definiteness check.
+    """The step-major pivots and e table of `_FactorSet(grid, nus, q, theta_dt)`, without its definiteness check.
 
-    The row sums are w(1 - theta_dt q) per block, formed as the factor set
-    forms them; then the twisted recurrence of `excess_factors` runs one
-    node at a time on (blocks, steps) arrays of ufunc calls. e is zero at
-    each block's twist row.
+    The set's d table holds the reciprocals of these pivots. The row sums
+    are w(1 - theta_dt q) per block, formed as the factor set forms them;
+    then the twisted recurrence of `excess_factors` runs one node at a time
+    on (blocks, steps) arrays of ufunc calls. e is zero at each block's
+    twist row.
     """
     n, blocks, steps = grid.N + 1, len(nus), nus[0].size
     k = n // 2
