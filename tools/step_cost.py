@@ -69,7 +69,7 @@ import numpy as np  # noqa: E402
 AGAINST = "evosis_against"
 
 
-def _load_tree(src: Path) -> str:
+def load_tree(src: Path) -> str:
     """Imports the `evosis` package under `src` as AGAINST, beside this process's own, and returns that name."""
     init = src / "evosis" / "__init__.py"
     spec = importlib.util.spec_from_file_location(AGAINST, init, submodule_search_locations=[str(init.parent)])
@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--against", type=Path, metavar="PATH",
                         help="directory holding another tree's evosis package, timed in the same process")
     args = parser.parse_args(argv)
-    packages = ["evosis"] + ([_load_tree(args.against)] if args.against else [])
+    packages = ["evosis"] + ([load_tree(args.against)] if args.against else [])
     results = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name in args.preset or preset_names():
