@@ -268,6 +268,23 @@ void evosis_period_map(const double *d, const double *e, const double *two_w, lo
  * rounds as its scalar division does. */
 __extension__ typedef double quotients __attribute__((vector_size(16)));
 
+/* One node i of the row-sum excess recurrence with coupling c, from the excess t that reaches it: the pivot
+ * D_i = t + c is checked before it is inverted, since the reciprocal of +0 would pass for a positive number
+ * (failed keeps the lowest node whose pivot is not positive, or NaN); then 1/D_i goes into d_i and the
+ * multiplier -c / D_i into e_i, both from one paired division. Returns the excess passed on towards the
+ * twist row, s_next - t (-c / D_i). */
+static inline double excess_node(double *d, double *e, double c, double t, long i, long next, long *failed)
+{
+    const double pivot = t + c;
+    if (!(pivot > 0.0) && i < *failed)
+        *failed = i;
+    const quotients q = (quotients){-c, 1.0} / (quotients){pivot, pivot};
+    const double passed = d[next] - t * q[0];
+    d[i] = q[1];
+    e[i] = q[0];
+    return passed;
+}
+
 /* The twisted factors of `chains` steps' blocks of n nodes from their row sums s, one chain per step and
  * half: L D L^T from node 0 down to the twist row k = n/2, U D U^T from node n-1 up to it (van der Vorst,
  * Parallel Computing 5, 1987; Parlett and Dhillon, Linear Algebra Appl. 309, 2000). Each half runs the
@@ -276,10 +293,8 @@ __extension__ typedef double quotients __attribute__((vector_size(16)));
  * its t in place of s_k, so the bottom half's last step forms the twist pivot
  * D_k = (s_k - t_{k-1} L_{k-1}) - u_{k+1} U_{k+1}, a sum of positive terms while every s > 0. d holds the row
  * sums on entry and the reciprocal pivots 1/D_i on return, so that the solves multiply where they would
- * divide; each node's multiplier and reciprocal come from one division of the pair (-c, 1) by D_i. e holds
- * the multipliers (0 at k); both are step-major with rows of length m. Each pivot is checked before it is
- * inverted: the reciprocal of +0 would pass for a positive number. Returns the lowest node whose pivot is
- * not positive (or NaN) in the first such step, as step * m + node, or -1. */
+ * divide; e holds the multipliers (0 at k); both are step-major with rows of length m. Returns the lowest
+ * node whose pivot is not positive (or NaN) in the first such step, as step * m + node, or -1. */
 static inline long factor_chains(double *d, double *e, const double *c, long n, long m, long chains)
 {
     const long k = n / 2;
@@ -290,31 +305,15 @@ static inline long factor_chains(double *d, double *e, const double *c, long n, 
         failed[j] = n;
     }
     for (long i = 0; i < k; i++)
-        for (long j = 0; j < chains; j++) {
-            const double pivot = t[j] + c[j];
-            if (!(pivot > 0.0) && i < failed[j])
-                failed[j] = i;
-            const quotients q = (quotients){-c[j], 1.0} / (quotients){pivot, pivot};
-            const double multiplier = q[0], inverse = q[1];
-            t[j] = d[j * m + i + 1] - t[j] * multiplier;
-            d[j * m + i] = inverse;
-            e[j * m + i] = multiplier;
-        }
+        for (long j = 0; j < chains; j++)
+            t[j] = excess_node(d + j * m, e + j * m, c[j], t[j], i, i + 1, &failed[j]);
     for (long j = 0; j < chains; j++) {
         d[j * m + k] = t[j];
         t[j] = d[j * m + n - 1];
     }
     for (long i = n - 1; i > k; i--)
-        for (long j = 0; j < chains; j++) {
-            const double pivot = t[j] + c[j];
-            if (!(pivot > 0.0) && i < failed[j])
-                failed[j] = i;
-            const quotients q = (quotients){-c[j], 1.0} / (quotients){pivot, pivot};
-            const double multiplier = q[0], inverse = q[1];
-            t[j] = d[j * m + i - 1] - t[j] * multiplier;
-            d[j * m + i] = inverse;
-            e[j * m + i] = multiplier;
-        }
+        for (long j = 0; j < chains; j++)
+            t[j] = excess_node(d + j * m, e + j * m, c[j], t[j], i, i - 1, &failed[j]);
     for (long j = 0; j < chains; j++) {
         if (!(t[j] > 0.0) && k < failed[j])
             failed[j] = k;
