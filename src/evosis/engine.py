@@ -67,10 +67,11 @@ potential below 1/(theta dt), and a system that is not definite raises
 each Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f
 is taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit
 stencil. Every rhs reaches the systems scaled by w, with the power of
-two folded into its terms: the period map passes u * 2w for w(2u), and
-the coupled step scales its reaction terms by dt w or theta dt w and u
-by w. Scaling by a power of two is exact, so each sum rounds as the
-unscaled one does.
+two folded into its terms. The compiled loops form those scales from the
+factor set's one weight vector w: the period map's rhs is u (2w), with 2w
+formed once per map, and the coupled step's are r (dt w) + u w and
+((r1 + r) ((dt/2) w) + u w) + u w. Scaling by a power of two is exact, so
+each sum rounds as the unscaled one does.
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ class PeriodMapOperator:
     Built from per-step coefficient tables: the endpoint-averaged potential
     q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,). The
     compiled loop (`evosis_period_map` in `steploop.c`) crosses the period:
-    a step writes u * 2w into the next state buffer, solves there in place
-    and takes u off.
+    a step writes u (2w), from the factor set's w, into the next state
+    buffer, solves there in place and takes u off.
 
     Raises:
         KernelBuildError: the compiled loop cannot be built or loaded.
@@ -220,7 +221,6 @@ class PeriodMapOperator:
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
         self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
-        self._two_w = 2.0 * self._factors.w  # w(2u) = 2w u
         self._library = library()
 
     @classmethod
@@ -243,9 +243,9 @@ class PeriodMapOperator:
         """
         v = np.ascontiguousarray(np.transpose(u), dtype=float)
         _check_path(path, (self.n_steps + 1,) + v.shape)
-        out, spare = np.empty_like(v), np.empty_like(v)
         factors, m = self._factors, v.shape[-1]
-        self._library.evosis_period_map(factors.d.ctypes.data, factors.e.ctypes.data, self._two_w.ctypes.data,
+        out, spare = np.empty_like(v), np.empty(m + v.size)  # spare: the loop's 2w, then a state
+        self._library.evosis_period_map(factors.d.ctypes.data, factors.e.ctypes.data, factors.w.ctypes.data,
                                         m, v.size // m, self.n_steps, v.ctypes.data, out.ctypes.data,
                                         None if path is None else path.ctypes.data, spare.ctypes.data)
         return out.T
@@ -294,8 +294,9 @@ class CoupledStepper:
     wherever S + I falls below a small denominator guard (or is NaN).
     Adding (-loss) I rounds as subtracting loss I does. Both right-hand
     sides, r dt + u and (r1 + r) dt/2 + u + u, are formed scaled by w, term
-    by term: scaling by powers of two is exact, so each rounds as the
-    unscaled sum does. `period` is the one way to step: it crosses the
+    by term, in the compiled loop, from dt and the predictor factor set's
+    w: scaling by powers of two is exact, so each rounds as the unscaled
+    sum does. `period` is the one way to step: it crosses the
     whole period from t_0 in the compiled loop, and its path receives
     every step's state. A non-finite state raises `StepError` naming the
     step, and tiny negatives are clamped to zero and counted in
@@ -331,7 +332,6 @@ class CoupledStepper:
         m = config.steps_per_period
         self.n_steps = m
         self.dt = config.T / m
-        self._half = 0.5 * self.dt
         n = self.n_nodes = grid.N + 1
         self._infected = infected
         times = np.linspace(0.0, config.T, m + 1)
@@ -353,17 +353,13 @@ class CoupledStepper:
             nus += (endpoint_mean(config.d_I * inv_rho2),)
         # predictor: backward Euler in diffusion; corrector: trapezoidal
         self._pred = _FactorSet(grid, nus, None, self.dt)
-        self._corr = _FactorSet(grid, nus, None, self._half)
-        # right-hand side scales of one solve, one w per block: w, dt w and dt/2 w
-        self._scales = np.stack([scale * self._pred.w for scale in (1.0, self.dt, self._half)])
+        self._corr = _FactorSet(grid, nus, None, 0.5 * self.dt)
         self._library = library()
-        factors = (self._pred.d, self._pred.e, self._corr.d, self._corr.e)
+        factors = (self._pred.d, self._pred.e, self._corr.d, self._corr.e, self._pred.w)
         self._kernel = Stepper(
-            n=n, system=self._scales.shape[1], infected=infected, guard=DENOMINATOR_GUARD,
-            **{name: Table(table.ctypes.data, *(stride // table.itemsize for stride in table.strides))
-               for name, table in tables.items()},
-            **{name: table.ctypes.data for name, table in zip(("pred_d", "pred_e", "corr_d", "corr_e"), factors)},
-            **{name: row.ctypes.data for name, row in zip(("w", "dt_w", "half_w"), self._scales)})
+            n=n, blocks=len(nus), dt=self.dt, guard=DENOMINATOR_GUARD,
+            **{name: Table.of(table) for name, table in tables.items()},
+            **{name: table.ctypes.data for name, table in zip(("pred_d", "pred_e", "corr_d", "corr_e", "w"), factors)})
 
     @property
     def clamp_count(self) -> int:

@@ -13,15 +13,15 @@
  *     x   = (((r1 + r) (dt/2 w)) + u w) + u w         corrector, solved in place
  *     x  <- x - u, then the finite check and the clamp
  *
- * The S-only form (infected == 0) steps `rows` independent S fields with
+ * The S-only form (one block) steps `rows` independent S fields with
  * R_S = (gain - b S) S. A period-map step is x = u (2w), solved in place,
- * less u. Every system is tridiagonal and factored in twisted form (see
+ * less u; the loops form every scale from the one weight vector w. Every
+ * system is one block of n nodes, factored in twisted form (see
  * evosis_factor), so each solve runs two independent chains that meet at the
- * twist row, and independent systems run in pairs in one loop, so that four
- * chains' latencies overlap: the S and I blocks of a coupled step, each its
- * own system, and two S-only rows or two period-map columns at a time. Built
- * with -ffp-contract=off and without fast-math, so no product is fused into
- * a sum.
+ * twist row, and `solve` takes systems in pairs, four chains in one loop: the
+ * S and I blocks of a coupled step, or two S-only rows or period-map columns.
+ * Built with -ffp-contract=off and without fast-math, so no product is fused
+ * into a sum.
  *
  * The CSV writer formats every double as Python's repr does, with the shortest
  * digits that round-trip (Ryu: Adams, PLDI 2018), from power-of-5 tables that
@@ -39,13 +39,11 @@ struct table {
 };
 
 struct stepper {
-    long n;          /* nodes per field, N + 1 */
-    long system;     /* rows of one solve: 2n for [S; I], n for S alone */
-    long infected;
-    double guard;
+    long n, blocks;  /* a state row is `blocks` blocks of n = N + 1 nodes: [S; I] (2), or S alone (1) */
+    double dt, guard;
     struct table b, gain, beta, gamma, minus_loss;
-    const double *pred_d, *pred_e, *corr_d, *corr_e;  /* step-major factor tables, rows of length `system` */
-    const double *w, *dt_w, *half_w;                  /* row weights of one solve, times 1, dt and dt/2 */
+    const double *pred_d, *pred_e, *corr_d, *corr_e;  /* step-major factor tables, rows of `blocks` n */
+    const double *w;                                  /* the row weights of one solve, `blocks` n */
     long clamps;                                      /* negative entries clamped to zero so far */
 };
 
@@ -55,7 +53,7 @@ static void reaction(const struct stepper *s, long rows, long k, const double *u
     const long n = s->n;
     const double *b = s->b.values + k * s->b.level, *gain = s->gain.values + k * s->gain.level;
     const long bs = s->b.node, gs = s->gain.node;
-    if (!s->infected) {
+    if (s->blocks == 1) {
         for (long row = 0; row < rows; row++, u += n, r += n)
             for (long j = 0; j < n; j++)
                 r[j] = (gain[j * gs] - b[j * bs] * u[j]) * u[j];
@@ -165,42 +163,36 @@ static void twisted_pair(const double *restrict dx, const double *restrict ex, c
     }
 }
 
-/* `rows` contiguous systems of m nodes with the same factors, in place: two at a time, an odd last one alone. */
-static void solve(const double *d, const double *e, long m, long rows, double *x)
+/* `count` contiguous systems of n nodes, in place: two at a time, an odd last one alone. The second of each
+ * pair reads its factors `shift` entries after d, e: n for the I block of a coupled state, else 0. */
+static void solve(const double *d, const double *e, long n, long shift, long count, double *x)
 {
-    for (; rows >= 2; rows -= 2, x += 2 * m)
-        twisted_pair(d, e, d, e, m, x, x + m);
-    if (rows)
-        twisted(d, e, m, x);
+    for (; count >= 2; count -= 2, x += 2 * n)
+        twisted_pair(d, e, d + shift, e + shift, n, x, x + n);
+    if (count)
+        twisted(d, e, n, x);
 }
 
-/* A step's solve with its factors d, e, in place: the [S; I] blocks of a coupled state, each its own system
- * of n nodes, or `rows` S fields. */
-static void solve_state(const struct stepper *s, const double *d, const double *e, long rows, double *x)
-{
-    if (s->infected)
-        twisted_pair(d, e, d + s->n, e + s->n, s->n, x, x + s->n);
-    else
-        solve(d, e, s->system, rows, x);
-}
-
-/* One step from t_k to t_{k+1}; 0 when the new state is not finite. r, uw, rhs are scratch. */
+/* One step from t_k to t_{k+1}; 0 when the new state is not finite, and then none of its clamps is counted.
+ * r, uw, rhs are scratch. */
 static int step(struct stepper *s, long rows, long k, const double *u, double *x, double *r, double *uw,
                 double *rhs)
 {
-    const long m = s->system, size = rows * m;
+    const long n = s->n, m = s->blocks * n, size = rows * m;
+    const double *w = s->w;
+    const double dt = s->dt, half = 0.5 * dt;
     reaction(s, rows, k, u, r);
     for (long i = 0; i < size; i += m)
         for (long j = 0; j < m; j++) {
-            uw[i + j] = u[i + j] * s->w[j];
-            rhs[i + j] = r[i + j] * s->dt_w[j] + uw[i + j];
+            uw[i + j] = u[i + j] * w[j];
+            rhs[i + j] = r[i + j] * (dt * w[j]) + uw[i + j];
         }
-    solve_state(s, s->pred_d + k * m, s->pred_e + k * m, rows, rhs);
+    solve(s->pred_d + k * m, s->pred_e + k * m, n, m - n, rows * s->blocks, rhs);
     reaction(s, rows, k + 1, rhs, x);
     for (long i = 0; i < size; i += m)
         for (long j = 0; j < m; j++)
-            x[i + j] = (((x[i + j] + r[i + j]) * s->half_w[j]) + uw[i + j]) + uw[i + j];
-    solve_state(s, s->corr_d + k * m, s->corr_e + k * m, rows, x);
+            x[i + j] = (((x[i + j] + r[i + j]) * (half * w[j])) + uw[i + j]) + uw[i + j];
+    solve(s->corr_d + k * m, s->corr_e + k * m, n, m - n, rows * s->blocks, x);
     int outside = 0;
     for (long i = 0; i < size; i++) {
         x[i] = x[i] - u[i];
@@ -208,13 +200,14 @@ static int step(struct stepper *s, long rows, long k, const double *u, double *x
     }
     if (!outside)
         return 1;
-    for (long i = 0; i < size; i++)
+    long clamps = 0;
+    for (long i = 0; i < size; i++) {
         if (!isfinite(x[i]))
             return 0;
-    for (long i = 0; i < size; i++) {
-        s->clamps += x[i] < 0.0;
+        clamps += x[i] < 0.0;
         x[i] = x[i] > 0.0 ? x[i] : 0.0;  /* as numpy's maximum(x, 0.0): -0.0 becomes 0.0 */
     }
+    s->clamps += clamps;
     return 1;
 }
 
@@ -224,7 +217,7 @@ static int step(struct stepper *s, long rows, long k, const double *u, double *x
 long evosis_steps(struct stepper *s, long rows, long steps, const double *u, double *out, double *path,
                   double *work)
 {
-    const long size = rows * s->system;
+    const long size = rows * s->blocks * s->n;
     double *r = work, *uw = work + size, *rhs = work + 2 * size, *spare = work + 3 * size;
     const double *src = u;
     if (path)
@@ -240,22 +233,26 @@ long evosis_steps(struct stepper *s, long rows, long steps, const double *u, dou
     return steps;
 }
 
-/* Steps `rows` fields of u across `steps` Crank-Nicolson steps of the period map into out, never
- * writing u: per step x = u (2w), solved with that step's factors (d, e: step-major, rows of length
- * m), then x - u. spare holds one state; path, when not NULL, receives steps + 1 time slices. */
-void evosis_period_map(const double *d, const double *e, const double *two_w, long m, long rows, long steps,
+/* Steps `rows` fields of n nodes of u across `steps` Crank-Nicolson steps of the period map into out, never
+ * writing u: per step x = u (2w), solved with that step's factors (d, e: step-major), then x - u. spare holds
+ * 2w, formed once, and then one state; path, when not NULL, receives steps + 1 time slices. */
+void evosis_period_map(const double *d, const double *e, const double *w, long n, long rows, long steps,
                        const double *u, double *out, double *path, double *spare)
 {
-    const long size = rows * m;
+    const long size = rows * n;
+    double *two_w = spare;
+    for (long j = 0; j < n; j++)
+        two_w[j] = 2.0 * w[j];
+    spare += n;
     const double *src = u;
     if (path)
         memcpy(path, u, (size_t)size * sizeof(double));
     for (long k = 0; k < steps; k++) {
         double *x = (steps - 1 - k) % 2 == 0 ? out : spare;  /* the last step lands in out */
-        for (long i = 0; i < size; i += m)
-            for (long j = 0; j < m; j++)
+        for (long i = 0; i < size; i += n)
+            for (long j = 0; j < n; j++)
                 x[i + j] = src[i + j] * two_w[j];
-        solve(d + k * m, e + k * m, m, rows, x);
+        solve(d + k * n, e + k * n, n, 0, rows, x);
         for (long i = 0; i < size; i++)
             x[i] = x[i] - src[i];
         if (path)

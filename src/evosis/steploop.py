@@ -69,14 +69,19 @@ class Table(ctypes.Structure):
 
     _fields_ = [("values", ctypes.c_void_p), ("level", ctypes.c_long), ("node", ctypes.c_long)]
 
+    @classmethod
+    def of(cls, array: np.ndarray) -> Table:
+        """A 2-D float64 array as the loop reads it, in place by its strides; the caller keeps the array alive."""
+        return cls(array.ctypes.data, *(stride // array.itemsize for stride in array.strides))
+
 
 class Stepper(ctypes.Structure):
-    """What the loop reads of a `CoupledStepper`: `struct stepper` in `steploop.c`."""
+    """What the loop reads of a `CoupledStepper`, `struct stepper` in `steploop.c`: blocks (2 for [S; I]), dt, w."""
 
     _fields_ = [
-        ("n", ctypes.c_long), ("system", ctypes.c_long), ("infected", ctypes.c_long), ("guard", ctypes.c_double),
+        ("n", ctypes.c_long), ("blocks", ctypes.c_long), ("dt", ctypes.c_double), ("guard", ctypes.c_double),
         *((name, Table) for name in ("b", "gain", "beta", "gamma", "minus_loss")),
-        *((name, ctypes.c_void_p) for name in ("pred_d", "pred_e", "corr_d", "corr_e", "w", "dt_w", "half_w")),
+        *((name, ctypes.c_void_p) for name in ("pred_d", "pred_e", "corr_d", "corr_e", "w")),
         ("clamps", ctypes.c_long),
     ]
 
@@ -196,8 +201,7 @@ def space_time_csv(times: Any, nodes: Any, *columns: Any) -> memoryview:
     body = np.empty(lines * (2 + len(tables)) * CELL, dtype=np.uint8)
     work = np.empty(nodes.size * CELL, dtype=np.uint8)
     pow5, pow5_inv = powers_of_five()
-    views = (Table * len(tables))(*(Table(table.ctypes.data, *(step // table.itemsize for step in table.strides))
-                                    for table in tables))
+    views = (Table * len(tables))(*map(Table.of, tables))
     size = library().evosis_space_time_csv(times.ctypes.data, times.size, stride, nodes.ctypes.data, nodes.size,
                                            views, len(tables), pow5.ctypes.data, pow5_inv.ctypes.data,
                                            work.ctypes.data, body.ctypes.data)

@@ -393,6 +393,46 @@ def test_coupled_step_counts_every_clamped_entry():
     assert np.array_equal(np.flatnonzero(path[1] == 0.0), negative)
 
 
+def _clamping_stepper() -> tuple[CoupledStepper, np.ndarray, list[int]]:
+    """The pointwise stepper of the test above, a start with three seeded negatives in S, and their nodes."""
+    stepper = CoupledStepper(_homogeneous_config(d_S=1e-9, d_I=1e-9))
+    u = np.full(34, 0.3)
+    negative = [2, 9, 16]
+    u[negative] = [-0.1, -0.05, -0.2]
+    return stepper, u, negative
+
+
+def test_a_failing_step_counts_none_of_its_clamps():
+    """Step 0 leaves the seeded negatives in S negative, as the test above
+    shows, and a NaN reciprocal pivot at I node 5 of its corrector factors
+    makes I NaN; S and I are separate systems, so S keeps its negatives. The
+    state is scanned S first, so the negatives are met before the NaN; the
+    step fails, and none of them is counted."""
+    stepper, u, _ = _clamping_stepper()
+    stepper._corr.d[0, 17 + 5] = np.nan
+    with pytest.raises(StepError, match=r"after step 0 "):
+        stepper.period(u)
+    assert stepper.clamp_count == 0
+
+
+def test_a_later_failing_step_keeps_the_clamps_before_it():
+    """Step 0 clamps the three seeded negatives; step 3's corrector factors
+    are doctored to make S node 4 negative (a negated reciprocal pivot) and
+    I nodes 0-5 +inf (a zero pivot at I node 5, as in the +inf test above).
+    Step 3 fails, and the count stays step 0's three."""
+    stepper, u, negative = _clamping_stepper()
+    d = stepper._corr.d[3]
+    d[4] = -d[4]
+    d[17 + 5] = np.inf
+    probe = np.full(34, 0.3)
+    with np.errstate(all="ignore"):
+        TwistedFactors(stepper._corr, 2).solve(3, probe)
+    assert probe[4] < 0.0 and np.all(np.isposinf(probe[17:17 + 6]))
+    with pytest.raises(StepError, match=r"after step 3 "):
+        stepper.period(u)
+    assert stepper.clamp_count == len(negative)
+
+
 @pytest.mark.parametrize("columns", [0, 3], ids=["one-field", "three-C-order-columns"])
 def test_period_map_apply_never_writes_its_input(columns):
     """A 1-D field and a C-order block of columns: u is unchanged, and each result
@@ -941,11 +981,11 @@ def test_one_node_factors_and_period_map_in_the_compiled_loop():
         pivots, multipliers = excess_factors(row_sums[k:k + 1], c[k])
         assert_same_bits(d[k], 1.0 / pivots)
         assert_same_bits(e[k], multipliers)
-    two_w = np.array([2.0 * w])
+    weights, two_w = np.array([w]), np.array([2.0 * w])
     for columns in (0, 1, 2, 3, 8):
         u = np.linspace(0.5, 2.0, columns)[:, None].copy()
-        out, spare = np.empty_like(u), np.empty_like(u)
-        library().evosis_period_map(d.ctypes.data, e.ctypes.data, two_w.ctypes.data, 1, columns, steps,
+        out, spare = np.empty_like(u), np.empty(1 + u.size)  # 2w of the one node, then a state
+        library().evosis_period_map(d.ctypes.data, e.ctypes.data, weights.ctypes.data, 1, columns, steps,
                                     u.ctypes.data, out.ctypes.data, None, spare.ctypes.data)
         want, exact = u.T.copy(), u.T.copy()
         for k in range(steps):

@@ -19,10 +19,13 @@ def _tool():
     return module
 
 
-def test_the_default_tests_exist_and_arguments_replace_them():
+def test_the_default_is_every_test_file_but_this_one_and_arguments_replace_it():
     tool = _tool()
-    assert tool.parse_args([]).tests == list(tool.TESTS)
-    assert all((ROOT / name).is_file() for name in tool.TESTS)
+    default = tool.parse_args([]).tests
+    assert tool.EXCLUDED == Path(__file__).resolve().relative_to(ROOT).as_posix()
+    assert set(default) == {path.relative_to(ROOT).as_posix() for path in (ROOT / "tests").glob("test_*.py")
+                            if path.name != Path(__file__).name}
+    assert "tests/test_engine.py" in default and "tests/test_model.py" in default
     chosen = ["tests/test_dfe.py", "tests/test_engine.py::test_period_map_matches_dense_crank_nicolson"]
     assert tool.parse_args(chosen).tests == chosen
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import re
 import shutil
@@ -67,6 +68,32 @@ def test_the_exported_functions_are_exactly_those_whose_signatures_load_declares
     lib = steploop.load(tmp_path / "cache", cc, steploop.FLAGS)
     declared = {name for name, value in vars(lib).items() if isinstance(value, lib._FuncPtr) and value.argtypes}
     assert exported == declared == set(EXPORTS)
+
+
+# the ctypes type of each C type that a struct read by the loop holds
+C_TYPES = {"long": ctypes.c_long, "double": ctypes.c_double, "const double *": ctypes.c_void_p,
+           "struct table": steploop.Table}
+
+
+def _c_fields(code: str, struct: str) -> list[tuple[str, object]]:
+    """The fields of `struct <struct>` in the C source, in order, each with the ctypes type of its C type."""
+    body = re.search(rf"^struct {struct} \{{(.*?)^\}};", code, flags=re.S | re.M)
+    assert body, f"no struct {struct}"
+    fields = []
+    for declaration in filter(None, (part.strip() for part in body.group(1).split(";"))):
+        base, declarators = re.fullmatch(r"((?:const )?(?:struct )?\w+)\s+(.*)", declaration, flags=re.S).groups()
+        for declarator in declarators.split(","):
+            star, name = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
+            fields.append((name, C_TYPES[f"{base} *" if star else base]))
+    return fields
+
+
+@pytest.mark.parametrize("struct, mirror", [("table", steploop.Table), ("stepper", steploop.Stepper)])
+def test_the_ctypes_mirrors_match_the_structs_of_the_source(struct, mirror):
+    """The names, order and C types of each struct's fields equal its ctypes mirror's: a mismatch
+    would show only as wrong bits, since ctypes hands over the bytes of its own layout."""
+    code = re.sub(r"/\*.*?\*/", "", steploop.SOURCE.read_text(encoding="utf-8"), flags=re.S)
+    assert _c_fields(code, struct) == list(mirror._fields_)
 
 
 def test_the_cache_key_follows_the_source_text_and_the_flags(tmp_path):

@@ -1,9 +1,9 @@
-"""The compiled loop under AddressSanitizer and UndefinedBehaviorSanitizer, over the tests that reach it.
+"""The compiled loop under AddressSanitizer and UndefinedBehaviorSanitizer, over the test suite.
 
 It builds `steploop.c` through `steploop.build`, with FLAGS below in
 place of `steploop.FLAGS`, into a temporary cache, and then runs pytest
-on the C-touching test files (or on the TEST arguments) in a subprocess
-whose `steploop.library()` loads that build: the runner points
+on every test file but EXCLUDED (or on the TEST arguments) in a
+subprocess whose `steploop.library()` loads that build: the runner points
 `steploop.CACHE` and `steploop.FLAGS` at it before any test runs, and
 loads it once first to print its path. The subprocess has `libasan` and
 `libubsan`, as `cc -print-file-name` finds them, in LD_PRELOAD (a Python
@@ -20,7 +20,7 @@ library under the same preloaded runtimes.
 It prints the pytest output and the sanitizer logs, then one JSON line:
 the library, the number of distinct `__asan_`/`__ubsan_` symbols it holds
 (nonzero shows that the instrumented build is what ran), the preloaded
-runtimes, the tests, the subprocess's exit status, pytest's summary line,
+runtimes, the test files, the subprocess's exit status, pytest's summary line,
 every sanitizer report line, and `passed`. It exits 1 unless pytest
 passed with no report:
 
@@ -49,8 +49,9 @@ ROOT = Path(__file__).resolve().parents[1]
 FLAGS = ("-std=c99", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
          "-ffp-contract=off", "-fPIC", "-shared")
 RUNTIMES = ("libasan.so", "libubsan.so")
-TESTS = ("tests/test_steploop.py", "tests/test_engine.py", "tests/test_dfe.py", "tests/test_spectral.py",
-         "tests/test_cli.py", "tests/test_acceptance.py")
+# asserts that the instrumented library is cached apart from the `steploop.FLAGS` build, which cannot hold
+# in a run that swaps FLAGS
+EXCLUDED = "tests/test_sanitize.py"
 REPORT = re.compile(r"ERROR: (AddressSanitizer|LeakSanitizer)|runtime error:|SUMMARY: (Address|UndefinedBehavior)")
 # each process with a report writes LOG.<pid> into the log directory
 LOG = "sanitizer"
@@ -66,10 +67,16 @@ sys.exit(pytest.main(sys.argv[3:]))
 """
 
 
+def default_tests() -> list[str]:
+    """Every test file of the suite but EXCLUDED, relative to the repository root."""
+    files = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "tests").glob("test_*.py"))
+    return [name for name in files if name != EXCLUDED]
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("tests", nargs="*", default=list(TESTS),
-                        help="test files or ids, relative to the repository root (default: the C-touching files)")
+    parser.add_argument("tests", nargs="*", default=default_tests(),
+                        help=f"test files or ids, relative to the repository root (default: all but {EXCLUDED})")
     return parser.parse_args(argv)
 
 

@@ -98,11 +98,9 @@ def _figures(package: str, preset: str, grid: int | None, steps: int | None, scr
     runs["coupled_us"] = (lambda: coupled.period(u), per_step_us)
     path = np.empty((config.steps_per_period + 1, 2 * n))
     coupled.period(u, path)
-    # a tree from before the compiled CSV body wrote the lines of `_space_time_rows`
-    body = getattr(cli, "_space_time", None) or cli._space_time_rows
     target = scratch / f"{package}-{preset}-timeseries.csv"
     recorded = (coupled.times, config.grid.nodes, path[:, :n], path[:, n:])
-    runs["csv_ms"] = (lambda: cli._write_artifact(target, (("t", "y", "S", "I"), body(*recorded))), 1e3)
+    runs["csv_ms"] = (lambda: cli._write_artifact(target, (("t", "y", "S", "I"), cli._space_time(*recorded))), 1e3)
 
     s_only = engine.CoupledStepper(config, infected=False)
     levels = dfe._start_levels(config)
