@@ -50,9 +50,14 @@ B = dt (nu A + diag q), is solved in its row-scaled form
 a symmetric tridiagonal matrix (one block per species, a zero
 off-diagonal at each seam) with off-diagonal -theta dt nu / h^2 and row
 sums w (1 - theta dt q), where w = (1/2, 1, ..., 1, 1/2) per block.
-`_FactorSet` factors each block once per step from those row sums, in
-twisted form about its middle node (L D L^T above it, U D U^T below), with
-additions and multiplications of positive numbers only (while
+`_FactorSet` factors each block once per step from those row sums, which
+the compiled recurrence forms itself, a group of steps at a time just
+before it factors them: w, or w (1 - theta dt q) for a potential
+q = p/mu - r whose tables p and r it reads in place by their strides
+(held at the shape they vary in, as `spectral._phi_operators` holds beta
+and the rest), in numpy's order ((p/mu - r)(-theta dt) + 1) w. It factors
+them in twisted form about the middle node (L D L^T above it, U D U^T
+below), with additions and multiplications of positive numbers only (while
 theta dt q < 1), so the factors stay accurate to rounding however
 strongly diffusion dominates. Each solve is then one in-place forward and
 back substitution on the rhs scaled by w, which the factor set keeps, each
@@ -87,6 +92,8 @@ from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compac
 
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
+# a per-step potential q = p/mu - r as (p, r, mu), p and r broadcastable to (steps, N+1)
+Potential = tuple[Any, Any, float]
 DENOMINATOR_GUARD = 1e-12
 
 _ERR_NONFINITE_STEP = "non-finite state after step {index} (t = {t:.6g})"
@@ -129,11 +136,14 @@ class _FactorSet:
     B is the block Laplacian of the scale vectors nus and W the block-end
     halving, which makes each system symmetric tridiagonal with
     off-diagonal -c, c = theta_dt nu_k / h^2 on each block (zero at the seam
-    between blocks), and row sums s = w(1 - theta_dt q), q of shape
-    (steps, N+1) only with one block. Each block of n = N+1 nodes is
-    factored about its twist row k = n // 2 (van der Vorst, Parallel
-    Computing 5, 1987; Parlett and Dhillon, Linear Algebra Appl. 309,
-    2000): L D L^T on nodes 0..k-1, U D U^T on nodes k+1..N, and one pivot
+    between blocks), and row sums s = w(1 - theta_dt q). The potential is
+    None (q = 0: the steppers, whose row sums are w) or (p, r, mu) for
+    q = p/mu - r, with p and r broadcastable to (steps, N+1) and each held
+    at the shape it varies in; a full table q is passed as (q, 0, 1), which
+    forms its bits exactly (q/1 - 0 = q, -0 included). Each block of
+    n = N+1 nodes is factored about its twist row k = n // 2 (van der
+    Vorst, Parallel Computing 5, 1987; Parlett and Dhillon, Linear Algebra
+    Appl. 309, 2000): L D L^T on nodes 0..k-1, U D U^T on nodes k+1..N, and one pivot
     at k, so a solve runs two independent chains, from each end to the
     twist row. Both halves come from the row-sum excesses, node by node
     towards k: from t = s_0 and u = s_N,
@@ -148,13 +158,17 @@ class _FactorSet:
     large c is (Alfa, Xue and Ye, Math. Comp. 71, 2002); these are the
     pivots d_i - c^2 / D_{i-1} of `pttrf`, without the subtraction that
     cancels when diffusion dominates. The compiled loop (`evosis_factor` in
-    `steploop.c`) runs the recurrence in place on the row sums, for eight
-    steps at a time as independent chains. Every pivot is positive while
-    theta_dt*sup q < 1, and always when q is None. The loop checks each one
-    as it forms it, before it inverts it (a pivot of +0 would become +inf,
-    which passes for positive), and a pivot that is not positive, or NaN,
-    raises `StepError` naming the first such step and, in it, the lowest
-    such node. The set keeps the step-major tables d (the reciprocal pivots
+    `steploop.c`) forms the row sums of eight steps at a time, as
+    ((p/mu - r)(-theta_dt) + 1) w in numpy's operation order, reading p
+    and r in place by their strides (0 along an axis they do not vary in),
+    and then runs the recurrence on them in place, the eight steps as
+    independent chains; no numpy pass forms a potential or a row sum.
+    Every pivot is positive while theta_dt*sup q < 1, and always without a
+    potential. The loop checks each one as it forms it, before it inverts
+    it (a pivot of +0 would become +inf, which passes for positive), and a
+    pivot that is not positive, or NaN, raises `StepError` naming the first
+    such step and, in it, the lowest such node, with theta_dt*sup q of that
+    step. The set keeps the step-major tables d (the reciprocal pivots
     1/D_i, so that the solves multiply where they would divide; the loop
     forms each with its multiplier in one paired division) and e (L_i above
     each block's twist row, U_i below it, zero at it), which the compiled
@@ -167,28 +181,28 @@ class _FactorSet:
 
     __slots__ = ("d", "e", "w")
 
-    def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], q: FloatArray | None,
+    def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], potential: Potential | None,
                  theta_dt: float) -> None:
-        from .steploop import library  # built at the first factor set, not at import
+        from .steploop import Table, library  # built at the first factor set, not at import
 
         n, blocks, steps = grid.N + 1, len(nus), nus[0].size
-        weights = trapezoid_weights(grid) / grid.h
-        self.w = np.tile(weights, blocks)
-        # d holds the row sums s until node i's reciprocal pivot overwrites s_i; e is 0 at each block's twist row
+        self.w = np.tile(trapezoid_weights(grid) / grid.h, blocks)
+        # the loop writes each step's row sums into d, then node i's reciprocal pivot over s_i; e is 0 at each
+        # block's twist row
         d = np.empty((steps, blocks * n))
         e = np.empty((steps, blocks * n))
-        if q is None:
-            d[:] = self.w
-        else:
-            np.multiply(q, -theta_dt, out=d)
-            d += 1.0
-            d *= weights
+        tables, mu = (None, None), 1.0
+        if potential is not None:
+            p, r, mu = potential
+            p, r = (np.broadcast_to(np.asarray(table, dtype=float), (steps, n)) for table in (p, r))
+            tables = (Table.of(p), Table.of(r))
         inv_h2 = 1.0 / grid.h**2
         c = np.stack([(theta_dt * nu) * inv_h2 for nu in nus])
-        failed = library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, n, blocks, steps)
+        failed = library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, self.w.ctypes.data,
+                                         *tables, mu, theta_dt, n, blocks, steps)
         if failed >= 0:
             k, node = divmod(failed, d.shape[1])
-            bound = theta_dt * float(np.max(q[k])) if q is not None else 0.0
+            bound = theta_dt * float(np.max(p[k] / mu - r[k])) if potential is not None else 0.0
             raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=node + 1, rows=d.shape[1], bound=bound))
         self.d, self.e = d, e
 
@@ -205,8 +219,11 @@ def _check_path(path: FloatArray | None, shape: tuple[int, ...]) -> None:
 class PeriodMapOperator:
     """Action of the linear flow over one full period, with cached factors.
 
-    Built from per-step coefficient tables: the endpoint-averaged potential
-    q_bar of shape (M, N+1) and diffusion scale nu_bar of shape (M,). The
+    Built from per-step coefficient tables: the diffusion scale nu_bar of
+    shape (M,) and the endpoint-averaged potential q = p/mu - r as
+    (p, r, mu), p and r broadcastable to (M, N+1) and each held at the
+    shape it varies in, which the factor set reads in place (see
+    `_FactorSet`; `from_spec` passes its full table as (q, 0, 1)). The
     compiled loop (`evosis_period_map` in `steploop.c`) crosses the period:
     a step writes u (2w), from the factor set's w, into the next state
     buffer, solves there in place and takes u off.
@@ -215,12 +232,12 @@ class PeriodMapOperator:
         KernelBuildError: the compiled loop cannot be built or loaded.
     """
 
-    def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, q_bar: FloatArray) -> None:
+    def __init__(self, grid: Grid1D, dt: float, nu_bar: FloatArray, potential: Potential) -> None:
         from .steploop import library
 
         self.grid = grid
         self.n_steps = nu_bar.shape[0]
-        self._factors = _FactorSet(grid, (nu_bar,), q_bar, 0.5 * dt)
+        self._factors = _FactorSet(grid, (nu_bar,), potential, 0.5 * dt)
         self._library = library()
 
     @classmethod
@@ -231,7 +248,7 @@ class PeriodMapOperator:
         q_nodes = np.empty((times.size, nodes.size))
         for k, t in enumerate(times):
             q_nodes[k] = spec.potential(nodes, float(t))
-        return cls(spec.grid, spec.dt, endpoint_mean(nu), endpoint_mean(q_nodes))
+        return cls(spec.grid, spec.dt, endpoint_mean(nu), (endpoint_mean(q_nodes), 0.0, 1.0))
 
     def apply(self, u: FloatArray, path: FloatArray | None = None) -> FloatArray:
         """Maps u(., 0) to u(., T); accepts a matrix of stacked columns.

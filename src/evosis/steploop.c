@@ -1,6 +1,7 @@
 /* The compiled core of evosis: the period loop of the coupled IMEX stepper (engine.CoupledStepper),
  * the Crank-Nicolson period map (engine.PeriodMapOperator), the factor recurrence of their tridiagonal
- * systems (engine._FactorSet), and the writer of the space-time CSV tables (steploop.space_time_csv).
+ * systems (engine._FactorSet), which forms each step's row sums itself from the weights and, for the period
+ * map, a potential read in place, and the writer of the space-time CSV tables (steploop.space_time_csv).
  *
  * Each coupled step takes the operations of the stepper's arithmetic in their
  * documented order, one node at a time, so every sum and product rounds as
@@ -323,18 +324,47 @@ static inline long factor_chains(double *d, double *e, const double *c, long n, 
     return -1;
 }
 
-/* The factors of `blocks` blocks of n nodes over `steps` steps in place (see factor_chains), groups of
- * 8 steps as independent chains; c holds theta dt nu / h^2 per block and step, block-major. Returns the
- * first pivot that is not positive, as the index step * m + node into the tables (m = blocks n): of the
- * lowest such step, the lowest such node; or -1 when every pivot is positive. */
-long evosis_factor(double *d, double *e, const double *c, long n, long blocks, long steps)
+/* The row sums of `chains` steps' blocks of n nodes from step k on, into d (rows of length m): the one-block
+ * weight row w, or, with a potential q = p/mu - r, ((p/mu - r) (-theta dt) + 1) w, each operation in the order
+ * that numpy takes it on whole tables. p and r are read in place by their strides; a potential constant in
+ * space (both node strides 0) forms its one value per step once. */
+static void row_sums(double *d, const double *w, const struct table *p, const struct table *r, double mu,
+                     double theta_dt, long n, long m, long k, long chains)
+{
+    const double scale = -theta_dt;
+    for (long j = 0; j < chains; j++, d += m) {
+        if (!p) {
+            memcpy(d, w, (size_t)n * sizeof(double));
+            continue;
+        }
+        const double *pk = p->values + (k + j) * p->level, *rk = r->values + (k + j) * r->level;
+        const long ps = p->node, rs = r->node;
+        if (ps == 0 && rs == 0) {
+            const double level = (pk[0] / mu - rk[0]) * scale + 1.0;
+            for (long i = 0; i < n; i++)
+                d[i] = level * w[i];
+        } else
+            for (long i = 0; i < n; i++)
+                d[i] = ((pk[i * ps] / mu - rk[i * rs]) * scale + 1.0) * w[i];
+    }
+}
+
+/* The factors of `blocks` blocks of n nodes over `steps` steps into d and e (see factor_chains), groups of
+ * 8 steps as independent chains, each group's row sums formed just before it (see row_sums; p and r NULL
+ * for none); c holds theta dt nu / h^2 per block and step, block-major. Returns the first pivot that is not
+ * positive, as the index step * m + node into the tables (m = blocks n): of the lowest such step, the lowest
+ * such node; or -1 when every pivot is positive. */
+long evosis_factor(double *d, double *e, const double *c, const double *w, const struct table *p,
+                   const struct table *r, double mu, double theta_dt, long n, long blocks, long steps)
 {
     const long m = blocks * n;
     long first = -1;
     for (long b = 0; b < blocks; b++)
         for (long k = 0; k < steps; k += 8) {
+            const long chains = steps - k >= 8 ? 8 : steps - k;
             double *db = d + k * m + b * n, *eb = e + k * m + b * n;
-            const long failed = factor_chains(db, eb, c + b * steps + k, n, m, steps - k >= 8 ? 8 : steps - k);
+            row_sums(db, w, p, r, mu, theta_dt, n, m, k, chains);
+            const long failed = factor_chains(db, eb, c + b * steps + k, n, m, chains);
             if (failed >= 0 && (first < 0 || k * m + b * n + failed < first))
                 first = k * m + b * n + failed;
         }

@@ -3,7 +3,8 @@
 It exports four functions, and `load` declares the argument types of
 each: `evosis_steps`, the period loop of the coupled stepper;
 `evosis_period_map`, the period map's Crank-Nicolson loop;
-`evosis_factor`, the factor recurrence of their tridiagonal systems; and
+`evosis_factor`, the factor recurrence of their tridiagonal systems,
+from row sums that it forms itself; and
 `evosis_space_time_csv`, which `space_time_csv` calls to write the body
 of a space-time CSV table, every number as `repr` writes it. Everything
 else in the source is `static`.
@@ -137,15 +138,16 @@ def load(cache: Path, compiler: str, flags: tuple[str, ...]) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise KernelBuildError(_ERR_LOAD.format(path=path, reason=exc)) from exc
-    stepper, index, pointer = ctypes.POINTER(Stepper), ctypes.c_long, ctypes.c_void_p
+    stepper, table, index, pointer = ctypes.POINTER(Stepper), ctypes.POINTER(Table), ctypes.c_long, ctypes.c_void_p
+    real = ctypes.c_double
     lib.evosis_steps.argtypes = [stepper, index, index, pointer, pointer, pointer, pointer]
     lib.evosis_steps.restype = ctypes.c_long
     lib.evosis_period_map.argtypes = [pointer, pointer, pointer, index, index, index, pointer, pointer, pointer,
                                       pointer]
     lib.evosis_period_map.restype = None
-    lib.evosis_factor.argtypes = [pointer, pointer, pointer, index, index, index]
+    lib.evosis_factor.argtypes = [pointer, pointer, pointer, pointer, table, table, real, real, index, index, index]
     lib.evosis_factor.restype = ctypes.c_long
-    lib.evosis_space_time_csv.argtypes = [pointer, index, index, pointer, index, ctypes.POINTER(Table), index,
+    lib.evosis_space_time_csv.argtypes = [pointer, index, index, pointer, index, table, index,
                                           pointer, pointer, pointer, pointer]
     lib.evosis_space_time_csv.restype = ctypes.c_long
     return lib

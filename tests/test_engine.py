@@ -70,6 +70,11 @@ def _homogeneous_config(beta: float = 3.0, gamma: float = 1.0, **overrides) -> M
     return ModelConfig(**base)
 
 
+def _full(q: np.ndarray | None) -> tuple[np.ndarray, float, float] | None:
+    """A full potential table q as a factor set takes it, (q, 0, 1): q/1 - 0 forms the bits of q, -0 included."""
+    return None if q is None else (q, 0.0, 1.0)
+
+
 def _dense_laplacian(grid: Grid1D) -> np.ndarray:
     sub, diag, sup = laplacian_bands(grid)
     return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
@@ -737,7 +742,7 @@ def test_weighted_laplacian_and_per_step_systems_are_exactly_symmetric(steps):
     q = rng.standard_normal((steps, n))
     ulp = np.finfo(float).eps
     for blocks, potential in (((nus[0],), q), ((nus[0],), None), (nus, None)):
-        factors = _FactorSet(grid, blocks, potential, theta_dt)
+        factors = _FactorSet(grid, blocks, _full(potential), theta_dt)
         assert np.array_equal(factors.w, np.tile(weights, len(blocks)))
         for k in range(steps):
             system = np.zeros((len(blocks) * n, len(blocks) * n))
@@ -779,7 +784,7 @@ def test_compiled_factors_equal_the_node_major_recurrence_bit_for_bit(steps):
     nus = (0.05 + rng.random(steps), 30.0 * (1.0 + rng.random(steps)))
     q = 40.0 * rng.standard_normal((steps, grid.N + 1))
     for blocks, potential in (((nus[0],), q), ((nus[1],), None), (nus, None)):
-        factors = _FactorSet(grid, blocks, potential, theta_dt)
+        factors = _FactorSet(grid, blocks, _full(potential), theta_dt)
         pivots, want_e = node_major_factors(grid, blocks, potential, theta_dt)
         assert_same_bits(factors.d, 1.0 / pivots)
         assert_same_bits(factors.e, want_e)
@@ -845,7 +850,7 @@ def test_factor_sets_solve_to_relative_accuracy_however_stiff(stiffness):
     levels = np.array([0.3, -2.0, 50.0, 99.0])
     q = np.repeat(levels[:, None], grid.N + 1, axis=1)
     for blocks, potential in (((nus[0],), q), (nus, None)):
-        factors = _FactorSet(grid, blocks, potential, theta_dt)
+        factors = _FactorSet(grid, blocks, _full(potential), theta_dt)
         for k in range(steps):
             rhs = factors.w.copy()
             TwistedFactors(factors, len(blocks)).solve(k, rhs)
@@ -868,9 +873,9 @@ def test_period_map_rejects_a_system_that_is_not_positive_definite():
     assert pivot > 1
     with pytest.raises(StepError, match=rf"step 5: .*not positive definite \(pivot {pivot} of 17\).*"
                                         r"theta\*dt\*sup q < 1, here theta\*dt\*sup q = 3"):
-        PeriodMapOperator(spec.grid, spec.dt, nu, q)
+        PeriodMapOperator(spec.grid, spec.dt, nu, (q, 0.0, 1.0))
     q[5] = 0.99 / (0.5 * spec.dt)
-    PeriodMapOperator(spec.grid, spec.dt, nu, q)
+    PeriodMapOperator(spec.grid, spec.dt, nu, (q, 0.0, 1.0))
 
 
 def test_period_map_rejects_a_zero_pivot_before_inverting_it():
@@ -892,7 +897,123 @@ def test_period_map_rejects_a_zero_pivot_before_inverting_it():
         assert np.isposinf(1.0 / pivots[5, 0])
     with pytest.raises(StepError, match=r"^step 5: .*not positive definite \(pivot 1 of 17\).*"
                                         r"here theta\*dt\*sup q = 1$"):
-        PeriodMapOperator(spec.grid, spec.dt, nu, q)
+        PeriodMapOperator(spec.grid, spec.dt, nu, (q, 0.0, 1.0))
+
+
+# ---- row sums formed in the compiled loop, from potential tables held at the shape they vary in ----
+
+def _layout(values: np.ndarray, layout: str) -> np.ndarray:
+    """values, of shape (steps, n), held as `layout`: the full table C- or F-ordered, a strided view of it, or
+    its first column (time only), first row (space only) or first value (constant)."""
+    if layout == "full":
+        return values
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        padded = np.zeros((2 * values.shape[0], 3 * values.shape[1]))
+        padded[::2, ::3] = values
+        return padded[::2, ::3]
+    return {"time": values[:, :1], "space": values[:1], "constant": values[:1, :1]}[layout]
+
+
+_LAYOUTS = ("full", "fortran", "strided", "time", "space", "constant")
+
+
+@pytest.mark.parametrize("p_layout", _LAYOUTS)
+def test_compiled_row_sums_of_compact_and_full_potentials_equal_numpy_bit_for_bit(p_layout):
+    """The factor set forms each step's row sums ((p/mu - r)(-theta dt) + 1) w in the compiled loop,
+    reading p and r in place by their strides (0 along an axis they do not vary in). Its tables equal
+    the node-major recurrence run on numpy's full q = p/mu - r, at mu != 1, for p and r each full (in
+    three memory layouts) or held constant in time, in space or in both; 21 steps leave a tail of 5."""
+    grid, steps, theta_dt, mu = Grid1D(L=2.3, N=40), 21, 0.007, 0.37
+    n = grid.N + 1
+    rng = np.random.default_rng(17)
+    nu = 0.05 + rng.random(steps)
+    p_values = 20.0 * rng.random((steps, n))
+    p_values[3, 7] = -0.0
+    r_values = 5.0 * rng.standard_normal((steps, n))
+    p = _layout(p_values, p_layout)
+    for r_layout in _LAYOUTS:
+        r = _layout(r_values, r_layout)
+        q = np.broadcast_to(p, (steps, n)) / mu - np.broadcast_to(r, (steps, n))
+        assert theta_dt * np.max(q) < 1.0
+        factors = _FactorSet(grid, (nu,), (p, r, mu), theta_dt)
+        pivots, e = node_major_factors(grid, (nu,), q, theta_dt)
+        assert_same_bits(factors.d, 1.0 / pivots)
+        assert_same_bits(factors.e, e)
+
+
+def test_stepper_factor_sets_have_the_weight_rows_as_their_row_sums():
+    """The steppers pass no potential: the predictor's and the corrector's factor sets, on both blocks of
+    the coupled stepper and on the S block alone, are those of the row sums w, bit for bit."""
+    config = load_preset("example4-b").with_resolution(32, 64)
+    inv_rho2 = np.asarray(config.rho.value(np.linspace(0.0, config.T, 65)), dtype=float) ** -2.0
+    nus = (endpoint_mean(config.d_S * inv_rho2), endpoint_mean(config.d_I * inv_rho2))
+    for stepper, blocks in ((CoupledStepper(config), nus), (CoupledStepper(config, infected=False), nus[:1])):
+        for factors, theta_dt in ((stepper._pred, stepper.dt), (stepper._corr, 0.5 * stepper.dt)):
+            pivots, e = node_major_factors(config.grid, blocks, None, theta_dt)
+            assert_same_bits(factors.d, 1.0 / pivots)
+            assert_same_bits(factors.e, e)
+
+
+@pytest.mark.parametrize("preset", ["example1-fixed", "example4-b"])
+def test_phi_operators_equal_the_full_table_route_bit_for_bit(preset):
+    """`_phi_operators` holds beta and the rest gamma + n rho'/rho at the shape they vary in (on
+    example1-fixed beta is constant and gamma varies in time only; on example4-b both vary in space and
+    time). Each trial's factors equal those of the full route: `endpoint_mean` of the full tables, then
+    q = beta_bar/mu - rest_bar in numpy, through the node-major recurrence."""
+    config = load_preset(preset).with_resolution(32, 64)
+    grid = config.grid
+    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
+    beta = coefficient_table(config.beta, config.rho, grid.nodes, times)
+    gamma = coefficient_table(config.gamma, config.rho, grid.nodes, times)
+    beta_bar = endpoint_mean(beta)
+    rest_bar = endpoint_mean(gamma + config.dilution(times)[:, None])
+    nu_bar = endpoint_mean(config.d_I * np.asarray(config.rho.value(times), dtype=float) ** -2.0)
+    operator_at = spectral._phi_operators(config)
+    for mu in (0.37, 1.0, 2.9):
+        pivots, e = node_major_factors(grid, (nu_bar,), beta_bar / mu - rest_bar, 0.5 * (config.T / 64))
+        factors = operator_at(mu)._factors
+        assert_same_bits(factors.d, 1.0 / pivots)
+        assert_same_bits(factors.e, e)
+
+
+def test_phi_operators_hold_no_full_table_when_the_coefficients_vary_in_time_only():
+    """On example1-fixed at 200x2000, beta is one value and the rest one column: the setup holds the
+    diffusion scales and one step mean per step of the rest (about 32 KB), not two full 2000x201
+    tables (6.4 MB)."""
+    config = load_preset("example1-fixed").with_resolution(200, 2000)
+    tracemalloc.start()
+    try:
+        operator_at = spectral._phi_operators(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * 2**10
+    assert operator_at(1.5).n_steps == 2000
+
+
+def test_a_compact_potential_that_is_not_definite_at_one_step_names_it():
+    """p varies in time only and r in space only. At step 5, theta dt (p/mu - r) is 0 on nodes 0-3 and
+    3 on the others; at every other step it is negative. The error names step 5, the first pivot that
+    is not positive in the numpy form of the recurrence, and the bound theta dt sup(p/mu - r) of that
+    step, as for the same potential passed as one full table."""
+    spec = _linear_spec(lambda y, t: 0.0, steps=16)
+    theta_dt, mu = 0.5 * spec.dt, 0.5
+    p = np.full((16, 1), -50.0)
+    p[5] = 2.0
+    r = np.full((1, 17), 4.0 - 96.0)
+    r[0, :4] = 4.0
+    q = np.broadcast_to(p, (16, 17)) / mu - np.broadcast_to(r, (16, 17))
+    nu = np.full(16, spec.d)
+    d = node_major_factors(spec.grid, (nu,), q, theta_dt)[0]
+    assert np.all(d[:5] > 0.0) and np.all(d[6:] > 0.0)
+    pivot = int(np.argmax(~(d[5] > 0.0))) + 1
+    assert pivot > 1
+    for potential in ((p, r, mu), (q, 0.0, 1.0)):
+        with pytest.raises(StepError, match=rf"^step 5: .*not positive definite \(pivot {pivot} of 17\).*"
+                                            r"here theta\*dt\*sup q = 3$"):
+            PeriodMapOperator(spec.grid, spec.dt, nu, potential)
 
 
 # ---- the smallest systems: every layout of the twisted halves ----
@@ -916,7 +1037,7 @@ def test_small_period_maps_equal_the_twisted_reference_and_the_exact_oracle(n):
     levels = _constant_potential(steps)
     q = np.repeat(levels[:, None], n, axis=1)
     nu = np.linspace(0.5, 40.0, steps)
-    op = PeriodMapOperator(grid, dt, nu, q)
+    op = PeriodMapOperator(grid, dt, nu, (q, 0.0, 1.0))
     pivots, e = node_major_factors(grid, (nu,), q, 0.5 * dt)
     assert_same_bits(op._factors.d, 1.0 / pivots)
     assert_same_bits(op._factors.e, e)
@@ -966,22 +1087,26 @@ def test_one_node_factors_and_period_map_in_the_compiled_loop():
     is the row sum, and a solve is one multiplication by its reciprocal.
     `Grid1D` cannot hold one node (h = L/N), so the compiled entry points
     are called directly, with the row weight 1/2 of a node that is both
-    ends: the factors equal the scalar reference's bit for bit, a map of 0,
+    ends and the potential levels as p, with r = 0 and mu = 1: the factors,
+    from the row sums that the loop forms, equal the scalar reference's bit for bit, a map of 0,
     1, 2, 3 and 8 columns equals the twisted reference solve step by step,
     and each value is its start times the exact product of the steps."""
-    from evosis.steploop import library
+    from evosis.steploop import Table, library
 
     steps, theta_dt, w = 10, 0.05, 0.5
     levels = _constant_potential(steps)
     row_sums = (levels * -theta_dt + 1.0) * w
-    d, e = row_sums[:, None].copy(), np.full((steps, 1), np.nan)
+    d, e = np.full((steps, 1), np.nan), np.full((steps, 1), np.nan)
     c = np.linspace(1.0, 1e6, steps)
-    assert library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, 1, 1, steps) == -1
+    weights = np.array([w])
+    p, r = (Table.of(np.broadcast_to(table, (steps, 1))) for table in (levels[:, None], np.zeros(1)))
+    assert library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, weights.ctypes.data, p, r, 1.0,
+                                   theta_dt, 1, 1, steps) == -1
     for k in range(steps):
         pivots, multipliers = excess_factors(row_sums[k:k + 1], c[k])
         assert_same_bits(d[k], 1.0 / pivots)
         assert_same_bits(e[k], multipliers)
-    weights, two_w = np.array([w]), np.array([2.0 * w])
+    two_w = np.array([2.0 * w])
     for columns in (0, 1, 2, 3, 8):
         u = np.linspace(0.5, 2.0, columns)[:, None].copy()
         out, spare = np.empty_like(u), np.empty(1 + u.size)  # 2w of the one node, then a state
@@ -1032,7 +1157,7 @@ def test_held_factors_fit_their_budgets():
     for blocks, potential in (((nus[0],), q), (nus, None)):
         tracemalloc.start()
         try:
-            factors = _FactorSet(grid, blocks, potential, 1e-3)
+            factors = _FactorSet(grid, blocks, _full(potential), 1e-3)
             kept, peak = tracemalloc.get_traced_memory()
             del factors
         finally:

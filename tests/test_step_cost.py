@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "step_cost.py"
 FIGURES = {"grid", "steps", "coupled_us", "s_only_1_us", "s_only_2_us", "period_map_1_us", "period_map_2_us",
            "period_map_3_us", "period_map_8_us", "period_map_path_us",
-           "radius_ms", "radius_columns", "factor_set_ms", "period_map_factor_ms", "csv_ms"}
+           "radius_ms", "radius_columns", "factor_set_ms", "period_map_factor_ms", "phi_tables_ms", "csv_ms"}
 TIMED = FIGURES - {"grid", "steps", "radius_columns"}
 
 

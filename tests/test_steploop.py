@@ -96,6 +96,39 @@ def test_the_ctypes_mirrors_match_the_structs_of_the_source(struct, mirror):
     assert _c_fields(code, struct) == list(mirror._fields_)
 
 
+# the ctypes type of each parameter kind of an exported function, and of its return type
+PARAMETER_KINDS = {"long": ctypes.c_long, "double": ctypes.c_double, "struct table *": ctypes.POINTER(steploop.Table),
+                   "struct stepper *": ctypes.POINTER(steploop.Stepper), "pointer": ctypes.c_void_p}
+RETURN_KINDS = {"long": ctypes.c_long, "void": None}
+
+
+def _prototypes(code: str) -> dict[str, tuple[object, list[object]]]:
+    """Each exported function of the C source: the ctypes type of its return and of each parameter, in order.
+    A `struct table` or `struct stepper` pointer keeps its struct; any other pointer is a plain pointer."""
+    prototypes = {}
+    for result, name, parameters in re.findall(r"^(long|void) (evosis_\w+)\(([^)]*)\)\s*\{", code, flags=re.M):
+        kinds = []
+        for parameter in parameters.split(","):
+            base, star = re.fullmatch(r"\s*(?:const\s+)?((?:struct\s+)?\w+)\s*(\*?)\s*\w+\s*", parameter).groups()
+            kind = f"{base} *" if star else base
+            kinds.append(PARAMETER_KINDS[kind if kind in PARAMETER_KINDS or not star else "pointer"])
+        prototypes[name] = (RETURN_KINDS[result], kinds)
+    return prototypes
+
+
+def test_each_exported_function_is_declared_with_the_parameters_of_its_prototype():
+    """The count and kind (pointer, long, double, struct table *, struct stepper *) of every parameter
+    that `load` declares, and the return type, equal the C prototype's: ctypes converts each argument by
+    its declared type, so a dropped or wrong one would pass the wrong bits, or too few of them."""
+    code = re.sub(r"/\*.*?\*/", "", steploop.SOURCE.read_text(encoding="utf-8"), flags=re.S)
+    prototypes = _prototypes(code)
+    assert set(prototypes) == set(EXPORTS)
+    assert len(prototypes["evosis_factor"][1]) == 11
+    lib = steploop.library()
+    declared = {name: (getattr(lib, name).restype, list(getattr(lib, name).argtypes)) for name in EXPORTS}
+    assert declared == prototypes
+
+
 def test_the_cache_key_follows_the_source_text_and_the_flags(tmp_path):
     source, flags = steploop.SOURCE.read_bytes(), steploop.FLAGS
     path = steploop.library_path(source, tmp_path, flags)

@@ -142,10 +142,12 @@ def lu_solve(grid: Grid1D, scale: float, rhs: np.ndarray) -> np.ndarray:
 
 def node_major_factors(grid: Grid1D, nus: tuple[np.ndarray, ...], q: np.ndarray | None,
                        theta_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The step-major pivots and e table of `_FactorSet(grid, nus, q, theta_dt)`, without its definiteness check.
+    """The step-major pivots and e table of a `_FactorSet` on the full potential q, without its definiteness check.
 
-    The set's d table holds the reciprocals of these pivots. The row sums
-    are w(1 - theta_dt q) per block, formed as the factor set forms them;
+    That is `_FactorSet(grid, nus, (q, 0, 1), theta_dt)`, or with None for
+    q = None, and the set's d table holds the reciprocals of these pivots.
+    The row sums are w(1 - theta_dt q) per block, formed in numpy's order
+    ((q (-theta_dt)) + 1) w, as the factor set's loop forms them;
     then the twisted recurrence of `excess_factors` runs one node at a time
     on (blocks, steps) arrays of ufunc calls. e is zero at each block's
     twist row.

@@ -25,7 +25,9 @@ times whole periods and divides by the M steps of each:
 and times two factor set builds: the coupled stepper's predictor (both
 blocks, `factor_set_ms`), and the period map's at the sandwich mean (one
 block with its potential, `period_map_factor_ms`), which every trial mu
-of the root search pays; and `csv_ms`, the write of one `timeseries.csv`
+of the root search pays; `phi_tables_ms`, the once-per-R0 setup of those
+maps (`spectral._phi_operators`: the beta, rest and diffusion tables that
+every trial reads); and `csv_ms`, the write of one `timeseries.csv`
 through the CLI's writer (`cli._write_artifact`), the S and I halves of
 one recorded coupled period, (M+1)x(N+1) each, on about 64 time slices,
 into a temporary directory. Each figure is the median of `--repeats` samples
@@ -134,6 +136,7 @@ def _figures(package: str, preset: str, grid: int | None, steps: int | None, scr
     nus = (engine.endpoint_mean(config.d_S * inv_rho2), engine.endpoint_mean(config.d_I * inv_rho2))
     runs["factor_set_ms"] = (lambda: engine._FactorSet(config.grid, nus, None, coupled.dt), 1e3)
     runs["period_map_factor_ms"] = (lambda: operator_at(math.sqrt(bounds.lower * bounds.upper)), 1e3)
+    runs["phi_tables_ms"] = (lambda: spectral._phi_operators(config), 1e3)
     counts = {"grid": config.grid_points, "steps": config.steps_per_period, "radius_columns": sum(widths)}
     return runs, counts
 
