@@ -47,36 +47,21 @@ B = dt (nu A + diag q), is solved in its row-scaled form
 
     (W - theta dt (nu WA + W diag q)) x = W rhs,
 
-a symmetric tridiagonal matrix (one block per species, a zero
-off-diagonal at each seam) with off-diagonal -theta dt nu / h^2 and row
-sums w (1 - theta dt q), where w = (1/2, 1, ..., 1, 1/2) per block.
-`_FactorSet` factors each block once per step from those row sums, which
-the compiled recurrence forms itself, a group of steps at a time just
-before it factors them: w, or w (1 - theta dt q) for a potential
-q = p/mu - r whose tables p and r it reads in place by their strides
-(held at the shape they vary in, as `spectral._phi_operators` holds beta
-and the rest), in numpy's order ((p/mu - r)(-theta dt) + 1) w. It factors
-them in twisted form about the middle node (L D L^T above it, U D U^T
-below), with additions and multiplications of positive numbers only (while
-theta dt q < 1), so the factors stay accurate to rounding however
-strongly diffusion dominates. Each solve is then one in-place forward and
-back substitution on the rhs scaled by w, which the factor set keeps, each
-sweep two independent chains, from the two ends of the block to its
-middle; independent right-hand sides are solved two at a time. The
-factors need positive definiteness. Since -WA is positive semidefinite,
-W - theta dt nu WA is definite for every nu >= 0, and subtracting
-theta dt W diag q keeps it so while theta dt sup q < 1. The steppers
-(q = 0) are therefore always definite; the period map needs its
-potential below 1/(theta dt), and a system that is not definite raises
-`StepError`. Since I + theta B = 2I - (I - theta B),
-each Crank-Nicolson or trapezoidal step (I - theta B) x = (I + theta B) u + f
-is taken as x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit
-stencil. Every rhs reaches the systems scaled by w, with the power of
+a symmetric tridiagonal matrix, one block per species, which `_FactorSet`
+factors once per step (its docstring derives the row sums, the twisted
+recurrence and when the system is definite). The steppers pass the zero
+potential q = 0, the period map its own. Since
+I + theta B = 2I - (I - theta B), each Crank-Nicolson or trapezoidal step
+(I - theta B) x = (I + theta B) u + f is taken as
+x = (I - theta B)^-1 (2u + f) - u: one solve, no explicit stencil. Every
+rhs reaches the systems scaled by w, the diagonal of W, with the power of
 two folded into its terms. The compiled loops form those scales from the
 factor set's one weight vector w: the period map's rhs is u (2w), with 2w
 formed once per map, and the coupled step's are r (dt w) + u w and
 ((r1 + r) ((dt/2) w) + u w) + u w. Scaling by a power of two is exact, so
 each sum rounds as the unscaled one does.
+
+Both engines sample their rates on one step lattice, `step_lattice`.
 """
 
 from __future__ import annotations
@@ -88,11 +73,11 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigurationError, StepError
-from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compact_coefficient_table
+from .model import EvolutionRate, Grid1D, ModelConfig, compact_coefficient_table
 
 FloatArray = npt.NDArray[np.floating[Any]]
 PotentialFn = Callable[[FloatArray, float], Any]
-# a per-step potential q = p/mu - r as (p, r, mu), p and r broadcastable to (steps, N+1)
+# a per-step potential q = p/mu - r as (p, r, mu), p and r broadcastable to (steps, N+1); (0, 0, 1) is q = 0
 Potential = tuple[Any, Any, float]
 DENOMINATOR_GUARD = 1e-12
 
@@ -126,8 +111,26 @@ class LinearEquationSpec:
 
 
 def endpoint_mean(table: FloatArray) -> FloatArray:
-    """Per-step values from samples at the step endpoints: rows k and k+1 averaged."""
-    return 0.5 * (table[:-1] + table[1:])
+    """Per-step values from samples at the step endpoints: rows k and k+1 averaged.
+
+    A table held at one time level (one row) gives 0.5 (t + t), which has the
+    bits of every step mean of the full table it stands for.
+    """
+    return 0.5 * (table[:-1] + table[1:]) if table.shape[0] > 1 else 0.5 * (table + table)
+
+
+def step_lattice(config: ModelConfig) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """(times t_0..t_M of one period, rho^-2 at them, the dilution n rho'/rho as a column).
+
+    The one lattice of both engines: the coupled stepper and the R0 period
+    maps (`spectral._phi_operators`) sample their rates here. The dilution
+    has shape (M+1, 1), or (1, 1) on the constant-one rate, where it is
+    zero, so it broadcasts against a table held at the shape it varies in.
+    """
+    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
+    inv_rho2 = np.asarray(config.rho.value(times), dtype=float) ** -2.0
+    dil = config.dilution(times[:1] if config.rho.kind == "constant-one" else times)[:, None]
+    return times, inv_rho2, dil
 
 
 class _FactorSet:
@@ -137,16 +140,17 @@ class _FactorSet:
     halving, which makes each system symmetric tridiagonal with
     off-diagonal -c, c = theta_dt nu_k / h^2 on each block (zero at the seam
     between blocks), and row sums s = w(1 - theta_dt q). The potential is
-    None (q = 0: the steppers, whose row sums are w) or (p, r, mu) for
-    q = p/mu - r, with p and r broadcastable to (steps, N+1) and each held
-    at the shape it varies in; a full table q is passed as (q, 0, 1), which
-    forms its bits exactly (q/1 - 0 = q, -0 included). Each block of
-    n = N+1 nodes is factored about its twist row k = n // 2 (van der
-    Vorst, Parallel Computing 5, 1987; Parlett and Dhillon, Linear Algebra
-    Appl. 309, 2000): L D L^T on nodes 0..k-1, U D U^T on nodes k+1..N, and one pivot
-    at k, so a solve runs two independent chains, from each end to the
-    twist row. Both halves come from the row-sum excesses, node by node
-    towards k: from t = s_0 and u = s_N,
+    (p, r, mu) for q = p/mu - r, with p and r broadcastable to (steps, N+1)
+    and each held at the shape it varies in. The steppers pass the zero
+    potential (0, 0, 1), whose row sums are w bit for bit
+    ((0/1 - 0)(-theta_dt) + 1 = 1), and a full table q is passed as
+    (q, 0, 1), which forms its bits exactly (q/1 - 0 = q, -0 included).
+    Each block of n = N+1 nodes is factored about its twist row k = n // 2
+    (van der Vorst, Parallel Computing 5, 1987; Parlett and Dhillon, Linear
+    Algebra Appl. 309, 2000): L D L^T on nodes 0..k-1, U D U^T on nodes
+    k+1..N, and one pivot at k, so a solve runs two independent chains,
+    from each end to the twist row. Both halves come from the row-sum
+    excesses, node by node towards k: from t = s_0 and u = s_N,
 
         D_i = t + c,  L_i = -c / D_i,  t <- s_{i+1} - t L_i    (i < k)
         D_i = u + c,  U_i = -c / D_i,  u <- s_{i-1} - u U_i    (i > k)
@@ -163,17 +167,19 @@ class _FactorSet:
     and r in place by their strides (0 along an axis they do not vary in),
     and then runs the recurrence on them in place, the eight steps as
     independent chains; no numpy pass forms a potential or a row sum.
-    Every pivot is positive while theta_dt*sup q < 1, and always without a
-    potential. The loop checks each one as it forms it, before it inverts
-    it (a pivot of +0 would become +inf, which passes for positive), and a
-    pivot that is not positive, or NaN, raises `StepError` naming the first
-    such step and, in it, the lowest such node, with theta_dt*sup q of that
-    step. The set keeps the step-major tables d (the reciprocal pivots
-    1/D_i, so that the solves multiply where they would divide; the loop
-    forms each with its multiplier in one paired division) and e (L_i above
-    each block's twist row, U_i below it, zero at it), which the compiled
-    loops read in place, and the row weights w of W, by which its callers
-    scale every right-hand side.
+
+    Since -WA is positive semidefinite, every pivot is positive while
+    theta_dt*sup q < 1, so always for the zero potential. The loop checks
+    each one as it forms it, before it inverts it (a pivot of +0 would
+    become +inf, which passes for positive), and a pivot that is not
+    positive, or NaN, raises `StepError` naming the first such step and, in
+    it, the lowest such node, with theta_dt*sup q of that step. The set
+    keeps the step-major tables d (the reciprocal pivots 1/D_i, so that the
+    solves multiply where they would divide; the loop forms each with its
+    multiplier in one paired division) and e (L_i above each block's twist
+    row, U_i below it, zero at it), which the compiled loops read in place,
+    and the row weights w of W, by which its callers scale every right-hand
+    side.
 
     Raises:
         KernelBuildError: the compiled loop cannot be built or loaded.
@@ -181,8 +187,7 @@ class _FactorSet:
 
     __slots__ = ("d", "e", "w")
 
-    def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], potential: Potential | None,
-                 theta_dt: float) -> None:
+    def __init__(self, grid: Grid1D, nus: tuple[FloatArray, ...], potential: Potential, theta_dt: float) -> None:
         from .steploop import Table, library  # built at the first factor set, not at import
 
         n, blocks, steps = grid.N + 1, len(nus), nus[0].size
@@ -191,18 +196,15 @@ class _FactorSet:
         # block's twist row
         d = np.empty((steps, blocks * n))
         e = np.empty((steps, blocks * n))
-        tables, mu = (None, None), 1.0
-        if potential is not None:
-            p, r, mu = potential
-            p, r = (np.broadcast_to(np.asarray(table, dtype=float), (steps, n)) for table in (p, r))
-            tables = (Table.of(p), Table.of(r))
+        p, r, mu = potential
+        p, r = (np.broadcast_to(np.asarray(table, dtype=float), (steps, n)) for table in (p, r))
         inv_h2 = 1.0 / grid.h**2
         c = np.stack([(theta_dt * nu) * inv_h2 for nu in nus])
         failed = library().evosis_factor(d.ctypes.data, e.ctypes.data, c.ctypes.data, self.w.ctypes.data,
-                                         *tables, mu, theta_dt, n, blocks, steps)
+                                         Table.of(p), Table.of(r), mu, theta_dt, n, blocks, steps)
         if failed >= 0:
             k, node = divmod(failed, d.shape[1])
-            bound = theta_dt * float(np.max(p[k] / mu - r[k])) if potential is not None else 0.0
+            bound = theta_dt * float(np.max(p[k] / mu - r[k]))
             raise StepError(_ERR_NOT_DEFINITE.format(index=k, info=node + 1, rows=d.shape[1], bound=bound))
         self.d, self.e = d, e
 
@@ -321,14 +323,12 @@ class CoupledStepper:
 
     Coefficients are periodic, so all tables and factors are built once
     and reused every period; the a table itself is not kept. The stepper
-    holds the tables gain, b, beta, gamma and minus_loss = -loss, each a
-    read-only (M+1, N+1) view held at the shape it varies in (gain and
-    loss are combined at that shape, and dil is one value on the
-    constant-one rate, where it is zero), so only the factor tables are
-    always full. The compiled loop (`steploop.c`) reads every table in
-    place, by its strides, so none is copied; the stepper holds each one
-    once for its lifetime, in an attribute of its own or, for the factor
-    tables, of its two factor sets.
+    samples every rate on `step_lattice` by `compact_coefficient_table` and
+    holds the tables gain, b, beta, gamma and minus_loss = -loss in one
+    dict, each at the shape it varies in (gain and loss are combined at
+    that shape), so only the factor tables are always full. The compiled
+    loop (`steploop.c`) reads every table in place, by the strides of its
+    broadcast to (M+1, N+1), so none is copied.
 
     With infected=False the stepper is the I = 0 invariant subsystem, the
     disease-free flow: it holds only the gain and b tables and the S-block
@@ -351,31 +351,26 @@ class CoupledStepper:
         self.dt = config.T / m
         n = self.n_nodes = grid.N + 1
         self._infected = infected
-        times = np.linspace(0.0, config.T, m + 1)
+        times, inv_rho2, dil = step_lattice(config)
         self.times = times
         nodes = grid.nodes
-        shape = (times.size, n)
-        dil = config.dilution(times[:1] if config.rho.kind == "constant-one" else times)[:, None]
-        self.gain = np.broadcast_to(compact_coefficient_table(config.a, config.rho, nodes, times) - dil, shape)
-        self.b = coefficient_table(config.b, config.rho, nodes, times)
-        inv_rho2 = np.asarray(config.rho.value(times), dtype=float) ** -2.0
+        tables = {"b": compact_coefficient_table(config.b, config.rho, nodes, times),
+                  "gain": compact_coefficient_table(config.a, config.rho, nodes, times) - dil}
         nus: tuple[FloatArray, ...] = (endpoint_mean(config.d_S * inv_rho2),)
-        tables = {"b": self.b, "gain": self.gain}
         if infected:
-            self.beta = coefficient_table(config.beta, config.rho, nodes, times)
-            gamma = compact_coefficient_table(config.gamma, config.rho, nodes, times)
-            self.gamma = np.broadcast_to(gamma, shape)
-            self.minus_loss = np.broadcast_to(-(gamma + dil), shape)
-            tables.update(beta=self.beta, gamma=self.gamma, minus_loss=self.minus_loss)
+            beta, gamma = (compact_coefficient_table(rate, config.rho, nodes, times)
+                           for rate in (config.beta, config.gamma))
+            tables.update(beta=beta, gamma=gamma, minus_loss=-(gamma + dil))
             nus += (endpoint_mean(config.d_I * inv_rho2),)
+        self._tables = tables  # the kernel reads these in place, through views that do not outlive this call
         # predictor: backward Euler in diffusion; corrector: trapezoidal
-        self._pred = _FactorSet(grid, nus, None, self.dt)
-        self._corr = _FactorSet(grid, nus, None, 0.5 * self.dt)
+        self._pred = _FactorSet(grid, nus, (0.0, 0.0, 1.0), self.dt)
+        self._corr = _FactorSet(grid, nus, (0.0, 0.0, 1.0), 0.5 * self.dt)
         self._library = library()
         factors = (self._pred.d, self._pred.e, self._corr.d, self._corr.e, self._pred.w)
         self._kernel = Stepper(
             n=n, blocks=len(nus), dt=self.dt, guard=DENOMINATOR_GUARD,
-            **{name: Table.of(table) for name, table in tables.items()},
+            **{name: Table.of(np.broadcast_to(table, (m + 1, n))) for name, table in tables.items()},
             **{name: table.ctypes.data for name, table in zip(("pred_d", "pred_e", "corr_d", "corr_e", "w"), factors)})
 
     @property

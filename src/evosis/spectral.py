@@ -27,7 +27,7 @@ from typing import Any, Callable
 import numpy as np
 import numpy.typing as npt
 
-from .engine import LinearEquationSpec, PeriodMapOperator, endpoint_mean
+from .engine import LinearEquationSpec, PeriodMapOperator, endpoint_mean, step_lattice
 from .errors import ConvergenceError, NotApplicableError, StepError
 from .model import EvolutionRate, Grid1D, ModelConfig, coefficient_table, compact_coefficient_table
 from .quadrature import mean_inverse_rho_squared
@@ -191,35 +191,27 @@ def period_map_spectral_radius(spec: LinearEquationSpec) -> float:
 
 # ---- linearized-infection period maps ----
 
-def _step_mean(table: FloatArray) -> FloatArray:
-    """The step means of a table held at the shape it varies in: `endpoint_mean` of one that varies in
-    time, 0.5*(t + t) of one held at a single time level, so each entry has the bits of the full table's."""
-    return endpoint_mean(table) if table.shape[0] > 1 else 0.5 * (table + table)
-
-
 def _phi_operators(config: ModelConfig) -> Callable[[float], PeriodMapOperator]:
     """Period map of the Phi-equation as a function of mu, from tables built once.
 
-    beta and the mu-independent rest gamma + n*rho'/rho are averaged
-    separately, and each trial's factor set forms its potential
-    beta_bar/mu - rest_bar row by row in the compiled loop, with no
-    profile evaluated and no table of its own. Both are held at the shape
-    they vary in (`compact_coefficient_table`, and the dilution one value
-    on the constant-one rate, where it is zero), since beta is constant
-    and gamma varies in time only on most configurations, and take their
-    step means by `_step_mean`. Elementwise, each equals the step mean of
-    the full table bit for bit, and the loop reads it in place by its
-    strides.
+    beta and the mu-independent rest gamma + n*rho'/rho are sampled on the
+    stepper's lattice (`step_lattice`) and averaged separately, and each
+    trial's factor set forms its potential beta_bar/mu - rest_bar row by
+    row in the compiled loop, with no profile evaluated and no table of
+    its own. Both are held at the shape they vary in
+    (`compact_coefficient_table`, and the lattice's dilution), since beta
+    is constant and gamma varies in time only on most configurations, and
+    take their step means by `endpoint_mean`. Elementwise, each equals the
+    step mean of the full table bit for bit, and the loop reads it in place
+    by its strides.
     """
     grid = config.grid
-    times = np.linspace(0.0, config.T, config.steps_per_period + 1)
+    times, inv_rho2, dil = step_lattice(config)
     beta = compact_coefficient_table(config.beta, config.rho, grid.nodes, times)
     gamma = compact_coefficient_table(config.gamma, config.rho, grid.nodes, times)
-    dil = config.dilution(times[:1] if config.rho.kind == "constant-one" else times)[:, None]
-    rest_bar = _step_mean(gamma + dil)  # first, so that beta_bar can reuse the memory of the sum
-    beta_bar = _step_mean(beta)
-    rho_t = np.asarray(config.rho.value(times), dtype=float)
-    nu_bar = endpoint_mean(config.d_I * rho_t**-2.0)
+    rest_bar = endpoint_mean(gamma + dil)  # first, so that beta_bar can reuse the memory of the sum
+    beta_bar = endpoint_mean(beta)
+    nu_bar = endpoint_mean(config.d_I * inv_rho2)
     dt = config.T / config.steps_per_period
     return lambda mu: PeriodMapOperator(grid, dt, nu_bar, (beta_bar, rest_bar, mu))
 

@@ -1,7 +1,7 @@
 /* The compiled core of evosis: the period loop of the coupled IMEX stepper (engine.CoupledStepper),
  * the Crank-Nicolson period map (engine.PeriodMapOperator), the factor recurrence of their tridiagonal
- * systems (engine._FactorSet), which forms each step's row sums itself from the weights and, for the period
- * map, a potential read in place, and the writer of the space-time CSV tables (steploop.space_time_csv).
+ * systems (engine._FactorSet), which forms each step's row sums itself from the weights and a potential read
+ * in place, and the writer of the space-time CSV tables (steploop.space_time_csv).
  *
  * Each coupled step takes the operations of the stepper's arithmetic in their
  * documented order, one node at a time, so every sum and product rounds as
@@ -324,19 +324,16 @@ static inline long factor_chains(double *d, double *e, const double *c, long n, 
     return -1;
 }
 
-/* The row sums of `chains` steps' blocks of n nodes from step k on, into d (rows of length m): the one-block
- * weight row w, or, with a potential q = p/mu - r, ((p/mu - r) (-theta dt) + 1) w, each operation in the order
- * that numpy takes it on whole tables. p and r are read in place by their strides; a potential constant in
- * space (both node strides 0) forms its one value per step once. */
+/* The row sums of `chains` steps' blocks of n nodes from step k on, into d (rows of length m): with the
+ * potential q = p/mu - r, ((p/mu - r) (-theta dt) + 1) w for the one-block weight row w, each operation in the
+ * order that numpy takes it on whole tables. p and r are read in place by their strides; a potential constant
+ * in space (both node strides 0) forms its one value per step once. The steppers' zero potential (p = r = 0,
+ * mu = 1) is such a value: (0/1 - 0) (-theta dt) + 1 = 1, so its row sums are w bit for bit. */
 static void row_sums(double *d, const double *w, const struct table *p, const struct table *r, double mu,
                      double theta_dt, long n, long m, long k, long chains)
 {
     const double scale = -theta_dt;
     for (long j = 0; j < chains; j++, d += m) {
-        if (!p) {
-            memcpy(d, w, (size_t)n * sizeof(double));
-            continue;
-        }
         const double *pk = p->values + (k + j) * p->level, *rk = r->values + (k + j) * r->level;
         const long ps = p->node, rs = r->node;
         if (ps == 0 && rs == 0) {
@@ -350,10 +347,10 @@ static void row_sums(double *d, const double *w, const struct table *p, const st
 }
 
 /* The factors of `blocks` blocks of n nodes over `steps` steps into d and e (see factor_chains), groups of
- * 8 steps as independent chains, each group's row sums formed just before it (see row_sums; p and r NULL
- * for none); c holds theta dt nu / h^2 per block and step, block-major. Returns the first pivot that is not
- * positive, as the index step * m + node into the tables (m = blocks n): of the lowest such step, the lowest
- * such node; or -1 when every pivot is positive. */
+ * 8 steps as independent chains, each group's row sums formed just before it from the potential p/mu - r
+ * (see row_sums); c holds theta dt nu / h^2 per block and step, block-major. Returns the first pivot that is
+ * not positive, as the index step * m + node into the tables (m = blocks n): of the lowest such step, the
+ * lowest such node; or -1 when every pivot is positive. */
 long evosis_factor(double *d, double *e, const double *c, const double *w, const struct table *p,
                    const struct table *r, double mu, double theta_dt, long n, long blocks, long steps)
 {

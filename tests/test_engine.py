@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from evosis.engine import (
     _FactorSet,
     endpoint_mean,
     simulate,
+    step_lattice,
     trapezoid_weights,
 )
 from evosis.errors import StepError
@@ -70,9 +72,10 @@ def _homogeneous_config(beta: float = 3.0, gamma: float = 1.0, **overrides) -> M
     return ModelConfig(**base)
 
 
-def _full(q: np.ndarray | None) -> tuple[np.ndarray, float, float] | None:
-    """A full potential table q as a factor set takes it, (q, 0, 1): q/1 - 0 forms the bits of q, -0 included."""
-    return None if q is None else (q, 0.0, 1.0)
+def _full(q: np.ndarray | None) -> tuple[np.ndarray | float, float, float]:
+    """A full potential table q as a factor set takes it, (q, 0, 1): q/1 - 0 forms the bits of q, -0 included;
+    None, the reference's q = 0, as the steppers' zero potential (0, 0, 1)."""
+    return (0.0 if q is None else q, 0.0, 1.0)
 
 
 def _dense_laplacian(grid: Grid1D) -> np.ndarray:
@@ -704,7 +707,7 @@ def test_stacked_bands_solve_like_each_species_alone():
     steps, theta = 6, 0.01
     nu_S = 0.1 * (1.0 + rng.random(steps))
     for nu_I in (0.5 * (1.0 + rng.random(steps)), nu_S):
-        factors = _FactorSet(grid, (nu_S, nu_I), None, theta)
+        factors = _FactorSet(grid, (nu_S, nu_I), (0.0, 0.0, 1.0), theta)
         for k in range(steps):
             rhs = rng.standard_normal(2 * (grid.N + 1))
             parts = list(zip((nu_S, nu_I), np.split(rhs, 2)))
@@ -944,7 +947,7 @@ def test_compiled_row_sums_of_compact_and_full_potentials_equal_numpy_bit_for_bi
 
 
 def test_stepper_factor_sets_have_the_weight_rows_as_their_row_sums():
-    """The steppers pass no potential: the predictor's and the corrector's factor sets, on both blocks of
+    """The steppers pass the zero potential: the predictor's and the corrector's factor sets, on both blocks of
     the coupled stepper and on the S block alone, are those of the row sums w, bit for bit."""
     config = load_preset("example4-b").with_resolution(32, 64)
     inv_rho2 = np.asarray(config.rho.value(np.linspace(0.0, config.T, 65)), dtype=float) ** -2.0
@@ -956,13 +959,54 @@ def test_stepper_factor_sets_have_the_weight_rows_as_their_row_sums():
             assert_same_bits(factors.e, e)
 
 
-@pytest.mark.parametrize("preset", ["example1-fixed", "example4-b"])
-def test_phi_operators_equal_the_full_table_route_bit_for_bit(preset):
+def _with_rate(config: ModelConfig, kind: str) -> ModelConfig:
+    """config on the constant-one rate, or on a tabulated rate of 16 samples of its own rho over one period."""
+    if kind == "constant-one":
+        return replace(config, rho=EvolutionRate(kind="constant-one", period=config.T))
+    samples = tuple(float(v) for v in np.asarray(config.rho.value(np.arange(16) * (config.T / 16))))
+    return replace(config, rho=EvolutionRate(kind="tabulated", period=config.T, samples=samples))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (7, 5)], ids=["value", "row", "column", "full"])
+@pytest.mark.parametrize("special", [-0.0, 1.5e308], ids=["minus-zero", "sum-overflows"])
+def test_endpoint_mean_of_a_compact_table_equals_that_of_the_full_table_bit_for_bit(shape, special):
+    """A table held at one time level stands for the full table with that row at every level. Its
+    `endpoint_mean`, broadcast to the M steps, has the bits of the full table's step means, a -0 entry
+    included, and one whose sum with itself overflows: there 0.5 (t + t) is inf, not t."""
+    steps, n = 6, 5
+    compact = np.random.default_rng(23).standard_normal(shape)
+    compact.flat[0] = special
+    with np.errstate(over="ignore"):
+        got, want = endpoint_mean(compact), endpoint_mean(np.broadcast_to(compact, (steps + 1, n)))
+    assert_same_bits(np.broadcast_to(got, (steps, n)), want)
+
+
+@pytest.mark.parametrize("rate", ["constant-one", "exp-cosine", "tabulated"])
+def test_step_lattice_is_the_one_lattice_of_both_engines(rate):
+    """The coupled stepper's times are the lattice's, rho^-2 is rho's at them, and the dilution is one
+    +0.0 on the constant-one rate, where it is zero, and otherwise the column config.dilution(times),
+    bit for bit."""
+    config = load_preset("example4-b").with_resolution(16, 32)
+    if rate != "exp-cosine":
+        config = _with_rate(config, rate)
+    times, inv_rho2, dil = step_lattice(config)
+    assert_same_bits(times, np.linspace(0.0, config.T, 33))
+    assert_same_bits(times, CoupledStepper(config).times)
+    assert_same_bits(inv_rho2, np.asarray(config.rho.value(times), dtype=float) ** -2.0)
+    assert_same_bits(dil, np.zeros((1, 1)) if rate == "constant-one" else config.dilution(times)[:, None])
+
+
+@pytest.mark.parametrize(("preset", "rate"), [("example1-fixed", None), ("example4-b", None),
+                                              ("example4-b", "constant-one")])
+def test_phi_operators_equal_the_full_table_route_bit_for_bit(preset, rate):
     """`_phi_operators` holds beta and the rest gamma + n rho'/rho at the shape they vary in (on
     example1-fixed beta is constant and gamma varies in time only; on example4-b both vary in space and
-    time). Each trial's factors equal those of the full route: `endpoint_mean` of the full tables, then
+    time; on example4-b moved to the constant-one rate both vary in space only, and the dilution is one
+    value). Each trial's factors equal those of the full route: `endpoint_mean` of the full tables, then
     q = beta_bar/mu - rest_bar in numpy, through the node-major recurrence."""
     config = load_preset(preset).with_resolution(32, 64)
+    if rate is not None:
+        config = _with_rate(config, rate)
     grid = config.grid
     times = np.linspace(0.0, config.T, config.steps_per_period + 1)
     beta = coefficient_table(config.beta, config.rho, grid.nodes, times)

@@ -144,8 +144,9 @@ def node_major_factors(grid: Grid1D, nus: tuple[np.ndarray, ...], q: np.ndarray 
                        theta_dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The step-major pivots and e table of a `_FactorSet` on the full potential q, without its definiteness check.
 
-    That is `_FactorSet(grid, nus, (q, 0, 1), theta_dt)`, or with None for
-    q = None, and the set's d table holds the reciprocals of these pivots.
+    That is `_FactorSet(grid, nus, (q, 0, 1), theta_dt)`, or with the zero
+    potential (0, 0, 1) for q = None, whose row sums are w, and the set's d
+    table holds the reciprocals of these pivots.
     The row sums are w(1 - theta_dt q) per block, formed in numpy's order
     ((q (-theta_dt)) + 1) w, as the factor set's loop forms them;
     then the twisted recurrence of `excess_factors` runs one node at a time

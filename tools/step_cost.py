@@ -44,6 +44,11 @@ shared host can move between processes by more than a per-step change,
 so two checkouts compare in one process with
 
     PYTHONPATH=src python tools/step_cost.py --grid 200 --steps 200 --against /path/to/old/src
+
+Two trees that run identical code can still read a few percent apart on
+one figure, one of them faster in most rounds, from where their code and
+tables land in memory. So a difference of a few percent in one `--against`
+run does not show a code effect until it holds with the two trees swapped.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ def _figures(package: str, preset: str, grid: int | None, steps: int | None, scr
 
     inv_rho2 = np.asarray(config.rho.value(coupled.times), dtype=float) ** -2.0
     nus = (engine.endpoint_mean(config.d_S * inv_rho2), engine.endpoint_mean(config.d_I * inv_rho2))
-    runs["factor_set_ms"] = (lambda: engine._FactorSet(config.grid, nus, None, coupled.dt), 1e3)
+    runs["factor_set_ms"] = (lambda: engine._FactorSet(config.grid, nus, (0.0, 0.0, 1.0), coupled.dt), 1e3)
     runs["period_map_factor_ms"] = (lambda: operator_at(math.sqrt(bounds.lower * bounds.upper)), 1e3)
     runs["phi_tables_ms"] = (lambda: spectral._phi_operators(config), 1e3)
     counts = {"grid": config.grid_points, "steps": config.steps_per_period, "radius_columns": sum(widths)}
